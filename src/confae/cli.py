@@ -384,8 +384,10 @@ def cmd_diagnose(args) -> int:
     _, val = training.split_dataset(split_cfg, ds)
     codes = net.forward(enc, val.samples)
 
+    jacobians = net.jacobians(dec, codes)
     try:
-        field = geometry.conformal_field(dec, codes)
+        field = geometry.conformal_field(codes, jacobians)
+        kappas = geometry.kappa_field(jacobians)
     except ValueError as exc:
         raise _runtime(str(exc))
 
@@ -404,7 +406,6 @@ def cmd_diagnose(args) -> int:
             file=sys.stderr,
         )
 
-    kappas = np.array([geometry.condition_numbers(dec, z) for z in codes])
     geometry.write_diagnostics_csv(out / DIAGNOSTICS_NAME, field, curv, kappas)
     try:
         summary = geometry.summarize_kappa(kappas)

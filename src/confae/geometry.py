@@ -14,13 +14,15 @@ evaluated on the same nodes comes out at its known value).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import linalg, net
+
+# Entries of the squared-distance block built per chunk of the kNN search.
+_GRAPH_CHUNK = 2**20
 
 
 @dataclass
@@ -56,30 +58,28 @@ def _minmax(values: np.ndarray) -> np.ndarray:
 
 @dataclass
 class LatentGraph:
-    """Symmetric kNN graph over latent codes with exponential edge weights."""
+    """Symmetric kNN graph over latent codes with exponential edge weights.
 
+    Stored as a directed edge list holding both orientations of every edge,
+    sorted by (row, col), so memory is O(n k) rather than O(n^2).
+    """
+
+    n: int
     k: int
     bandwidth: float
-    weights: np.ndarray  # (n, n) dense, symmetric, zero diagonal
-    degrees: np.ndarray  # (n,)
-    laplacian: np.ndarray  # (n, n) = diag(degrees) - weights
-    edge_rows: np.ndarray  # directed edge list (both orientations)
-    edge_cols: np.ndarray
-    edge_weights: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return self.degrees.shape[0]
+    edge_rows: np.ndarray  # (E,) int64, nondecreasing
+    edge_cols: np.ndarray  # (E,) int64, increasing within a row
+    edge_weights: np.ndarray  # (E,) in (0, 1]
 
     def apply_laplacian(self, f: np.ndarray) -> np.ndarray:
-        """(L f)_i = sum_j w_ij (f_i - f_j), evaluated in difference form.
+        """(L f)_i = sum_j w_ij (f_i - f_j) for the graph Laplacian L = D - W.
 
-        Mathematically identical to ``laplacian @ f`` but exactly zero on
-        constant inputs and better conditioned on smooth ones.
+        The difference form is exactly zero on constant inputs and better
+        conditioned on smooth ones than a product with an assembled L.
         """
         f = np.asarray(f, dtype=np.float64)
         contrib = self.edge_weights * (f[self.edge_rows] - f[self.edge_cols])
-        return np.bincount(self.edge_rows, weights=contrib, minlength=self.size)
+        return np.bincount(self.edge_rows, weights=contrib, minlength=self.n)
 
 
 @dataclass
@@ -118,13 +118,9 @@ def pullback_metric(dec: net.Mlp, z: np.ndarray) -> np.ndarray:
     return j.T @ j
 
 
-def pullback_metrics(dec: net.Mlp, codes: np.ndarray) -> np.ndarray:
-    """(n, m, m) stack of pullback metrics, one jvp sweep for all codes."""
-    codes = np.asarray(codes, dtype=np.float64)
-    n, m = codes.shape
-    flat_z = np.repeat(codes, m, axis=0)
-    basis = np.tile(np.eye(m), (n, 1))
-    jv = net.jvp(dec, flat_z, basis).jv.reshape(n, m, -1)  # row k of block p = J_p e_k
+def pullback_metrics(jacobians: np.ndarray) -> np.ndarray:
+    """(n, m, m) stack of pullback metrics J^T J from a ``net.jacobians`` stack."""
+    jv = jacobians.transpose(0, 2, 1)  # row k of block p = J_p e_k
     return np.einsum("pko,plo->pkl", jv, jv)
 
 
@@ -133,11 +129,44 @@ def conformal_factor(dec: net.Mlp, z: np.ndarray) -> float:
     return linalg.trace(pullback_metric(dec, z)) / dec.in_dim
 
 
-def conformal_field(dec: net.Mlp, codes: np.ndarray) -> ConformalField:
+def conformal_field(codes: np.ndarray, jacobians: np.ndarray) -> ConformalField:
+    """Stretch factor at every code from the decoder's ``net.jacobians`` stack there."""
     codes = np.asarray(codes, dtype=np.float64)
-    metrics = pullback_metrics(dec, codes)
-    values = np.einsum("pkk->p", metrics) / dec.in_dim
+    values = np.einsum("pkk->p", pullback_metrics(jacobians)) / jacobians.shape[2]
     return ConformalField(codes=codes, values=values, normalized=_minmax(values))
+
+
+def _nearest(codes: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Indices and squared distances of the k nearest other codes of each code.
+
+    Ties are broken by index, as a stable sort of each distance row would.
+    Distances are summed coordinate by coordinate, the order numpy's
+    ``sum(axis=-1)`` uses for fewer than 8 coordinates.
+    """
+    n, m = codes.shape
+    nbr_idx = np.empty((n, k), dtype=np.int64)
+    nbr_d2 = np.empty((n, k))
+    chunk = max(1, _GRAPH_CHUNK // n)
+    for start in range(0, n, chunk):
+        stop = min(start + chunk, n)
+        block = codes[start:stop]
+        d2 = (block[:, 0, None] - codes[None, :, 0]) ** 2
+        for col in range(1, m):
+            d2 += (block[:, col, None] - codes[None, :, col]) ** 2
+        rows = np.arange(stop - start)
+        d2[rows, np.arange(start, stop)] = np.inf  # no self loops
+        part = np.argpartition(d2, k, axis=1)
+        idx = part[:, :k]
+        near = np.take_along_axis(d2, idx, axis=1)
+        # When the (k+1)-th distance ties the k-th, the partition may have
+        # kept a higher index than the stable order would; redo those rows.
+        tied = near.max(axis=1) == d2[rows, part[:, k]]
+        for r in np.flatnonzero(tied):
+            idx[r] = np.argsort(d2[r], kind="stable")[:k]
+            near[r] = d2[r, idx[r]]
+        nbr_idx[start:stop] = idx
+        nbr_d2[start:stop] = near
+    return nbr_idx, nbr_d2
 
 
 def build_graph(codes: np.ndarray, k: int = 10, bandwidth: float | None = None) -> LatentGraph:
@@ -153,20 +182,9 @@ def build_graph(codes: np.ndarray, k: int = 10, bandwidth: float | None = None) 
     if n < k + 1:
         raise ValueError(f"need at least {k + 1} codes for k={k}, got {n}")
 
-    nbr_idx = np.empty((n, k), dtype=np.int64)
-    nbr_d2 = np.empty((n, k))
-    chunk = max(1, int(2**22 // max(n, 1)))
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
-        block = codes[start:stop]
-        d2 = ((block[:, None, :] - codes[None, :, :]) ** 2).sum(axis=2)
-        d2[np.arange(stop - start), np.arange(start, stop)] = np.inf  # no self loops
-        order = np.argsort(d2, axis=1, kind="stable")[:, :k]
-        nbr_idx[start:stop] = order
-        nbr_d2[start:stop] = np.take_along_axis(d2, order, axis=1)
-
+    nbr_idx, nbr_d2 = _nearest(codes, k)
     if bandwidth is None:
-        h = float(np.median(np.sqrt(nbr_d2[:, k - 1])))
+        h = float(np.median(np.sqrt(nbr_d2.max(axis=1))))
         if h <= 0.0:
             h = 1.0  # all duplicate codes; weights saturate at 1 regardless
     else:
@@ -174,23 +192,26 @@ def build_graph(codes: np.ndarray, k: int = 10, bandwidth: float | None = None) 
         if h <= 0.0:
             raise ValueError("bandwidth must be positive")
 
-    w = np.zeros((n, n))
+    # Both orientations of every directed kNN edge, merged by max in
+    # (row, col) order; edges whose weight underflows to zero are dropped.
+    w = np.exp(-nbr_d2.ravel() / h**2)
     rows = np.repeat(np.arange(n), k)
-    w[rows, nbr_idx.ravel()] = np.exp(-nbr_d2.ravel() / h**2)
-    w = np.maximum(w, w.T)
-    degrees = w.sum(axis=1)
-    laplacian = -w.copy()
-    laplacian[np.arange(n), np.arange(n)] += degrees
-    er, ec = np.nonzero(w)
+    cols = nbr_idx.ravel()
+    keys = np.concatenate([rows * n + cols, cols * n + rows])
+    order = np.argsort(keys)
+    keys = keys[order]
+    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    weights = np.maximum.reduceat(np.concatenate([w, w])[order], starts)
+    keys = keys[starts]
+    keep = weights != 0.0
+    keys = keys[keep]
     return LatentGraph(
+        n=n,
         k=k,
         bandwidth=h,
-        weights=w,
-        degrees=degrees,
-        laplacian=laplacian,
-        edge_rows=er,
-        edge_cols=ec,
-        edge_weights=w[er, ec],
+        edge_rows=keys // n,
+        edge_cols=keys % n,
+        edge_weights=weights[keep],
     )
 
 
@@ -255,7 +276,7 @@ def scalar_curvature(
         raise ValueError(
             f"curvature is computed for 2-D latent spaces, got dimension {field.codes.shape[1]}"
         )
-    if field.codes.shape[0] != graph.size:
+    if field.codes.shape[0] != graph.n:
         raise ValueError("field and graph disagree on the number of nodes")
     raw = _raw_curvature(field.values, graph)
     peak = np.abs(raw).max()
@@ -275,17 +296,22 @@ def scalar_curvature(
     )
 
 
-def condition_numbers(dec: net.Mlp, z: np.ndarray) -> tuple[float, float]:
-    """(kappa of the Jacobian, kappa of the pullback metric) at one code.
+def kappa_field(jacobians: np.ndarray) -> np.ndarray:
+    """(n, 2) array of (kappa of the Jacobian, kappa of the pullback metric).
 
-    Rank-deficient Jacobians yield infinite sentinels rather than errors.
+    Takes a ``net.jacobians`` stack. kappa_jac comes from one batched SVD and
+    kappa_pbm = kappa_jac^2 is the exact condition number of J^T J.
+    Numerically rank-deficient Jacobians, the zero Jacobian included, yield
+    infinite sentinels rather than errors.
     """
-    j = net.jacobian(dec, z)
-    if not j.any():
-        return math.inf, math.inf
-    kjac = linalg.condition_number(j)
-    kpbm = linalg.condition_number(j.T @ j)
-    return kjac, kpbm
+    kjac = linalg.condition_numbers(jacobians)
+    return np.column_stack([kjac, kjac**2])
+
+
+def condition_numbers(dec: net.Mlp, z: np.ndarray) -> tuple[float, float]:
+    """(kappa of the Jacobian, kappa of the pullback metric) at one code."""
+    kjac, kpbm = kappa_field(net.jacobian(dec, z)[None])[0]
+    return float(kjac), float(kpbm)
 
 
 def summarize_kappa(samples) -> KappaSummary:

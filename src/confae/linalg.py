@@ -1,13 +1,9 @@
 """Dense small-matrix kernels: eigenvalues, singular values, condition numbers.
 
 Everything here operates on matrices of at most a dozen rows (latent metrics,
-decoder Jacobians of narrow networks), so the implementations favor
-determinism and robustness over asymptotic speed. All functions are pure.
-
-Singular values are computed through the eigenvalues of the Gram matrix; this
-squares the condition number of the problem, which is acceptable at the
-conditioning levels encountered here (kappa of the Gram matrix is reported
-separately anyway).
+decoder Jacobians of narrow networks). Singular values come straight from
+LAPACK's SVD, never from the eigenvalues of a Gram matrix, so conditioning is
+not squared on the way. All functions are pure.
 """
 
 from __future__ import annotations
@@ -16,16 +12,8 @@ import math
 
 import numpy as np
 
-# Stop Jacobi sweeps once the off-diagonal Frobenius mass drops below this
-# fraction of the total Frobenius norm.
-_JACOBI_TOL = 1e-12
-_JACOBI_MAX_SWEEPS = 100
-
 # Relative asymmetry tolerated before a matrix is rejected as non-symmetric.
 _SYM_TOL = 1e-9
-
-# Singular values below this are treated as exact rank deficiency.
-_SIGMA_FLOOR = 1e-300
 
 
 def as_matrix(a: np.ndarray) -> np.ndarray:
@@ -46,47 +34,8 @@ def trace(a: np.ndarray) -> float:
     return float(np.sum(np.diag(m)))
 
 
-def _eigvals_2x2(s: np.ndarray) -> np.ndarray:
-    a, b, d = s[0, 0], s[0, 1], s[1, 1]
-    mid = 0.5 * (a + d)
-    rad = math.hypot(0.5 * (a - d), b)
-    return np.array([mid + rad, mid - rad])
-
-
-def _jacobi_eigvals(s: np.ndarray) -> np.ndarray:
-    a = s.copy()
-    n = a.shape[0]
-    norm = np.linalg.norm(a)
-    if norm == 0.0:
-        return np.zeros(n)
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        off = math.sqrt(max(np.sum(a * a) - np.sum(np.diag(a) ** 2), 0.0))
-        if off <= _JACOBI_TOL * norm:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-300 or abs(apq) < 1e-17 * (abs(a[p, p]) + abs(a[q, q])):
-                    a[p, q] = a[q, p] = 0.0
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                sn = t * c
-                rot_p = c * a[p, :] - sn * a[q, :]
-                rot_q = sn * a[p, :] + c * a[q, :]
-                a[p, :], a[q, :] = rot_p, rot_q
-                col_p = c * a[:, p] - sn * a[:, q]
-                col_q = sn * a[:, p] + c * a[:, q]
-                a[:, p], a[:, q] = col_p, col_q
-    return np.diag(a).copy()
-
-
 def sym_eigvals(a: np.ndarray) -> np.ndarray:
-    """All eigenvalues of a symmetric matrix, in descending order.
-
-    Closed form for 2x2 inputs, cyclic Jacobi sweeps otherwise.
-    """
+    """All eigenvalues of a symmetric matrix, in descending order."""
     m = as_matrix(a)
     n, n2 = m.shape
     if n != n2:
@@ -94,33 +43,40 @@ def sym_eigvals(a: np.ndarray) -> np.ndarray:
     norm = np.linalg.norm(m)
     if np.linalg.norm(m - m.T) > _SYM_TOL * max(norm, 1e-30):
         raise ValueError("matrix is not symmetric")
-    s = 0.5 * (m + m.T)
-    if n == 1:
-        vals = np.array([s[0, 0]])
-    elif n == 2:
-        vals = _eigvals_2x2(s)
-    else:
-        vals = _jacobi_eigvals(s)
-    return np.sort(vals)[::-1]
+    return np.linalg.eigvalsh(0.5 * (m + m.T))[::-1]
 
 
 def singular_values(a: np.ndarray) -> np.ndarray:
-    """Singular values, descending, via the Gram matrix of the smaller side."""
-    m = as_matrix(a)
-    g = m.T @ m if m.shape[1] <= m.shape[0] else m @ m.T
-    ev = sym_eigvals(g)
-    return np.sqrt(np.clip(ev, 0.0, None))
+    """Singular values, descending."""
+    return np.linalg.svd(as_matrix(a), compute_uv=False)
+
+
+def condition_numbers(stack: np.ndarray) -> np.ndarray:
+    """sigma_max / sigma_min of each matrix in a (B, r, c) stack, one batched SVD.
+
+    A matrix whose smallest singular value is at most ``max(r, c) * eps``
+    times its largest is numerically rank deficient, and so is the zero
+    matrix; both get ``inf``.
+    """
+    s = np.asarray(stack, dtype=np.float64)
+    if s.ndim != 3:
+        raise ValueError(f"expected a (batch, rows, cols) stack, got ndim={s.ndim}")
+    if not np.all(np.isfinite(s)):
+        raise ValueError("matrix entries must be finite")
+    sigma = np.linalg.svd(s, compute_uv=False)
+    hi, lo = sigma[:, 0], sigma[:, -1]
+    deficient = lo <= max(s.shape[1:]) * np.finfo(np.float64).eps * hi
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(deficient, math.inf, hi / lo)
 
 
 def condition_number(a: np.ndarray) -> float:
     """Operator-norm condition number sigma_max / sigma_min.
 
-    Returns ``math.inf`` for rank-deficient input; a zero matrix is an error.
+    Returns ``math.inf`` for rank-deficient input (see ``condition_numbers``);
+    a zero matrix is an error.
     """
     m = as_matrix(a)
     if not m.any():
         raise ValueError("condition number of the zero matrix is undefined")
-    sigma = singular_values(m)
-    if sigma[-1] < _SIGMA_FLOOR:
-        return math.inf
-    return float(sigma[0] / sigma[-1])
+    return float(condition_numbers(m[None])[0])

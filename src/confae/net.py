@@ -322,15 +322,25 @@ def vjp(net: Mlp, z: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return cur, adj
 
 
+def jacobians(net: Mlp, z: np.ndarray) -> np.ndarray:
+    """(B, out_dim, in_dim) Jacobian stack of a batch, one jvp over B * in_dim rows.
+
+    The result is a transposed view of the contiguous (B, in_dim, out_dim)
+    block whose row k of entry p is ``J_p e_k``.
+    """
+    zb, _ = _as_batch(z, net.in_dim, "input")
+    b, m = zb.shape
+    flat_z = np.repeat(zb, m, axis=0)
+    basis = np.tile(np.eye(m), (b, 1))
+    return jvp(net, flat_z, basis).jv.reshape(b, m, -1).transpose(0, 2, 1)
+
+
 def jacobian(net: Mlp, z: np.ndarray) -> np.ndarray:
     """Full (out_dim, in_dim) Jacobian at a single point, column by column."""
     zv = np.asarray(z, dtype=np.float64)
     if zv.ndim != 1 or zv.shape[0] != net.in_dim:
         raise ValueError(f"expected a single input of length {net.in_dim}")
-    m = net.in_dim
-    zb = np.repeat(zv[None, :], m, axis=0)
-    res = jvp(net, zb, np.eye(m))
-    return res.jv.T.copy()
+    return jacobians(net, zv[None, :])[0].copy()
 
 
 def backward(

@@ -40,7 +40,7 @@ class TestPullbackMetric:
     def test_batch_matches_pointwise(self):
         dec = net.init([2, 5, 3], ["relu", "identity"], 1)
         codes = np.random.default_rng(2).normal(size=(6, 2))
-        stack = geometry.pullback_metrics(dec, codes)
+        stack = geometry.pullback_metrics(net.jacobians(dec, codes))
         for i, z in enumerate(codes):
             assert np.max(np.abs(stack[i] - geometry.pullback_metric(dec, z))) < 1e-12
 
@@ -71,6 +71,46 @@ class TestConformalFactor:
         assert field.normalized.min() == 0.0 and field.normalized.max() == 1.0
 
 
+def dense_weights(g):
+    """Scatter a graph's edge list into its dense symmetric weight matrix."""
+    w = np.zeros((g.n, g.n))
+    w[g.edge_rows, g.edge_cols] = g.edge_weights
+    return w
+
+
+def dense_laplacian(g):
+    w = dense_weights(g)
+    return np.diag(w.sum(axis=1)) - w
+
+
+def dense_reference_graph(codes, k):
+    """The original O(n^2) construction, kept as an oracle for the edge list.
+
+    Full-row stable argsort for the neighbors, a dense weight matrix
+    symmetrized by max, and the edge list read back with ``np.nonzero``.
+    """
+    codes = np.asarray(codes, dtype=float)
+    n = codes.shape[0]
+    d2 = ((codes[:, None, :] - codes[None, :, :]) ** 2).sum(axis=2)
+    d2[np.arange(n), np.arange(n)] = np.inf
+    order = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    nbr_d2 = np.take_along_axis(d2, order, axis=1)
+    h = float(np.median(np.sqrt(nbr_d2[:, k - 1])))
+    if h <= 0.0:
+        h = 1.0
+    w = np.zeros((n, n))
+    w[np.repeat(np.arange(n), k), order.ravel()] = np.exp(-nbr_d2.ravel() / h**2)
+    w = np.maximum(w, w.T)
+    er, ec = np.nonzero(w)
+    return h, er, ec, w[er, ec]
+
+
+def integer_grid(side):
+    """Unit-spaced grid: every node has many neighbors at equal distances."""
+    xx, yy = np.meshgrid(np.arange(side), np.arange(side))
+    return np.column_stack([xx.ravel(), yy.ravel()]).astype(float)
+
+
 class TestBuildGraph:
     def test_three_collinear_points(self):
         d = 0.7
@@ -80,40 +120,43 @@ class TestBuildGraph:
         assert g.bandwidth == pytest.approx(2 * d, abs=1e-15)
         near = math.exp(-(d**2) / g.bandwidth**2)
         far = math.exp(-((2 * d) ** 2) / g.bandwidth**2)
-        assert g.weights[0, 1] == pytest.approx(near, abs=1e-15)
-        assert g.weights[1, 2] == pytest.approx(near, abs=1e-15)
-        assert g.weights[0, 2] == pytest.approx(far, abs=1e-15)
-        assert np.max(np.abs(g.laplacian.sum(axis=1))) < 1e-10
+        w = dense_weights(g)
+        assert w[0, 1] == pytest.approx(near, abs=1e-15)
+        assert w[1, 2] == pytest.approx(near, abs=1e-15)
+        assert w[0, 2] == pytest.approx(far, abs=1e-15)
+        assert np.max(np.abs(dense_laplacian(g).sum(axis=1))) < 1e-10
 
     def test_laplacian_annihilates_constants(self):
         codes = np.random.default_rng(3).normal(size=(40, 2))
         g = geometry.build_graph(codes, k=5)
-        assert np.max(np.abs(g.laplacian @ np.ones(40))) < 1e-10
+        assert np.max(np.abs(dense_laplacian(g) @ np.ones(40))) < 1e-10
         assert np.array_equal(g.apply_laplacian(np.full(40, 2.5)), np.zeros(40))
 
     def test_quadratic_form_matches_edge_sum(self):
         rng = np.random.default_rng(4)
         codes = rng.normal(size=(30, 2))
         g = geometry.build_graph(codes, k=4)
+        lap, w = dense_laplacian(g), dense_weights(g)
         for _ in range(10):
             x = rng.normal(size=30)
-            quad = x @ g.laplacian @ x
+            quad = x @ lap @ x
             iu, ju = np.triu_indices(30, k=1)
-            edge_sum = (g.weights[iu, ju] * (x[iu] - x[ju]) ** 2).sum()
+            edge_sum = (w[iu, ju] * (x[iu] - x[ju]) ** 2).sum()
             assert abs(quad - edge_sum) < 1e-9 * max(edge_sum, 1.0)
             assert quad >= -1e-9
 
     def test_weights_are_symmetric_in_unit_interval(self):
         codes = np.random.default_rng(5).normal(size=(25, 2))
         g = geometry.build_graph(codes, k=3)
-        assert np.array_equal(g.weights, g.weights.T)
-        offdiag = g.weights[g.weights > 0]
+        w = dense_weights(g)
+        assert np.array_equal(w, w.T)
+        offdiag = w[w > 0]
         assert offdiag.min() > 0.0 and offdiag.max() <= 1.0
 
     def test_duplicate_codes_allowed(self):
         codes = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
         g = geometry.build_graph(codes, k=1)
-        assert g.weights[0, 1] == 1.0  # distance zero saturates the weight
+        assert dense_weights(g)[0, 1] == 1.0  # distance zero saturates the weight
 
     def test_too_few_codes_rejected(self):
         with pytest.raises(ValueError):
@@ -123,7 +166,34 @@ class TestBuildGraph:
         codes = np.random.default_rng(6).normal(size=(50, 2))
         g = geometry.build_graph(codes, k=6)
         f = np.random.default_rng(7).normal(size=50)
-        assert np.max(np.abs(g.apply_laplacian(f) - g.laplacian @ f)) < 1e-10
+        assert np.max(np.abs(g.apply_laplacian(f) - dense_laplacian(g) @ f)) < 1e-10
+
+    @pytest.mark.parametrize(
+        "codes, k",
+        [
+            (geometry.disc_grid(40, 2.0), 10),
+            (integer_grid(12), 6),  # ties at the k-th distance
+            (np.repeat(np.random.default_rng(8).normal(size=(15, 2)), 3, axis=0), 4),
+            (np.random.default_rng(9).normal(size=(11, 2)), 10),  # n = k + 1
+            (np.random.default_rng(10).normal(size=(60, 3)), 5),
+            # the outlier's edge weights underflow to zero and are dropped
+            (np.vstack([np.random.default_rng(13).normal(size=(30, 2)), [[1e3, 0.0]]]), 4),
+        ],
+        ids=["disc-grid", "integer-grid", "duplicates", "n-equals-k-plus-1", "3d", "outlier"],
+    )
+    def test_edge_list_matches_dense_oracle(self, codes, k):
+        g = geometry.build_graph(codes, k=k)
+        h, er, ec, ew = dense_reference_graph(codes, k)
+        assert g.bandwidth == h
+        assert np.array_equal(g.edge_rows, er)
+        assert np.array_equal(g.edge_cols, ec)
+        assert np.array_equal(g.edge_weights, ew)
+
+    def test_memory_is_linear_in_edges(self):
+        n, k = 5000, 10
+        g = geometry.build_graph(np.random.default_rng(11).normal(size=(n, 2)), k=k)
+        sizes = {name: v.size for name, v in vars(g).items() if isinstance(v, np.ndarray)}
+        assert sizes and max(sizes.values()) <= 2 * n * k, sizes
 
 
 class TestScalarCurvature:
@@ -208,6 +278,23 @@ class TestConditionNumbers:
         dec = linear_dec(np.zeros((3, 2)))
         kjac, kpbm = geometry.condition_numbers(dec, np.zeros(2))
         assert math.isinf(kjac) and math.isinf(kpbm)
+
+    def test_rank_one_linear_decoder_gives_sentinels_on_both_paths(self):
+        # sigma_min is a rounding residue here, far from an absolute floor
+        dec = linear_dec(np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]]))
+        codes = np.random.default_rng(12).normal(size=(4, 2))
+        assert geometry.condition_numbers(dec, codes[0]) == (math.inf, math.inf)
+        assert np.all(np.isposinf(geometry.kappa_field(net.jacobians(dec, codes))))
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_batch_matches_pointwise(self, seed):
+        rng = np.random.default_rng(seed)
+        dec = net.init([2, 7, 5, 3], ["tanh", "leaky_relu", "identity"], seed)
+        codes = rng.normal(size=(9, 2))
+        batch = geometry.kappa_field(net.jacobians(dec, codes))
+        for i, z in enumerate(codes):
+            assert np.allclose(batch[i], geometry.condition_numbers(dec, z), rtol=1e-12, atol=0)
 
 
 class TestSummarizeKappa:
