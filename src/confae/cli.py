@@ -39,6 +39,7 @@ from . import __version__, data, figures, geometry, net, training
 from .regularizers import DegenerateJacobianError
 
 CHECKPOINT_NAME = "checkpoint.json"
+CHECKPOINT_FORMAT_VERSION = 1
 STATE_NAME = "state.json"
 METRICS_NAME = "metrics.jsonl"
 MANIFEST_NAME = "manifest.json"
@@ -175,7 +176,7 @@ def cmd_generate(args) -> int:
 
 def _write_checkpoint(path: Path, epoch: int, enc: net.Mlp, dec: net.Mlp) -> None:
     payload = {
-        "format_version": net.CHECKPOINT_FORMAT_VERSION,
+        "format_version": CHECKPOINT_FORMAT_VERSION,
         "epoch": epoch,
         "encoder": net.to_dict(enc),
         "decoder": net.to_dict(dec),
@@ -194,7 +195,7 @@ def _load_checkpoint(path: Path) -> tuple[int, net.Mlp, net.Mlp]:
     if not path.exists():
         raise _validation(f"checkpoint not found: {path}")
     obj = _read_json(path, "checkpoint")
-    if obj.get("format_version") != net.CHECKPOINT_FORMAT_VERSION:
+    if obj.get("format_version") != CHECKPOINT_FORMAT_VERSION:
         raise _validation(f"unsupported checkpoint format_version in {path}")
     try:
         return int(obj["epoch"]), net.from_dict(obj["encoder"]), net.from_dict(obj["decoder"])
@@ -304,7 +305,7 @@ def cmd_train(args) -> int:
 
     _write_checkpoint(out / CHECKPOINT_NAME, result.state.epoch, result.enc, result.dec)
     _write_state(out / STATE_NAME, result.state)
-    last = result.metrics.records[-1] if result.metrics.records else None
+    last = result.records[-1] if result.records else None
     if last is not None:
         print(
             f"finished epoch {last.epoch}: recon={last.recon:.6f} geo={last.geo:.6f} "

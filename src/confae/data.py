@@ -26,9 +26,6 @@ class Normalization:
     def apply(self, samples: np.ndarray) -> np.ndarray:
         return (samples - self.mean) / self.std
 
-    def invert(self, samples: np.ndarray) -> np.ndarray:
-        return samples * self.std + self.mean
-
 
 @dataclass
 class Dataset:

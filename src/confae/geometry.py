@@ -162,7 +162,10 @@ def _nearest(codes: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         # kept a higher index than the stable order would; redo those rows.
         tied = near.max(axis=1) == d2[rows, part[:, k]]
         for r in np.flatnonzero(tied):
-            idx[r] = np.argsort(d2[r], kind="stable")[:k]
+            # Only codes within the k-th distance can enter; they come in
+            # index order, so a stable sort of them is the (distance, index) order.
+            cand = np.flatnonzero(d2[r] <= near[r].max())
+            idx[r] = cand[np.argsort(d2[r, cand], kind="stable")[:k]]
             near[r] = d2[r, idx[r]]
         nbr_idx[start:stop] = idx
         nbr_d2[start:stop] = near
@@ -359,7 +362,6 @@ def write_diagnostics_csv(
     kappas: np.ndarray | None = None,
 ) -> None:
     """One row per code; curvature or kappa columns are omitted when absent."""
-    n = field.codes.shape[0]
     columns: dict[str, np.ndarray] = {
         "z1": field.codes[:, 0],
         "z2": field.codes[:, 1],
@@ -377,9 +379,8 @@ def write_diagnostics_csv(
         columns["kappa_jac"] = kappas[:, 0]
         columns["kappa_pbm"] = kappas[:, 1]
     names = [c for c in DIAGNOSTIC_COLUMNS if c in columns]
-    lines = [",".join(names)]
-    for i in range(n):
-        lines.append(",".join(repr(float(columns[c][i])) for c in names))
+    table = np.column_stack([columns[c] for c in names]).tolist()
+    lines = [",".join(names)] + [",".join(map(repr, row)) for row in table]
     Path(path).write_text("\n".join(lines) + "\n")
 
 

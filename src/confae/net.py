@@ -21,15 +21,11 @@ Public entry points also accept single vectors.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
 ACTIVATIONS = ("relu", "leaky_relu", "tanh", "identity")
-
-CHECKPOINT_FORMAT_VERSION = 1
 
 
 def _act(name: str, a: np.ndarray, slope: float) -> np.ndarray:
@@ -168,23 +164,6 @@ class DualTrace:
 
 
 @dataclass
-class ScalarRecord:
-    """A scalar computed from recorded sweeps, with its output adjoints.
-
-    ``out_grad``, ``tan_grad`` and ``pull_grad`` are the partial derivatives
-    of the scalar w.r.t. the primal output, the tangent output ``Jv`` and the
-    pullback output ``J^T(Jv)``; leave them ``None`` when the scalar does not
-    touch that output.
-    """
-
-    value: float
-    trace: DualTrace | None
-    out_grad: np.ndarray | None = None
-    tan_grad: np.ndarray | None = None
-    pull_grad: np.ndarray | None = None
-
-
-@dataclass
 class JvpResult:
     y: np.ndarray
     jv: np.ndarray
@@ -302,26 +281,6 @@ def jvp(
     return JvpResult(cur, tan, pulled, trace)
 
 
-def vjp(net: Mlp, z: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Primal output and adjoint product ``J^T u`` at ``z``."""
-    zb, single = _as_batch(z, net.in_dim, "input")
-    ub, usingle = _as_batch(u, net.out_dim, "cotangent")
-    if zb.shape[0] != ub.shape[0]:
-        raise ValueError("input and cotangent batches differ in size")
-    pre = []
-    cur = zb
-    for layer in net.layers:
-        a = cur @ layer.weight.T + layer.bias
-        pre.append(a)
-        cur = _act(layer.activation, a, layer.slope)
-    adj = ub
-    for layer, a in zip(reversed(net.layers), reversed(pre)):
-        adj = (_dact(layer.activation, a, layer.slope) * adj) @ layer.weight
-    if single and usingle:
-        return cur[0], adj[0]
-    return cur, adj
-
-
 def jacobians(net: Mlp, z: np.ndarray) -> np.ndarray:
     """(B, out_dim, in_dim) Jacobian stack of a batch, one jvp over B * in_dim rows.
 
@@ -427,20 +386,6 @@ def backward(
     return grads, g_x, g_s
 
 
-def grad_scalar(net: Mlp, record: ScalarRecord) -> ParamGradient:
-    """Parameter gradient of a recorded scalar (one reverse sweep)."""
-    if record.trace is None:
-        raise ValueError("scalar record has no recorded tape")
-    grads, _, _ = backward(
-        net,
-        record.trace,
-        out_grad=record.out_grad,
-        tan_grad=record.tan_grad,
-        pull_grad=record.pull_grad,
-    )
-    return grads
-
-
 def to_dict(net: Mlp) -> dict:
     """JSON-ready description: dims, activation tags, row-major parameters."""
     return {
@@ -464,15 +409,3 @@ def from_dict(obj: dict) -> Mlp:
         raise ValueError(f"checkpoint dims {obj['dims']} do not match parameter shapes {net.dims}")
     return net
 
-
-def save(net: Mlp, path: str | Path) -> None:
-    payload = {"format_version": CHECKPOINT_FORMAT_VERSION, **to_dict(net)}
-    Path(path).write_text(json.dumps(payload, sort_keys=True))
-
-
-def load(path: str | Path) -> Mlp:
-    obj = json.loads(Path(path).read_text())
-    version = obj.get("format_version")
-    if version != CHECKPOINT_FORMAT_VERSION:
-        raise ValueError(f"unsupported checkpoint format_version {version!r}")
-    return from_dict(obj)

@@ -9,26 +9,25 @@ moments of the decoder's pullback metric ``M(z) = J(z)^T J(z)``:
 with ``v_i`` Rademacher probe vectors (entries +-1): both estimators are
 unbiased and exact for diagonal metrics. A point's probe set is shared
 between the two moments, so the conformal ratio sees correlated noise.
-The `exact=True` path sums over the latent basis vectors instead, which
-evaluates the same moments without Monte-Carlo error (cheap while the
-latent dimension is small), and keeps the losses differentiable either way.
+With ``probes=None`` the moments are summed over the latent basis vectors
+instead, which evaluates them without Monte-Carlo error (cheap while the
+latent dimension is small); the losses are differentiable either way.
 
 The ratio-of-estimates in the per-point conformal loss is biased for finite
 probe counts (ratio of two unbiased estimates); the exact path exists for
 testing and for small latent dimensions.
 
-All ``*_and_grad`` variants return the loss value, the parameter gradient of
-the decoder, and the gradient w.r.t. the latent codes (so the loss can be
-chained through an encoder).
+Every loss is one function ``f(dec, codes, ...) -> (value, dec_grads,
+code_grads)``: the value, the parameter gradient of the decoder, and the
+gradient w.r.t. the latent codes (so the loss can be chained through an
+encoder). With ``want_grad=False`` both gradients are ``None``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from . import linalg, net
+from . import net
 
 DEGENERATE_TRACE_FLOOR = 1e-12
 
@@ -43,45 +42,6 @@ class DegenerateJacobianError(ValueError):
             f"trace estimate {value:.3e} at code index {index} is not positive; "
             "the decoder Jacobian has collapsed there"
         )
-
-
-@dataclass
-class ProbeSet:
-    """A deterministic stack of Rademacher probe vectors (entries +-1)."""
-
-    count: int
-    dim: int
-    seed: int
-    vectors: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        if self.count < 1:
-            raise ValueError("a probe set needs at least one probe")
-        if self.dim < 1:
-            raise ValueError("probe dimension must be positive")
-        rng = np.random.default_rng(self.seed)
-        self.vectors = rng.integers(0, 2, size=(self.count, self.dim)) * 2.0 - 1.0
-
-
-@dataclass
-class LossBreakdown:
-    """Reconstruction + weighted geometric term of one evaluation."""
-
-    recon: float
-    geometric: float
-    intensity: float
-
-    def __post_init__(self):
-        if self.recon < 0.0:
-            raise ValueError("reconstruction loss cannot be negative")
-        if self.geometric < -1e-9:
-            raise ValueError("geometric loss fell below its theoretical minimum")
-        if self.intensity < 0.0:
-            raise ValueError("intensity must be nonnegative")
-
-    @property
-    def total(self) -> float:
-        return self.recon + self.intensity * self.geometric
 
 
 def rademacher_block(rng: np.random.Generator, batch: int, count: int, dim: int) -> np.ndarray:
@@ -100,52 +60,39 @@ def _codes_2d(codes: np.ndarray, dim: int) -> np.ndarray:
     return arr
 
 
-def _resolve_probes(
-    codes: np.ndarray,
-    probes,
-    exact: bool,
-    rng: np.random.Generator | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Normalize the probe argument to a (B, N, m) block plus moment weights."""
+def _probe_block(codes: np.ndarray, probes: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """The (B, N, m) probe block plus moment weights; ``None`` is the exact basis."""
     b, m = codes.shape
-    if exact:
+    if probes is None:
         return np.broadcast_to(np.eye(m), (b, m, m)), np.ones(m)
-    if isinstance(probes, ProbeSet):
-        probes = probes.vectors
-    if isinstance(probes, (int, np.integer)):
-        if probes < 1:
-            raise ValueError("probe count must be at least one")
-        if rng is None:
-            raise ValueError("sampling probes needs a random generator")
-        block = rademacher_block(rng, b, int(probes), m)
-    else:
-        block = np.asarray(probes, dtype=np.float64)
-        if block.ndim == 2:
-            block = np.broadcast_to(block, (b, *block.shape))
-        if block.ndim != 3 or block.shape[0] != b or block.shape[2] != m:
-            raise ValueError(f"probe block must be (batch, count, {m})")
-        if block.shape[1] == 0:
-            raise ValueError("probe set is empty")
+    block = np.asarray(probes, dtype=np.float64)
+    if block.ndim != 3 or block.shape[0] != b or block.shape[2] != m:
+        raise ValueError(f"probe block must be (batch, count, {m})")
+    if block.shape[1] == 0:
+        raise ValueError("probe set is empty")
     return block, np.full(block.shape[1], 1.0 / block.shape[1])
 
 
-def _moments_forward(dec: net.Mlp, codes: np.ndarray, block: np.ndarray, weights: np.ndarray):
+def trace_moments(dec: net.Mlp, codes: np.ndarray, probes: np.ndarray | None = None):
+    """Per-code moments ``(t1, t2)`` of the pullback metric, plus the tape.
+
+    ``probes`` is ``None`` for the exact basis sum or a (B, N, m) Rademacher
+    block for the Monte-Carlo estimate. The third element feeds
+    :func:`_moments_backward`.
+    """
+    z = _codes_2d(codes, dec.in_dim)
+    block, weights = _probe_block(z, probes)
     b, n, m = block.shape
-    flat_z = np.repeat(codes, n, axis=0)
+    flat_z = np.repeat(z, n, axis=0)
     flat_v = block.reshape(b * n, m)
     res = net.jvp(dec, flat_z, flat_v, with_pullback=True)
     t1 = (res.jv**2).sum(axis=1).reshape(b, n) @ weights
     t2 = (res.pullback**2).sum(axis=1).reshape(b, n) @ weights
-    return t1, t2, res
+    return t1, t2, (res, weights)
 
 
-def _moments_backward(
-    dec: net.Mlp,
-    res: net.JvpResult,
-    weights: np.ndarray,
-    d_t1: np.ndarray,
-    d_t2: np.ndarray,
-):
+def _moments_backward(dec: net.Mlp, tape, d_t1: np.ndarray, d_t2: np.ndarray):
+    res, weights = tape
     b = d_t1.shape[0]
     coeff1 = (d_t1[:, None] * weights[None, :]).reshape(-1, 1)
     coeff2 = (d_t2[:, None] * weights[None, :]).reshape(-1, 1)
@@ -159,87 +106,52 @@ def _moments_backward(
     return grads, g_codes
 
 
-def hutch_trace(dec: net.Mlp, z: np.ndarray, probes: ProbeSet | np.ndarray) -> float:
-    """Monte-Carlo trace of the decoder's pullback metric at one code."""
-    codes = _codes_2d(z, dec.in_dim)
-    block, weights = _resolve_probes(codes, probes, exact=False, rng=None)
-    t1, _, _ = _moments_forward(dec, codes, block, weights)
-    return float(t1[0])
-
-
-def hutch_trace_sq(dec: net.Mlp, z: np.ndarray, probes: ProbeSet | np.ndarray) -> float:
-    """Monte-Carlo trace of the squared pullback metric at one code."""
-    codes = _codes_2d(z, dec.in_dim)
-    block, weights = _resolve_probes(codes, probes, exact=False, rng=None)
-    _, t2, _ = _moments_forward(dec, codes, block, weights)
-    return float(t2[0])
-
-
-def exact_trace_moments(dec: net.Mlp, z: np.ndarray) -> tuple[float, float]:
-    """Reference (Tr M, Tr M^2) through the assembled Jacobian.
-
-    Independent of the probe kernel; used as the estimator's oracle.
-    """
-    j = net.jacobian(dec, np.asarray(z, dtype=np.float64))
-    metric = j.T @ j
-    return linalg.trace(metric), linalg.trace(metric @ metric)
+def _samples_2d(batch: np.ndarray) -> np.ndarray:
+    x = np.asarray(batch, dtype=np.float64)
+    if x.ndim == 1:
+        x = x[None, :]
+    if x.shape[0] == 0:
+        raise ValueError("batch is empty")
+    return x
 
 
 def recon_loss(enc: net.Mlp, dec: net.Mlp, batch: np.ndarray) -> float:
     """Mean squared reconstruction error, one squared norm per sample."""
-    x = np.asarray(batch, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[None, :]
-    if x.shape[0] == 0:
-        raise ValueError("batch is empty")
+    x = _samples_2d(batch)
     y = net.forward(dec, net.forward(enc, x))
     return float(((x - y) ** 2).sum() / x.shape[0])
 
 
-def recon_loss_and_grad(enc: net.Mlp, dec: net.Mlp, batch: np.ndarray):
-    x = np.asarray(batch, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[None, :]
-    if x.shape[0] == 0:
-        raise ValueError("batch is empty")
-    codes, enc_tape = net.forward_tape(enc, x)
-    y, dec_tape = net.forward_tape(dec, codes)
+def recon_loss_and_grad(dec: net.Mlp, codes: np.ndarray, batch: np.ndarray, *, want_grad=True):
+    """Mean squared error of decoding ``codes`` against the samples ``batch``.
+
+    The code gradient is the encoder's output adjoint, so the encoder runs
+    once, in the caller.
+    """
+    x = _samples_2d(batch)
+    y, tape = net.forward_tape(dec, codes)
     diff = y - x
     value = float((diff**2).sum() / x.shape[0])
-    dec_grads, g_codes, _ = net.backward(dec, dec_tape, out_grad=2.0 * diff / x.shape[0])
-    enc_grads, _, _ = net.backward(enc, enc_tape, out_grad=g_codes)
-    return value, enc_grads, dec_grads
+    if not want_grad:
+        return value, None, None
+    dec_grads, g_codes, _ = net.backward(dec, tape, out_grad=2.0 * diff / x.shape[0])
+    return value, dec_grads, g_codes
 
 
-def _pairwise_terms(codes: np.ndarray, outputs: np.ndarray):
-    b = codes.shape[0]
-    iu, ju = np.triu_indices(b, k=1)
-    dz = np.linalg.norm(codes[iu] - codes[ju], axis=1)
-    dx = np.linalg.norm(outputs[iu] - outputs[ju], axis=1)
-    return iu, ju, dz, dx
-
-
-def global_iso_loss(dec: net.Mlp, codes: np.ndarray) -> float:
+def global_iso_loss_and_grad(dec: net.Mlp, codes: np.ndarray, *, want_grad=True):
     """Mean absolute gap between latent and decoded pairwise distances."""
     z = _codes_2d(codes, dec.in_dim)
     if z.shape[0] < 2:
         raise ValueError("pairwise distances need at least two codes")
-    y = net.forward(dec, z)
-    _, _, dz, dx = _pairwise_terms(z, y)
-    return float(np.abs(dz - dx).mean())
-
-
-def global_iso_loss_and_grad(dec: net.Mlp, codes: np.ndarray):
-    z = _codes_2d(codes, dec.in_dim)
-    b = z.shape[0]
-    if b < 2:
-        raise ValueError("pairwise distances need at least two codes")
     y, tape = net.forward_tape(dec, z)
-    iu, ju, dz, dx = _pairwise_terms(z, y)
+    iu, ju = np.triu_indices(z.shape[0], k=1)
+    dz = np.linalg.norm(z[iu] - z[ju], axis=1)
+    dx = np.linalg.norm(y[iu] - y[ju], axis=1)
     gap = dz - dx
     value = float(np.abs(gap).mean())
-    npairs = gap.shape[0]
-    sgn = np.sign(gap) / npairs
+    if not want_grad:
+        return value, None, None
+    sgn = np.sign(gap) / gap.shape[0]
 
     g_y = np.zeros_like(y)
     safe_dx = np.where(dx > 0.0, dx, 1.0)
@@ -257,105 +169,45 @@ def global_iso_loss_and_grad(dec: net.Mlp, codes: np.ndarray):
     return value, dec_grads, g_z + g_in
 
 
-def _check_degenerate(t1: np.ndarray) -> None:
-    bad = np.nonzero(t1 <= DEGENERATE_TRACE_FLOOR)[0]
-    if bad.size:
-        raise DegenerateJacobianError(int(bad[0]), float(t1[bad[0]]))
-
-
-def nonlinear_conformal_loss(
-    dec: net.Mlp,
-    codes: np.ndarray,
-    probes=8,
-    *,
-    exact: bool = False,
-    rng: np.random.Generator | None = None,
-) -> float:
+def nonlinear_conformal_loss_and_grad(dec, codes, probes=None, *, want_grad=True):
     """Pointwise spectral-uniformity penalty: (m/2) E[t2 / t1^2] - 1/2.
 
     Vanishes exactly when the pullback metric is a (point-dependent)
     positive multiple of the identity at every code.
     """
-    value, _, _ = _conformal_impl(dec, codes, probes, exact, rng, want_grad=False)
-    return value
-
-
-def nonlinear_conformal_loss_and_grad(dec, codes, probes=8, *, exact=False, rng=None):
-    return _conformal_impl(dec, codes, probes, exact, rng, want_grad=True)
-
-
-def _conformal_impl(dec, codes, probes, exact, rng, want_grad):
-    z = _codes_2d(codes, dec.in_dim)
-    block, weights = _resolve_probes(z, probes, exact, rng)
-    t1, t2, res = _moments_forward(dec, z, block, weights)
-    _check_degenerate(t1)
-    m, b = dec.in_dim, z.shape[0]
+    t1, t2, tape = trace_moments(dec, codes, probes)
+    bad = np.nonzero(t1 <= DEGENERATE_TRACE_FLOOR)[0]
+    if bad.size:
+        raise DegenerateJacobianError(int(bad[0]), float(t1[bad[0]]))
+    m, b = dec.in_dim, t1.shape[0]
     value = float(np.mean(0.5 * m * t2 / t1**2) - 0.5)
     if not want_grad:
         return value, None, None
     d_t2 = 0.5 * m / (b * t1**2)
     d_t1 = -m * t2 / (b * t1**3)
-    grads, g_codes = _moments_backward(dec, res, weights, d_t1, d_t2)
-    return value, grads, g_codes
+    return (value, *_moments_backward(dec, tape, d_t1, d_t2))
 
 
-def local_iso_loss(
-    dec: net.Mlp,
-    codes: np.ndarray,
-    probes=8,
-    *,
-    exact: bool = False,
-    rng: np.random.Generator | None = None,
-) -> float:
+def local_iso_loss_and_grad(dec, codes, probes=None, *, want_grad=True):
     """Orthonormality penalty E[t2]/(2m) - E[t1]/m + 1/2 on the pullback metric."""
-    value, _, _ = _local_iso_impl(dec, codes, probes, exact, rng, want_grad=False)
-    return value
-
-
-def local_iso_loss_and_grad(dec, codes, probes=8, *, exact=False, rng=None):
-    return _local_iso_impl(dec, codes, probes, exact, rng, want_grad=True)
-
-
-def _local_iso_impl(dec, codes, probes, exact, rng, want_grad):
-    z = _codes_2d(codes, dec.in_dim)
-    block, weights = _resolve_probes(z, probes, exact, rng)
-    t1, t2, res = _moments_forward(dec, z, block, weights)
-    m, b = dec.in_dim, z.shape[0]
+    t1, t2, tape = trace_moments(dec, codes, probes)
+    m, b = dec.in_dim, t1.shape[0]
     value = float(t2.mean() / (2 * m) - t1.mean() / m + 0.5)
     if not want_grad:
         return value, None, None
     d_t2 = np.full(b, 1.0 / (2 * m * b))
     d_t1 = np.full(b, -1.0 / (m * b))
-    grads, g_codes = _moments_backward(dec, res, weights, d_t1, d_t2)
-    return value, grads, g_codes
+    return (value, *_moments_backward(dec, tape, d_t1, d_t2))
 
 
-def constant_conformal_loss(
-    dec: net.Mlp,
-    codes: np.ndarray,
-    probes=8,
-    *,
-    exact: bool = False,
-    rng: np.random.Generator | None = None,
-) -> float:
+def constant_conformal_loss_and_grad(dec, codes, probes=None, *, want_grad=True):
     """Batch-level uniformity penalty (m/2) E[t2] / E[t1]^2 - 1/2.
 
     The expectations sit inside the ratio, so only a globally constant
     stretch factor brings this to zero (contrast the pointwise loss).
     """
-    value, _, _ = _const_conformal_impl(dec, codes, probes, exact, rng, want_grad=False)
-    return value
-
-
-def constant_conformal_loss_and_grad(dec, codes, probes=8, *, exact=False, rng=None):
-    return _const_conformal_impl(dec, codes, probes, exact, rng, want_grad=True)
-
-
-def _const_conformal_impl(dec, codes, probes, exact, rng, want_grad):
-    z = _codes_2d(codes, dec.in_dim)
-    block, weights = _resolve_probes(z, probes, exact, rng)
-    t1, t2, res = _moments_forward(dec, z, block, weights)
-    m, b = dec.in_dim, z.shape[0]
+    t1, t2, tape = trace_moments(dec, codes, probes)
+    m, b = dec.in_dim, t1.shape[0]
     mean_t1, mean_t2 = float(t1.mean()), float(t2.mean())
     if mean_t1 <= DEGENERATE_TRACE_FLOOR:
         raise DegenerateJacobianError(int(np.argmin(t1)), mean_t1)
@@ -364,5 +216,4 @@ def _const_conformal_impl(dec, codes, probes, exact, rng, want_grad):
         return value, None, None
     d_t2 = np.full(b, 0.5 * m / (b * mean_t1**2))
     d_t1 = np.full(b, -m * mean_t2 / (b * mean_t1**3))
-    grads, g_codes = _moments_backward(dec, res, weights, d_t1, d_t2)
-    return value, grads, g_codes
+    return (value, *_moments_backward(dec, tape, d_t1, d_t2))

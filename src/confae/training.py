@@ -167,14 +167,6 @@ class EpochRecord:
 
 
 @dataclass
-class RunMetrics:
-    records: list[EpochRecord] = field(default_factory=list)
-
-    def to_jsonl(self) -> str:
-        return "".join(r.to_json() + "\n" for r in self.records)
-
-
-@dataclass
 class AdamWState:
     step: int
     m_weights: list[np.ndarray]
@@ -298,7 +290,7 @@ class TrainState:
 class TrainResult:
     enc: net.Mlp
     dec: net.Mlp
-    metrics: RunMetrics
+    records: list[EpochRecord]
     state: TrainState
 
 
@@ -327,22 +319,47 @@ def split_dataset(config: RunConfig, ds: data_mod.Dataset):
 
 
 def _geo_value_and_grads(config, dec, codes, rng, want_grad):
-    tag = config.regularizer
-    if tag == "globiso":
-        if want_grad:
-            return reg.global_iso_loss_and_grad(dec, codes)
-        return reg.global_iso_loss(dec, codes), None, None
-    kwargs = dict(exact=True) if config.exact_trace else dict(rng=rng)
-    probes = config.latent_dim if config.exact_trace else config.probes
-    fns = {
-        "conf": (reg.nonlinear_conformal_loss_and_grad, reg.nonlinear_conformal_loss),
-        "lociso": (reg.local_iso_loss_and_grad, reg.local_iso_loss),
-        "constconf": (reg.constant_conformal_loss_and_grad, reg.constant_conformal_loss),
-    }
-    and_grad, value_only = fns[tag]
-    if want_grad:
-        return and_grad(dec, codes, probes, **kwargs)
-    return value_only(dec, codes, probes, **kwargs), None, None
+    """The enabled geometric loss on ``codes``; Monte-Carlo probes come from ``rng``."""
+    if config.regularizer == "globiso":
+        return reg.global_iso_loss_and_grad(dec, codes, want_grad=want_grad)
+    # looked up per call, so that wrappers installed on the module are seen
+    loss = {
+        "lociso": reg.local_iso_loss_and_grad,
+        "conf": reg.nonlinear_conformal_loss_and_grad,
+        "constconf": reg.constant_conformal_loss_and_grad,
+    }[config.regularizer]
+    probes = None
+    if not config.exact_trace:
+        probes = reg.rademacher_block(rng, codes.shape[0], config.probes, config.latent_dim)
+    return loss(dec, codes, probes, want_grad=want_grad)
+
+
+def _batch_losses_and_grads(config, lam, enc, dec, x, rng, epoch, batch_no):
+    """``(recon, geo, enc_grads, dec_grads)`` of one step on recon + lam * geo.
+
+    The geometric term is evaluated on the batch's codes; ``detach_codes``
+    keeps its gradient out of the encoder. With ``lam`` zero the enabled
+    term is only evaluated (monitored mode). ``epoch`` and ``batch_no``
+    locate a :class:`TrainingDivergedError`.
+    """
+    codes, enc_tape = net.forward_tape(enc, x)
+    rec, dec_grads, g_codes = reg.recon_loss_and_grad(dec, codes, x)
+    if not np.isfinite(rec):
+        raise TrainingDivergedError(epoch, batch_no, "recon", rec)
+    geo_val = 0.0
+    # a trailing singleton batch has no pairs to compare
+    if config.regularizer != "none" and (config.regularizer != "globiso" or x.shape[0] >= 2):
+        geo_val, dec_geo, codes_geo = _geo_value_and_grads(
+            config, dec, codes, rng, want_grad=lam > 0.0
+        )
+        if not np.isfinite(geo_val):
+            raise TrainingDivergedError(epoch, batch_no, config.regularizer, geo_val)
+        if lam > 0.0:
+            dec_grads.add_scaled(dec_geo, lam)
+            if not config.detach_codes:
+                g_codes = g_codes + lam * codes_geo
+    enc_grads, _, _ = net.backward(enc, enc_tape, out_grad=g_codes)
+    return rec, geo_val, enc_grads, dec_grads
 
 
 def _require_intensity(config: RunConfig) -> float:
@@ -398,8 +415,7 @@ def train(
     x_train = train_ds.samples
     x_val = val_ds.samples
     n_train = x_train.shape[0]
-    monitored = config.regularizer != "none"
-    metrics = RunMetrics()
+    records = []
     lr = plateau.lr
 
     for epoch in range(start_epoch + 1, config.epochs + 1):
@@ -411,31 +427,9 @@ def train(
         for batch_no, lo in enumerate(range(0, n_train, config.batch_size)):
             idx = perm[lo : lo + config.batch_size]
             x = x_train[idx]
-            codes, enc_tape = net.forward_tape(enc, x)
-            y, dec_tape = net.forward_tape(dec, codes)
-            diff = y - x
-            rec = float((diff**2).sum() / x.shape[0])
-            if not np.isfinite(rec):
-                raise TrainingDivergedError(epoch, batch_no, "recon", rec)
-            dec_grads, g_codes, _ = net.backward(
-                dec, dec_tape, out_grad=2.0 * diff / x.shape[0]
+            rec, geo_val, enc_grads, dec_grads = _batch_losses_and_grads(
+                config, lam, enc, dec, x, rng, epoch, batch_no
             )
-            geo_val = 0.0
-            # a trailing singleton batch has no pairs to compare
-            batch_has_geo = monitored and (
-                config.regularizer != "globiso" or x.shape[0] >= 2
-            )
-            if batch_has_geo:
-                geo_val, dec_geo, codes_geo = _geo_value_and_grads(
-                    config, dec, codes, rng, want_grad=lam > 0.0
-                )
-                if not np.isfinite(geo_val):
-                    raise TrainingDivergedError(epoch, batch_no, config.regularizer, geo_val)
-                if lam > 0.0:
-                    dec_grads.add_scaled(dec_geo, lam)
-                    if not config.detach_codes:
-                        g_codes = g_codes + lam * codes_geo
-            enc_grads, _, _ = net.backward(enc, enc_tape, out_grad=g_codes)
             opts = dict(
                 lr=lr,
                 beta1=config.beta1,
@@ -461,7 +455,7 @@ def train(
             seconds=time.perf_counter() - tic,
             total=epoch_recon + lam * epoch_geo,
         )
-        metrics.records.append(record)
+        records.append(record)
         if config.scheduler.enabled:
             plateau.lr = lr
             lr = reduce_on_plateau(plateau, val_recon)
@@ -486,7 +480,7 @@ def train(
         rng_state=rng.bit_generator.state,
         plateau=replace(plateau, lr=lr),
     )
-    return TrainResult(enc=enc, dec=dec, metrics=metrics, state=final)
+    return TrainResult(enc=enc, dec=dec, records=records, state=final)
 
 
 CALIBRATION_SAMPLE = 512

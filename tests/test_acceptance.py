@@ -18,7 +18,8 @@ import pytest
 from confae import data, geometry, linalg, net
 from confae import regularizers as reg
 
-from test_net import fd_input_jacobian, fd_param_grad, rel_err
+from test_net import fd_input_jacobian, fd_param_grad, rel_err, vjp
+from test_regularizers import hutch_moments, value_of
 
 SEED = 42
 
@@ -71,16 +72,13 @@ def test_criterion_1_autodiff_fidelity():
         res = net.jvp(network, z, v)
         worst_first_order = max(worst_first_order, rel_err(res.jv, fd_jac @ v))
 
-        _, jtu = net.vjp(network, z, u)
+        jtu = vjp(network, z, u)
         worst_first_order = max(worst_first_order, rel_err(jtu, fd_jac.T @ u))
 
         def tangent_norm_sq(n_):
             return float(np.sum(net.jvp(n_, z, v).jv ** 2))
 
-        record = net.ScalarRecord(
-            value=tangent_norm_sq(network), trace=res.trace, tan_grad=2.0 * res.jv[None, :]
-        )
-        grads = net.grad_scalar(network, record)
+        grads, _, _ = net.backward(network, res.trace, tan_grad=2.0 * res.jv[None, :])
         fd_w, fd_b = fd_param_grad(tangent_norm_sq, network)
         flat_ad = np.concatenate(
             [g.ravel() for g in grads.weights] + [g.ravel() for g in grads.biases]
@@ -118,7 +116,7 @@ def test_criterion_2_hutchinson():
         dec = _linear_dec(w)
         want = float(diag.sum())
         for seed in range(20):
-            got = reg.hutch_trace(dec, np.zeros(4), reg.ProbeSet(1, 4, seed=seed))
+            got, _ = hutch_moments(dec, np.zeros(4), 1, seed)
             exact_ok &= abs(got - want) < 1e-12
 
     # (b) unbiased on a random 10-dim PSD spectrum
@@ -126,7 +124,7 @@ def test_criterion_2_hutchinson():
     dec10 = _linear_dec(b)
     true_trace = float(np.trace(b.T @ b))
     estimates = np.array(
-        [reg.hutch_trace(dec10, np.zeros(10), reg.ProbeSet(64, 10, seed=s)) for s in range(200)]
+        [hutch_moments(dec10, np.zeros(10), 64, seed=s)[0] for s in range(200)]
     )
     se = estimates.std(ddof=1) / math.sqrt(len(estimates))
     bias_ok = abs(estimates.mean() - true_trace) < 3 * se
@@ -140,7 +138,7 @@ def test_criterion_2_hutchinson():
         for _ in range(50):
             draws = []
             for _ in range(12):
-                draws.append(reg.hutch_trace(dec10, np.zeros(10), reg.ProbeSet(n, 10, seed=seed)))
+                draws.append(hutch_moments(dec10, np.zeros(10), n, seed)[0])
                 seed += 1
             variances.append(np.var(draws))
         medians.append(float(np.median(variances)))
@@ -165,27 +163,28 @@ def test_criterion_3_regularizer_algebra():
     # conformal linear decoders (scaled orthonormal columns) give zero
     w = 2.3 * np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
     codes = np.random.default_rng(4).normal(size=(5, 2))
-    checks.append(abs(reg.nonlinear_conformal_loss(_linear_dec(w), codes, exact=True)) < 1e-10)
+    val = value_of(reg.nonlinear_conformal_loss_and_grad, _linear_dec(w), codes)
+    checks.append(abs(val) < 1e-10)
 
     # eigenvalue-(2, 1) point gives 1/18
     from confae.data import swiss_roll_jacobian
 
     roll_dec = _linear_dec(swiss_roll_jacobian(np.array([1.0, 0.0])))
-    val = reg.nonlinear_conformal_loss(roll_dec, np.zeros((1, 2)), exact=True)
+    val = value_of(reg.nonlinear_conformal_loss_and_grad, roll_dec, np.zeros((1, 2)))
     checks.append(abs(val - 1.0 / 18.0) < 1e-12)
 
     # doubled metric gives local-isometry loss 1/2
     w2 = math.sqrt(2.0) * np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
-    val = reg.local_iso_loss(_linear_dec(w2), np.zeros((1, 2)), exact=True)
+    val = value_of(reg.local_iso_loss_and_grad, _linear_dec(w2), np.zeros((1, 2)))
     checks.append(abs(val - 0.5) < 1e-12)
 
     # invariance under global output scaling
     dec = net.init([2, 8, 3], ["relu", "identity"], 5)
-    before = reg.nonlinear_conformal_loss(dec, codes, exact=True)
+    before = value_of(reg.nonlinear_conformal_loss_and_grad, dec, codes)
     scaled = dec.copy()
     scaled.layers[-1].weight *= 3.0
     scaled.layers[-1].bias *= 3.0
-    after = reg.nonlinear_conformal_loss(scaled, codes, exact=True)
+    after = value_of(reg.nonlinear_conformal_loss_and_grad, scaled, codes)
     checks.append(abs(before - after) < 1e-10)
 
     # the discriminating pair: metrics I and 4I
@@ -193,8 +192,8 @@ def test_criterion_3_regularizer_algebra():
 
     two_zone = _two_zone_dec()
     pair = np.array([[1.0, 1.0], [-1.0, -1.0]])
-    conf = reg.nonlinear_conformal_loss(two_zone, pair, exact=True)
-    const = reg.constant_conformal_loss(two_zone, pair, exact=True)
+    conf = value_of(reg.nonlinear_conformal_loss_and_grad, two_zone, pair)
+    const = value_of(reg.constant_conformal_loss_and_grad, two_zone, pair)
     checks.append(abs(conf) < 1e-10 and abs(const - 0.18) < 1e-12)
 
     report(

@@ -342,6 +342,31 @@ class TestDiagnosticsCsv:
         cols = geometry.read_diagnostics_csv(path)
         assert "kappa_jac" not in cols and "s_raw" not in cols
 
+    @pytest.mark.parametrize("with_curvature", [True, False], ids=["inf-kappa", "no-curvature"])
+    def test_bytes_match_per_cell_repr(self, tmp_path, with_curvature):
+        codes = geometry.disc_grid(8, 2.0)
+        field = geometry.ConformalField.from_values(codes, geometry.stereographic_factor(codes))
+        kappas = 1.0 + np.random.default_rng(11).random((len(codes), 2))
+        kappas[3] = math.inf  # rank-deficient sentinel
+        columns = {"z1": codes[:, 0], "z2": codes[:, 1], "c": field.values}
+        columns["c_normalized"] = field.normalized
+        curv = None
+        if with_curvature:
+            curv = geometry.scalar_curvature(field, geometry.build_graph(codes, k=4))
+            columns.update(s_raw=curv.raw, s_normalized=curv.normalized)
+            if curv.calibrated is not None:
+                columns["s_calibrated"] = curv.calibrated
+            columns["interior"] = curv.interior
+        columns.update(kappa_jac=kappas[:, 0], kappa_pbm=kappas[:, 1])
+        names = [c for c in geometry.DIAGNOSTIC_COLUMNS if c in columns]
+        rows = [
+            ",".join(repr(float(columns[c][i])) for c in names) for i in range(len(codes))
+        ]
+        path = tmp_path / "diag.csv"
+        geometry.write_diagnostics_csv(path, field, curv, kappas)
+        assert path.read_text() == "\n".join([",".join(names), *rows]) + "\n"
+        assert "inf" in path.read_text().splitlines()[4]
+
     def test_malformed_line_reports_number(self, tmp_path):
         path = tmp_path / "diag.csv"
         path.write_text("z1,z2\n1.0\n")

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +15,13 @@ def rel_err(a, b):
 
 def seeded_net(dims, activations, seed):
     return net.init(list(dims), list(activations), seed)
+
+
+def vjp(network, z, u):
+    """``J^T u`` at ``z``: the input gradient of one reverse sweep seeded with ``u``."""
+    _, trace = net.forward_tape(network, z)
+    _, g_in, _ = net.backward(network, trace, out_grad=u)
+    return g_in[0]
 
 
 def fd_input_jacobian(f, x, step=1e-6):
@@ -145,12 +150,12 @@ class TestVjp:
         w = rng.normal(size=(3, 2))
         n = net.Mlp([net.Layer(w, np.zeros(3), "identity")])
         u = rng.normal(size=3)
-        _, jtu = net.vjp(n, rng.normal(size=2), u)
+        jtu = vjp(n, rng.normal(size=2), u)
         assert np.allclose(jtu, w.T @ u, atol=0)
 
     def test_zero_cotangent(self):
         n = seeded_net((2, 4, 3), ("tanh", "identity"), 5)
-        _, jtu = net.vjp(n, np.ones(2), np.zeros(3))
+        jtu = vjp(n, np.ones(2), np.zeros(3))
         assert np.array_equal(jtu, np.zeros(2))
 
     @given(st.integers(min_value=0, max_value=2**32 - 1))
@@ -162,7 +167,7 @@ class TestVjp:
         v = rng.normal(size=3)
         u = rng.normal(size=2)
         jv = net.jvp(n, z, v).jv
-        _, jtu = net.vjp(n, z, u)
+        jtu = vjp(n, z, u)
         assert abs(u @ jv - jtu @ v) <= 1e-10 * max(abs(u @ jv), 1.0)
 
 
@@ -204,7 +209,7 @@ class TestJacobian:
         assert rel_err(j @ v, jv) < 1e-10
 
 
-class TestGradScalar:
+class TestBackward:
     def test_linear_least_squares_closed_form(self):
         rng = np.random.default_rng(14)
         w = rng.normal(size=(3, 3))
@@ -212,26 +217,23 @@ class TestGradScalar:
         z = rng.normal(size=3)
         x = rng.normal(size=3)
         y, trace = net.forward_tape(n, z)
-        resid = y[0] - x
-        record = net.ScalarRecord(
-            value=0.5 * float(resid @ resid), trace=trace, out_grad=resid[None, :]
-        )
-        grads = net.grad_scalar(n, record)
+        resid = y[0] - x  # adjoint of 0.5 * ||y - x||^2
+        grads, _, _ = net.backward(n, trace, out_grad=resid[None, :])
         want = np.outer(w @ z - x, z)
         assert rel_err(grads.weights[0], want) < 1e-12
 
     def test_constant_scalar_has_zero_gradient(self):
         n = seeded_net((2, 4, 2), ("tanh", "identity"), 15)
         _, trace = net.forward_tape(n, np.ones(2))
-        record = net.ScalarRecord(value=3.0, trace=trace, out_grad=np.zeros((1, 2)))
-        grads = net.grad_scalar(n, record)
+        grads, _, _ = net.backward(n, trace, out_grad=np.zeros((1, 2)))
         assert all(not gw.any() for gw in grads.weights)
         assert all(not gb.any() for gb in grads.biases)
 
     def test_missing_tape_is_a_usage_error(self):
         n = seeded_net((2, 2), ("identity",), 0)
-        with pytest.raises(ValueError):
-            net.grad_scalar(n, net.ScalarRecord(value=0.0, trace=None))
+        _, trace = net.forward_tape(n, np.ones(2))
+        with pytest.raises(ValueError, match="tangent"):
+            net.backward(n, trace, tan_grad=np.ones((1, 2)))
 
     @pytest.mark.parametrize(
         "acts,seed",
@@ -251,10 +253,7 @@ class TestGradScalar:
             return float(np.sum(net.jvp(network, z, v).jv ** 2))
 
         res = net.jvp(n, z, v)
-        record = net.ScalarRecord(
-            value=scalar(n), trace=res.trace, tan_grad=2.0 * res.jv[None, :]
-        )
-        grads = net.grad_scalar(n, record)
+        grads, _, _ = net.backward(n, res.trace, tan_grad=2.0 * res.jv[None, :])
         fd_w, fd_b = fd_param_grad(scalar, n)
         for gw, fw in zip(grads.weights, fd_w):
             assert rel_err(gw, fw) < 1e-4
@@ -280,10 +279,7 @@ class TestGradScalar:
             return float(np.sum(res.pullback**2))
 
         res = net.jvp(n, z, v, with_pullback=True)
-        record = net.ScalarRecord(
-            value=scalar(n), trace=res.trace, pull_grad=2.0 * res.pullback[None, :]
-        )
-        grads = net.grad_scalar(n, record)
+        grads, _, _ = net.backward(n, res.trace, pull_grad=2.0 * res.pullback[None, :])
         fd_w, fd_b = fd_param_grad(scalar, n)
         for gw, fw in zip(grads.weights, fd_w):
             assert rel_err(gw, fw) < 1e-4
@@ -339,30 +335,3 @@ class TestInit:
     def test_empty_dims_rejected(self):
         with pytest.raises(ValueError):
             net.init([3], [], 0)
-
-
-class TestCheckpointFormat:
-    def test_round_trip(self, tmp_path):
-        n = net.init([3, 5, 2], ["relu", "identity"], 33)
-        path = tmp_path / "net.json"
-        net.save(n, path)
-        loaded = net.load(path)
-        for la, lb in zip(n.layers, loaded.layers):
-            assert np.array_equal(la.weight, lb.weight)
-            assert np.array_equal(la.bias, lb.bias)
-            assert la.activation == lb.activation
-
-    def test_file_carries_format_version_and_tags(self, tmp_path):
-        n = net.init([2, 4, 2], ["leaky_relu", "identity"], 0)
-        path = tmp_path / "net.json"
-        net.save(n, path)
-        obj = json.loads(path.read_text())
-        assert obj["format_version"] == 1
-        assert obj["dims"] == [2, 4, 2]
-        assert obj["activations"] == ["leaky_relu", "identity"]
-
-    def test_bad_version_rejected(self, tmp_path):
-        path = tmp_path / "net.json"
-        path.write_text(json.dumps({"format_version": 99}))
-        with pytest.raises(ValueError):
-            net.load(path)
