@@ -234,43 +234,6 @@ class TestDiagnose:
         assert run_cli("diagnose", "--out", str(tmp_path / "x")) == 1
 
 
-class TestCheckpointFormat:
-    def test_round_trip(self, tmp_path):
-        enc = net.init([3, 5, 2], ["relu", "identity"], 33)
-        dec = net.init([2, 5, 3], ["leaky_relu", "identity"], 34)
-        path = tmp_path / "ckpt.json"
-        cli._write_checkpoint(path, 7, enc, dec)
-        epoch, enc2, dec2 = cli._load_checkpoint(path)
-        assert epoch == 7
-        for a, b in ((enc, enc2), (dec, dec2)):
-            for la, lb in zip(a.layers, b.layers):
-                assert np.array_equal(la.weight, lb.weight)
-                assert np.array_equal(la.bias, lb.bias)
-                assert la.activation == lb.activation
-
-    def test_file_carries_format_version_and_tags(self, tmp_path, roll_csv):
-        code, out = tiny_train(tmp_path, roll_csv)
-        assert code == 0
-        obj = json.loads((out / cli.CHECKPOINT_NAME).read_text())
-        assert obj["format_version"] == 1
-        assert obj["encoder"]["dims"] == [3, 8, 2]
-        assert obj["decoder"]["dims"] == [2, 8, 3]
-        assert obj["decoder"]["activations"] == ["relu", "identity"]
-
-    def test_bad_version_rejected(self, tmp_path, roll_csv):
-        code, out = tiny_train(tmp_path, roll_csv)
-        assert code == 0
-        ckpt = out / cli.CHECKPOINT_NAME
-        obj = json.loads(ckpt.read_text())
-        obj["format_version"] = 99
-        ckpt.write_text(json.dumps(obj))
-        code = run_cli(
-            "diagnose", "--checkpoint", str(ckpt), "--data", str(roll_csv), "--out", str(out)
-        )
-        assert code == 1
-        assert not (out / cli.DIAGNOSTICS_NAME).exists()
-
-
 class TestPlot:
     def _diag_csv(self, path, n=1):
         rng = np.random.default_rng(0)

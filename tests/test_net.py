@@ -1,9 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from confae import net
+from confae import cli, net
 
 
 def rel_err(a, b):
@@ -209,7 +211,7 @@ class TestJacobian:
         assert rel_err(j @ v, jv) < 1e-10
 
 
-class TestBackward:
+class TestGradScalar:
     def test_linear_least_squares_closed_form(self):
         rng = np.random.default_rng(14)
         w = rng.normal(size=(3, 3))
@@ -335,3 +337,48 @@ class TestInit:
     def test_empty_dims_rejected(self):
         with pytest.raises(ValueError):
             net.init([3], [], 0)
+
+
+def trained_checkpoint(tmp_path):
+    """Generate a small roll, train two epochs and return (data, run dir, checkpoint)."""
+    data = tmp_path / "roll.csv"
+    assert cli.main(["generate", "--n", "120", "--seed", "5", "--out", str(data)]) == 0
+    out = tmp_path / "run"
+    argv = ["train", "--data", str(data), "--out", str(out), "--seed", "3", "--epochs", "2"]
+    argv += ["--batch-size", "16", "--set", "dims=[3,8,2]"]
+    assert cli.main(argv) == 0
+    return data, out, out / cli.CHECKPOINT_NAME
+
+
+class TestCheckpointFormat:
+    """The CLI's encoder+decoder checkpoint, the one file format networks are saved in."""
+
+    def test_round_trip(self, tmp_path):
+        enc = net.init([3, 5, 2], ["relu", "identity"], 33)
+        dec = net.init([2, 5, 3], ["leaky_relu", "identity"], 34)
+        path = tmp_path / "ckpt.json"
+        cli._write_checkpoint(path, 7, enc, dec)
+        epoch, enc2, dec2 = cli._load_checkpoint(path)
+        assert epoch == 7
+        for a, b in ((enc, enc2), (dec, dec2)):
+            for la, lb in zip(a.layers, b.layers):
+                assert np.array_equal(la.weight, lb.weight)
+                assert np.array_equal(la.bias, lb.bias)
+                assert la.activation == lb.activation
+
+    def test_file_carries_format_version_and_tags(self, tmp_path):
+        _, _, ckpt = trained_checkpoint(tmp_path)
+        obj = json.loads(ckpt.read_text())
+        assert obj["format_version"] == 1
+        assert obj["encoder"]["dims"] == [3, 8, 2]
+        assert obj["decoder"]["dims"] == [2, 8, 3]
+        assert obj["decoder"]["activations"] == ["relu", "identity"]
+
+    def test_bad_version_rejected(self, tmp_path):
+        data, out, ckpt = trained_checkpoint(tmp_path)
+        obj = json.loads(ckpt.read_text())
+        obj["format_version"] = 99
+        ckpt.write_text(json.dumps(obj))
+        argv = ["diagnose", "--checkpoint", str(ckpt), "--data", str(data), "--out", str(out)]
+        assert cli.main(argv) == 1
+        assert not (out / cli.DIAGNOSTICS_NAME).exists()

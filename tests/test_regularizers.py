@@ -56,7 +56,7 @@ def exact_trace_moments(dec, z):
     return linalg.trace(metric), linalg.trace(metric @ metric)
 
 
-class TestProbes:
+class TestProbeSet:
     def test_entries_are_exactly_plus_minus_one(self):
         block = probe_draw(64, 5, seed=0)
         assert set(np.unique(block)) == {-1.0, 1.0}
