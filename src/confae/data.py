@@ -125,15 +125,26 @@ def to_csv(ds: Dataset, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _require_five_fields(path, body: list[str]) -> None:
+    for lineno, line in enumerate(body, start=2):
+        fields = line.count(",") + 1
+        if fields != 5:
+            raise ValueError(f"{path}:{lineno}: expected 5 columns, got {fields}")
+
+
 def from_csv(path: str | Path) -> Dataset:
-    text = Path(path).read_text().strip().splitlines()
-    if not text or text[0].strip() != CSV_HEADER:
+    lines = Path(path).read_text().strip().splitlines()
+    if not lines or lines[0].strip() != CSV_HEADER:
         raise ValueError(f"expected header '{CSV_HEADER}' in {path}")
-    rows = []
-    for lineno, line in enumerate(text[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != 5:
-            raise ValueError(f"{path}:{lineno}: expected 5 columns, got {len(parts)}")
-        rows.append([float(p) for p in parts])
-    arr = np.array(rows, dtype=np.float64)
+    body = lines[1:]
+    if not body:
+        raise ValueError(f"{path}: no data rows")
+    try:
+        arr = np.loadtxt(body, dtype=np.float64, delimiter=",", comments=None, ndmin=2)
+    except ValueError as exc:
+        _require_five_fields(path, body)
+        raise ValueError(f"{path}: {exc}") from exc
+    # loadtxt skips blank lines, so a short table also means a malformed row
+    if arr.shape != (len(body), 5):
+        _require_five_fields(path, body)
     return Dataset(samples=arr[:, :3], true_params=arr[:, 3:])

@@ -16,7 +16,13 @@ output. That is enough to train objectives containing ``||Jv||^2`` and
 ``||J^T J v||^2`` without nested autodiff machinery.
 
 States are batched row-wise: a (B, d) array holds B independent inputs.
-Public entry points also accept single vectors.
+Public entry points also accept single vectors. A JVP may carry N tangents
+per input as a (B, N, m) block: the N probe tangents of a code share one
+primal row (pre-activations, outputs and activation derivatives are computed
+on B rows), while tangent and pullback states live on B*N rows. The reverse
+sweep sums the probes' second-derivative terms per code before the primal
+adjoint products, and skips the primal adjoint chain where nothing reaches
+it (a piecewise-linear activation and no primal-output adjoint).
 """
 
 from __future__ import annotations
@@ -144,14 +150,18 @@ class ParamGradient:
 class DualTrace:
     """Recorded states of one primal / tangent / pullback evaluation.
 
-    ``pre[k]`` and ``out[k]`` are the pre-activation and activation output of
-    layer k; tangent and pullback lists are present only when the
-    corresponding sweep ran. All entries are (B, dim) arrays.
+    ``pre[k]``, ``out[k]`` and ``dact[k]`` are the pre-activation, activation
+    output and activation derivative of layer k, one row per input; tangent
+    and pullback lists are present only when the corresponding sweep ran and
+    hold ``fanout`` rows per input, input-major (row ``b * fanout + i`` is
+    tangent i of input b).
     """
 
     x0: np.ndarray
     pre: list[np.ndarray]
     out: list[np.ndarray]
+    dact: list[np.ndarray]
+    fanout: int = 1
     v0: np.ndarray | None = None
     tan_pre: list[np.ndarray] | None = None
     tan_out: list[np.ndarray] | None = None
@@ -212,17 +222,29 @@ def forward(net: Mlp, x: np.ndarray) -> np.ndarray:
     return a[0] if single else a
 
 
-def forward_tape(net: Mlp, x: np.ndarray) -> tuple[np.ndarray, DualTrace]:
-    """Forward pass recording per-layer states for a later reverse sweep."""
-    xb, _ = _as_batch(x, net.in_dim, "input")
-    pre, out = [], []
+def _primal(net: Mlp, xb: np.ndarray):
+    pre, out, dact = [], [], []
     cur = xb
     for layer in net.layers:
         a = cur @ layer.weight.T + layer.bias
         cur = _act(layer.activation, a, layer.slope)
         pre.append(a)
         out.append(cur)
-    return cur, DualTrace(x0=xb, pre=pre, out=out)
+        dact.append(_dact(layer.activation, a, layer.slope))
+    return pre, out, dact
+
+
+def _per_row(mask: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
+    """``mask`` (B, d) applied to each of the B * n ``rows`` of its input."""
+    b, d = mask.shape
+    return (mask[:, None, :] * rows.reshape(b, n, d)).reshape(rows.shape)
+
+
+def forward_tape(net: Mlp, x: np.ndarray) -> tuple[np.ndarray, DualTrace]:
+    """Forward pass recording per-layer states for a later reverse sweep."""
+    xb, _ = _as_batch(x, net.in_dim, "input")
+    pre, out, dact = _primal(net, xb)
+    return out[-1], DualTrace(x0=xb, pre=pre, out=out, dact=dact)
 
 
 def jvp(
@@ -230,37 +252,44 @@ def jvp(
 ) -> JvpResult:
     """Primal output and directional derivative ``Jv`` at ``z``.
 
-    With ``with_pullback=True`` the tangent output is additionally pulled
-    back through the transposed layers, yielding ``J^T (J v)`` and recording
-    the extra states on the tape.
+    ``v`` is one tangent per input, (B, m), or a (B, N, m) block of N
+    tangents per input; a block's primal runs once per input and ``jv``
+    holds its B * N tangent rows, input-major. With ``with_pullback=True``
+    the tangent output is additionally pulled back through the transposed
+    layers, yielding ``J^T (J v)`` and recording the extra states on the
+    tape.
     """
     zb, single = _as_batch(z, net.in_dim, "input")
-    vb, vsingle = _as_batch(v, net.in_dim, "tangent")
-    if zb.shape[0] != vb.shape[0]:
-        raise ValueError("input and tangent batches differ in size")
-    pre, out, tan_pre, tan_out = [], [], [], []
-    dacts = []
-    cur, tan = zb, vb
-    for layer in net.layers:
-        a = cur @ layer.weight.T + layer.bias
+    b = zb.shape[0]
+    va = np.asarray(v, dtype=np.float64)
+    if va.ndim == 3:
+        if va.shape[0] != b or va.shape[1] == 0 or va.shape[2] != net.in_dim:
+            raise ValueError(
+                f"tangent block must be ({b}, N >= 1, {net.in_dim}), got shape {va.shape}"
+            )
+        fanout, vsingle = va.shape[1], False
+        vb = va.reshape(b * fanout, net.in_dim)
+    else:
+        vb, vsingle = _as_batch(va, net.in_dim, "tangent")
+        fanout = 1
+        if vb.shape[0] != b:
+            raise ValueError("input and tangent batches differ in size")
+    pre, out, dacts = _primal(net, zb)
+    tan_pre, tan_out = [], []
+    tan = vb
+    for layer, d in zip(net.layers, dacts):
         t = tan @ layer.weight.T
-        d = _dact(layer.activation, a, layer.slope)
-        cur = _act(layer.activation, a, layer.slope)
-        tan = d * t
-        pre.append(a)
-        out.append(cur)
+        tan = _per_row(d, t, fanout)
         tan_pre.append(t)
         tan_out.append(tan)
-        dacts.append(d)
     pull_states = pull_pre = None
     pulled = None
     if with_pullback:
-        u = tan
         pull_states = [None] * (len(net.layers) + 1)
         pull_pre = [None] * len(net.layers)
-        pull_states[len(net.layers)] = u
+        pull_states[len(net.layers)] = tan
         for k in range(len(net.layers) - 1, -1, -1):
-            p = dacts[k] * pull_states[k + 1]
+            p = _per_row(dacts[k], pull_states[k + 1], fanout)
             pull_pre[k] = p
             pull_states[k] = p @ net.layers[k].weight
         pulled = pull_states[0]
@@ -268,12 +297,15 @@ def jvp(
         x0=zb,
         pre=pre,
         out=out,
+        dact=dacts,
+        fanout=fanout,
         v0=vb,
         tan_pre=tan_pre,
         tan_out=tan_out,
         pull_states=pull_states,
         pull_pre=pull_pre,
     )
+    cur = out[-1]
     if single and vsingle:
         return JvpResult(
             cur[0], tan[0], None if pulled is None else pulled[0], trace
@@ -282,16 +314,15 @@ def jvp(
 
 
 def jacobians(net: Mlp, z: np.ndarray) -> np.ndarray:
-    """(B, out_dim, in_dim) Jacobian stack of a batch, one jvp over B * in_dim rows.
+    """(B, out_dim, in_dim) Jacobian stack of a batch, one jvp with the basis block.
 
     The result is a transposed view of the contiguous (B, in_dim, out_dim)
     block whose row k of entry p is ``J_p e_k``.
     """
     zb, _ = _as_batch(z, net.in_dim, "input")
     b, m = zb.shape
-    flat_z = np.repeat(zb, m, axis=0)
-    basis = np.tile(np.eye(m), (b, 1))
-    return jvp(net, flat_z, basis).jv.reshape(b, m, -1).transpose(0, 2, 1)
+    basis = np.broadcast_to(np.eye(m), (b, m, m))
+    return jvp(net, zb, basis).jv.reshape(b, m, -1).transpose(0, 2, 1)
 
 
 def jacobian(net: Mlp, z: np.ndarray) -> np.ndarray:
@@ -313,8 +344,9 @@ def backward(
 
     The adjoints seed the scalar's derivative w.r.t. the primal output,
     tangent output and pullback output respectively. Returns parameter
-    gradients, the gradient w.r.t. the primal input and (if a tangent sweep
-    was recorded) w.r.t. the tangent input.
+    gradients, the gradient w.r.t. the primal input (one row per input) and
+    (if a tangent sweep was recorded) w.r.t. the tangent input (one row per
+    tangent).
     """
     n_layers = len(net.layers)
     grads = ParamGradient.zeros_like(net)
@@ -324,12 +356,16 @@ def backward(
     if pull_grad is not None and trace.pull_states is None:
         raise ValueError("pullback adjoint given but the trace has no pullback sweep")
 
-    dacts = [
-        _dact(l.activation, a, l.slope) for l, a in zip(net.layers, trace.pre)
-    ]
+    b, n = trace.batch, trace.fanout
+    dacts = trace.dact
     ddacts = [
         _ddact(l.activation, a, l.slope) for l, a in zip(net.layers, trace.pre)
     ]
+
+    def probe_sum(dd, x, g):
+        # second-derivative term of every tangent row, summed per input
+        d = dd.shape[1]
+        return (dd[:, None, :] * x.reshape(b, n, d) * g.reshape(b, n, d)).sum(axis=1)
 
     # Extra pre-activation adjoints collected while reversing the pullback
     # chain (which itself ran from the last layer down to the first).
@@ -345,9 +381,9 @@ def backward(
             grads.weights[k] += trace.pull_pre[k].T @ g_u
             g_p = g_u @ layer.weight.T
             # p_k = dact(a_k) * u_k
-            g_u = dacts[k] * g_p
+            g_u = _per_row(dacts[k], g_p, n)
             if ddacts[k] is not None:
-                extra_pre[k] = ddacts[k] * trace.pull_states[k + 1] * g_p
+                extra_pre[k] = probe_sum(ddacts[k], trace.pull_states[k + 1], g_p)
         g_tan_out = g_u  # flows into the tangent output s_L
 
     if tan_grad is not None:
@@ -363,26 +399,30 @@ def backward(
             g_x = g_x[None, :]
     g_s = g_tan_out
 
-    batch = trace.batch
     for k in range(n_layers - 1, -1, -1):
         layer = net.layers[k]
-        x_in = trace.x0 if k == 0 else trace.out[k - 1]
+        # g_a is the primal pre-activation adjoint; None while nothing reaches it
         g_a = extra_pre[k]
-        if g_a is None:
-            g_a = np.zeros((batch, layer.weight.shape[0]))
         if g_s is not None:
             # s_k = dact(a_k) * t_k ; t_k = s_{k-1} @ W_k^T
-            g_t = dacts[k] * g_s
+            g_t = _per_row(dacts[k], g_s, n)
             if ddacts[k] is not None:
-                g_a += ddacts[k] * trace.tan_pre[k] * g_s
+                term = probe_sum(ddacts[k], trace.tan_pre[k], g_s)
+                g_a = term if g_a is None else g_a + term
             s_in = trace.v0 if k == 0 else trace.tan_out[k - 1]
             grads.weights[k] += g_t.T @ s_in
             g_s = g_t @ layer.weight
         if g_x is not None:
-            g_a += dacts[k] * g_x
+            term = dacts[k] * g_x
+            g_a = term if g_a is None else g_a + term
+        if g_a is None:
+            continue
+        x_in = trace.x0 if k == 0 else trace.out[k - 1]
         grads.weights[k] += g_a.T @ x_in
         grads.biases[k] += g_a.sum(axis=0)
         g_x = g_a @ layer.weight
+    if g_x is None:
+        g_x = np.zeros_like(trace.x0)
     return grads, g_x, g_s
 
 

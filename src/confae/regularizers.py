@@ -33,13 +33,21 @@ DEGENERATE_TRACE_FLOOR = 1e-12
 
 
 class DegenerateJacobianError(ValueError):
-    """Raised when a trace estimate collapses (rank-deficient decoder)."""
+    """Raised when a trace estimate collapses (rank-deficient decoder).
 
-    def __init__(self, index: int, value: float):
+    ``epoch`` and ``batch`` locate the failure when it happens in training.
+    """
+
+    def __init__(
+        self, index: int, value: float, epoch: int | None = None, batch: int | None = None
+    ):
         self.index = index
         self.value = value
+        self.epoch = epoch
+        self.batch = batch
+        where = "" if epoch is None else f" (epoch {epoch}, batch {batch})"
         super().__init__(
-            f"trace estimate {value:.3e} at code index {index} is not positive; "
+            f"trace estimate {value:.3e} at code index {index}{where} is not positive; "
             "the decoder Jacobian has collapsed there"
         )
 
@@ -77,15 +85,16 @@ def trace_moments(dec: net.Mlp, codes: np.ndarray, probes: np.ndarray | None = N
     """Per-code moments ``(t1, t2)`` of the pullback metric, plus the tape.
 
     ``probes`` is ``None`` for the exact basis sum or a (B, N, m) Rademacher
-    block for the Monte-Carlo estimate. The third element feeds
+    block for the Monte-Carlo estimate. The block goes to :func:`net.jvp`
+    as is, so a code's N probe tangents share one primal row, and the
+    reverse sweep in :func:`_moments_backward` runs the primal adjoint only
+    where a second derivative reaches it. The third element feeds
     :func:`_moments_backward`.
     """
     z = _codes_2d(codes, dec.in_dim)
     block, weights = _probe_block(z, probes)
-    b, n, m = block.shape
-    flat_z = np.repeat(z, n, axis=0)
-    flat_v = block.reshape(b * n, m)
-    res = net.jvp(dec, flat_z, flat_v, with_pullback=True)
+    b, n, _ = block.shape
+    res = net.jvp(dec, z, block, with_pullback=True)
     t1 = (res.jv**2).sum(axis=1).reshape(b, n) @ weights
     t2 = (res.pullback**2).sum(axis=1).reshape(b, n) @ weights
     return t1, t2, (res, weights)
@@ -93,16 +102,14 @@ def trace_moments(dec: net.Mlp, codes: np.ndarray, probes: np.ndarray | None = N
 
 def _moments_backward(dec: net.Mlp, tape, d_t1: np.ndarray, d_t2: np.ndarray):
     res, weights = tape
-    b = d_t1.shape[0]
     coeff1 = (d_t1[:, None] * weights[None, :]).reshape(-1, 1)
     coeff2 = (d_t2[:, None] * weights[None, :]).reshape(-1, 1)
-    grads, g_flat, _ = net.backward(
+    grads, g_codes, _ = net.backward(
         dec,
         res.trace,
         tan_grad=2.0 * coeff1 * res.jv,
         pull_grad=2.0 * coeff2 * res.pullback,
     )
-    g_codes = g_flat.reshape(b, weights.shape[0], -1).sum(axis=1)
     return grads, g_codes
 
 

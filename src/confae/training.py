@@ -340,7 +340,8 @@ def _batch_losses_and_grads(config, lam, enc, dec, x, rng, epoch, batch_no):
     The geometric term is evaluated on the batch's codes; ``detach_codes``
     keeps its gradient out of the encoder. With ``lam`` zero the enabled
     term is only evaluated (monitored mode). ``epoch`` and ``batch_no``
-    locate a :class:`TrainingDivergedError`.
+    locate a :class:`TrainingDivergedError` or a
+    :class:`~confae.regularizers.DegenerateJacobianError`.
     """
     codes, enc_tape = net.forward_tape(enc, x)
     rec, dec_grads, g_codes = reg.recon_loss_and_grad(dec, codes, x)
@@ -349,9 +350,12 @@ def _batch_losses_and_grads(config, lam, enc, dec, x, rng, epoch, batch_no):
     geo_val = 0.0
     # a trailing singleton batch has no pairs to compare
     if config.regularizer != "none" and (config.regularizer != "globiso" or x.shape[0] >= 2):
-        geo_val, dec_geo, codes_geo = _geo_value_and_grads(
-            config, dec, codes, rng, want_grad=lam > 0.0
-        )
+        try:
+            geo_val, dec_geo, codes_geo = _geo_value_and_grads(
+                config, dec, codes, rng, want_grad=lam > 0.0
+            )
+        except reg.DegenerateJacobianError as exc:
+            raise reg.DegenerateJacobianError(exc.index, exc.value, epoch, batch_no) from None
         if not np.isfinite(geo_val):
             raise TrainingDivergedError(epoch, batch_no, config.regularizer, geo_val)
         if lam > 0.0:

@@ -122,6 +122,27 @@ class TestTrain:
         err = capsys.readouterr().err
         assert "epochz" in err and "learning" in err
 
+    def test_degenerate_decoder_exits_2_with_location(
+        self, tmp_path, roll_csv, capsys, monkeypatch
+    ):
+        from confae import training
+
+        init = training.init_networks
+
+        def zero_decoder(cfg):
+            enc, dec = init(cfg)
+            for layer in dec.layers:
+                layer.weight[:] = 0.0
+            return enc, dec
+
+        monkeypatch.setattr(training, "init_networks", zero_decoder)
+        code, _ = tiny_train(
+            tmp_path, roll_csv, "run_flat", "--regularizer", "conf", "--lambda-geo", "0.1"
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "code index 0 (epoch 1, batch 0)" in err
+
     def test_inert_regularizer_warns(self, tmp_path, roll_csv, capsys):
         code, _ = tiny_train(
             tmp_path, roll_csv, "run_inert", "--regularizer", "conf", "--lambda-geo", "0"

@@ -160,3 +160,34 @@ class TestCsv:
         path.write_text(data.CSV_HEADER + "\n1,2,3\n")
         with pytest.raises(ValueError, match=":2"):
             data.from_csv(path)
+
+    @pytest.mark.parametrize(
+        "rows,lineno",
+        [
+            (["1,2,3,4,5", "1,2,3", "6,7,8,9,10"], 3),
+            (["1,2,3,4,5", "6,7,8,9,10", "1,2,3,4,5,6"], 4),
+            (["1,2,3,4,5", "", "6,7,8,9,10"], 3),
+        ],
+        ids=["short-middle-row", "long-last-row", "blank-middle-line"],
+    )
+    def test_malformed_row_in_the_body_reports_its_line(self, tmp_path, rows, lineno):
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join([data.CSV_HEADER, *rows]) + "\n")
+        with pytest.raises(ValueError, match=f"bad.csv:{lineno}: expected 5 columns"):
+            data.from_csv(path)
+
+    def test_trailing_blank_lines_are_ignored(self, tmp_path):
+        ds = data.swiss_roll(7, seed=16)
+        path = tmp_path / "roll.csv"
+        data.to_csv(ds, path)
+        path.write_text(path.read_text() + "\n\n")
+        back = data.from_csv(path)
+        assert np.array_equal(back.samples, ds.samples)
+        assert np.array_equal(back.true_params, ds.true_params)
+
+    @pytest.mark.parametrize("body", ["", "1,2,3,4,x\n"], ids=["no-rows", "non-numeric"])
+    def test_unparsable_body_is_a_value_error(self, tmp_path, body):
+        path = tmp_path / "bad.csv"
+        path.write_text(data.CSV_HEADER + "\n" + body)
+        with pytest.raises(ValueError, match="bad.csv"):
+            data.from_csv(path)

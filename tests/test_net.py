@@ -211,6 +211,84 @@ class TestJacobian:
         assert rel_err(j @ v, jv) < 1e-10
 
 
+BLOCK_ACTS = ("relu", "leaky_relu", "tanh", "identity")
+
+
+def block_and_repeated_jvps(act, b=5, n=4, seed=21):
+    """The same tangents as one (B, N, m) block and as repeated (B * N, m) rows."""
+    network = seeded_net((2, 9, 7, 3), (act, act, "identity"), seed)
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(b, 2))
+    block = rng.normal(size=(b, n, 2))
+    blk = net.jvp(network, z, block, with_pullback=True)
+    rep = net.jvp(network, np.repeat(z, n, axis=0), block.reshape(-1, 2), with_pullback=True)
+    return network, blk, rep
+
+
+class TestBlockTangents:
+    @pytest.mark.parametrize("act", BLOCK_ACTS)
+    def test_outputs_match_repeated_rows(self, act):
+        _, blk, rep = block_and_repeated_jvps(act, n=4)
+        assert blk.y.shape == (5, 3)
+        assert np.array_equal(np.repeat(blk.y, 4, axis=0), rep.y)
+        assert np.array_equal(blk.jv, rep.jv)
+        assert np.array_equal(blk.pullback, rep.pullback)
+        # the primal runs once per code
+        assert blk.trace.batch == 5 and blk.trace.fanout == 4
+        assert all(a.shape[0] == 5 for a in blk.trace.pre + blk.trace.dact)
+
+    @pytest.mark.parametrize("adjoints", ["tan", "pull", "out+tan"])
+    @pytest.mark.parametrize("act", BLOCK_ACTS)
+    def test_backward_matches_repeated_rows(self, act, adjoints):
+        b, n = 5, 4
+        network, blk, rep = block_and_repeated_jvps(act, b=b, n=n)
+        rng = np.random.default_rng(22)
+        kw = {}
+        if "tan" in adjoints:
+            kw["tan_grad"] = rng.normal(size=(b * n, 3))
+        if "pull" in adjoints:
+            kw["pull_grad"] = rng.normal(size=(b * n, 2))
+        out_grad = rep_out_grad = None
+        if "out" in adjoints:
+            # the scalar sees each code's output once: seed its first probe row
+            out_grad = rng.normal(size=(b, 3))
+            rep_out_grad = np.zeros((b * n, 3))
+            rep_out_grad[::n] = out_grad
+        g_blk, x_blk, s_blk = net.backward(network, blk.trace, out_grad=out_grad, **kw)
+        g_rep, x_rep, s_rep = net.backward(network, rep.trace, out_grad=rep_out_grad, **kw)
+        assert x_blk.shape == (b, 2)
+        x_rep = x_rep.reshape(b, n, 2).sum(axis=1)
+        pairs = list(zip(g_blk.weights + g_blk.biases, g_rep.weights + g_rep.biases))
+        pairs += [(x_blk, x_rep), (s_blk, s_rep)]
+        for got, want in pairs:
+            if act == "tanh":
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
+            else:
+                assert np.array_equal(got, want)
+
+    def test_piecewise_linear_primal_adjoint_is_skipped(self):
+        # nothing reaches the primal chain: the input gradient is exact zeros
+        network, blk, _ = block_and_repeated_jvps("relu")
+        _, g_in, _ = net.backward(network, blk.trace, tan_grad=np.ones((20, 3)))
+        assert np.array_equal(g_in, np.zeros((5, 2)))
+
+    @pytest.mark.parametrize("act", BLOCK_ACTS)
+    def test_jacobians_match_finite_differences(self, act):
+        network = seeded_net((3, 10, 6, 4), (act, act, "identity"), 23)
+        z = np.random.default_rng(24).normal(size=(6, 3)) + 0.05
+        stack = net.jacobians(network, z)
+        assert stack.shape == (6, 4, 3)
+        for zp, jp in zip(z, stack):
+            want = fd_input_jacobian(lambda x: net.forward(network, x), zp)
+            assert rel_err(jp, want) < 1e-5
+
+    @pytest.mark.parametrize("shape", [(4, 3, 2), (5, 0, 2), (5, 3, 3)])
+    def test_block_shape_must_match_codes(self, shape):
+        network = seeded_net((2, 4, 3), ("relu", "identity"), 25)
+        with pytest.raises(ValueError, match="tangent block"):
+            net.jvp(network, np.zeros((5, 2)), np.ones(shape))
+
+
 class TestGradScalar:
     def test_linear_least_squares_closed_form(self):
         rng = np.random.default_rng(14)

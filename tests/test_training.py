@@ -377,6 +377,18 @@ class TestTrainingStepGradients:
                 tr._batch_losses_and_grads(cfg, 0.5, enc, dec, x, np.random.default_rng(0), 3, 4)
         assert (err.value.epoch, err.value.batch) == (3, 4)
 
+    @pytest.mark.parametrize("tag", ["conf", "constconf"])
+    def test_degenerate_jacobian_carries_epoch_and_batch(self, tag):
+        cfg = small_config(regularizer=tag, lambda_geo=0.5)
+        enc, dec = tr.init_networks(cfg)
+        for layer in dec.layers:
+            layer.weight[:] = 0.0
+        x = standardized_roll(n=8).samples
+        with pytest.raises(reg.DegenerateJacobianError, match="epoch 3, batch 4") as err:
+            tr._batch_losses_and_grads(cfg, 0.5, enc, dec, x, np.random.default_rng(0), 3, 4)
+        assert (err.value.epoch, err.value.batch) == (3, 4)
+        assert (err.value.index, err.value.value) == (0, 0.0)
+
 
 class TestCalibrateIntensity:
     def test_balances_the_two_terms(self):
