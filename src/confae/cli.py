@@ -81,9 +81,16 @@ def _default_seed() -> int:
 
 
 def _json_dump(obj, path: Path) -> None:
+    """Write ``obj`` atomically: a temp file in the target directory, then ``os.replace``.
+
+    A failed write leaves an existing file at ``path`` as it was.
+    """
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        path.write_text(json.dumps(obj, sort_keys=True, indent=1) + "\n")
+        tmp.write_text(json.dumps(obj, sort_keys=True, indent=1) + "\n")
+        os.replace(tmp, path)
     except OSError as exc:
+        tmp.unlink(missing_ok=True)
         raise _runtime(f"cannot write {path}: {exc}")
 
 
@@ -186,9 +193,12 @@ def _write_checkpoint(path: Path, epoch: int, enc: net.Mlp, dec: net.Mlp) -> Non
 
 def _read_json(path: Path, kind: str) -> dict:
     try:
-        return json.loads(path.read_text())
+        obj = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise _runtime(f"cannot read {kind} {path}: {exc}")
+    if not isinstance(obj, dict):
+        raise _runtime(f"cannot read {kind} {path}: not a JSON object")
+    return obj
 
 
 def _load_checkpoint(path: Path) -> tuple[int, net.Mlp, net.Mlp]:
@@ -347,16 +357,6 @@ def _parse_bandwidth(raw: str):
     return value
 
 
-def _manifest_defaults(checkpoint_path: Path) -> dict:
-    manifest = checkpoint_path.parent / MANIFEST_NAME
-    if manifest.exists():
-        try:
-            return json.loads(manifest.read_text())
-        except json.JSONDecodeError:
-            return {}
-    return {}
-
-
 def cmd_diagnose(args) -> int:
     out = Path(args.out)
     try:
@@ -370,7 +370,8 @@ def cmd_diagnose(args) -> int:
     if not args.checkpoint or not args.data:
         raise _validation("diagnose needs --checkpoint and --data (or --oracle sphere)")
     _, enc, dec = _load_checkpoint(Path(args.checkpoint))
-    manifest = _manifest_defaults(Path(args.checkpoint))
+    manifest_path = Path(args.checkpoint).parent / MANIFEST_NAME
+    manifest = _read_json(manifest_path, "manifest") if manifest_path.exists() else {}
     cfg_obj = manifest.get("config", {})
     seed = args.seed if args.seed is not None else cfg_obj.get("seed", _default_seed())
     val_fraction = (

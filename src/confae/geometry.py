@@ -120,8 +120,7 @@ def pullback_metric(dec: net.Mlp, z: np.ndarray) -> np.ndarray:
 
 def pullback_metrics(jacobians: np.ndarray) -> np.ndarray:
     """(n, m, m) stack of pullback metrics J^T J from a ``net.jacobians`` stack."""
-    jv = jacobians.transpose(0, 2, 1)  # row k of block p = J_p e_k
-    return np.einsum("pko,plo->pkl", jv, jv)
+    return net.gram(jacobians.transpose(0, 2, 1))  # row k of block p = J_p e_k
 
 
 def conformal_factor(dec: net.Mlp, z: np.ndarray) -> float:

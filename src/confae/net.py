@@ -1,28 +1,26 @@
 """Fully connected networks with hand-rolled differentiation.
 
-Three sweeps are supported over the same recorded evaluation:
+Two sweeps are supported over the same recorded evaluation:
 
 * a primal forward pass (affine maps + pointwise activations),
 * a tangent pass propagating a directional derivative ``Jv`` alongside the
-  primal states (forward mode),
-* an optional pullback pass mapping the tangent output back through the
-  transposed layers, producing ``J^T (Jv)`` (reverse mode on top of the
-  tangent).
+  primal states (forward mode).
 
-All three are recorded as nodes of one tape (:class:`DualTrace`), so a single
+Both are recorded as nodes of one tape (:class:`DualTrace`), so a single
 standard reverse sweep (:func:`backward`) yields exact parameter gradients of
-any scalar built from the primal output, the tangent output, or the pullback
-output. That is enough to train objectives containing ``||Jv||^2`` and
-``||J^T J v||^2`` without nested autodiff machinery.
+any scalar built from the primal output or the tangent output. Pushing the
+latent basis through the tangent pass gives the Jacobian's columns, so any
+function of the Gram matrix ``J^T J`` can be trained without nested autodiff
+machinery.
 
 States are batched row-wise: a (B, d) array holds B independent inputs.
 Public entry points also accept single vectors. A JVP may carry N tangents
-per input as a (B, N, m) block: the N probe tangents of a code share one
-primal row (pre-activations, outputs and activation derivatives are computed
-on B rows), while tangent and pullback states live on B*N rows. The reverse
-sweep sums the probes' second-derivative terms per code before the primal
-adjoint products, and skips the primal adjoint chain where nothing reaches
-it (a piecewise-linear activation and no primal-output adjoint).
+per input as a (B, N, m) block: the N tangents of a code share one primal
+row (pre-activations, outputs and activation derivatives are computed on B
+rows), while tangent states live on B*N rows. The reverse sweep sums the
+tangents' second-derivative terms per code before the primal adjoint
+products, and skips the primal adjoint chain where nothing reaches it (a
+piecewise-linear activation and no primal-output adjoint).
 """
 
 from __future__ import annotations
@@ -148,13 +146,13 @@ class ParamGradient:
 
 @dataclass
 class DualTrace:
-    """Recorded states of one primal / tangent / pullback evaluation.
+    """Recorded states of one primal / tangent evaluation.
 
     ``pre[k]``, ``out[k]`` and ``dact[k]`` are the pre-activation, activation
     output and activation derivative of layer k, one row per input; tangent
-    and pullback lists are present only when the corresponding sweep ran and
-    hold ``fanout`` rows per input, input-major (row ``b * fanout + i`` is
-    tangent i of input b).
+    lists are present only when the tangent sweep ran and hold ``fanout``
+    rows per input, input-major (row ``b * fanout + i`` is tangent i of
+    input b).
     """
 
     x0: np.ndarray
@@ -165,8 +163,6 @@ class DualTrace:
     v0: np.ndarray | None = None
     tan_pre: list[np.ndarray] | None = None
     tan_out: list[np.ndarray] | None = None
-    pull_states: list[np.ndarray] | None = None  # u_k, index k = 0..L (u_L = Jv, u_0 = J^T Jv)
-    pull_pre: list[np.ndarray] | None = None  # p_k = phi'(a_k) * u_k, index k-1
 
     @property
     def batch(self) -> int:
@@ -177,7 +173,7 @@ class DualTrace:
 class JvpResult:
     y: np.ndarray
     jv: np.ndarray
-    pullback: np.ndarray | None
+    pullback: None  # always None; the benchmark's JVP counter still reads it
     trace: DualTrace
 
 
@@ -247,17 +243,12 @@ def forward_tape(net: Mlp, x: np.ndarray) -> tuple[np.ndarray, DualTrace]:
     return out[-1], DualTrace(x0=xb, pre=pre, out=out, dact=dact)
 
 
-def jvp(
-    net: Mlp, z: np.ndarray, v: np.ndarray, *, with_pullback: bool = False
-) -> JvpResult:
+def jvp(net: Mlp, z: np.ndarray, v: np.ndarray) -> JvpResult:
     """Primal output and directional derivative ``Jv`` at ``z``.
 
     ``v`` is one tangent per input, (B, m), or a (B, N, m) block of N
     tangents per input; a block's primal runs once per input and ``jv``
-    holds its B * N tangent rows, input-major. With ``with_pullback=True``
-    the tangent output is additionally pulled back through the transposed
-    layers, yielding ``J^T (J v)`` and recording the extra states on the
-    tape.
+    holds its B * N tangent rows, input-major.
     """
     zb, single = _as_batch(z, net.in_dim, "input")
     b = zb.shape[0]
@@ -282,17 +273,6 @@ def jvp(
         tan = _per_row(d, t, fanout)
         tan_pre.append(t)
         tan_out.append(tan)
-    pull_states = pull_pre = None
-    pulled = None
-    if with_pullback:
-        pull_states = [None] * (len(net.layers) + 1)
-        pull_pre = [None] * len(net.layers)
-        pull_states[len(net.layers)] = tan
-        for k in range(len(net.layers) - 1, -1, -1):
-            p = _per_row(dacts[k], pull_states[k + 1], fanout)
-            pull_pre[k] = p
-            pull_states[k] = p @ net.layers[k].weight
-        pulled = pull_states[0]
     trace = DualTrace(
         x0=zb,
         pre=pre,
@@ -302,15 +282,11 @@ def jvp(
         v0=vb,
         tan_pre=tan_pre,
         tan_out=tan_out,
-        pull_states=pull_states,
-        pull_pre=pull_pre,
     )
     cur = out[-1]
     if single and vsingle:
-        return JvpResult(
-            cur[0], tan[0], None if pulled is None else pulled[0], trace
-        )
-    return JvpResult(cur, tan, pulled, trace)
+        return JvpResult(cur[0], tan[0], None, trace)
+    return JvpResult(cur, tan, None, trace)
 
 
 def jacobians(net: Mlp, z: np.ndarray) -> np.ndarray:
@@ -323,6 +299,15 @@ def jacobians(net: Mlp, z: np.ndarray) -> np.ndarray:
     b, m = zb.shape
     basis = np.broadcast_to(np.eye(m), (b, m, m))
     return jvp(net, zb, basis).jv.reshape(b, m, -1).transpose(0, 2, 1)
+
+
+def gram(rows: np.ndarray) -> np.ndarray:
+    """(B, m, m) Gram matrices ``C C^T`` of a (B, m, out) stack ``C`` of tangent rows.
+
+    With the latent basis as tangents, row k of ``C`` is ``J e_k`` and its
+    Gram matrix is the pullback metric ``J^T J``.
+    """
+    return np.einsum("pko,plo->pkl", rows, rows)
 
 
 def jacobian(net: Mlp, z: np.ndarray) -> np.ndarray:
@@ -338,23 +323,17 @@ def backward(
     trace: DualTrace,
     out_grad: np.ndarray | None = None,
     tan_grad: np.ndarray | None = None,
-    pull_grad: np.ndarray | None = None,
 ) -> tuple[ParamGradient, np.ndarray, np.ndarray | None]:
     """One reverse sweep over a recorded tape.
 
-    The adjoints seed the scalar's derivative w.r.t. the primal output,
-    tangent output and pullback output respectively. Returns parameter
-    gradients, the gradient w.r.t. the primal input (one row per input) and
-    (if a tangent sweep was recorded) w.r.t. the tangent input (one row per
-    tangent).
+    The adjoints seed the scalar's derivative w.r.t. the primal output and
+    the tangent output respectively. Returns parameter gradients, the
+    gradient w.r.t. the primal input (one row per input) and (if a tangent
+    sweep was recorded) w.r.t. the tangent input (one row per tangent).
     """
-    n_layers = len(net.layers)
     grads = ParamGradient.zeros_like(net)
-    has_tan = trace.tan_out is not None
-    if tan_grad is not None and not has_tan:
+    if tan_grad is not None and trace.tan_out is None:
         raise ValueError("tangent adjoint given but the trace has no tangent sweep")
-    if pull_grad is not None and trace.pull_states is None:
-        raise ValueError("pullback adjoint given but the trace has no pullback sweep")
 
     b, n = trace.batch, trace.fanout
     dacts = trace.dact
@@ -362,53 +341,33 @@ def backward(
         _ddact(l.activation, a, l.slope) for l, a in zip(net.layers, trace.pre)
     ]
 
-    def probe_sum(dd, x, g):
-        # second-derivative term of every tangent row, summed per input
-        d = dd.shape[1]
-        return (dd[:, None, :] * x.reshape(b, n, d) * g.reshape(b, n, d)).sum(axis=1)
-
-    # Extra pre-activation adjoints collected while reversing the pullback
-    # chain (which itself ran from the last layer down to the first).
-    extra_pre = [None] * n_layers
-    g_tan_out = None
-    if pull_grad is not None:
-        g_u = np.asarray(pull_grad, dtype=np.float64)
-        if g_u.ndim == 1:
-            g_u = g_u[None, :]
-        for k in range(n_layers):
-            layer = net.layers[k]
-            # u_{k-1} = p_k @ W_k
-            grads.weights[k] += trace.pull_pre[k].T @ g_u
-            g_p = g_u @ layer.weight.T
-            # p_k = dact(a_k) * u_k
-            g_u = _per_row(dacts[k], g_p, n)
-            if ddacts[k] is not None:
-                extra_pre[k] = probe_sum(ddacts[k], trace.pull_states[k + 1], g_p)
-        g_tan_out = g_u  # flows into the tangent output s_L
-
+    g_s = None
     if tan_grad is not None:
-        t = np.asarray(tan_grad, dtype=np.float64)
-        if t.ndim == 1:
-            t = t[None, :]
-        g_tan_out = t if g_tan_out is None else g_tan_out + t
+        g_s = np.asarray(tan_grad, dtype=np.float64)
+        if g_s.ndim == 1:
+            g_s = g_s[None, :]
 
     g_x = None
     if out_grad is not None:
         g_x = np.asarray(out_grad, dtype=np.float64)
         if g_x.ndim == 1:
             g_x = g_x[None, :]
-    g_s = g_tan_out
 
-    for k in range(n_layers - 1, -1, -1):
+    for k in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[k]
         # g_a is the primal pre-activation adjoint; None while nothing reaches it
-        g_a = extra_pre[k]
+        g_a = None
         if g_s is not None:
             # s_k = dact(a_k) * t_k ; t_k = s_{k-1} @ W_k^T
             g_t = _per_row(dacts[k], g_s, n)
             if ddacts[k] is not None:
-                term = probe_sum(ddacts[k], trace.tan_pre[k], g_s)
-                g_a = term if g_a is None else g_a + term
+                # second-derivative term of every tangent row, summed per input
+                d = dacts[k].shape[1]
+                g_a = (
+                    ddacts[k][:, None, :]
+                    * trace.tan_pre[k].reshape(b, n, d)
+                    * g_s.reshape(b, n, d)
+                ).sum(axis=1)
             s_in = trace.v0 if k == 0 else trace.tan_out[k - 1]
             grads.weights[k] += g_t.T @ s_in
             g_s = g_t @ layer.weight

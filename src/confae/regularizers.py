@@ -3,19 +3,21 @@
 The geometric regularizers are smooth functions of two per-point quadratic
 moments of the decoder's pullback metric ``M(z) = J(z)^T J(z)``:
 
-  t1(z) = Tr M(z)      estimated by mean_i ||J v_i||^2,
-  t2(z) = Tr M(z)^2    estimated by mean_i ||J^T (J v_i)||^2,
+  t1(z) = Tr M(z)      estimated by mean_i v_i^T G v_i    (= ||J v_i||^2),
+  t2(z) = Tr M(z)^2    estimated by mean_i v_i^T G^2 v_i  (= ||J^T J v_i||^2),
 
-with ``v_i`` Rademacher probe vectors (entries +-1): both estimators are
-unbiased and exact for diagonal metrics. A point's probe set is shared
-between the two moments, so the conformal ratio sees correlated noise.
-With ``probes=None`` the moments are summed over the latent basis vectors
-instead, which evaluates them without Monte-Carlo error (cheap while the
-latent dimension is small); the losses are differentiable either way.
+with ``G`` the m x m Gram matrix of the Jacobian's columns, which one
+tangent sweep of the latent basis yields, and ``v_i`` Rademacher probe
+vectors (entries +-1): both estimators are unbiased and exact for diagonal
+metrics. The probes enter only through the per-code matrix
+``P = mean_i v_i v_i^T``, so ``t1 = tr(G P)`` and ``t2 = tr(G G P)``, and a
+point's probe set is shared between the two moments, so the conformal ratio
+sees correlated noise. With ``probes=None``, ``P = I`` and the moments are
+exact; the losses are differentiable either way.
 
 The ratio-of-estimates in the per-point conformal loss is biased for finite
-probe counts (ratio of two unbiased estimates); the exact path exists for
-testing and for small latent dimensions.
+probe counts (ratio of two unbiased estimates); the exact path has no such
+bias.
 
 Every loss is one function ``f(dec, codes, ...) -> (value, dec_grads,
 code_grads)``: the value, the parameter gradient of the decoder, and the
@@ -84,32 +86,36 @@ def _probe_block(codes: np.ndarray, probes: np.ndarray | None) -> tuple[np.ndarr
 def trace_moments(dec: net.Mlp, codes: np.ndarray, probes: np.ndarray | None = None):
     """Per-code moments ``(t1, t2)`` of the pullback metric, plus the tape.
 
-    ``probes`` is ``None`` for the exact basis sum or a (B, N, m) Rademacher
-    block for the Monte-Carlo estimate. The block goes to :func:`net.jvp`
-    as is, so a code's N probe tangents share one primal row, and the
-    reverse sweep in :func:`_moments_backward` runs the primal adjoint only
-    where a second derivative reaches it. The third element feeds
+    One :func:`net.jvp` pushes the latent basis block (m tangent rows per
+    code, as in :func:`net.jacobians`) through the decoder; the rows are the
+    Jacobian's columns, and their Gram matrix is ``G = J^T J``. ``probes``
+    is ``None`` for the exact moments or a (B, N, m) Rademacher block for
+    the Monte-Carlo estimate. The probes enter only through the per-code
+    matrix ``P = sum_i w_i v_i v_i^T`` (``P = I`` for ``None``), so
+    ``t1 = tr(G P) = sum_i w_i v_i^T G v_i`` and
+    ``t2 = tr(G G P) = sum_i w_i v_i^T G^2 v_i``. The third element feeds
     :func:`_moments_backward`.
     """
     z = _codes_2d(codes, dec.in_dim)
     block, weights = _probe_block(z, probes)
-    b, n, _ = block.shape
-    res = net.jvp(dec, z, block, with_pullback=True)
-    t1 = (res.jv**2).sum(axis=1).reshape(b, n) @ weights
-    t2 = (res.pullback**2).sum(axis=1).reshape(b, n) @ weights
-    return t1, t2, (res, weights)
+    b, m = z.shape
+    res = net.jvp(dec, z, np.broadcast_to(np.eye(m), (b, m, m)))
+    rows = res.jv.reshape(b, m, -1)
+    g = net.gram(rows)
+    p = np.einsum("bni,bnj,n->bij", block, block, weights)
+    gp = g @ p
+    t1 = np.einsum("bii->b", gp)
+    t2 = np.einsum("bij,bji->b", g, gp)
+    return t1, t2, (res.trace, rows, p, gp)
 
 
 def _moments_backward(dec: net.Mlp, tape, d_t1: np.ndarray, d_t2: np.ndarray):
-    res, weights = tape
-    coeff1 = (d_t1[:, None] * weights[None, :]).reshape(-1, 1)
-    coeff2 = (d_t2[:, None] * weights[None, :]).reshape(-1, 1)
-    grads, g_codes, _ = net.backward(
-        dec,
-        res.trace,
-        tan_grad=2.0 * coeff1 * res.jv,
-        pull_grad=2.0 * coeff2 * res.pullback,
-    )
+    trace, rows, p, gp = tape
+    # S = dL/dG = d_t1 P + d_t2 (G P + P G) is symmetric, so G = C C^T
+    # gives the tangent-row adjoint dL/dC = 2 S C.
+    s = d_t1[:, None, None] * p + d_t2[:, None, None] * (gp + gp.transpose(0, 2, 1))
+    tan_grad = (2.0 * s @ rows).reshape(-1, rows.shape[2])
+    grads, g_codes, _ = net.backward(dec, trace, tan_grad=tan_grad)
     return grads, g_codes
 
 

@@ -1,4 +1,7 @@
+import errno
 import json
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -202,6 +205,23 @@ class TestTrain:
         assert [r["epoch"] for r in records] == [1, 2, 3, 4]
         assert json.loads((out / cli.CHECKPOINT_NAME).read_text())["epoch"] == 4
 
+    def test_failed_write_keeps_the_previous_checkpoint(self, tmp_path, roll_csv, monkeypatch):
+        code, out = tiny_train(tmp_path, roll_csv)
+        assert code == 0
+        before = (out / cli.CHECKPOINT_NAME).read_bytes()
+        replace = os.replace
+
+        def failing_replace(src, dst):
+            if Path(dst).name == cli.CHECKPOINT_NAME:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        code, _ = tiny_train(tmp_path, roll_csv, "run", "--epochs", "3")
+        assert code == 2
+        assert (out / cli.CHECKPOINT_NAME).read_bytes() == before
+        assert not [p.name for p in out.iterdir() if p.name.endswith(".tmp")]
+
 
 class TestDiagnose:
     def _identity_checkpoint(self, path):
@@ -250,6 +270,19 @@ class TestDiagnose:
         summary = json.loads((out / "oracle_summary.json").read_text())
         assert abs(summary["median_interior_curvature"] - 2.0) < 0.4
         assert (out / cli.DIAGNOSTICS_NAME).exists()
+
+    @pytest.mark.parametrize("text", ["{", "[]"], ids=["truncated", "not-an-object"])
+    def test_malformed_manifest_exits_2_naming_it(self, tmp_path, roll_csv, capsys, text):
+        run = tmp_path / "run"
+        run.mkdir()
+        ckpt = run / cli.CHECKPOINT_NAME
+        self._identity_checkpoint(ckpt)
+        (run / cli.MANIFEST_NAME).write_text(text)
+        out = tmp_path / "diag"
+        argv = ["diagnose", "--checkpoint", str(ckpt), "--data", str(roll_csv), "--out", str(out)]
+        assert run_cli(*argv) == 2
+        assert str(run / cli.MANIFEST_NAME) in capsys.readouterr().err
+        assert not (out / cli.DIAGNOSTICS_NAME).exists()
 
     def test_missing_inputs_is_validation_error(self, tmp_path):
         assert run_cli("diagnose", "--out", str(tmp_path / "x")) == 1

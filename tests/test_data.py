@@ -149,6 +149,20 @@ class TestCsv:
         assert np.array_equal(back.samples, ds.samples)
         assert np.array_equal(back.true_params, ds.true_params)
 
+    def test_bytes_match_per_cell_repr(self, tmp_path):
+        ds = data.swiss_roll(50, seed=17)
+        edge = np.array([[-0.0, 1e-300, 1e300], [0.1, -2.5, 3.0]])
+        ds = data.Dataset(
+            np.vstack([ds.samples, edge]), np.vstack([ds.true_params, edge[:, :2]])
+        )
+        rows = [
+            ",".join(repr(float(v)) for v in (*row, xi, eta))
+            for row, (xi, eta) in zip(ds.samples, ds.true_params)
+        ]
+        path = tmp_path / "roll.csv"
+        data.to_csv(ds, path)
+        assert path.read_text() == "\n".join([data.CSV_HEADER, *rows]) + "\n"
+
     def test_header_enforced(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c\n1,2,3\n")

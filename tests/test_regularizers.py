@@ -336,6 +336,26 @@ class TestProperties:
         got = value_of(reg.nonlinear_conformal_loss_and_grad, dec, codes)
         assert abs(got - want) < 1e-10
 
+    def test_mc_path_matches_per_probe_jacobian_reference(self):
+        # the Gram-matrix moments are the per-probe estimators
+        # mean_i v_i^T J^T J v_i and mean_i ||J^T J v_i||^2
+        dec = net.init([3, 7, 5], ["tanh", "identity"], 20)
+        codes = np.random.default_rng(21).normal(size=(4, 3))
+        block = reg.rademacher_block(np.random.default_rng(22), 4, 5, 3)
+        t1, t2 = np.zeros(4), np.zeros(4)
+        for i, (c, probes) in enumerate(zip(codes, block)):
+            j = net.jacobian(dec, c)
+            jv = probes @ j.T
+            t1[i] = np.mean(np.sum(jv**2, axis=1))
+            t2[i] = np.mean(np.sum((jv @ j) ** 2, axis=1))
+        got1, got2, _ = reg.trace_moments(dec, codes, block)
+        np.testing.assert_allclose(got1, t1, rtol=1e-12)
+        np.testing.assert_allclose(got2, t2, rtol=1e-12)
+        m = dec.in_dim
+        want = float(np.mean(0.5 * m * t2 / t1**2) - 0.5)
+        got = value_of(reg.nonlinear_conformal_loss_and_grad, dec, codes, block)
+        assert abs(got - want) < 1e-10
+
 
 def fd_code_grad(scalar_of_codes, codes, step=1e-6):
     """Central-difference gradient of a scalar w.r.t. every code entry."""
