@@ -41,6 +41,7 @@ from .regularizers import DegenerateJacobianError
 CHECKPOINT_NAME = "checkpoint.json"
 CHECKPOINT_FORMAT_VERSION = 1
 STATE_NAME = "state.json"
+STATE_FORMAT_VERSION = 2
 METRICS_NAME = "metrics.jsonl"
 MANIFEST_NAME = "manifest.json"
 DIAGNOSTICS_NAME = "diagnostics.csv"
@@ -215,7 +216,7 @@ def _load_checkpoint(path: Path) -> tuple[int, net.Mlp, net.Mlp]:
 
 def _write_state(path: Path, state: training.TrainState) -> None:
     payload = {
-        "format_version": 1,
+        "format_version": STATE_FORMAT_VERSION,
         "epoch": state.epoch,
         "enc_opt": state.enc_opt.to_dict(),
         "dec_opt": state.dec_opt.to_dict(),
@@ -231,17 +232,46 @@ def _load_resume(run_dir: Path) -> training.TrainState:
         raise _validation(f"cannot resume: {state_path} missing")
     epoch, enc, dec = _load_checkpoint(run_dir / CHECKPOINT_NAME)
     obj = _read_json(state_path, "training state")
-    if obj.get("epoch") != epoch:
+    if obj.get("format_version") != STATE_FORMAT_VERSION:
+        raise _validation(
+            f"cannot resume: {state_path} has format_version {obj.get('format_version')!r}, "
+            f"expected {STATE_FORMAT_VERSION}"
+        )
+    try:
+        np.random.default_rng().bit_generator.state = obj["rng_state"]  # rejects a bad state
+        state = training.TrainState(
+            epoch=obj["epoch"],
+            enc=enc,
+            dec=dec,
+            enc_opt=training.AdamWState.from_dict(obj["enc_opt"], enc),
+            dec_opt=training.AdamWState.from_dict(obj["dec_opt"], dec),
+            rng_state=obj["rng_state"],
+            plateau=training.PlateauState.from_dict(obj["plateau"]),
+        )
+    except KeyError as exc:
+        raise _runtime(f"malformed training state {state_path}: missing key {exc}")
+    except (TypeError, ValueError) as exc:
+        raise _runtime(f"malformed training state {state_path}: {exc}")
+    if state.epoch != epoch:
         raise _validation("checkpoint and state disagree on the epoch")
-    return training.TrainState(
-        epoch=epoch,
-        enc=enc,
-        dec=dec,
-        enc_opt=training.AdamWState.from_dict(obj["enc_opt"]),
-        dec_opt=training.AdamWState.from_dict(obj["dec_opt"]),
-        rng_state=obj["rng_state"],
-        plateau=training.PlateauState.from_dict(obj["plateau"]),
-    )
+    return state
+
+
+def _check_same_run(run_dir: Path, config: dict, data_sha256: str) -> None:
+    """Refuse to resume ``run_dir`` under another config (``epochs`` aside) or dataset."""
+    path = run_dir / MANIFEST_NAME
+    if not path.exists():
+        raise _validation(f"cannot resume: {path} missing")
+    manifest = _read_json(path, "manifest")
+    old, old_data = manifest.get("config"), manifest.get("data")
+    if not isinstance(old, dict) or not isinstance(old_data, dict):
+        raise _runtime(f"malformed manifest {path}: config and data must be objects")
+    keys = (set(old) | set(config)) - {"epochs"}
+    differ = sorted(k for k in keys if old.get(k) != config.get(k))
+    if old_data.get("sha256") != data_sha256:
+        differ.append("data.sha256")
+    if differ:
+        raise _validation(f"cannot resume {run_dir}: this run differs in {', '.join(differ)}")
 
 
 def cmd_train(args) -> int:
@@ -275,17 +305,20 @@ def cmd_train(args) -> int:
     except OSError as exc:
         raise _runtime(f"cannot create output directory {out}: {exc}")
 
-    resume = _load_resume(Path(args.resume)) if args.resume else None
+    config = cfg.to_dict()
+    data_sha256 = _sha256(Path(args.data))
+    resume = None
+    if args.resume:
+        _check_same_run(Path(args.resume), config, data_sha256)
+        resume = _load_resume(Path(args.resume))
 
     manifest = {
         "format_version": 1,
         "command": "train",
         "package_version": __version__,
-        "config": cfg.to_dict(),
-        "config_sha256": hashlib.sha256(
-            json.dumps(cfg.to_dict(), sort_keys=True).encode()
-        ).hexdigest(),
-        "data": {"path": str(args.data), "sha256": _sha256(Path(args.data))},
+        "config": config,
+        "config_sha256": hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest(),
+        "data": {"path": str(args.data), "sha256": data_sha256},
         "single_thread": bool(args.single_thread),
         "resumed_from": str(args.resume) if args.resume else None,
     }

@@ -112,20 +112,9 @@ class KappaSummary:
         }
 
 
-def pullback_metric(dec: net.Mlp, z: np.ndarray) -> np.ndarray:
-    """Gram matrix J^T J of the decoder Jacobian at one code."""
-    j = net.jacobian(dec, z)
-    return j.T @ j
-
-
 def pullback_metrics(jacobians: np.ndarray) -> np.ndarray:
     """(n, m, m) stack of pullback metrics J^T J from a ``net.jacobians`` stack."""
     return net.gram(jacobians.transpose(0, 2, 1))  # row k of block p = J_p e_k
-
-
-def conformal_factor(dec: net.Mlp, z: np.ndarray) -> float:
-    """Mean eigenvalue of the pullback metric: trace over latent dimension."""
-    return linalg.trace(pullback_metric(dec, z)) / dec.in_dim
 
 
 def conformal_field(codes: np.ndarray, jacobians: np.ndarray) -> ConformalField:

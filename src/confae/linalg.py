@@ -46,11 +46,6 @@ def sym_eigvals(a: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(0.5 * (m + m.T))[::-1]
 
 
-def singular_values(a: np.ndarray) -> np.ndarray:
-    """Singular values, descending."""
-    return np.linalg.svd(as_matrix(a), compute_uv=False)
-
-
 def condition_numbers(stack: np.ndarray) -> np.ndarray:
     """sigma_max / sigma_min of each matrix in a (B, r, c) stack, one batched SVD.
 

@@ -13,6 +13,10 @@ latent basis through the tangent pass gives the Jacobian's columns, so any
 function of the Gram matrix ``J^T J`` can be trained without nested autodiff
 machinery.
 
+A network's parameters are one float64 vector, ``Mlp.params`` (per layer the
+row-major weight, then the bias); every ``Layer`` array is a view into it,
+and a :class:`ParamGradient` holds the same layout in ``flat``.
+
 States are batched row-wise: a (B, d) array holds B independent inputs.
 Public entry points also accept single vectors. A JVP may carry N tangents
 per input as a (B, N, m) block: the N tangents of a code share one primal
@@ -25,7 +29,7 @@ piecewise-linear activation and no primal-output adjoint).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -91,9 +95,25 @@ class Layer:
             raise ValueError("layer parameters must be finite")
 
 
+def _views(flat: np.ndarray, layers: list[Layer]) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Per-layer weight and bias views of a vector laid out like ``Mlp.params``."""
+    weights, biases = [], []
+    lo = 0
+    for layer in layers:
+        shape = layer.weight.shape
+        mid = lo + layer.weight.size
+        weights.append(flat[lo:mid].reshape(shape))
+        lo = mid + shape[0]
+        biases.append(flat[mid:lo])
+    return weights, biases
+
+
 @dataclass
 class Mlp:
+    """Layers on views of ``params``, into which the given layers' arrays are copied."""
+
     layers: list[Layer]
+    params: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.layers:
@@ -103,6 +123,11 @@ class Mlp:
                 raise ValueError(
                     f"layer dimensions do not chain: {prev.weight.shape} -> {nxt.weight.shape}"
                 )
+        self.params = np.concatenate([a.ravel() for l in self.layers for a in (l.weight, l.bias)])
+        self.layers = [
+            Layer(w, b, l.activation, l.slope)
+            for l, w, b in zip(self.layers, *_views(self.params, self.layers))
+        ]
 
     @property
     def in_dim(self) -> int:
@@ -116,32 +141,19 @@ class Mlp:
     def dims(self) -> list[int]:
         return [self.in_dim] + [l.weight.shape[0] for l in self.layers]
 
-    def copy(self) -> "Mlp":
-        return Mlp(
-            [Layer(l.weight.copy(), l.bias.copy(), l.activation, l.slope) for l in self.layers]
-        )
-
 
 @dataclass
 class ParamGradient:
-    """Gradient arrays shape-congruent with an Mlp's parameters."""
+    """Gradient laid out like ``Mlp.params``; ``weights``/``biases`` are views of ``flat``."""
 
+    flat: np.ndarray
     weights: list[np.ndarray]
     biases: list[np.ndarray]
 
     @classmethod
     def zeros_like(cls, net: Mlp) -> "ParamGradient":
-        return cls(
-            [np.zeros_like(l.weight) for l in net.layers],
-            [np.zeros_like(l.bias) for l in net.layers],
-        )
-
-    def add_scaled(self, other: "ParamGradient", scale: float = 1.0) -> "ParamGradient":
-        for gw, ow in zip(self.weights, other.weights):
-            gw += scale * ow
-        for gb, ob in zip(self.biases, other.biases):
-            gb += scale * ob
-        return self
+        flat = np.zeros_like(net.params)
+        return cls(flat, *_views(flat, net.layers))
 
 
 @dataclass

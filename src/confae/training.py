@@ -3,6 +3,10 @@
 Runs are deterministic: all randomness (parameter init, the train/validation
 split, epoch shuffles, probe draws) derives from the config seed through one
 seed sequence, and every reduction has a fixed order.
+
+The optimizer works on whole parameter vectors: a network's weights and
+biases are views of its ``params`` (see :mod:`confae.net`), so an AdamW step,
+the sum of the gradient terms and the saved moments are each one array.
 """
 
 from __future__ import annotations
@@ -105,8 +109,6 @@ class RunConfig:
             out.append("val_fraction: must lie strictly between 0 and 1")
         if self.checkpoint_every < 0:
             out.append("checkpoint_every: must be nonnegative")
-        if self.exact_trace and len(self.dims) >= 2 and self.dims[-1] > 3:
-            out.append("exact_trace: exact moments are only offered for latent dims <= 3")
         if not 0.0 < self.scheduler.factor < 1.0:
             out.append("scheduler.factor: must lie strictly between 0 and 1")
         if self.scheduler.patience < 1:
@@ -168,40 +170,26 @@ class EpochRecord:
 
 @dataclass
 class AdamWState:
+    """Step count and first/second moments, laid out like the network's ``params``."""
+
     step: int
-    m_weights: list[np.ndarray]
-    v_weights: list[np.ndarray]
-    m_biases: list[np.ndarray]
-    v_biases: list[np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
 
     @classmethod
     def zeros(cls, network: net.Mlp) -> "AdamWState":
-        return cls(
-            step=0,
-            m_weights=[np.zeros_like(l.weight) for l in network.layers],
-            v_weights=[np.zeros_like(l.weight) for l in network.layers],
-            m_biases=[np.zeros_like(l.bias) for l in network.layers],
-            v_biases=[np.zeros_like(l.bias) for l in network.layers],
-        )
+        return cls(0, np.zeros_like(network.params), np.zeros_like(network.params))
 
     def to_dict(self) -> dict:
-        return {
-            "step": self.step,
-            "m_weights": [a.tolist() for a in self.m_weights],
-            "v_weights": [a.tolist() for a in self.v_weights],
-            "m_biases": [a.tolist() for a in self.m_biases],
-            "v_biases": [a.tolist() for a in self.v_biases],
-        }
+        return {"step": self.step, "m": self.m.tolist(), "v": self.v.tolist()}
 
     @classmethod
-    def from_dict(cls, obj: dict) -> "AdamWState":
-        return cls(
-            step=int(obj["step"]),
-            m_weights=[np.array(a, dtype=np.float64) for a in obj["m_weights"]],
-            v_weights=[np.array(a, dtype=np.float64) for a in obj["v_weights"]],
-            m_biases=[np.array(a, dtype=np.float64) for a in obj["m_biases"]],
-            v_biases=[np.array(a, dtype=np.float64) for a in obj["v_biases"]],
-        )
+    def from_dict(cls, obj: dict, network: net.Mlp) -> "AdamWState":
+        """Saved moments of ``network``; moments of another length raise ``ValueError``."""
+        m, v = (np.array(obj[key], dtype=np.float64) for key in ("m", "v"))
+        if not network.params.shape == m.shape == v.shape:
+            raise ValueError(f"moments do not match the network's {network.params.size} parameters")
+        return cls(int(obj["step"]), m, v)
 
 
 def adamw_step(
@@ -215,32 +203,19 @@ def adamw_step(
     eps: float = 1e-8,
     weight_decay: float = 0.0,
 ) -> None:
-    """One decoupled-weight-decay Adam step, updating parameters in place."""
+    """One decoupled-weight-decay Adam step on the whole parameter vector, in place."""
+    theta, g, m, v = network.params, grads.flat, state.m, state.v
+    if not theta.shape == g.shape == m.shape == v.shape:
+        raise ValueError("gradient shape does not match parameters")
     state.step += 1
     bc1 = 1.0 - beta1**state.step
     bc2 = 1.0 - beta2**state.step
-
-    def update(theta, g, m, v):
-        if g.shape != theta.shape:
-            raise ValueError("gradient shape does not match parameters")
-        theta -= lr * weight_decay * theta  # decay decoupled from the moments
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * g * g
-        theta -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
-
-    for layer, gw, gb, mw, vw, mb, vb in zip(
-        network.layers,
-        grads.weights,
-        grads.biases,
-        state.m_weights,
-        state.v_weights,
-        state.m_biases,
-        state.v_biases,
-    ):
-        update(layer.weight, gw, mw, vw)
-        update(layer.bias, gb, mb, vb)
+    theta -= lr * weight_decay * theta  # decay decoupled from the moments
+    m *= beta1
+    m += (1.0 - beta1) * g
+    v *= beta2
+    v += (1.0 - beta2) * g * g
+    theta -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
 
 
 @dataclass
@@ -359,7 +334,7 @@ def _batch_losses_and_grads(config, lam, enc, dec, x, rng, epoch, batch_no):
         if not np.isfinite(geo_val):
             raise TrainingDivergedError(epoch, batch_no, config.regularizer, geo_val)
         if lam > 0.0:
-            dec_grads.add_scaled(dec_geo, lam)
+            dec_grads.flat += lam * dec_geo.flat
             if not config.detach_codes:
                 g_codes = g_codes + lam * codes_geo
     enc_grads, _, _ = net.backward(enc, enc_tape, out_grad=g_codes)
@@ -416,6 +391,10 @@ def train(
         plateau = resume.plateau
         start_epoch = resume.epoch
 
+    def snapshot(epoch: int) -> TrainState:
+        rng_state = rng.bit_generator.state
+        return TrainState(epoch, enc, dec, enc_opt, dec_opt, rng_state, replace(plateau, lr=lr))
+
     x_train = train_ds.samples
     x_val = val_ds.samples
     n_train = x_train.shape[0]
@@ -464,27 +443,8 @@ def train(
             plateau.lr = lr
             lr = reduce_on_plateau(plateau, val_recon)
         if on_epoch is not None:
-            state = TrainState(
-                epoch=epoch,
-                enc=enc,
-                dec=dec,
-                enc_opt=enc_opt,
-                dec_opt=dec_opt,
-                rng_state=rng.bit_generator.state,
-                plateau=replace(plateau, lr=lr),
-            )
-            on_epoch(state, record)
-
-    final = TrainState(
-        epoch=config.epochs,
-        enc=enc,
-        dec=dec,
-        enc_opt=enc_opt,
-        dec_opt=dec_opt,
-        rng_state=rng.bit_generator.state,
-        plateau=replace(plateau, lr=lr),
-    )
-    return TrainResult(enc=enc, dec=dec, records=records, state=final)
+            on_epoch(snapshot(epoch), record)
+    return TrainResult(enc=enc, dec=dec, records=records, state=snapshot(config.epochs))
 
 
 CALIBRATION_SAMPLE = 512
@@ -502,7 +462,8 @@ def calibrate_intensity(config: RunConfig, ds: data_mod.Dataset):
     """Propose an intensity balancing the two loss terms over a whole run.
 
     Evaluates reconstruction and the enabled geometric term on the untrained
-    networks over a fixed training subsample and returns
+    networks over a fixed training subsample (moment losses on exact moments,
+    with no probe draw) and returns
     ``(proposed_intensity, recon_value, geo_value)`` with
     ``proposed_intensity = CALIBRATION_BALANCE * recon_value / geo_value``.
     """
@@ -516,10 +477,8 @@ def calibrate_intensity(config: RunConfig, ds: data_mod.Dataset):
     enc, dec = init_networks(config)
     recon0 = reg.recon_loss(enc, dec, sample)
     codes = net.forward(enc, sample)
-    rng = np.random.default_rng(_derived_seeds(config.seed)["loop"])
-    use_exact = config.latent_dim <= 3
-    probe_cfg = replace(config, exact_trace=use_exact)
-    geo0, _, _ = _geo_value_and_grads(probe_cfg, dec, codes, rng, want_grad=False)
+    exact = replace(config, exact_trace=True)
+    geo0, _, _ = _geo_value_and_grads(exact, dec, codes, None, want_grad=False)
     if geo0 <= 1e-12:
         raise ConfigError(
             ["lambda_geo: geometric term vanishes on the initial model; calibration is moot"]

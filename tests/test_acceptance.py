@@ -181,7 +181,7 @@ def test_criterion_3_regularizer_algebra():
     # invariance under global output scaling
     dec = net.init([2, 8, 3], ["relu", "identity"], 5)
     before = value_of(reg.nonlinear_conformal_loss_and_grad, dec, codes)
-    scaled = dec.copy()
+    scaled = net.from_dict(net.to_dict(dec))
     scaled.layers[-1].weight *= 3.0
     scaled.layers[-1].bias *= 3.0
     after = value_of(reg.nonlinear_conformal_loss_and_grad, scaled, codes)
@@ -215,10 +215,11 @@ def test_criterion_4_swiss_roll_oracle():
     for _ in range(100):
         z = np.array([rng.uniform(*data.XI_RANGE), rng.uniform(*data.ETA_RANGE)])
         dec = _linear_dec(data.swiss_roll_jacobian(z))
-        metric = geometry.pullback_metric(dec, z)
+        jacobians = net.jacobians(dec, z[None])
+        metric = geometry.pullback_metrics(jacobians)[0]
         want = np.diag([1.0 + z[0] ** 2, 1.0])
         worst_metric = max(worst_metric, float(np.max(np.abs(metric - want))))
-        kjac, kpbm = geometry.condition_numbers(dec, z)
+        kjac, kpbm = geometry.kappa_field(jacobians)[0]
         worst_kappa = max(
             worst_kappa,
             abs(kjac - math.sqrt(1.0 + z[0] ** 2)) / math.sqrt(1.0 + z[0] ** 2),

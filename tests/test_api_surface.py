@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from confae import net
+from confae import data, net, training
 
 SPANS = Path(__file__).resolve().parents[1] / "benchmarks" / "spans.py"
 
@@ -43,3 +43,19 @@ def test_jvp_counter_reads_a_block_jvp():
     # JVP computes no pullback, so that counter reads 0
     assert counts == {"rows": 4, "pullback_rows": 0}
     assert all(type(v) is int for v in counts.values())
+
+
+def test_optimizer_steps_reach_the_traced_attribute():
+    # two adamw_step calls per batch, both looked up through the module
+    # attribute the tracer replaces
+    tracer = _spans().Tracer()
+    cfg = training.RunConfig(epochs=1, batch_size=16, dims=[3, 6, 2], seed=1)
+    ds = data.standardize(data.swiss_roll(100, seed=0))
+    tracer.install(["training.adamw_step"])
+    try:
+        training.train(cfg, ds)
+    finally:
+        tracer.uninstall(["training.adamw_step"])
+    train_ds, _ = training.split_dataset(cfg, ds)
+    batches = -(-len(train_ds) // cfg.batch_size)
+    assert [s.name for s in tracer.spans] == ["training.adamw_step"] * (2 * batches)

@@ -205,6 +205,76 @@ class TestTrain:
         assert [r["epoch"] for r in records] == [1, 2, 3, 4]
         assert json.loads((out / cli.CHECKPOINT_NAME).read_text())["epoch"] == 4
 
+    def test_resume_round_trips_flat_moments(self, tmp_path, roll_csv):
+        code, out = tiny_train(tmp_path, roll_csv, "run_half")
+        assert code == 0
+        state = json.loads((out / cli.STATE_NAME).read_text())
+        assert state["format_version"] == cli.STATE_FORMAT_VERSION == 2
+        _, enc, dec = cli._load_checkpoint(out / cli.CHECKPOINT_NAME)
+        for key, network in (("enc_opt", enc), ("dec_opt", dec)):
+            assert set(state[key]) == {"step", "m", "v"}
+            assert len(state[key]["m"]) == len(state[key]["v"]) == network.params.size
+        code, _ = tiny_train(tmp_path, roll_csv, "run_half", "--epochs", "4", "--resume", str(out))
+        assert code == 0
+        code, straight = tiny_train(tmp_path, roll_csv, "run_full", "--epochs", "4")
+        assert code == 0
+        for name in (cli.CHECKPOINT_NAME, cli.STATE_NAME):
+            assert (out / name).read_bytes() == (straight / name).read_bytes()
+
+    @pytest.mark.parametrize(
+        "damage,want",
+        [
+            ("old_format", 1),
+            ("missing_manifest", 1),
+            ("missing_key", 2),
+            ("short_moment", 2),
+            ("bad_rng_state", 2),
+        ],
+    )
+    def test_resume_refuses_a_damaged_run(self, tmp_path, roll_csv, capsys, damage, want):
+        code, out = tiny_train(tmp_path, roll_csv)
+        assert code == 0
+        named = out / (cli.MANIFEST_NAME if damage == "missing_manifest" else cli.STATE_NAME)
+        state = json.loads((out / cli.STATE_NAME).read_text())
+        if damage == "missing_manifest":
+            named.unlink()
+        elif damage == "old_format":
+            state["format_version"] = 1
+        elif damage == "missing_key":
+            del state["enc_opt"]["m"]
+        elif damage == "short_moment":
+            del state["dec_opt"]["v"][-1]
+        else:
+            del state["rng_state"]["state"]
+        (out / cli.STATE_NAME).write_text(json.dumps(state))
+        capsys.readouterr()
+        code, _ = tiny_train(tmp_path, roll_csv, "run", "--epochs", "3", "--resume", str(out))
+        assert code == want
+        assert str(named) in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "extra,differ",
+        [
+            (("--set", "dims=[3,8,4]"), "dims"),
+            (("--seed", "9", "--lr", "0.5"), "lr, seed"),
+            (("--data", "other"), "data.sha256"),
+        ],
+        ids=["dims", "seed-lr", "data"],
+    )
+    def test_resume_refuses_a_different_run(self, tmp_path, roll_csv, capsys, extra, differ):
+        code, out = tiny_train(tmp_path, roll_csv)
+        assert code == 0
+        manifest = (out / cli.MANIFEST_NAME).read_bytes()
+        if extra[0] == "--data":
+            other = tmp_path / "other.csv"
+            assert run_cli("generate", "--n", "120", "--seed", "6", "--out", str(other)) == 0
+            extra = ("--data", str(other))
+        capsys.readouterr()
+        code, _ = tiny_train(tmp_path, roll_csv, "run", "--epochs", "3", "--resume", str(out), *extra)
+        assert code == 1
+        assert f"differs in {differ}" in capsys.readouterr().err
+        assert (out / cli.MANIFEST_NAME).read_bytes() == manifest
+
     def test_failed_write_keeps_the_previous_checkpoint(self, tmp_path, roll_csv, monkeypatch):
         code, out = tiny_train(tmp_path, roll_csv)
         assert code == 0

@@ -18,23 +18,32 @@ def swiss_tangent_dec(xi=1.0):
     return linear_dec(swiss_roll_jacobian(np.array([xi, 0.0])))
 
 
+def metric_at(dec, z):
+    """Pullback metric at one code, from a one-row ``net.jacobians`` stack."""
+    return geometry.pullback_metrics(net.jacobians(dec, np.atleast_2d(z)))[0]
+
+
+def factor_at(dec, z):
+    """Conformal factor at one code, from a one-row ``net.jacobians`` stack."""
+    codes = np.atleast_2d(z)
+    return geometry.conformal_field(codes, net.jacobians(dec, codes)).values[0]
+
+
 class TestPullbackMetric:
     def test_identity_decoder(self):
         dec = linear_dec(np.eye(2))
-        assert np.array_equal(geometry.pullback_metric(dec, np.zeros(2)), np.eye(2))
+        assert np.array_equal(metric_at(dec, np.zeros(2)), np.eye(2))
 
     def test_swiss_roll_tangent_map(self):
-        got = geometry.pullback_metric(swiss_tangent_dec(1.0), np.zeros(2))
+        got = metric_at(swiss_tangent_dec(1.0), np.zeros(2))
         assert np.max(np.abs(got - np.diag([2.0, 1.0]))) < 1e-10
 
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=25, deadline=None)
     def test_gram_is_psd(self, seed):
-        from confae import linalg
-
         dec = net.init([2, 6, 4], ["tanh", "identity"], seed)
-        z = np.random.default_rng(seed).normal(size=2)
-        vals = linalg.sym_eigvals(geometry.pullback_metric(dec, z))
+        codes = np.random.default_rng(seed).normal(size=(3, 2))
+        vals = np.linalg.eigvalsh(geometry.pullback_metrics(net.jacobians(dec, codes)))
         assert np.all(vals >= -1e-10)
 
     def test_batch_matches_pointwise(self):
@@ -42,22 +51,22 @@ class TestPullbackMetric:
         codes = np.random.default_rng(2).normal(size=(6, 2))
         stack = geometry.pullback_metrics(net.jacobians(dec, codes))
         for i, z in enumerate(codes):
-            assert np.max(np.abs(stack[i] - geometry.pullback_metric(dec, z))) < 1e-12
+            assert np.max(np.abs(stack[i] - metric_at(dec, z))) < 1e-12
 
 
 class TestConformalFactor:
     def test_identity_decoder(self):
-        assert geometry.conformal_factor(linear_dec(np.eye(2)), np.zeros(2)) == 1.0
+        assert factor_at(linear_dec(np.eye(2)), np.zeros(2)) == 1.0
 
     def test_swiss_roll_point(self):
-        got = geometry.conformal_factor(swiss_tangent_dec(1.0), np.zeros(2))
+        got = factor_at(swiss_tangent_dec(1.0), np.zeros(2))
         assert got == pytest.approx(1.5, abs=1e-12)
 
     @given(st.floats(min_value=0.1, max_value=10.0))
     @settings(max_examples=25, deadline=None)
     def test_scaling_is_quadratic(self, alpha):
-        base = geometry.conformal_factor(linear_dec(np.eye(2)), np.zeros(2))
-        scaled = geometry.conformal_factor(linear_dec(alpha * np.eye(2)), np.zeros(2))
+        base = factor_at(linear_dec(np.eye(2)), np.zeros(2))
+        scaled = factor_at(linear_dec(alpha * np.eye(2)), np.zeros(2))
         assert scaled == pytest.approx(alpha**2 * base, rel=1e-10)
 
     def test_field_rejects_collapsed_values(self):

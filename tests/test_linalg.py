@@ -106,13 +106,6 @@ class TestConditionNumber:
         want = sigma[0] / sigma[-1]
         assert linalg.condition_number(a) == pytest.approx(want, rel=1e-8)
 
-    def test_singular_values_match_svd_oracle(self):
-        rng = np.random.default_rng(9)
-        a = rng.normal(size=(5, 3))
-        want = np.linalg.svd(a, compute_uv=False)
-        got = linalg.singular_values(a)
-        assert np.max(np.abs(got - want)) < 1e-8
-
     def test_gram_squares_the_condition_number(self):
         rng = np.random.default_rng(13)
         a = rng.normal(size=(4, 3))

@@ -387,6 +387,52 @@ class TestInit:
             net.init([3], [], 0)
 
 
+def two_layer_net():
+    return net.Mlp(
+        [
+            net.Layer(np.full((4, 3), 0.5), np.arange(4.0), "tanh"),
+            net.Layer(np.ones((2, 4)), np.zeros(2), "identity"),
+        ]
+    )
+
+
+class TestParams:
+    @pytest.mark.parametrize("how", ["init", "from_dict", "Mlp"])
+    def test_layer_arrays_are_views_of_params(self, how):
+        network = {
+            "init": lambda: net.init([3, 5, 4, 2], ["relu", "tanh", "identity"], 0),
+            "from_dict": lambda: net.from_dict(net.to_dict(two_layer_net())),
+            "Mlp": two_layer_net,
+        }[how]()
+        arrays = [a for l in network.layers for a in (l.weight, l.bias)]
+        assert network.params.size == sum(a.size for a in arrays)
+        assert all(np.shares_memory(a, network.params) for a in arrays)
+        assert np.array_equal(network.params, np.concatenate([a.ravel() for a in arrays]))
+        # layout: layer by layer, the row-major weight, then the bias
+        last = network.layers[-1]
+        last.weight[:] = 7.0
+        assert np.all(network.params[-last.bias.size - last.weight.size : -last.bias.size] == 7.0)
+        network.params[: network.layers[0].weight.size] = -1.0
+        assert np.all(network.layers[0].weight == -1.0)
+
+    def test_callers_arrays_and_layers_are_not_aliased(self):
+        w, b = np.full((4, 3), 0.5), np.arange(4.0)
+        layer = net.Layer(w, b, "tanh")
+        network = net.Mlp([layer, net.Layer(np.ones((2, 4)), np.zeros(2), "identity")])
+        assert network.layers[0] is not layer
+        assert not np.shares_memory(layer.weight, network.params)
+        network.params[:] = 0.0
+        assert np.all(w == 0.5) and np.array_equal(b, np.arange(4.0))
+
+    def test_gradient_views_share_its_flat_vector(self):
+        network = net.init([3, 5, 2], ["relu", "identity"], 1)
+        grads = net.ParamGradient.zeros_like(network)
+        assert grads.flat.shape == network.params.shape
+        assert all(np.shares_memory(g, grads.flat) for g in grads.weights + grads.biases)
+        assert [g.shape for g in grads.weights] == [l.weight.shape for l in network.layers]
+        assert [g.shape for g in grads.biases] == [l.bias.shape for l in network.layers]
+
+
 def trained_checkpoint(tmp_path):
     """Generate a small roll, train two epochs and return (data, run dir, checkpoint)."""
     data = tmp_path / "roll.csv"

@@ -35,6 +35,28 @@ def untimed(record):
     return fields
 
 
+def weight_grad(network, g):
+    """Gradient that is ``g`` on the first layer's weight and zero elsewhere."""
+    grads = net.ParamGradient.zeros_like(network)
+    grads.weights[0][:] = g
+    return grads
+
+
+def per_array_adamw(network, grads, moments, step, lr, beta1, beta2, eps, weight_decay):
+    """The update applied one weight or bias array at a time, as a reference."""
+    bc1 = 1.0 - beta1**step
+    bc2 = 1.0 - beta2**step
+    arrays = [a for l in network.layers for a in (l.weight, l.bias)]
+    gs = [a for pair in zip(grads.weights, grads.biases) for a in pair]
+    for theta, g, (m, v) in zip(arrays, gs, moments):
+        theta -= lr * weight_decay * theta
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * g * g
+        theta -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+
+
 class TestAdamW:
     def test_zero_gradient_is_a_no_op(self):
         network = net.init([2, 3], ["identity"], 0)
@@ -49,7 +71,7 @@ class TestAdamW:
         network = net.init([2, 2], ["identity"], 1)
         theta0 = network.layers[0].weight.copy()
         g = np.array([[0.5, -2.0], [1.5, 0.0]])
-        grads = net.ParamGradient([g.copy()], [np.zeros(2)])
+        grads = weight_grad(network, g)
         state = tr.AdamWState.zeros(network)
         lr, eps = 1e-3, 1e-8
         tr.adamw_step(network, grads, state, lr=lr, eps=eps)
@@ -63,7 +85,7 @@ class TestAdamW:
         state = tr.AdamWState.zeros(network)
         assert abs(np.linalg.norm(network.layers[0].weight) - 1.0) < 1e-12
         for _ in range(500):
-            grads = net.ParamGradient([network.layers[0].weight.copy()], [np.zeros(2)])
+            grads = weight_grad(network, network.layers[0].weight)
             tr.adamw_step(network, grads, state, lr=0.1)
         assert np.linalg.norm(network.layers[0].weight) < 1e-3
 
@@ -78,7 +100,7 @@ class TestAdamW:
         lr, b1, b2, eps = 1e-2, 0.9, 0.999, 1e-8
         for step in range(1, 51):
             g = rng.normal(size=theta.shape)
-            grads = net.ParamGradient([g.copy()], [np.zeros(4)])
+            grads = weight_grad(network, g)
             tr.adamw_step(network, grads, state, lr=lr, beta1=b1, beta2=b2, eps=eps, weight_decay=0.0)
             m = b1 * m + (1 - b1) * g
             v = b2 * v + (1 - b2) * g * g
@@ -89,16 +111,41 @@ class TestAdamW:
         network = net.Mlp([net.Layer(np.array([[2.0]]), np.zeros(1), "identity")])
         state = tr.AdamWState.zeros(network)
         g = np.array([[1.0]])
-        tr.adamw_step(
-            network,
-            net.ParamGradient([g.copy()], [np.zeros(1)]),
-            state,
-            lr=0.1,
-            weight_decay=0.5,
-        )
+        tr.adamw_step(network, weight_grad(network, g), state, lr=0.1, weight_decay=0.5)
         # theta <- theta - lr*wd*theta - lr * g/(|g|+eps)
         want = 2.0 - 0.1 * 0.5 * 2.0 - 0.1 * 1.0 / (1.0 + 1e-8)
         assert network.layers[0].weight[0, 0] == pytest.approx(want, abs=1e-12)
+
+    def test_vector_step_equals_per_array_update(self):
+        rng = np.random.default_rng(4)
+        network = net.init([3, 6, 5, 2], ["tanh", "relu", "identity"], 8)
+        reference = net.from_dict(net.to_dict(network))
+        state = tr.AdamWState.zeros(network)
+        arrays = [a for l in reference.layers for a in (l.weight, l.bias)]
+        moments = [(np.zeros_like(a), np.zeros_like(a)) for a in arrays]
+        opts = dict(lr=1e-2, beta1=0.8, beta2=0.99, eps=1e-7, weight_decay=1e-2)
+        for step in range(1, 21):
+            grads = net.ParamGradient.zeros_like(network)
+            grads.flat[:] = rng.normal(size=grads.flat.size)
+            tr.adamw_step(network, grads, state, **opts)
+            per_array_adamw(reference, grads, moments, step, **opts)
+        assert state.step == 20
+        assert np.array_equal(network.params, reference.params)
+        for la, lb in zip(network.layers, reference.layers):
+            assert np.array_equal(la.weight, lb.weight) and np.array_equal(la.bias, lb.bias)
+
+    @pytest.mark.parametrize("what", ["gradient", "m", "v"])
+    def test_size_mismatch_is_refused(self, what):
+        network = net.init([2, 3], ["identity"], 0)
+        grads = net.ParamGradient.zeros_like(network)
+        state = tr.AdamWState.zeros(network)
+        if what == "gradient":
+            grads.flat = np.zeros(network.params.size + 1)
+        else:
+            setattr(state, what, np.zeros(network.params.size - 1))
+        with pytest.raises(ValueError, match="gradient shape does not match parameters"):
+            tr.adamw_step(network, grads, state, lr=0.1)
+        assert state.step == 0
 
 
 class TestReduceOnPlateau:
@@ -149,10 +196,12 @@ class TestRunConfig:
         with pytest.raises(tr.ConfigError, match="batch_size"):
             cfg.validate()
 
-    def test_exact_trace_limited_to_small_latents(self):
-        cfg = small_config(exact_trace=True, dims=[3, 10, 5])
-        with pytest.raises(tr.ConfigError, match="exact_trace"):
-            cfg.validate()
+    def test_exact_trace_runs_at_latent_dim_4(self):
+        cfg = small_config(
+            regularizer="conf", lambda_geo=0.5, epochs=1, exact_trace=True, dims=[3, 10, 4]
+        )
+        result = tr.train(cfg, standardized_roll())
+        assert np.isfinite(result.records[0].geo) and result.records[0].geo > 0.0
 
     def test_round_trip(self):
         cfg = small_config(regularizer="conf", lambda_geo=0.5)
