@@ -5,7 +5,9 @@ numerical failure (I/O, divergence, degenerate geometry).
 
 ``--single-thread`` pins the BLAS thread pools before numpy is imported,
 which is what makes two runs of the same seed byte-identical by guarantee
-rather than by accident.
+rather than by accident. The thread variables numpy loaded under are
+recorded in the train manifest; ``--single-thread`` exits 1 when they are
+not all pinned, as when ``main`` is called after numpy was imported.
 """
 
 from __future__ import annotations
@@ -13,24 +15,23 @@ from __future__ import annotations
 import os
 import sys
 
-
-def _pin_threads() -> None:
-    for var in (
-        "OMP_NUM_THREADS",
-        "OPENBLAS_NUM_THREADS",
-        "MKL_NUM_THREADS",
-        "NUMEXPR_NUM_THREADS",
-        "VECLIB_MAXIMUM_THREADS",
-    ):
-        os.environ[var] = "1"
-
+THREAD_VARS = (
+    "OMP_NUM_THREADS",
+    "OPENBLAS_NUM_THREADS",
+    "MKL_NUM_THREADS",
+    "NUMEXPR_NUM_THREADS",
+    "VECLIB_MAXIMUM_THREADS",
+)
 
 if "--single-thread" in sys.argv:  # must happen before numpy loads
-    _pin_threads()
+    os.environ.update(dict.fromkeys(THREAD_VARS, "1"))
+# The thread settings numpy loads under, unless it is already loaded.
+_THREADS = {var: os.environ.get(var) for var in THREAD_VARS}
 
 import argparse
 import hashlib
 import json
+import time
 from pathlib import Path
 
 import numpy as np
@@ -320,6 +321,7 @@ def cmd_train(args) -> int:
         "config_sha256": hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest(),
         "data": {"path": str(args.data), "sha256": data_sha256},
         "single_thread": bool(args.single_thread),
+        "threads": dict(_THREADS),
         "resumed_from": str(args.resume) if args.resume else None,
     }
     _json_dump(manifest, out / MANIFEST_NAME)
@@ -390,6 +392,19 @@ def _parse_bandwidth(raw: str):
     return value
 
 
+def _check_same_data(manifest_path: Path, manifest: dict, data_path: Path) -> None:
+    """Refuse to diagnose a run on another dataset than the one it was trained on."""
+    recorded = manifest.get("data")
+    if not isinstance(recorded, dict) or "sha256" not in recorded:
+        raise _runtime(f"malformed manifest {manifest_path}: data must be an object with sha256")
+    actual = _sha256(data_path)
+    if recorded["sha256"] != actual:
+        raise _validation(
+            f"{data_path} has sha256 {actual}, but the run was trained on data with sha256 "
+            f"{recorded['sha256']} ({manifest_path})"
+        )
+
+
 def cmd_diagnose(args) -> int:
     out = Path(args.out)
     try:
@@ -402,6 +417,15 @@ def cmd_diagnose(args) -> int:
 
     if not args.checkpoint or not args.data:
         raise _validation("diagnose needs --checkpoint and --data (or --oracle sphere)")
+    timing = {}
+    clock = time.perf_counter()
+
+    def lap(stage: str) -> None:
+        nonlocal clock
+        now = time.perf_counter()
+        timing[stage] = now - clock
+        clock = now
+
     _, enc, dec = _load_checkpoint(Path(args.checkpoint))
     manifest_path = Path(args.checkpoint).parent / MANIFEST_NAME
     manifest = _read_json(manifest_path, "manifest") if manifest_path.exists() else {}
@@ -415,16 +439,21 @@ def cmd_diagnose(args) -> int:
     regularizer = args.regularizer or cfg_obj.get("regularizer", "unknown")
 
     ds = data.standardize(_load_dataset(args.data))
+    if manifest_path.exists():
+        _check_same_data(manifest_path, manifest, Path(args.data))
     split_cfg = training.RunConfig(seed=int(seed), val_fraction=float(val_fraction))
     _, val = training.split_dataset(split_cfg, ds)
+    lap("read")
     codes = net.forward(enc, val.samples)
-
+    lap("encode")
     jacobians = net.jacobians(dec, codes)
+    lap("jacobians")
     try:
         field = geometry.conformal_field(codes, jacobians)
         kappas = geometry.kappa_field(jacobians)
     except ValueError as exc:
         raise _runtime(str(exc))
+    lap("conformal_kappa")
 
     curv = None
     if dec.in_dim == 2:
@@ -432,7 +461,9 @@ def cmd_diagnose(args) -> int:
             graph = geometry.build_graph(
                 codes, k=args.k, bandwidth=_parse_bandwidth(args.bandwidth)
             )
+            lap("graph")
             curv = geometry.scalar_curvature(field, graph)
+            lap("curvature")
         except ValueError as exc:
             raise _runtime(str(exc))
     else:
@@ -442,6 +473,7 @@ def cmd_diagnose(args) -> int:
         )
 
     geometry.write_diagnostics_csv(out / DIAGNOSTICS_NAME, field, curv, kappas)
+    lap("write_csv")
     try:
         summary = geometry.summarize_kappa(kappas)
     except ValueError as exc:
@@ -457,7 +489,9 @@ def cmd_diagnose(args) -> int:
             else None,
             "calibration": curv.calibration,
             "interior_nodes": int(interior.sum()),
+            "edges": int(graph.edge_rows.size),
         }
+    payload["timing"] = timing
     _json_dump(payload, out / KAPPA_SUMMARY_NAME)
     print(json.dumps(payload, sort_keys=True))
     return 0
@@ -508,6 +542,7 @@ def cmd_compare(args) -> int:
         if not summary_path.exists():
             raise _validation(f"run '{run}' has no {KAPPA_SUMMARY_NAME} (run diagnose first)")
         obj = _read_json(summary_path, "kappa summary")
+        obj.pop("timing", None)  # wall time would make comparison.json differ per run
         tag = obj.get("regularizer", run_dir.name)
         runs[tag] = obj
 
@@ -611,6 +646,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.single_thread and any(v != "1" for v in _THREADS.values()):
+            raise _validation(
+                "--single-thread must be on the command line that starts Python: numpy "
+                f"was loaded with {_THREADS}"
+            )
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

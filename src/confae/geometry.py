@@ -4,6 +4,12 @@ Pipeline: pullback metric of the decoder -> pointwise stretch factor
 (trace / latent dim) -> kNN graph Laplacian over the codes -> discrete
 scalar curvature of the stretch field -> condition-number maps.
 
+The kNN search is exact and tiled: each code is searched among the codes
+near its tile of a grid, and only rows that check cannot prove exact are
+searched against all codes. It returns the neighbors a full distance row
+would, ties included, and the graph is an edge list, so memory is O(n k)
+plus distance blocks of at most ``_GRAPH_CHUNK`` entries.
+
 The raw graph Laplacian ``L = D - W`` only approximates the continuous
 Laplacian up to a node-dependent negative scale, so curvature comes in three
 flavors: ``raw`` (the bare array ``-(1/c) L log c``), ``normalized`` (raw
@@ -21,8 +27,10 @@ import numpy as np
 
 from . import linalg, net
 
-# Entries of the squared-distance block built per chunk of the kNN search.
+# Entries of the largest squared-distance block the kNN search builds.
 _GRAPH_CHUNK = 2**20
+# Codes per tile of the kNN search's grid, on average over the bounding box.
+_TILE = 64
 
 
 @dataclass
@@ -124,39 +132,100 @@ def conformal_field(codes: np.ndarray, jacobians: np.ndarray) -> ConformalField:
     return ConformalField(codes=codes, values=values, normalized=_minmax(values))
 
 
+def _sq_dists(queries: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """Squared distances, summed coordinate by coordinate.
+
+    That is the order numpy's ``sum(axis=-1)`` uses for fewer than 8
+    coordinates, so the values match a dense ``((a - b) ** 2).sum(-1)``.
+    """
+    d2 = (queries[:, 0, None] - codes[None, :, 0]) ** 2
+    for col in range(1, codes.shape[1]):
+        d2 += (queries[:, col, None] - codes[None, :, col]) ** 2
+    return d2
+
+
+def _smallest(d2: np.ndarray, cols: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k smallest entries of each row of ``d2``, ties broken by index.
+
+    ``cols`` holds the increasing code indices behind the columns, so column
+    order is index order and a stable sort of a row is its (distance, index)
+    order. Returns code indices and squared distances, each (rows, k).
+    """
+    rows = np.arange(d2.shape[0])
+    part = np.argpartition(d2, k, axis=1)
+    idx = part[:, :k]
+    near = np.take_along_axis(d2, idx, axis=1)
+    # When the (k+1)-th distance ties the k-th, the partition may have
+    # kept a higher index than the stable order would; redo those rows.
+    tied = near.max(axis=1) == d2[rows, part[:, k]]
+    for r in np.flatnonzero(tied):
+        # Only codes within the k-th distance can enter, in index order.
+        cand = np.flatnonzero(d2[r] <= near[r].max())
+        idx[r] = cand[np.argsort(d2[r, cand], kind="stable")[:k]]
+        near[r] = d2[r, idx[r]]
+    return cols[idx], near
+
+
 def _nearest(codes: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Indices and squared distances of the k nearest other codes of each code.
 
-    Ties are broken by index, as a stable sort of each distance row would.
-    Distances are summed coordinate by coordinate, the order numpy's
-    ``sum(axis=-1)`` uses for fewer than 8 coordinates.
+    Exact, with ties broken by index as a stable sort of each full distance
+    row would. The codes are bucketed on a grid over their first two
+    coordinates, about ``_TILE`` codes per tile. A tile's codes are searched
+    among the candidates in its bounding box grown by half a tile width. A
+    row is kept only if its k-th squared distance is below the squared
+    distance to the nearest face of the grown box that has codes beyond it:
+    rounding is monotone, so every code outside that face then computes to a
+    strictly larger distance, and none can be nearer or tie. The other rows
+    are searched against all codes. No distance block holds more than
+    ``_GRAPH_CHUNK`` entries.
     """
     n, m = codes.shape
     nbr_idx = np.empty((n, k), dtype=np.int64)
     nbr_d2 = np.empty((n, k))
+    grid = codes[:, : min(m, 2)]
+    lo, hi = grid.min(axis=0), grid.max(axis=0)
+    cells = max(1, round((n / _TILE) ** (1 / grid.shape[1])))
+    width = (hi - lo) / cells
+    cell = np.divide(grid - lo, width, out=np.zeros_like(grid), where=width > 0)
+    cell = np.minimum(cell.astype(np.int64), cells - 1)
+    key = np.ravel_multi_index(tuple(cell.T), (cells,) * grid.shape[1])
+    order = np.argsort(key, kind="stable")  # index order within each tile
+    bounds = np.r_[0, np.flatnonzero(np.diff(key[order])) + 1, n]
+
+    redo = []
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        members = order[a:b]
+        box_lo = grid[members].min(axis=0) - width / 2
+        box_hi = grid[members].max(axis=0) + width / 2
+        cand = np.flatnonzero(np.all((grid >= box_lo) & (grid <= box_hi), axis=1))
+        if cand.size <= k:
+            redo.append(members)
+            continue
+        step = max(1, _GRAPH_CHUNK // cand.size)
+        for s in range(0, members.size, step):
+            queries = members[s : s + step]
+            d2 = _sq_dists(codes[queries], codes[cand])
+            d2[np.arange(queries.size), np.searchsorted(cand, queries)] = np.inf
+            idx, near = _smallest(d2, cand, k)
+            nbr_idx[queries] = idx
+            nbr_d2[queries] = near
+            if cand.size < n:
+                q = grid[queries]
+                gap = np.minimum(
+                    np.where(box_lo > lo, q - box_lo, np.inf),
+                    np.where(box_hi < hi, box_hi - q, np.inf),
+                ).min(axis=1)
+                redo.append(queries[near.max(axis=1) >= gap**2])
+
+    redo = np.concatenate(redo) if redo else np.empty(0, dtype=np.int64)
+    everyone = np.arange(n)
     chunk = max(1, _GRAPH_CHUNK // n)
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
-        block = codes[start:stop]
-        d2 = (block[:, 0, None] - codes[None, :, 0]) ** 2
-        for col in range(1, m):
-            d2 += (block[:, col, None] - codes[None, :, col]) ** 2
-        rows = np.arange(stop - start)
-        d2[rows, np.arange(start, stop)] = np.inf  # no self loops
-        part = np.argpartition(d2, k, axis=1)
-        idx = part[:, :k]
-        near = np.take_along_axis(d2, idx, axis=1)
-        # When the (k+1)-th distance ties the k-th, the partition may have
-        # kept a higher index than the stable order would; redo those rows.
-        tied = near.max(axis=1) == d2[rows, part[:, k]]
-        for r in np.flatnonzero(tied):
-            # Only codes within the k-th distance can enter; they come in
-            # index order, so a stable sort of them is the (distance, index) order.
-            cand = np.flatnonzero(d2[r] <= near[r].max())
-            idx[r] = cand[np.argsort(d2[r, cand], kind="stable")[:k]]
-            near[r] = d2[r, idx[r]]
-        nbr_idx[start:stop] = idx
-        nbr_d2[start:stop] = near
+    for s in range(0, redo.size, chunk):
+        queries = redo[s : s + chunk]
+        d2 = _sq_dists(codes[queries], codes)
+        d2[np.arange(queries.size), queries] = np.inf  # no self loops
+        nbr_idx[queries], nbr_d2[queries] = _smallest(d2, everyone, k)
     return nbr_idx, nbr_d2
 
 
@@ -172,6 +241,8 @@ def build_graph(codes: np.ndarray, k: int = 10, bandwidth: float | None = None) 
         raise ValueError("k must be at least 1")
     if n < k + 1:
         raise ValueError(f"need at least {k + 1} codes for k={k}, got {n}")
+    if not np.all(np.isfinite(codes)):
+        raise ValueError("codes must be finite")
 
     nbr_idx, nbr_d2 = _nearest(codes, k)
     if bandwidth is None:

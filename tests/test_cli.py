@@ -93,6 +93,31 @@ class TestTrain:
         assert manifest["config"]["seed"] == 3
         assert len(manifest["data"]["sha256"]) == 64
 
+    def test_manifest_records_thread_settings(self, tmp_path, roll_csv, monkeypatch):
+        pinned = dict.fromkeys(cli.THREAD_VARS, "1")
+        monkeypatch.setattr(cli, "_THREADS", pinned)
+        code, out = tiny_train(tmp_path, roll_csv, "run", "--single-thread")
+        assert code == 0
+        manifest = json.loads((out / cli.MANIFEST_NAME).read_text())
+        assert manifest["single_thread"] is True
+        assert manifest["threads"] == pinned
+
+    @pytest.mark.parametrize("unpinned", [None, "4"])
+    def test_single_thread_refused_when_numpy_loaded_unpinned(
+        self, tmp_path, roll_csv, capsys, monkeypatch, unpinned
+    ):
+        threads = dict.fromkeys(cli.THREAD_VARS, "1")
+        threads["OPENBLAS_NUM_THREADS"] = unpinned
+        monkeypatch.setattr(cli, "_THREADS", threads)
+        code, out = tiny_train(tmp_path, roll_csv, "run", "--single-thread")
+        assert code == 1
+        assert "command line" in capsys.readouterr().err
+        assert not out.exists()
+        # without the flag the same settings are only recorded
+        code, out = tiny_train(tmp_path, roll_csv, "run")
+        assert code == 0
+        assert json.loads((out / cli.MANIFEST_NAME).read_text())["threads"] == threads
+
     def test_config_file_plus_overrides(self, tmp_path, roll_csv):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"epochs": 1, "dims": [3, 6, 2], "batch_size": 8}))
@@ -341,7 +366,11 @@ class TestDiagnose:
         assert abs(summary["median_interior_curvature"] - 2.0) < 0.4
         assert (out / cli.DIAGNOSTICS_NAME).exists()
 
-    @pytest.mark.parametrize("text", ["{", "[]"], ids=["truncated", "not-an-object"])
+    @pytest.mark.parametrize(
+        "text",
+        ["{", "[]", '{"data": "roll.csv"}', '{"data": {"path": "roll.csv"}}'],
+        ids=["truncated", "not-an-object", "data-not-an-object", "data-without-sha256"],
+    )
     def test_malformed_manifest_exits_2_naming_it(self, tmp_path, roll_csv, capsys, text):
         run = tmp_path / "run"
         run.mkdir()
@@ -353,6 +382,52 @@ class TestDiagnose:
         assert run_cli(*argv) == 2
         assert str(run / cli.MANIFEST_NAME) in capsys.readouterr().err
         assert not (out / cli.DIAGNOSTICS_NAME).exists()
+
+    def _diagnose(self, ckpt, csv, out):
+        return run_cli(
+            "diagnose", "--checkpoint", str(ckpt), "--data", str(csv), "--out", str(out)
+        )
+
+    def test_refuses_data_the_run_was_not_trained_on(self, tmp_path, capsys):
+        trained, other = tmp_path / "trained.csv", tmp_path / "other.csv"
+        assert run_cli("generate", "--n", "200", "--seed", "1", "--out", str(trained)) == 0
+        assert run_cli("generate", "--n", "300", "--seed", "2", "--out", str(other)) == 0
+        code, run = tiny_train(tmp_path, trained)
+        assert code == 0
+        capsys.readouterr()
+        out = tmp_path / "diag"
+        assert self._diagnose(run / cli.CHECKPOINT_NAME, other, out) == 1
+        err = capsys.readouterr().err
+        assert cli._sha256(trained) in err and cli._sha256(other) in err
+        assert not (out / cli.DIAGNOSTICS_NAME).exists()
+        assert not (out / cli.KAPPA_SUMMARY_NAME).exists()
+        # the dataset the run was trained on is still diagnosed
+        assert self._diagnose(run / cli.CHECKPOINT_NAME, trained, out) == 0
+        assert (out / cli.DIAGNOSTICS_NAME).exists()
+
+    def test_summary_holds_stage_timings_and_edges(self, tmp_path, roll_csv, capsys):
+        code, run = tiny_train(tmp_path, roll_csv)
+        assert code == 0
+        summaries = []
+        for name in ("a", "b"):
+            out = tmp_path / name
+            assert self._diagnose(run / cli.CHECKPOINT_NAME, roll_csv, out) == 0
+            summaries.append(json.loads((out / cli.KAPPA_SUMMARY_NAME).read_text()))
+        timings = [s.pop("timing") for s in summaries]
+        assert summaries[0] == summaries[1]
+        stages = {
+            "read", "encode", "jacobians", "conformal_kappa", "graph", "curvature", "write_csv"
+        }
+        for timing in timings:
+            assert set(timing) == stages
+            assert all(v >= 0.0 for v in timing.values())
+        # 120 samples, 20% validation; every code has at least k = 10 edges
+        assert summaries[0]["curvature"]["edges"] >= 24 * 10
+        cmp_out = tmp_path / "cmp"
+        runs = [str(tmp_path / "a"), str(tmp_path / "b")]
+        assert run_cli("compare", *runs, "--out", str(cmp_out)) == 0
+        result = json.loads((cmp_out / "comparison.json").read_text())
+        assert all("timing" not in run for run in result["runs"].values())
 
     def test_missing_inputs_is_validation_error(self, tmp_path):
         assert run_cli("diagnose", "--out", str(tmp_path / "x")) == 1

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -120,6 +121,17 @@ def integer_grid(side):
     return np.column_stack([xx.ravel(), yy.ravel()]).astype(float)
 
 
+def clusters_with_outliers(rng):
+    """Two tight clusters and far, lone outliers that stretch the bounding box."""
+    return np.vstack(
+        [
+            rng.normal(scale=0.05, size=(400, 2)),
+            rng.normal(scale=0.05, size=(400, 2)) + [3.0, 3.0],
+            [[40.0, 0.0], [0.0, -30.0], [25.0, 25.0], [-20.0, 10.0]],
+        ]
+    )
+
+
 class TestBuildGraph:
     def test_three_collinear_points(self):
         d = 0.7
@@ -187,8 +199,29 @@ class TestBuildGraph:
             (np.random.default_rng(10).normal(size=(60, 3)), 5),
             # the outlier's edge weights underflow to zero and are dropped
             (np.vstack([np.random.default_rng(13).normal(size=(30, 2)), [[1e3, 0.0]]]), 4),
+            (np.random.default_rng(14).normal(size=(2000, 2)), 10),
+            # lone outliers have too few codes near their tile and are searched
+            # against all codes
+            (clusters_with_outliers(np.random.default_rng(15)), 10),
+            (np.column_stack([np.random.default_rng(16).normal(size=500), np.full(500, 3.0)]), 8),
+            (np.random.default_rng(17).normal(size=(700, 1)), 6),
+            (np.random.default_rng(18).normal(size=(900, 4)), 7),
+            (np.vstack([np.zeros((300, 2)), np.random.default_rng(19).normal(size=(200, 2))]), 10),
         ],
-        ids=["disc-grid", "integer-grid", "duplicates", "n-equals-k-plus-1", "3d", "outlier"],
+        ids=[
+            "disc-grid",
+            "integer-grid",
+            "duplicates",
+            "n-equals-k-plus-1",
+            "3d",
+            "outlier",
+            "normal-2000",
+            "clusters-with-outliers",
+            "constant-axis",
+            "1d",
+            "4d",
+            "coincident-tile",
+        ],
     )
     def test_edge_list_matches_dense_oracle(self, codes, k):
         g = geometry.build_graph(codes, k=k)
@@ -197,6 +230,24 @@ class TestBuildGraph:
         assert np.array_equal(g.edge_rows, er)
         assert np.array_equal(g.edge_cols, ec)
         assert np.array_equal(g.edge_weights, ew)
+
+    def test_search_memory_is_bounded(self):
+        # 6000 coincident codes share one tile; an uncapped distance block
+        # for it alone would take about 290 MB
+        codes = np.vstack([np.zeros((6000, 2)), np.random.default_rng(20).normal(size=(100, 2))])
+        tracemalloc.start()
+        try:
+            geometry.build_graph(codes, k=10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20, peak
+
+    def test_non_finite_codes_rejected(self):
+        codes = np.random.default_rng(21).normal(size=(20, 2))
+        codes[7, 1] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            geometry.build_graph(codes, k=3)
 
     def test_memory_is_linear_in_edges(self):
         n, k = 5000, 10
