@@ -148,4 +148,9 @@ def from_csv(path: str | Path) -> Dataset:
     # loadtxt skips blank lines, so a short table also means a malformed row
     if arr.shape != (len(body), 5):
         _require_five_fields(path, body)
+    bad = np.argwhere(~np.isfinite(arr))
+    if bad.size:
+        row, col = bad[0]
+        value = float(arr[row, col])
+        raise ValueError(f"{path}:{row + 2}: non-finite value {value} in column {col + 1}")
     return Dataset(samples=arr[:, :3], true_params=arr[:, 3:])

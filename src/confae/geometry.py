@@ -20,7 +20,7 @@ evaluated on the same nodes comes out at its known value).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -38,23 +38,23 @@ class ConformalField:
     """Pointwise stretch factor of a decoder over a set of latent codes."""
 
     codes: np.ndarray  # (n, m)
-    values: np.ndarray  # (n,), strictly positive
-    normalized: np.ndarray  # min-max rescaled copy
+    values: np.ndarray  # (n,), finite and strictly positive
+    normalized: np.ndarray = field(init=False)  # min-max rescaled copy
 
     def __post_init__(self):
         self.codes = np.asarray(self.codes, dtype=np.float64)
         self.values = np.asarray(self.values, dtype=np.float64)
-        if np.any(self.values <= 0.0):
-            bad = int(np.argmin(self.values))
+        bad = np.flatnonzero(~(np.isfinite(self.values) & (self.values > 0.0)))
+        if bad.size:
             raise ValueError(
-                f"conformal factor must be strictly positive; value {self.values[bad]:.3e} "
-                f"at index {bad}"
+                "conformal factor must be finite and strictly positive; value "
+                f"{self.values[bad[0]]:.3e} at index {bad[0]}"
             )
+        self.normalized = _minmax(self.values)
 
     @classmethod
     def from_values(cls, codes: np.ndarray, values: np.ndarray) -> "ConformalField":
-        values = np.asarray(values, dtype=np.float64)
-        return cls(codes=codes, values=values, normalized=_minmax(values))
+        return cls(codes=codes, values=values)
 
 
 def _minmax(values: np.ndarray) -> np.ndarray:
@@ -127,9 +127,8 @@ def pullback_metrics(jacobians: np.ndarray) -> np.ndarray:
 
 def conformal_field(codes: np.ndarray, jacobians: np.ndarray) -> ConformalField:
     """Stretch factor at every code from the decoder's ``net.jacobians`` stack there."""
-    codes = np.asarray(codes, dtype=np.float64)
     values = np.einsum("pkk->p", pullback_metrics(jacobians)) / jacobians.shape[2]
-    return ConformalField(codes=codes, values=values, normalized=_minmax(values))
+    return ConformalField(codes=codes, values=values)
 
 
 def _sq_dists(queries: np.ndarray, codes: np.ndarray) -> np.ndarray:

@@ -1,9 +1,9 @@
-"""Dense small-matrix kernels: eigenvalues, singular values, condition numbers.
+"""Dense small-matrix kernels: singular values and condition numbers.
 
-Everything here operates on matrices of at most a dozen rows (latent metrics,
-decoder Jacobians of narrow networks). Singular values come straight from
-LAPACK's SVD, never from the eigenvalues of a Gram matrix, so conditioning is
-not squared on the way. All functions are pure.
+Everything here operates on matrices of at most a dozen rows (decoder
+Jacobians of narrow networks). Singular values come straight from LAPACK's
+SVD, never from the eigenvalues of a Gram matrix, so conditioning is not
+squared on the way. All functions are pure.
 """
 
 from __future__ import annotations
@@ -11,9 +11,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-# Relative asymmetry tolerated before a matrix is rejected as non-symmetric.
-_SYM_TOL = 1e-9
 
 
 def as_matrix(a: np.ndarray) -> np.ndarray:
@@ -24,26 +21,6 @@ def as_matrix(a: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
     return m
-
-
-def trace(a: np.ndarray) -> float:
-    """Sum of diagonal entries of a square matrix."""
-    m = as_matrix(a)
-    if m.shape[0] != m.shape[1]:
-        raise ValueError(f"trace needs a square matrix, got shape {m.shape}")
-    return float(np.sum(np.diag(m)))
-
-
-def sym_eigvals(a: np.ndarray) -> np.ndarray:
-    """All eigenvalues of a symmetric matrix, in descending order."""
-    m = as_matrix(a)
-    n, n2 = m.shape
-    if n != n2:
-        raise ValueError(f"eigenvalues need a square matrix, got shape {m.shape}")
-    norm = np.linalg.norm(m)
-    if np.linalg.norm(m - m.T) > _SYM_TOL * max(norm, 1e-30):
-        raise ValueError("matrix is not symmetric")
-    return np.linalg.eigvalsh(0.5 * (m + m.T))[::-1]
 
 
 def condition_numbers(stack: np.ndarray) -> np.ndarray:

@@ -19,10 +19,13 @@ The ratio-of-estimates in the per-point conformal loss is biased for finite
 probe counts (ratio of two unbiased estimates); the exact path has no such
 bias.
 
-Every loss is one function ``f(dec, codes, ...) -> (value, dec_grads,
-code_grads)``: the value, the parameter gradient of the decoder, and the
-gradient w.r.t. the latent codes (so the loss can be chained through an
-encoder). With ``want_grad=False`` both gradients are ``None``.
+Every loss is a function of the decoder's outputs, not of the decoder:
+reconstruction and global isometry read its primal outputs ``y``, the moment
+losses read the (B, m, out) tangent rows of one latent-basis JVP. Each
+returns its value plus the adjoints of those outputs (and of the codes, for
+global isometry); with ``want_grad=False`` the adjoints are ``None``. The
+caller records the decoder's tape once, sums the weighted adjoints and runs
+one reverse sweep (:func:`confae.training._batch_losses_and_grads`).
 """
 
 from __future__ import annotations
@@ -59,20 +62,8 @@ def rademacher_block(rng: np.random.Generator, batch: int, count: int, dim: int)
     return rng.integers(0, 2, size=(batch, count, dim)) * 2.0 - 1.0
 
 
-def _codes_2d(codes: np.ndarray, dim: int) -> np.ndarray:
-    arr = np.asarray(codes, dtype=np.float64)
-    if arr.ndim == 1:
-        arr = arr[None, :]
-    if arr.ndim != 2 or arr.shape[1] != dim:
-        raise ValueError(f"codes must be (batch, {dim}), got shape {np.shape(codes)}")
-    if arr.shape[0] == 0:
-        raise ValueError("code batch is empty")
-    return arr
-
-
-def _probe_block(codes: np.ndarray, probes: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+def _probe_block(b: int, m: int, probes: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
     """The (B, N, m) probe block plus moment weights; ``None`` is the exact basis."""
-    b, m = codes.shape
     if probes is None:
         return np.broadcast_to(np.eye(m), (b, m, m)), np.ones(m)
     block = np.asarray(probes, dtype=np.float64)
@@ -83,40 +74,37 @@ def _probe_block(codes: np.ndarray, probes: np.ndarray | None) -> tuple[np.ndarr
     return block, np.full(block.shape[1], 1.0 / block.shape[1])
 
 
-def trace_moments(dec: net.Mlp, codes: np.ndarray, probes: np.ndarray | None = None):
+def trace_moments(rows: np.ndarray, probes: np.ndarray | None = None):
     """Per-code moments ``(t1, t2)`` of the pullback metric, plus the tape.
 
-    One :func:`net.jvp` pushes the latent basis block (m tangent rows per
-    code, as in :func:`net.jacobians`) through the decoder; the rows are the
-    Jacobian's columns, and their Gram matrix is ``G = J^T J``. ``probes``
-    is ``None`` for the exact moments or a (B, N, m) Rademacher block for
-    the Monte-Carlo estimate. The probes enter only through the per-code
-    matrix ``P = sum_i w_i v_i v_i^T`` (``P = I`` for ``None``), so
-    ``t1 = tr(G P) = sum_i w_i v_i^T G v_i`` and
-    ``t2 = tr(G G P) = sum_i w_i v_i^T G^2 v_i``. The third element feeds
-    :func:`_moments_backward`.
+    ``rows`` is the (B, m, out) stack of the decoder's tangent rows along
+    the latent basis (one :func:`net.jvp` of the basis block, as in
+    :func:`net.jacobians`): the Jacobian's columns, whose Gram matrix is
+    ``G = J^T J``. ``probes`` is ``None`` for the exact moments or a
+    (B, N, m) Rademacher block for the Monte-Carlo estimate. The probes
+    enter only through the per-code matrix ``P = sum_i w_i v_i v_i^T``
+    (``P = I`` for ``None``), so ``t1 = tr(G P) = sum_i w_i v_i^T G v_i``
+    and ``t2 = tr(G G P) = sum_i w_i v_i^T G^2 v_i``. The third element
+    feeds :func:`_moments_backward`.
     """
-    z = _codes_2d(codes, dec.in_dim)
-    block, weights = _probe_block(z, probes)
-    b, m = z.shape
-    res = net.jvp(dec, z, np.broadcast_to(np.eye(m), (b, m, m)))
-    rows = res.jv.reshape(b, m, -1)
+    rows = np.asarray(rows, dtype=np.float64)
+    if rows.ndim != 3 or rows.shape[0] == 0:
+        raise ValueError(f"tangent rows must be a nonempty (batch, m, out) stack, got {rows.shape}")
+    block, weights = _probe_block(*rows.shape[:2], probes)
     g = net.gram(rows)
     p = np.einsum("bni,bnj,n->bij", block, block, weights)
     gp = g @ p
     t1 = np.einsum("bii->b", gp)
     t2 = np.einsum("bij,bji->b", g, gp)
-    return t1, t2, (res.trace, rows, p, gp)
+    return t1, t2, (rows, p, gp)
 
 
-def _moments_backward(dec: net.Mlp, tape, d_t1: np.ndarray, d_t2: np.ndarray):
-    trace, rows, p, gp = tape
+def _moments_backward(tape, d_t1: np.ndarray, d_t2: np.ndarray) -> np.ndarray:
+    rows, p, gp = tape
     # S = dL/dG = d_t1 P + d_t2 (G P + P G) is symmetric, so G = C C^T
     # gives the tangent-row adjoint dL/dC = 2 S C.
     s = d_t1[:, None, None] * p + d_t2[:, None, None] * (gp + gp.transpose(0, 2, 1))
-    tan_grad = (2.0 * s @ rows).reshape(-1, rows.shape[2])
-    grads, g_codes, _ = net.backward(dec, trace, tan_grad=tan_grad)
-    return grads, g_codes
+    return 2.0 * s @ rows
 
 
 def _samples_2d(batch: np.ndarray) -> np.ndarray:
@@ -135,28 +123,25 @@ def recon_loss(enc: net.Mlp, dec: net.Mlp, batch: np.ndarray) -> float:
     return float(((x - y) ** 2).sum() / x.shape[0])
 
 
-def recon_loss_and_grad(dec: net.Mlp, codes: np.ndarray, batch: np.ndarray, *, want_grad=True):
-    """Mean squared error of decoding ``codes`` against the samples ``batch``.
-
-    The code gradient is the encoder's output adjoint, so the encoder runs
-    once, in the caller.
-    """
+def recon_loss_and_grad(y: np.ndarray, batch: np.ndarray, *, want_grad=True):
+    """Mean squared error of the decoder outputs ``y`` against the samples ``batch``."""
     x = _samples_2d(batch)
-    y, tape = net.forward_tape(dec, codes)
     diff = y - x
     value = float((diff**2).sum() / x.shape[0])
     if not want_grad:
-        return value, None, None
-    dec_grads, g_codes, _ = net.backward(dec, tape, out_grad=2.0 * diff / x.shape[0])
-    return value, dec_grads, g_codes
+        return value, None
+    return value, 2.0 * diff / x.shape[0]
 
 
-def global_iso_loss_and_grad(dec: net.Mlp, codes: np.ndarray, *, want_grad=True):
-    """Mean absolute gap between latent and decoded pairwise distances."""
-    z = _codes_2d(codes, dec.in_dim)
+def global_iso_loss_and_grad(codes: np.ndarray, y: np.ndarray, *, want_grad=True):
+    """Mean absolute gap between latent and decoded pairwise distances.
+
+    ``y`` holds the decoder outputs of ``codes``; the adjoints are w.r.t.
+    ``y`` and ``codes`` in that order.
+    """
+    z = np.asarray(codes, dtype=np.float64)
     if z.shape[0] < 2:
         raise ValueError("pairwise distances need at least two codes")
-    y, tape = net.forward_tape(dec, z)
     iu, ju = np.triu_indices(z.shape[0], k=1)
     dz = np.linalg.norm(z[iu] - z[ju], axis=1)
     dx = np.linalg.norm(y[iu] - y[ju], axis=1)
@@ -177,56 +162,54 @@ def global_iso_loss_and_grad(dec: net.Mlp, codes: np.ndarray, *, want_grad=True)
     pair_gz = (sgn / safe_dz * (dz > 0.0))[:, None] * (z[iu] - z[ju])
     np.add.at(g_z, iu, pair_gz)
     np.add.at(g_z, ju, -pair_gz)
-
-    dec_grads, g_in, _ = net.backward(dec, tape, out_grad=g_y)
-    return value, dec_grads, g_z + g_in
+    return value, g_y, g_z
 
 
-def nonlinear_conformal_loss_and_grad(dec, codes, probes=None, *, want_grad=True):
+def nonlinear_conformal_loss_and_grad(rows, probes=None, *, want_grad=True):
     """Pointwise spectral-uniformity penalty: (m/2) E[t2 / t1^2] - 1/2.
 
     Vanishes exactly when the pullback metric is a (point-dependent)
     positive multiple of the identity at every code.
     """
-    t1, t2, tape = trace_moments(dec, codes, probes)
+    t1, t2, tape = trace_moments(rows, probes)
     bad = np.nonzero(t1 <= DEGENERATE_TRACE_FLOOR)[0]
     if bad.size:
         raise DegenerateJacobianError(int(bad[0]), float(t1[bad[0]]))
-    m, b = dec.in_dim, t1.shape[0]
+    b, m = np.shape(rows)[:2]
     value = float(np.mean(0.5 * m * t2 / t1**2) - 0.5)
     if not want_grad:
-        return value, None, None
+        return value, None
     d_t2 = 0.5 * m / (b * t1**2)
     d_t1 = -m * t2 / (b * t1**3)
-    return (value, *_moments_backward(dec, tape, d_t1, d_t2))
+    return value, _moments_backward(tape, d_t1, d_t2)
 
 
-def local_iso_loss_and_grad(dec, codes, probes=None, *, want_grad=True):
+def local_iso_loss_and_grad(rows, probes=None, *, want_grad=True):
     """Orthonormality penalty E[t2]/(2m) - E[t1]/m + 1/2 on the pullback metric."""
-    t1, t2, tape = trace_moments(dec, codes, probes)
-    m, b = dec.in_dim, t1.shape[0]
+    t1, t2, tape = trace_moments(rows, probes)
+    b, m = np.shape(rows)[:2]
     value = float(t2.mean() / (2 * m) - t1.mean() / m + 0.5)
     if not want_grad:
-        return value, None, None
+        return value, None
     d_t2 = np.full(b, 1.0 / (2 * m * b))
     d_t1 = np.full(b, -1.0 / (m * b))
-    return (value, *_moments_backward(dec, tape, d_t1, d_t2))
+    return value, _moments_backward(tape, d_t1, d_t2)
 
 
-def constant_conformal_loss_and_grad(dec, codes, probes=None, *, want_grad=True):
+def constant_conformal_loss_and_grad(rows, probes=None, *, want_grad=True):
     """Batch-level uniformity penalty (m/2) E[t2] / E[t1]^2 - 1/2.
 
     The expectations sit inside the ratio, so only a globally constant
     stretch factor brings this to zero (contrast the pointwise loss).
     """
-    t1, t2, tape = trace_moments(dec, codes, probes)
-    m, b = dec.in_dim, t1.shape[0]
+    t1, t2, tape = trace_moments(rows, probes)
+    b, m = np.shape(rows)[:2]
     mean_t1, mean_t2 = float(t1.mean()), float(t2.mean())
     if mean_t1 <= DEGENERATE_TRACE_FLOOR:
         raise DegenerateJacobianError(int(np.argmin(t1)), mean_t1)
     value = 0.5 * m * mean_t2 / mean_t1**2 - 0.5
     if not want_grad:
-        return value, None, None
+        return value, None
     d_t2 = np.full(b, 0.5 * m / (b * mean_t1**2))
     d_t1 = np.full(b, -m * mean_t2 / (b * mean_t1**3))
-    return (value, *_moments_backward(dec, tape, d_t1, d_t2))
+    return value, _moments_backward(tape, d_t1, d_t2)

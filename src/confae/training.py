@@ -5,8 +5,12 @@ split, epoch shuffles, probe draws) derives from the config seed through one
 seed sequence, and every reduction has a fixed order.
 
 The optimizer works on whole parameter vectors: a network's weights and
-biases are views of its ``params`` (see :mod:`confae.net`), so an AdamW step,
-the sum of the gradient terms and the saved moments are each one array.
+biases are views of its ``params`` (see :mod:`confae.net`), so an AdamW step
+and the saved moments are each one array operation.
+
+A training step records the decoder's tape once and sweeps it backward once:
+the losses are functions of the decoder's outputs (:mod:`confae.regularizers`),
+so the step sums their weighted adjoints, not their parameter gradients.
 """
 
 from __future__ import annotations
@@ -293,50 +297,74 @@ def split_dataset(config: RunConfig, ds: data_mod.Dataset):
     return data_mod.split(ds, config.val_fraction, _derived_seeds(config.seed)["split"])
 
 
-def _geo_value_and_grads(config, dec, codes, rng, want_grad):
-    """The enabled geometric loss on ``codes``; Monte-Carlo probes come from ``rng``."""
+# looked up on the module per call, so that wrappers installed there are seen
+_MOMENT_LOSSES = {
+    "lociso": "local_iso_loss_and_grad",
+    "conf": "nonlinear_conformal_loss_and_grad",
+    "constconf": "constant_conformal_loss_and_grad",
+}
+
+
+def _decoder_tape(config, dec, codes):
+    """``(y, rows, tape)``: for a moment regularizer the latent-basis JVP of
+    ``codes`` and its (B, m, out) tangent rows, else a primal tape and ``None``."""
+    if config.regularizer not in _MOMENT_LOSSES:
+        y, tape = net.forward_tape(dec, codes)
+        return y, None, tape
+    b, m = codes.shape
+    res = net.jvp(dec, codes, np.broadcast_to(np.eye(m), (b, m, m)))
+    return res.y, res.jv.reshape(b, m, -1), res.trace
+
+
+def _geo_value_and_grads(config, codes, y, rows, probes, want_grad):
+    """``(value, g_y, g_rows, g_codes)`` of the enabled geometric loss; an
+    adjoint it does not produce, or any without ``want_grad``, is ``None``."""
     if config.regularizer == "globiso":
-        return reg.global_iso_loss_and_grad(dec, codes, want_grad=want_grad)
-    # looked up per call, so that wrappers installed on the module are seen
-    loss = {
-        "lociso": reg.local_iso_loss_and_grad,
-        "conf": reg.nonlinear_conformal_loss_and_grad,
-        "constconf": reg.constant_conformal_loss_and_grad,
-    }[config.regularizer]
-    probes = None
-    if not config.exact_trace:
-        probes = reg.rademacher_block(rng, codes.shape[0], config.probes, config.latent_dim)
-    return loss(dec, codes, probes, want_grad=want_grad)
+        value, g_y, g_z = reg.global_iso_loss_and_grad(codes, y, want_grad=want_grad)
+        return value, g_y, None, g_z
+    loss = getattr(reg, _MOMENT_LOSSES[config.regularizer])
+    value, g_rows = loss(rows, probes, want_grad=want_grad)
+    return value, None, g_rows, None
 
 
 def _batch_losses_and_grads(config, lam, enc, dec, x, rng, epoch, batch_no):
     """``(recon, geo, enc_grads, dec_grads)`` of one step on recon + lam * geo.
 
-    The geometric term is evaluated on the batch's codes; ``detach_codes``
-    keeps its gradient out of the encoder. With ``lam`` zero the enabled
-    term is only evaluated (monitored mode). ``epoch`` and ``batch_no``
-    locate a :class:`TrainingDivergedError` or a
+    The decoder is evaluated once (:func:`_decoder_tape`); both losses read
+    its outputs, and their ``lam``-weighted adjoints seed one decoder sweep,
+    whose code gradient seeds the encoder's. ``detach_codes`` keeps the
+    geometric term out of the encoder, at the cost of a second, primal-only
+    decoder sweep for the reconstruction's code gradient. With ``lam`` zero
+    the enabled term is only evaluated (monitored mode). ``epoch`` and
+    ``batch_no`` locate a :class:`TrainingDivergedError` or a
     :class:`~confae.regularizers.DegenerateJacobianError`.
     """
     codes, enc_tape = net.forward_tape(enc, x)
-    rec, dec_grads, g_codes = reg.recon_loss_and_grad(dec, codes, x)
+    y, rows, dec_tape = _decoder_tape(config, dec, codes)
+    rec, g_rec = reg.recon_loss_and_grad(y, x)
     if not np.isfinite(rec):
         raise TrainingDivergedError(epoch, batch_no, "recon", rec)
-    geo_val = 0.0
+    geo_val, g_y, g_rows, g_z = 0.0, None, None, None
     # a trailing singleton batch has no pairs to compare
     if config.regularizer != "none" and (config.regularizer != "globiso" or x.shape[0] >= 2):
+        probes = None
+        if rows is not None and not config.exact_trace:
+            probes = reg.rademacher_block(rng, codes.shape[0], config.probes, config.latent_dim)
         try:
-            geo_val, dec_geo, codes_geo = _geo_value_and_grads(
-                config, dec, codes, rng, want_grad=lam > 0.0
+            geo_val, g_y, g_rows, g_z = _geo_value_and_grads(
+                config, codes, y, rows, probes, want_grad=lam > 0.0
             )
         except reg.DegenerateJacobianError as exc:
             raise reg.DegenerateJacobianError(exc.index, exc.value, epoch, batch_no) from None
         if not np.isfinite(geo_val):
             raise TrainingDivergedError(epoch, batch_no, config.regularizer, geo_val)
-        if lam > 0.0:
-            dec_grads.flat += lam * dec_geo.flat
-            if not config.detach_codes:
-                g_codes = g_codes + lam * codes_geo
+    out_grad = g_rec if g_y is None else g_rec + lam * g_y
+    tan_grad = None if g_rows is None else lam * g_rows.reshape(-1, y.shape[1])
+    dec_grads, g_codes, _ = net.backward(dec, dec_tape, out_grad=out_grad, tan_grad=tan_grad)
+    if config.detach_codes and (g_y is not None or g_rows is not None):
+        _, g_codes, _ = net.backward(dec, dec_tape, out_grad=g_rec)
+    elif g_z is not None:
+        g_codes = g_codes + lam * g_z
     enc_grads, _, _ = net.backward(enc, enc_tape, out_grad=g_codes)
     return rec, geo_val, enc_grads, dec_grads
 
@@ -477,8 +505,8 @@ def calibrate_intensity(config: RunConfig, ds: data_mod.Dataset):
     enc, dec = init_networks(config)
     recon0 = reg.recon_loss(enc, dec, sample)
     codes = net.forward(enc, sample)
-    exact = replace(config, exact_trace=True)
-    geo0, _, _ = _geo_value_and_grads(exact, dec, codes, None, want_grad=False)
+    y, rows, _ = _decoder_tape(config, dec, codes)
+    geo0 = _geo_value_and_grads(config, codes, y, rows, None, want_grad=False)[0]
     if geo0 <= 1e-12:
         raise ConfigError(
             ["lambda_geo: geometric term vanishes on the initial model; calibration is moot"]

@@ -59,3 +59,29 @@ def test_optimizer_steps_reach_the_traced_attribute():
     train_ds, _ = training.split_dataset(cfg, ds)
     batches = -(-len(train_ds) // cfg.batch_size)
     assert [s.name for s in tracer.spans] == ["training.adamw_step"] * (2 * batches)
+
+
+
+STEP_LAYERS = (
+    "net.forward_tape",
+    "net.jvp",
+    "net.backward",
+    "regularizers.nonlinear_conformal_loss_and_grad",
+)
+
+
+@pytest.mark.parametrize("tag,want", [("conf", (1, 1, 2, 1)), ("globiso", (2, 0, 2, 0))])
+def test_step_layer_calls_as_the_tracer_sees_them(tag, want):
+    # one training step with attached codes records the encoder's tape and
+    # one decoder tape (a basis JVP for a moment loss), then sweeps each once
+    tracer = _spans().Tracer()
+    cfg = training.RunConfig(regularizer=tag, lambda_geo=0.5, dims=[3, 6, 2], seed=1)
+    enc, dec = training.init_networks(cfg)
+    x = data.standardize(data.swiss_roll(16, seed=0)).samples
+    tracer.install(STEP_LAYERS)
+    try:
+        training._batch_losses_and_grads(cfg, 0.5, enc, dec, x, np.random.default_rng(0), 1, 0)
+    finally:
+        tracer.uninstall(STEP_LAYERS)
+    names = [s.name for s in tracer.spans]
+    assert tuple(names.count(name) for name in STEP_LAYERS) == want

@@ -171,6 +171,15 @@ class TestTrain:
         err = capsys.readouterr().err
         assert "code index 0 (epoch 1, batch 0)" in err
 
+    def test_non_finite_cell_exits_2_naming_the_line(self, tmp_path, roll_csv, capsys):
+        lines = roll_csv.read_text().splitlines()
+        lines[5] = "nan," + lines[5].split(",", 1)[1]
+        roll_csv.write_text("\n".join(lines) + "\n")
+        code, out = tiny_train(tmp_path, roll_csv)
+        assert code == 2
+        assert f"{roll_csv}:6: non-finite value nan in column 1" in capsys.readouterr().err
+        assert not (out / "checkpoint.json").exists()
+
     def test_inert_regularizer_warns(self, tmp_path, roll_csv, capsys):
         code, _ = tiny_train(
             tmp_path, roll_csv, "run_inert", "--regularizer", "conf", "--lambda-geo", "0"

@@ -199,6 +199,13 @@ class TestCsv:
         assert np.array_equal(back.samples, ds.samples)
         assert np.array_equal(back.true_params, ds.true_params)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_reports_its_line(self, tmp_path, cell):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"{data.CSV_HEADER}\n1,2,3,4,5\n6,7,{cell},9,10\n")
+        with pytest.raises(ValueError, match=f"bad.csv:3: non-finite value {cell} in column 3"):
+            data.from_csv(path)
+
     @pytest.mark.parametrize("body", ["", "1,2,3,4,x\n"], ids=["no-rows", "non-numeric"])
     def test_unparsable_body_is_a_value_error(self, tmp_path, body):
         path = tmp_path / "bad.csv"

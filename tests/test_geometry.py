@@ -75,6 +75,12 @@ class TestConformalFactor:
         with pytest.raises(ValueError, match="strictly positive"):
             geometry.ConformalField.from_values(codes, np.array([1.0, 0.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_field_rejects_non_finite_values(self, bad):
+        codes = np.zeros((3, 2))
+        with pytest.raises(ValueError, match="finite and strictly positive.* at index 1"):
+            geometry.ConformalField.from_values(codes, np.array([1.0, bad, 2.0]))
+
     def test_field_normalization_attains_bounds(self):
         codes = np.zeros((3, 2))
         field = geometry.ConformalField.from_values(codes, np.array([2.0, 5.0, 3.0]))

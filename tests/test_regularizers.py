@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from confae import linalg, net
+from confae import net
 from confae import regularizers as reg
 from confae.data import swiss_roll_jacobian
 
@@ -28,11 +28,56 @@ def swiss_roll_tangent_dec(xi=1.0):
     return linear_dec(swiss_roll_jacobian(np.array([xi, 0.0])))
 
 
+MOMENT_LOSSES = (
+    reg.nonlinear_conformal_loss_and_grad,
+    reg.local_iso_loss_and_grad,
+    reg.constant_conformal_loss_and_grad,
+)
+
+
+def basis_rows(dec, codes):
+    """The latent-basis JVP of ``codes`` and its (B, m, out) tangent rows."""
+    z = np.atleast_2d(np.asarray(codes, dtype=np.float64))
+    b, m = z.shape
+    res = net.jvp(dec, z, np.broadcast_to(np.eye(m), (b, m, m)))
+    return res, res.jv.reshape(b, m, -1)
+
+
+def loss_and_grads(loss, dec, codes, *rest, want_grad=True):
+    """``(value, dec_grads, code_grads)`` of a loss on its own decoder tape.
+
+    Records the tape the loss reads, as the training step does (the basis
+    JVP for a moment loss, a primal tape otherwise), calls the loss on the
+    decoder's outputs and sweeps its adjoints back through the decoder.
+    With ``want_grad=False`` both gradients are ``None``.
+    """
+    z = np.atleast_2d(np.asarray(codes, dtype=np.float64))
+    g_y = g_rows = None
+    g_z = 0.0
+    if loss in MOMENT_LOSSES:
+        res, rows = basis_rows(dec, z)
+        tape = res.trace
+        value, g_rows = loss(rows, *rest, want_grad=want_grad)
+        adjoints = (g_rows,)
+    elif loss is reg.recon_loss_and_grad:
+        y, tape = net.forward_tape(dec, z)
+        value, g_y = loss(y, *rest, want_grad=want_grad)
+        adjoints = (g_y,)
+    else:
+        y, tape = net.forward_tape(dec, z)
+        value, g_y, g_z = loss(z, y, *rest, want_grad=want_grad)
+        adjoints = (g_y, g_z)
+    if not want_grad:
+        assert all(a is None for a in adjoints)
+        return value, None, None
+    tan_grad = None if g_rows is None else g_rows.reshape(-1, dec.out_dim)
+    dec_grads, g_in, _ = net.backward(dec, tape, out_grad=g_y, tan_grad=tan_grad)
+    return value, dec_grads, g_in + g_z
+
+
 def value_of(loss, *args):
-    """Value-only evaluation (``want_grad=False``) of a loss."""
-    value, dec_grads, code_grads = loss(*args, want_grad=False)
-    assert dec_grads is None and code_grads is None
-    return value
+    """Value-only evaluation (``want_grad=False``) of a loss on its decoder tape."""
+    return loss_and_grads(loss, *args, want_grad=False)[0]
 
 
 def probe_draw(count, dim, seed):
@@ -42,7 +87,7 @@ def probe_draw(count, dim, seed):
 
 def hutch_moments(dec, z, count, seed):
     """Monte-Carlo (Tr M, Tr M^2) at one code from ``count`` seeded probes."""
-    t1, t2, _ = reg.trace_moments(dec, z, probe_draw(count, dec.in_dim, seed))
+    t1, t2, _ = reg.trace_moments(basis_rows(dec, z)[1], probe_draw(count, dec.in_dim, seed))
     return float(t1[0]), float(t2[0])
 
 
@@ -53,7 +98,7 @@ def exact_trace_moments(dec, z):
     """
     j = net.jacobian(dec, np.asarray(z, dtype=np.float64))
     metric = j.T @ j
-    return linalg.trace(metric), linalg.trace(metric @ metric)
+    return np.trace(metric), np.trace(metric @ metric)
 
 
 class TestProbeSet:
@@ -67,12 +112,14 @@ class TestProbeSet:
     def test_empty_rejected(self):
         dec = linear_dec(np.eye(2))
         with pytest.raises(ValueError, match="empty"):
-            reg.nonlinear_conformal_loss_and_grad(dec, np.zeros((1, 2)), np.zeros((1, 0, 2)))
+            value_of(
+                reg.nonlinear_conformal_loss_and_grad, dec, np.zeros((1, 2)), np.zeros((1, 0, 2))
+            )
 
     def test_block_shape_must_match_codes(self):
         dec = linear_dec(np.eye(2))
         with pytest.raises(ValueError, match="probe block"):
-            reg.local_iso_loss_and_grad(dec, np.zeros((2, 2)), np.ones((3, 4, 2)))
+            value_of(reg.local_iso_loss_and_grad, dec, np.zeros((2, 2)), np.ones((3, 4, 2)))
 
 
 class TestReconLoss:
@@ -348,7 +395,7 @@ class TestProperties:
             jv = probes @ j.T
             t1[i] = np.mean(np.sum(jv**2, axis=1))
             t2[i] = np.mean(np.sum((jv @ j) ** 2, axis=1))
-        got1, got2, _ = reg.trace_moments(dec, codes, block)
+        got1, got2, _ = reg.trace_moments(basis_rows(dec, codes)[1], block)
         np.testing.assert_allclose(got1, t1, rtol=1e-12)
         np.testing.assert_allclose(got2, t2, rtol=1e-12)
         m = dec.in_dim
@@ -383,7 +430,7 @@ class TestGradientFidelity:
         dec = net.init([2, 5, 3], ["tanh", "identity"], 22)
         codes = np.random.default_rng(23).normal(size=(3, 2))
         frozen = reg.rademacher_block(np.random.default_rng(24), 3, 4, 2)
-        value, grads, _ = loss(dec, codes, frozen)
+        value, grads, _ = loss_and_grads(loss, dec, codes, frozen)
         assert value == pytest.approx(value_of(loss, dec, codes, frozen), abs=1e-14)
         fd_w, fd_b = fd_param_grad(lambda n: value_of(loss, n, codes, frozen), dec)
         for gw, fw in zip(grads.weights, fd_w):
@@ -395,7 +442,7 @@ class TestGradientFidelity:
         dec = net.init([2, 5, 3], ["tanh", "identity"], 25)
         codes = np.random.default_rng(26).normal(size=(2, 2))
         frozen = reg.rademacher_block(np.random.default_rng(27), 2, 4, 2)
-        _, _, g_codes = reg.nonlinear_conformal_loss_and_grad(dec, codes, frozen)
+        _, _, g_codes = loss_and_grads(reg.nonlinear_conformal_loss_and_grad, dec, codes, frozen)
         fd = fd_code_grad(
             lambda c: value_of(reg.nonlinear_conformal_loss_and_grad, dec, c, frozen), codes
         )
@@ -404,7 +451,7 @@ class TestGradientFidelity:
     def test_global_iso_gradients_match_fd(self):
         dec = net.init([2, 5, 3], ["tanh", "identity"], 28)
         codes = np.random.default_rng(29).normal(size=(4, 2))
-        value, grads, g_codes = reg.global_iso_loss_and_grad(dec, codes)
+        value, grads, g_codes = loss_and_grads(reg.global_iso_loss_and_grad, dec, codes)
         assert value == pytest.approx(value_of(reg.global_iso_loss_and_grad, dec, codes), abs=1e-14)
         fd_w, fd_b = fd_param_grad(lambda n: value_of(reg.global_iso_loss_and_grad, n, codes), dec)
         for gw, fw in zip(grads.weights, fd_w):
@@ -417,7 +464,7 @@ class TestGradientFidelity:
         dec = net.init([2, 4, 3], ["tanh", "identity"], 31)
         batch = np.random.default_rng(32).normal(size=(3, 3))
         codes, enc_tape = net.forward_tape(enc, batch)
-        value, dec_grads, g_codes = reg.recon_loss_and_grad(dec, codes, batch)
+        value, dec_grads, g_codes = loss_and_grads(reg.recon_loss_and_grad, dec, codes, batch)
         enc_grads, _, _ = net.backward(enc, enc_tape, out_grad=g_codes)
         assert value == pytest.approx(reg.recon_loss(enc, dec, batch), abs=1e-14)
         assert value_of(reg.recon_loss_and_grad, dec, codes, batch) == value
@@ -427,3 +474,28 @@ class TestGradientFidelity:
         fd_w, _ = fd_param_grad(lambda n: reg.recon_loss(enc, n, batch), dec)
         for gw, fw in zip(dec_grads.weights, fd_w):
             assert rel_err(gw, fw) < 1e-3
+
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "mc"])
+    @pytest.mark.parametrize("loss", MOMENT_LOSSES)
+    def test_moment_loss_row_adjoint_matches_fd(self, loss, exact):
+        dec = net.init([2, 5, 3], ["tanh", "identity"], 33)
+        codes = np.random.default_rng(34).normal(size=(3, 2))
+        probes = None if exact else reg.rademacher_block(np.random.default_rng(35), 3, 4, 2)
+        rows = basis_rows(dec, codes)[1]
+        _, g_rows = loss(rows, probes)
+        fd = fd_code_grad(
+            lambda r: loss(r.reshape(rows.shape), probes, want_grad=False)[0], rows.reshape(3, -1)
+        )
+        assert rel_err(g_rows.reshape(3, -1), fd) < 1e-5
+
+    def test_recon_and_global_iso_output_adjoints_match_fd(self):
+        rng = np.random.default_rng(36)
+        z, y, x = rng.normal(size=(4, 2)), rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
+        _, g_y = reg.recon_loss_and_grad(y, x)
+        fd = fd_code_grad(lambda v: reg.recon_loss_and_grad(v, x, want_grad=False)[0], y)
+        assert rel_err(g_y, fd) < 1e-5
+        _, g_y, g_z = reg.global_iso_loss_and_grad(z, y)
+        fd = fd_code_grad(lambda v: reg.global_iso_loss_and_grad(z, v, want_grad=False)[0], y)
+        assert rel_err(g_y, fd) < 1e-5
+        fd = fd_code_grad(lambda v: reg.global_iso_loss_and_grad(v, y, want_grad=False)[0], z)
+        assert rel_err(g_z, fd) < 1e-5
