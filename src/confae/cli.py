@@ -30,6 +30,7 @@ _THREADS = {var: os.environ.get(var) for var in THREAD_VARS}
 
 import argparse
 import hashlib
+import itertools
 import json
 import time
 from pathlib import Path
@@ -40,9 +41,7 @@ from . import __version__, data, figures, geometry, net, training
 from .regularizers import DegenerateJacobianError
 
 CHECKPOINT_NAME = "checkpoint.json"
-CHECKPOINT_FORMAT_VERSION = 1
-STATE_NAME = "state.json"
-STATE_FORMAT_VERSION = 2
+CHECKPOINT_FORMAT_VERSION = 2
 METRICS_NAME = "metrics.jsonl"
 MANIFEST_NAME = "manifest.json"
 DIAGNOSTICS_NAME = "diagnostics.csv"
@@ -82,18 +81,22 @@ def _default_seed() -> int:
     return 42
 
 
-def _json_dump(obj, path: Path) -> None:
-    """Write ``obj`` atomically: a temp file in the target directory, then ``os.replace``.
+def _write_atomic(path: Path, text: str) -> None:
+    """Write ``text`` atomically: a temp file in the target directory, then ``os.replace``.
 
     A failed write leaves an existing file at ``path`` as it was.
     """
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_text(json.dumps(obj, sort_keys=True, indent=1) + "\n")
+        tmp.write_text(text)
         os.replace(tmp, path)
     except OSError as exc:
         tmp.unlink(missing_ok=True)
         raise _runtime(f"cannot write {path}: {exc}")
+
+
+def _json_dump(obj, path: Path) -> None:
+    _write_atomic(path, json.dumps(obj, sort_keys=True, indent=1) + "\n")
 
 
 def _sha256(path: Path) -> str:
@@ -183,12 +186,17 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _write_checkpoint(path: Path, epoch: int, enc: net.Mlp, dec: net.Mlp) -> None:
+def _write_checkpoint(path: Path, state: training.TrainState) -> None:
+    """The run's snapshot: everything ``state`` holds, float vectors base64-encoded."""
     payload = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
-        "epoch": epoch,
-        "encoder": net.to_dict(enc),
-        "decoder": net.to_dict(dec),
+        "epoch": state.epoch,
+        "encoder": net.to_dict(state.enc),
+        "decoder": net.to_dict(state.dec),
+        "enc_opt": state.enc_opt.to_dict(),
+        "dec_opt": state.dec_opt.to_dict(),
+        "rng_state": state.rng_state,
+        "plateau": state.plateau.to_dict(),
     }
     _json_dump(payload, path)
 
@@ -203,45 +211,25 @@ def _read_json(path: Path, kind: str) -> dict:
     return obj
 
 
-def _load_checkpoint(path: Path) -> tuple[int, net.Mlp, net.Mlp]:
+def _load_checkpoint(path: Path) -> training.TrainState:
+    """The snapshot at ``path``, for ``diagnose`` and ``--resume`` alike."""
     if not path.exists():
         raise _validation(f"checkpoint not found: {path}")
     obj = _read_json(path, "checkpoint")
-    if obj.get("format_version") != CHECKPOINT_FORMAT_VERSION:
-        raise _validation(f"unsupported checkpoint format_version in {path}")
-    try:
-        return int(obj["epoch"]), net.from_dict(obj["encoder"]), net.from_dict(obj["decoder"])
-    except (KeyError, ValueError) as exc:
-        raise _runtime(f"malformed checkpoint {path}: {exc}")
-
-
-def _write_state(path: Path, state: training.TrainState) -> None:
-    payload = {
-        "format_version": STATE_FORMAT_VERSION,
-        "epoch": state.epoch,
-        "enc_opt": state.enc_opt.to_dict(),
-        "dec_opt": state.dec_opt.to_dict(),
-        "rng_state": state.rng_state,
-        "plateau": state.plateau.to_dict(),
-    }
-    _json_dump(payload, path)
-
-
-def _load_resume(run_dir: Path) -> training.TrainState:
-    state_path = run_dir / STATE_NAME
-    if not state_path.exists():
-        raise _validation(f"cannot resume: {state_path} missing")
-    epoch, enc, dec = _load_checkpoint(run_dir / CHECKPOINT_NAME)
-    obj = _read_json(state_path, "training state")
-    if obj.get("format_version") != STATE_FORMAT_VERSION:
+    version = obj.get("format_version")
+    if version != CHECKPOINT_FORMAT_VERSION:
         raise _validation(
-            f"cannot resume: {state_path} has format_version {obj.get('format_version')!r}, "
-            f"expected {STATE_FORMAT_VERSION}"
+            f"checkpoint {path} has format_version {version!r}, "
+            f"expected {CHECKPOINT_FORMAT_VERSION}"
         )
     try:
+        epoch = int(obj["epoch"])
+        if epoch < 0:
+            raise ValueError(f"negative epoch {epoch}")
+        enc, dec = net.from_dict(obj["encoder"]), net.from_dict(obj["decoder"])
         np.random.default_rng().bit_generator.state = obj["rng_state"]  # rejects a bad state
-        state = training.TrainState(
-            epoch=obj["epoch"],
+        return training.TrainState(
+            epoch=epoch,
             enc=enc,
             dec=dec,
             enc_opt=training.AdamWState.from_dict(obj["enc_opt"], enc),
@@ -250,12 +238,24 @@ def _load_resume(run_dir: Path) -> training.TrainState:
             plateau=training.PlateauState.from_dict(obj["plateau"]),
         )
     except KeyError as exc:
-        raise _runtime(f"malformed training state {state_path}: missing key {exc}")
+        raise _runtime(f"malformed checkpoint {path}: missing key {exc}")
     except (TypeError, ValueError) as exc:
-        raise _runtime(f"malformed training state {state_path}: {exc}")
-    if state.epoch != epoch:
-        raise _validation("checkpoint and state disagree on the epoch")
-    return state
+        raise _runtime(f"malformed checkpoint {path}: {exc}")
+
+
+def _resumed_metrics(path: Path, epoch: int) -> str:
+    """The records of epochs 1..epoch, the first lines of ``path``; later lines are not read."""
+    try:
+        with open(path) as f:
+            lines = [line.rstrip("\n") for line in itertools.islice(f, epoch)]
+        epochs = [json.loads(line)["epoch"] for line in lines]
+    except OSError as exc:
+        raise _runtime(f"cannot read {path}: {exc}")
+    except (KeyError, TypeError, ValueError):  # a line that is not a record
+        epochs = None
+    if epochs != list(range(1, epoch + 1)):
+        raise _runtime(f"cannot resume: {path} does not start with the records of epochs 1-{epoch}")
+    return "".join(line + "\n" for line in lines)
 
 
 def _check_same_run(run_dir: Path, config: dict, data_sha256: str) -> None:
@@ -308,10 +308,14 @@ def cmd_train(args) -> int:
 
     config = cfg.to_dict()
     data_sha256 = _sha256(Path(args.data))
-    resume = None
+    resume, metrics = None, ""
     if args.resume:
-        _check_same_run(Path(args.resume), config, data_sha256)
-        resume = _load_resume(Path(args.resume))
+        run_dir = Path(args.resume)
+        _check_same_run(run_dir, config, data_sha256)
+        resume = _load_checkpoint(run_dir / CHECKPOINT_NAME)
+        if resume.epoch > cfg.epochs:
+            raise _validation(f"cannot resume: {run_dir} is past epoch {cfg.epochs} already")
+        metrics = _resumed_metrics(run_dir / METRICS_NAME, resume.epoch)
 
     manifest = {
         "format_version": 1,
@@ -327,9 +331,9 @@ def cmd_train(args) -> int:
     _json_dump(manifest, out / MANIFEST_NAME)
 
     metrics_path = out / METRICS_NAME
-    mode = "a" if resume is not None else "w"
+    _write_atomic(metrics_path, metrics)
     try:
-        metrics_file = open(metrics_path, mode)
+        metrics_file = open(metrics_path, "a")
     except OSError as exc:
         raise _runtime(f"cannot write {metrics_path}: {exc}")
 
@@ -337,9 +341,7 @@ def cmd_train(args) -> int:
         metrics_file.write(record.to_json() + "\n")
         metrics_file.flush()
         if cfg.checkpoint_every > 0 and state.epoch % cfg.checkpoint_every == 0:
-            _write_checkpoint(
-                out / f"checkpoint_epoch{state.epoch:04d}.json", state.epoch, state.enc, state.dec
-            )
+            _write_checkpoint(out / CHECKPOINT_NAME, state)
 
     try:
         result = training.train(cfg, ds, resume=resume, on_epoch=on_epoch)
@@ -348,8 +350,7 @@ def cmd_train(args) -> int:
     finally:
         metrics_file.close()
 
-    _write_checkpoint(out / CHECKPOINT_NAME, result.state.epoch, result.enc, result.dec)
-    _write_state(out / STATE_NAME, result.state)
+    _write_checkpoint(out / CHECKPOINT_NAME, result.state)
     last = result.records[-1] if result.records else None
     if last is not None:
         print(
@@ -426,7 +427,8 @@ def cmd_diagnose(args) -> int:
         timing[stage] = now - clock
         clock = now
 
-    _, enc, dec = _load_checkpoint(Path(args.checkpoint))
+    snapshot = _load_checkpoint(Path(args.checkpoint))
+    enc, dec = snapshot.enc, snapshot.dec
     manifest_path = Path(args.checkpoint).parent / MANIFEST_NAME
     manifest = _read_json(manifest_path, "manifest") if manifest_path.exists() else {}
     cfg_obj = manifest.get("config", {})

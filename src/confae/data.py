@@ -44,24 +44,6 @@ class Dataset:
         return len(self.samples)
 
 
-def swiss_roll_point(z: np.ndarray) -> np.ndarray:
-    """The roll parametrization at latent (xi, eta)."""
-    xi, eta = np.asarray(z, dtype=np.float64)
-    return np.array([xi * np.cos(xi), eta, xi * np.sin(xi)])
-
-
-def swiss_roll_jacobian(z: np.ndarray) -> np.ndarray:
-    """Analytic 3x2 tangent map of the roll parametrization."""
-    xi, _ = np.asarray(z, dtype=np.float64)
-    return np.array(
-        [
-            [np.cos(xi) - xi * np.sin(xi), 0.0],
-            [0.0, 1.0],
-            [np.sin(xi) + xi * np.cos(xi), 0.0],
-        ]
-    )
-
-
 def swiss_roll(n: int, seed: int) -> Dataset:
     """Sample n points uniformly over the latent rectangle, noise-free."""
     if n < 1:

@@ -15,7 +15,9 @@ machinery.
 
 A network's parameters are one float64 vector, ``Mlp.params`` (per layer the
 row-major weight, then the bias); every ``Layer`` array is a view into it,
-and a :class:`ParamGradient` holds the same layout in ``flat``.
+and a :class:`ParamGradient` holds the same layout in ``flat``. Saved, such a
+vector is the base64 text of its little-endian float64 bytes
+(:func:`encode_vector`, :func:`decode_vector`).
 
 States are batched row-wise: a (B, d) array holds B independent inputs.
 Public entry points also accept single vectors. A JVP may carry N tangents
@@ -29,6 +31,7 @@ piecewise-linear activation and no primal-output adjoint).
 
 from __future__ import annotations
 
+import base64
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -349,9 +352,6 @@ def backward(
 
     b, n = trace.batch, trace.fanout
     dacts = trace.dact
-    ddacts = [
-        _ddact(l.activation, a, l.slope) for l, a in zip(net.layers, trace.pre)
-    ]
 
     g_s = None
     if tan_grad is not None:
@@ -372,11 +372,12 @@ def backward(
         if g_s is not None:
             # s_k = dact(a_k) * t_k ; t_k = s_{k-1} @ W_k^T
             g_t = _per_row(dacts[k], g_s, n)
-            if ddacts[k] is not None:
+            ddact = _ddact(layer.activation, trace.pre[k], layer.slope)
+            if ddact is not None:
                 # second-derivative term of every tangent row, summed per input
                 d = dacts[k].shape[1]
                 g_a = (
-                    ddacts[k][:, None, :]
+                    ddact[:, None, :]
                     * trace.tan_pre[k].reshape(b, n, d)
                     * g_s.reshape(b, n, d)
                 ).sum(axis=1)
@@ -397,26 +398,40 @@ def backward(
     return grads, g_x, g_s
 
 
+def encode_vector(v: np.ndarray) -> str:
+    """Base64 text of the vector's little-endian float64 (``"<f8"``) bytes."""
+    return base64.b64encode(np.asarray(v, dtype="<f8").tobytes()).decode("ascii")
+
+
+def decode_vector(text: str, size: int) -> np.ndarray:
+    """Inverse of :func:`encode_vector`; ``ValueError`` unless it holds ``size`` finite values."""
+    raw = base64.b64decode(text, validate=True)  # TypeError unless text is a string
+    if len(raw) != 8 * size:
+        raise ValueError(f"vector holds {len(raw) / 8:g} values, expected {size}")
+    v = np.frombuffer(raw, dtype="<f8").astype(np.float64)
+    if not np.all(np.isfinite(v)):
+        raise ValueError("vector holds a non-finite value")
+    return v
+
+
 def to_dict(net: Mlp) -> dict:
-    """JSON-ready description: dims, activation tags, row-major parameters."""
+    """JSON-ready description: dims, activation tags and the encoded ``params``."""
     return {
         "dims": net.dims,
         "activations": [l.activation for l in net.layers],
         "slopes": [l.slope for l in net.layers],
-        "weights": [l.weight.tolist() for l in net.layers],
-        "biases": [l.bias.tolist() for l in net.layers],
+        "params": encode_vector(net.params),
     }
 
 
 def from_dict(obj: dict) -> Mlp:
-    layers = [
-        Layer(np.array(w, dtype=np.float64), np.array(b, dtype=np.float64), act, slope)
-        for w, b, act, slope in zip(
-            obj["weights"], obj["biases"], obj["activations"], obj["slopes"]
-        )
-    ]
-    net = Mlp(layers)
-    if net.dims != list(obj["dims"]):
-        raise ValueError(f"checkpoint dims {obj['dims']} do not match parameter shapes {net.dims}")
+    """Network of :func:`to_dict`; ``ValueError`` or ``TypeError`` if malformed."""
+    dims, acts, slopes = obj["dims"], obj["activations"], obj["slopes"]
+    if not len(acts) == len(slopes) == len(dims) - 1:
+        raise ValueError(f"{len(dims)} dims need {len(dims) - 1} activations and slopes")
+    # decoded first, so that no layer is allocated larger than the text
+    params = decode_vector(obj["params"], sum(o * (i + 1) for i, o in zip(dims, dims[1:])))
+    layers = zip(dims, dims[1:], acts, slopes)
+    net = Mlp([Layer(np.zeros((o, i)), np.zeros(o), act, slope) for i, o, act, slope in layers])
+    net.params[:] = params
     return net
-

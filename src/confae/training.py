@@ -185,14 +185,13 @@ class AdamWState:
         return cls(0, np.zeros_like(network.params), np.zeros_like(network.params))
 
     def to_dict(self) -> dict:
-        return {"step": self.step, "m": self.m.tolist(), "v": self.v.tolist()}
+        """The step, and each moment as :func:`confae.net.encode_vector` text."""
+        return {"step": self.step, "m": net.encode_vector(self.m), "v": net.encode_vector(self.v)}
 
     @classmethod
     def from_dict(cls, obj: dict, network: net.Mlp) -> "AdamWState":
-        """Saved moments of ``network``; moments of another length raise ``ValueError``."""
-        m, v = (np.array(obj[key], dtype=np.float64) for key in ("m", "v"))
-        if not network.params.shape == m.shape == v.shape:
-            raise ValueError(f"moments do not match the network's {network.params.size} parameters")
+        """Saved moments of ``network``; ``ValueError`` unless finite and of its length."""
+        m, v = (net.decode_vector(obj[key], network.params.size) for key in ("m", "v"))
         return cls(int(obj["step"]), m, v)
 
 

@@ -18,6 +18,7 @@ import pytest
 from confae import data, geometry, linalg, net
 from confae import regularizers as reg
 
+from oracles import swiss_roll_jacobian
 from test_net import fd_input_jacobian, fd_param_grad, rel_err, vjp
 from test_regularizers import hutch_moments, value_of
 
@@ -167,8 +168,6 @@ def test_criterion_3_regularizer_algebra():
     checks.append(abs(val) < 1e-10)
 
     # eigenvalue-(2, 1) point gives 1/18
-    from confae.data import swiss_roll_jacobian
-
     roll_dec = _linear_dec(swiss_roll_jacobian(np.array([1.0, 0.0])))
     val = value_of(reg.nonlinear_conformal_loss_and_grad, roll_dec, np.zeros((1, 2)))
     checks.append(abs(val - 1.0 / 18.0) < 1e-12)
@@ -214,7 +213,7 @@ def test_criterion_4_swiss_roll_oracle():
     worst_kappa = 0.0
     for _ in range(100):
         z = np.array([rng.uniform(*data.XI_RANGE), rng.uniform(*data.ETA_RANGE)])
-        dec = _linear_dec(data.swiss_roll_jacobian(z))
+        dec = _linear_dec(swiss_roll_jacobian(z))
         jacobians = net.jacobians(dec, z[None])
         metric = geometry.pullback_metrics(jacobians)[0]
         want = np.diag([1.0 + z[0] ** 2, 1.0])

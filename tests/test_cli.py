@@ -1,12 +1,16 @@
+import base64
 import errno
 import json
 import os
+import signal
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from confae import cli, geometry, net
+from confae import cli, geometry, net, training
 
 
 def run_cli(*argv):
@@ -20,9 +24,8 @@ def roll_csv(tmp_path):
     return path
 
 
-def tiny_train(tmp_path, roll_csv, out_name="run", *extra):
-    out = tmp_path / out_name
-    code = run_cli(
+def tiny_train_argv(roll_csv, out, *extra):
+    return [
         "train",
         "--data",
         str(roll_csv),
@@ -37,8 +40,82 @@ def tiny_train(tmp_path, roll_csv, out_name="run", *extra):
         "--set",
         "dims=[3,8,2]",
         *extra,
-    )
-    return code, out
+    ]
+
+
+def tiny_train(tmp_path, roll_csv, out_name="run", *extra):
+    out = tmp_path / out_name
+    return run_cli(*tiny_train_argv(roll_csv, out, *extra)), out
+
+
+def records(run_dir, drop=()):
+    lines = (run_dir / cli.METRICS_NAME).read_text().splitlines()
+    return [{k: v for k, v in json.loads(l).items() if k not in drop} for l in lines]
+
+
+def _vector(text):
+    return np.frombuffer(base64.b64decode(text), "<f8")
+
+
+def _text(vector):
+    return base64.b64encode(np.asarray(vector, "<f8").tobytes()).decode()
+
+
+def damage_checkpoint(path, damage):
+    """Rewrite the snapshot at ``path`` with one fault."""
+    ckpt = json.loads(path.read_text())
+    if damage == "old_format":
+        ckpt["format_version"] = 1
+    elif damage == "missing_key":
+        del ckpt["enc_opt"]["m"]
+    elif damage == "short_moment":
+        ckpt["dec_opt"]["v"] = _text(_vector(ckpt["dec_opt"]["v"])[:-1])
+    elif damage == "bad_rng_state":
+        del ckpt["rng_state"]["state"]
+    elif damage == "bad_base64":
+        ckpt["decoder"]["params"] = "not base64!"
+    elif damage == "non_finite_param":
+        params = _vector(ckpt["decoder"]["params"]).copy()
+        params[3] = np.nan
+        ckpt["decoder"]["params"] = _text(params)
+    elif damage == "decoder_not_object":
+        ckpt["decoder"] = [1]
+    elif damage == "short_params":
+        ckpt["encoder"]["params"] = _text(_vector(ckpt["encoder"]["params"])[:-1])
+    else:
+        raise ValueError(damage)
+    path.write_text(json.dumps(ckpt))
+
+
+CHECKPOINT_DAMAGES = [
+    ("old_format", 1),
+    ("missing_key", 2),
+    ("short_moment", 2),
+    ("bad_rng_state", 2),
+    ("bad_base64", 2),
+    ("non_finite_param", 2),
+    ("decoder_not_object", 2),
+    ("short_params", 2),
+]
+
+# Runs the CLI in a process that SIGKILLs itself once epoch 3's record and any
+# snapshot of that epoch are written.
+KILLED_AFTER_EPOCH_3 = """
+import os, signal, sys
+from confae import cli, training
+
+train = training.train
+
+def train_then_die(*args, on_epoch, **kwargs):
+    def hook(state, record):
+        on_epoch(state, record)
+        if state.epoch == 3:
+            os.kill(os.getpid(), signal.SIGKILL)
+    return train(*args, on_epoch=hook, **kwargs)
+
+training.train = train_then_die
+sys.exit(cli.main(sys.argv[1:]))
+"""
 
 
 class TestGenerate:
@@ -79,11 +156,11 @@ class TestTrain:
     def test_run_writes_all_artifacts(self, tmp_path, roll_csv):
         code, out = tiny_train(tmp_path, roll_csv)
         assert code == 0
-        for name in (cli.MANIFEST_NAME, cli.METRICS_NAME, cli.CHECKPOINT_NAME, cli.STATE_NAME):
+        for name in (cli.MANIFEST_NAME, cli.METRICS_NAME, cli.CHECKPOINT_NAME):
             assert (out / name).exists()
-        records = [json.loads(l) for l in (out / cli.METRICS_NAME).read_text().splitlines()]
-        assert [r["epoch"] for r in records] == [1, 2]
-        for r in records:
+        written = records(out)
+        assert [r["epoch"] for r in written] == [1, 2]
+        for r in written:
             assert r["total"] == r["recon"]  # no regularizer
 
     def test_manifest_holds_resolved_config_and_hash(self, tmp_path, roll_csv):
@@ -209,10 +286,12 @@ class TestTrain:
         assert not (out / cli.CHECKPOINT_NAME).exists()
 
     def test_checkpoint_cadence(self, tmp_path, roll_csv):
+        # one snapshot file, overwritten every epoch, holds the last epoch
         code, out = tiny_train(tmp_path, roll_csv, "run_cadence", "--set", "checkpoint_every=1")
         assert code == 0
-        assert (out / "checkpoint_epoch0001.json").exists()
-        assert (out / "checkpoint_epoch0002.json").exists()
+        names = {cli.MANIFEST_NAME, cli.METRICS_NAME, cli.CHECKPOINT_NAME}
+        assert {p.name for p in out.iterdir()} == names
+        assert json.loads((out / cli.CHECKPOINT_NAME).read_text())["epoch"] == 2
 
     def test_resume_continues_epoch_numbering(self, tmp_path, roll_csv):
         code, out = tiny_train(tmp_path, roll_csv, "run_resume")
@@ -235,56 +314,111 @@ class TestTrain:
             str(out),
         )
         assert code == 0
-        records = [json.loads(l) for l in (out / cli.METRICS_NAME).read_text().splitlines()]
-        assert [r["epoch"] for r in records] == [1, 2, 3, 4]
+        assert [r["epoch"] for r in records(out)] == [1, 2, 3, 4]
         assert json.loads((out / cli.CHECKPOINT_NAME).read_text())["epoch"] == 4
 
     def test_resume_round_trips_flat_moments(self, tmp_path, roll_csv):
         code, out = tiny_train(tmp_path, roll_csv, "run_half")
         assert code == 0
-        state = json.loads((out / cli.STATE_NAME).read_text())
-        assert state["format_version"] == cli.STATE_FORMAT_VERSION == 2
-        _, enc, dec = cli._load_checkpoint(out / cli.CHECKPOINT_NAME)
-        for key, network in (("enc_opt", enc), ("dec_opt", dec)):
-            assert set(state[key]) == {"step", "m", "v"}
-            assert len(state[key]["m"]) == len(state[key]["v"]) == network.params.size
+        ckpt = json.loads((out / cli.CHECKPOINT_NAME).read_text())
+        assert ckpt["format_version"] == cli.CHECKPOINT_FORMAT_VERSION == 2
+        state = cli._load_checkpoint(out / cli.CHECKPOINT_NAME)
+        for key, network in (("enc_opt", state.enc), ("dec_opt", state.dec)):
+            assert set(ckpt[key]) == {"step", "m", "v"}
+            assert _vector(ckpt[key]["m"]).size == _vector(ckpt[key]["v"]).size
+            assert _vector(ckpt[key]["m"]).size == network.params.size
         code, _ = tiny_train(tmp_path, roll_csv, "run_half", "--epochs", "4", "--resume", str(out))
         assert code == 0
         code, straight = tiny_train(tmp_path, roll_csv, "run_full", "--epochs", "4")
         assert code == 0
-        for name in (cli.CHECKPOINT_NAME, cli.STATE_NAME):
-            assert (out / name).read_bytes() == (straight / name).read_bytes()
+        name = cli.CHECKPOINT_NAME
+        assert (out / name).read_bytes() == (straight / name).read_bytes()
 
-    @pytest.mark.parametrize(
-        "damage,want",
-        [
-            ("old_format", 1),
-            ("missing_manifest", 1),
-            ("missing_key", 2),
-            ("short_moment", 2),
-            ("bad_rng_state", 2),
-        ],
-    )
+    def test_killed_run_resumes_to_the_uninterrupted_snapshot(self, tmp_path, roll_csv):
+        cadence = ("--epochs", "5", "--set", "checkpoint_every=2")
+        killed = tmp_path / "killed"
+        paths = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+        argv = tiny_train_argv(roll_csv, killed, *cadence)
+        proc = subprocess.run(
+            [sys.executable, "-c", KILLED_AFTER_EPOCH_3, *argv],
+            env=env,
+            capture_output=True,
+            timeout=300,
+        )
+        assert proc.returncode == -signal.SIGKILL, proc.stderr
+        assert json.loads((killed / cli.CHECKPOINT_NAME).read_text())["epoch"] == 2
+        assert [r["epoch"] for r in records(killed)] == [1, 2, 3]
+        code, _ = tiny_train(tmp_path, roll_csv, "killed", *cadence, "--resume", str(killed))
+        assert code == 0
+        code, straight = tiny_train(tmp_path, roll_csv, "straight", *cadence)
+        assert code == 0
+        name = cli.CHECKPOINT_NAME
+        assert (killed / name).read_bytes() == (straight / name).read_bytes()
+        assert records(killed, drop={"seconds"}) == records(straight, drop={"seconds"})
+
+    def test_resume_into_another_directory_keeps_the_earlier_records(self, tmp_path, roll_csv):
+        code, first = tiny_train(tmp_path, roll_csv, "first")
+        assert code == 0
+        with open(first / cli.METRICS_NAME, "a") as f:
+            f.write('{"epoch": 3, "re')  # a record torn by a kill
+        resume = ("--epochs", "4", "--resume", str(first))
+        code, other = tiny_train(tmp_path, roll_csv, "other", *resume)
+        assert code == 0
+        assert [r["epoch"] for r in records(other)] == [1, 2, 3, 4]
+        code, straight = tiny_train(tmp_path, roll_csv, "straight", "--epochs", "4")
+        assert code == 0
+        assert records(other, drop={"seconds"}) == records(straight, drop={"seconds"})
+        name = cli.CHECKPOINT_NAME
+        assert (other / name).read_bytes() == (straight / name).read_bytes()
+
+    def test_resume_refuses_fewer_epochs_than_the_snapshot(self, tmp_path, roll_csv, capsys):
+        code, out = tiny_train(tmp_path, roll_csv, "run", "--epochs", "3")
+        assert code == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+        code, _ = tiny_train(tmp_path, roll_csv, "run", "--epochs", "2", "--resume", str(out))
+        assert code == 1
+        assert f"{out} is past epoch 2" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    @pytest.mark.parametrize("damage", ["missing", "short", "torn"])
+    def test_resume_refuses_metrics_without_the_snapshot_epochs(
+        self, tmp_path, roll_csv, capsys, damage
+    ):
+        code, out = tiny_train(tmp_path, roll_csv)
+        assert code == 0
+        path = out / cli.METRICS_NAME
+        lines = path.read_text().splitlines()
+        if damage == "missing":
+            path.unlink()
+        elif damage == "short":
+            path.write_text(lines[0] + "\n")
+        else:
+            path.write_text(lines[0] + "\n" + lines[1][:20])
+        before = path.read_bytes() if path.exists() else None
+        capsys.readouterr()
+        code, _ = tiny_train(tmp_path, roll_csv, "run", "--epochs", "3", "--resume", str(out))
+        assert code == 2
+        assert str(path) in capsys.readouterr().err
+        assert (path.read_bytes() if path.exists() else None) == before
+
+    @pytest.mark.parametrize("damage,want", [("missing_manifest", 1), *CHECKPOINT_DAMAGES])
     def test_resume_refuses_a_damaged_run(self, tmp_path, roll_csv, capsys, damage, want):
         code, out = tiny_train(tmp_path, roll_csv)
         assert code == 0
-        named = out / (cli.MANIFEST_NAME if damage == "missing_manifest" else cli.STATE_NAME)
-        state = json.loads((out / cli.STATE_NAME).read_text())
+        named = out / (cli.MANIFEST_NAME if damage == "missing_manifest" else cli.CHECKPOINT_NAME)
         if damage == "missing_manifest":
             named.unlink()
-        elif damage == "old_format":
-            state["format_version"] = 1
-        elif damage == "missing_key":
-            del state["enc_opt"]["m"]
-        elif damage == "short_moment":
-            del state["dec_opt"]["v"][-1]
         else:
-            del state["rng_state"]["state"]
-        (out / cli.STATE_NAME).write_text(json.dumps(state))
+            damage_checkpoint(named, damage)
         capsys.readouterr()
         code, _ = tiny_train(tmp_path, roll_csv, "run", "--epochs", "3", "--resume", str(out))
         assert code == want
-        assert str(named) in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert str(named) in err
+        if damage == "old_format":
+            assert "format_version 1" in err
 
     @pytest.mark.parametrize(
         "extra,differ",
@@ -333,13 +467,10 @@ class TestDiagnose:
             [net.Layer(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]), np.zeros(2), "identity")]
         )
         dec = net.Mlp([net.Layer(np.eye(2), np.zeros(2), "identity")])
-        payload = {
-            "format_version": cli.CHECKPOINT_FORMAT_VERSION,
-            "epoch": 1,
-            "encoder": net.to_dict(enc),
-            "decoder": net.to_dict(dec),
-        }
-        path.write_text(json.dumps(payload, sort_keys=True))
+        rng_state = np.random.default_rng(0).bit_generator.state
+        opts = training.AdamWState.zeros(enc), training.AdamWState.zeros(dec)
+        plateau = training.PlateauState(lr=1e-3)
+        cli._write_checkpoint(path, training.TrainState(1, enc, dec, *opts, rng_state, plateau))
 
     def test_identity_decoder_diagnostics(self, tmp_path, roll_csv):
         ckpt = tmp_path / "ckpt.json"
@@ -390,6 +521,21 @@ class TestDiagnose:
         argv = ["diagnose", "--checkpoint", str(ckpt), "--data", str(roll_csv), "--out", str(out)]
         assert run_cli(*argv) == 2
         assert str(run / cli.MANIFEST_NAME) in capsys.readouterr().err
+        assert not (out / cli.DIAGNOSTICS_NAME).exists()
+
+    @pytest.mark.parametrize("damage,want", CHECKPOINT_DAMAGES)
+    def test_damaged_checkpoint_exits_naming_it(self, tmp_path, roll_csv, capsys, damage, want):
+        code, run = tiny_train(tmp_path, roll_csv)
+        assert code == 0
+        ckpt = run / cli.CHECKPOINT_NAME
+        damage_checkpoint(ckpt, damage)
+        capsys.readouterr()
+        out = tmp_path / "diag"
+        assert self._diagnose(ckpt, roll_csv, out) == want
+        err = capsys.readouterr().err
+        assert str(ckpt) in err
+        if damage == "old_format":
+            assert "format_version 1" in err
         assert not (out / cli.DIAGNOSTICS_NAME).exists()
 
     def _diagnose(self, ckpt, csv, out):

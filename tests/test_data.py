@@ -3,6 +3,8 @@ import pytest
 
 from confae import data
 
+from oracles import swiss_roll_jacobian, swiss_roll_point
+
 
 def ks_statistic(samples, lo, hi):
     """Kolmogorov-Smirnov distance of samples against Uniform(lo, hi)."""
@@ -14,16 +16,38 @@ def ks_statistic(samples, lo, hi):
     return max(upper, lower)
 
 
-class TestSwissRoll:
-    def test_exact_trig_point_at_start_of_range(self):
-        p = data.swiss_roll_point(np.array([1.5 * np.pi, 0.0]))
-        want = np.array([0.0, 0.0, -1.5 * np.pi])
-        assert np.max(np.abs(p - want)) < 1e-12
+class _FixedDraws:
+    """Stands in for the roll's generator: each ``uniform`` call returns the next draw."""
 
-    def test_exact_trig_point_at_two_pi(self):
-        p = data.swiss_roll_point(np.array([2 * np.pi, 21.0]))
-        want = np.array([2 * np.pi, 21.0, 0.0])
-        assert np.max(np.abs(p - want)) < 1e-12
+    def __init__(self, *draws):
+        self.draws = list(draws)
+
+    def uniform(self, lo, hi, size):
+        return np.full(size, self.draws.pop(0))
+
+
+def roll_at(monkeypatch, xi, eta):
+    """``data.swiss_roll(1, ...)`` with its one latent drawn as (xi, eta)."""
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: _FixedDraws(xi, eta))
+    return data.swiss_roll(1, seed=0)
+
+
+class TestSwissRoll:
+    def test_exact_trig_point_at_start_of_range(self, monkeypatch):
+        ds = roll_at(monkeypatch, 1.5 * np.pi, 0.0)
+        want = np.array([[0.0, 0.0, -1.5 * np.pi]])
+        assert np.max(np.abs(ds.samples - want)) < 1e-12
+        assert np.max(np.abs(swiss_roll_point(ds.true_params) - want)) < 1e-12
+
+    def test_exact_trig_point_at_two_pi(self, monkeypatch):
+        ds = roll_at(monkeypatch, 2 * np.pi, 21.0)
+        want = np.array([[2 * np.pi, 21.0, 0.0]])
+        assert np.max(np.abs(ds.samples - want)) < 1e-12
+        assert np.max(np.abs(swiss_roll_point(ds.true_params) - want)) < 1e-12
+
+    def test_samples_are_the_parametrization_of_their_latents(self):
+        ds = data.swiss_roll(500, seed=1)
+        assert np.max(np.abs(ds.samples - swiss_roll_point(ds.true_params))) < 1e-12
 
     def test_parametrization_gram_via_finite_differences(self):
         rng = np.random.default_rng(0)
@@ -35,7 +59,7 @@ class TestSwissRoll:
             cols = []
             for e in np.eye(2):
                 cols.append(
-                    (data.swiss_roll_point(z + step * e) - data.swiss_roll_point(z - step * e))
+                    (swiss_roll_point(z + step * e) - swiss_roll_point(z - step * e))
                     / (2 * step)
                 )
             j = np.stack(cols, axis=1)
@@ -47,13 +71,13 @@ class TestSwissRoll:
         step = 1e-7
         fd = np.stack(
             [
-                (data.swiss_roll_point(z + step * e) - data.swiss_roll_point(z - step * e))
+                (swiss_roll_point(z + step * e) - swiss_roll_point(z - step * e))
                 / (2 * step)
                 for e in np.eye(2)
             ],
             axis=1,
         )
-        assert np.max(np.abs(data.swiss_roll_jacobian(z) - fd)) < 1e-6
+        assert np.max(np.abs(swiss_roll_jacobian(z) - fd)) < 1e-6
 
     def test_cylindrical_radius_identity(self):
         ds = data.swiss_roll(500, seed=1)

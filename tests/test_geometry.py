@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from confae import geometry, net
-from confae.data import swiss_roll_jacobian
+
+from oracles import swiss_roll_jacobian
 
 
 def linear_dec(w):

@@ -1,3 +1,4 @@
+import base64
 import json
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from confae import cli, net
+from confae import cli, net, training
 
 
 def rel_err(a, b):
@@ -268,6 +269,31 @@ class TestBlockTangents:
         _, g_in, _ = net.backward(network, blk.trace, tan_grad=np.ones((20, 3)))
         assert np.array_equal(g_in, np.zeros((5, 2)))
 
+    @pytest.mark.parametrize("adjoints,calls", [("out", 0), ("tan", 3), ("out+tan", 3)])
+    def test_second_derivatives_only_under_a_tangent_adjoint(self, monkeypatch, adjoints, calls):
+        network, blk, _ = block_and_repeated_jvps("tanh")
+        rng = np.random.default_rng(26)
+        out_grad = rng.normal(size=(5, 3)) if "out" in adjoints else None
+        tan_grad = rng.normal(size=(20, 3)) if "tan" in adjoints else None
+        want = net.backward(network, blk.trace, out_grad=out_grad, tan_grad=tan_grad)
+        if tan_grad is None:
+            # the reference: a zero tangent adjoint adds only zero terms
+            zeros = np.zeros((20, 3))
+            want = net.backward(network, blk.trace, out_grad=out_grad, tan_grad=zeros)[:2]
+        seen = []
+        ddact = net._ddact
+
+        def counted(name, a, slope):
+            seen.append(name)
+            return ddact(name, a, slope)
+
+        monkeypatch.setattr(net, "_ddact", counted)
+        got = net.backward(network, blk.trace, out_grad=out_grad, tan_grad=tan_grad)
+        # a tangent sweep makes one call per layer, a primal-only sweep none
+        assert sorted(seen) == ["identity", "tanh", "tanh"][:calls]
+        g, x_in = got[:2]
+        assert np.array_equal(g.flat, want[0].flat) and np.array_equal(x_in, want[1])
+
     @pytest.mark.parametrize("act", BLOCK_ACTS)
     def test_jacobians_match_finite_differences(self, act):
         network = seeded_net((3, 10, 6, 4), (act, act, "identity"), 23)
@@ -445,28 +471,50 @@ def trained_checkpoint(tmp_path):
 
 
 class TestCheckpointFormat:
-    """The CLI's encoder+decoder checkpoint, the one file format networks are saved in."""
+    """The CLI's run snapshot, the one file format networks are saved in."""
 
     def test_round_trip(self, tmp_path):
         enc = net.init([3, 5, 2], ["relu", "identity"], 33)
         dec = net.init([2, 5, 3], ["leaky_relu", "identity"], 34)
+        rng = np.random.default_rng(35)
+        enc_opt, dec_opt = (
+            training.AdamWState(3, rng.normal(size=n.params.size), rng.random(n.params.size))
+            for n in (enc, dec)
+        )
+        plateau = training.PlateauState(lr=1e-3, best=0.25, bad_epochs=2)
+        state = training.TrainState(7, enc, dec, enc_opt, dec_opt, rng.bit_generator.state, plateau)
         path = tmp_path / "ckpt.json"
-        cli._write_checkpoint(path, 7, enc, dec)
-        epoch, enc2, dec2 = cli._load_checkpoint(path)
-        assert epoch == 7
-        for a, b in ((enc, enc2), (dec, dec2)):
-            for la, lb in zip(a.layers, b.layers):
-                assert np.array_equal(la.weight, lb.weight)
-                assert np.array_equal(la.bias, lb.bias)
-                assert la.activation == lb.activation
+        cli._write_checkpoint(path, state)
+        back = cli._load_checkpoint(path)
+        assert back.epoch == 7
+        assert back.rng_state == state.rng_state and back.plateau == plateau
+        for a, b in ((enc, back.enc), (dec, back.dec)):
+            assert np.array_equal(a.params, b.params)
+            assert [l.activation for l in a.layers] == [l.activation for l in b.layers]
+        for a, b in ((enc_opt, back.enc_opt), (dec_opt, back.dec_opt)):
+            assert a.step == b.step
+            assert np.array_equal(a.m, b.m) and np.array_equal(a.v, b.v)
 
     def test_file_carries_format_version_and_tags(self, tmp_path):
         _, _, ckpt = trained_checkpoint(tmp_path)
         obj = json.loads(ckpt.read_text())
-        assert obj["format_version"] == 1
+        assert obj["format_version"] == 2
+        assert obj["epoch"] == 2
         assert obj["encoder"]["dims"] == [3, 8, 2]
         assert obj["decoder"]["dims"] == [2, 8, 3]
         assert obj["decoder"]["activations"] == ["relu", "identity"]
+        # every float vector reads back as the README says, laid out like Mlp.params
+        state = cli._load_checkpoint(ckpt)
+        vectors = {
+            ("encoder", "params"): state.enc.params,
+            ("decoder", "params"): state.dec.params,
+            ("enc_opt", "m"): state.enc_opt.m,
+            ("enc_opt", "v"): state.enc_opt.v,
+            ("dec_opt", "m"): state.dec_opt.m,
+            ("dec_opt", "v"): state.dec_opt.v,
+        }
+        for (part, key), want in vectors.items():
+            assert np.array_equal(np.frombuffer(base64.b64decode(obj[part][key]), "<f8"), want)
 
     def test_bad_version_rejected(self, tmp_path):
         data, out, ckpt = trained_checkpoint(tmp_path)
