@@ -81,22 +81,8 @@ def _default_seed() -> int:
     return 42
 
 
-def _write_atomic(path: Path, text: str) -> None:
-    """Write ``text`` atomically: a temp file in the target directory, then ``os.replace``.
-
-    A failed write leaves an existing file at ``path`` as it was.
-    """
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        tmp.write_text(text)
-        os.replace(tmp, path)
-    except OSError as exc:
-        tmp.unlink(missing_ok=True)
-        raise _runtime(f"cannot write {path}: {exc}")
-
-
 def _json_dump(obj, path: Path) -> None:
-    _write_atomic(path, json.dumps(obj, sort_keys=True, indent=1) + "\n")
+    data.write_atomic(path, json.dumps(obj, sort_keys=True, indent=1) + "\n")
 
 
 def _sha256(path: Path) -> str:
@@ -331,7 +317,7 @@ def cmd_train(args) -> int:
     _json_dump(manifest, out / MANIFEST_NAME)
 
     metrics_path = out / METRICS_NAME
-    _write_atomic(metrics_path, metrics)
+    data.write_atomic(metrics_path, metrics)
     try:
         metrics_file = open(metrics_path, "a")
     except OSError as exc:
@@ -340,7 +326,9 @@ def cmd_train(args) -> int:
     def on_epoch(state: training.TrainState, record: training.EpochRecord) -> None:
         metrics_file.write(record.to_json() + "\n")
         metrics_file.flush()
-        if cfg.checkpoint_every > 0 and state.epoch % cfg.checkpoint_every == 0:
+        # the last epoch's snapshot is written once, after training returns
+        every = cfg.checkpoint_every
+        if every > 0 and state.epoch % every == 0 and state.epoch < cfg.epochs:
             _write_checkpoint(out / CHECKPOINT_NAME, state)
 
     try:
@@ -361,38 +349,6 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _diagnose_sphere(args, out: Path) -> int:
-    codes = geometry.disc_grid(40, 2.0)
-    graph = geometry.build_graph(codes, k=args.k, bandwidth=_parse_bandwidth(args.bandwidth))
-    field = geometry.ConformalField.from_values(codes, geometry.stereographic_factor(codes))
-    curv = geometry.scalar_curvature(field, graph)
-    geometry.write_diagnostics_csv(out / DIAGNOSTICS_NAME, field, curv)
-    median = float(np.median(curv.calibrated[curv.interior]))
-    summary = {
-        "mode": "sphere-oracle",
-        "median_interior_curvature": median,
-        "analytic_target": 2.0,
-        "nodes": int(codes.shape[0]),
-        "interior_nodes": int(curv.interior.sum()),
-        "calibration": curv.calibration,
-    }
-    _json_dump(summary, out / "oracle_summary.json")
-    print(json.dumps(summary, sort_keys=True))
-    return 0
-
-
-def _parse_bandwidth(raw: str):
-    if raw == "auto":
-        return None
-    try:
-        value = float(raw)
-    except ValueError:
-        raise _validation(f"--bandwidth expects a number or 'auto', got {raw!r}")
-    if value <= 0:
-        raise _validation("--bandwidth must be positive")
-    return value
-
-
 def _check_same_data(manifest_path: Path, manifest: dict, data_path: Path) -> None:
     """Refuse to diagnose a run on another dataset than the one it was trained on."""
     recorded = manifest.get("data")
@@ -406,29 +362,11 @@ def _check_same_data(manifest_path: Path, manifest: dict, data_path: Path) -> No
         )
 
 
-def cmd_diagnose(args) -> int:
-    out = Path(args.out)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise _runtime(f"cannot create output directory {out}: {exc}")
-
-    if args.oracle == "sphere":
-        return _diagnose_sphere(args, out)
-
+def _validation_split(args):
+    """(encoder, decoder, validation samples, regularizer tag) of the run to diagnose."""
     if not args.checkpoint or not args.data:
         raise _validation("diagnose needs --checkpoint and --data (or --oracle sphere)")
-    timing = {}
-    clock = time.perf_counter()
-
-    def lap(stage: str) -> None:
-        nonlocal clock
-        now = time.perf_counter()
-        timing[stage] = now - clock
-        clock = now
-
     snapshot = _load_checkpoint(Path(args.checkpoint))
-    enc, dec = snapshot.enc, snapshot.dec
     manifest_path = Path(args.checkpoint).parent / MANIFEST_NAME
     manifest = _read_json(manifest_path, "manifest") if manifest_path.exists() else {}
     cfg_obj = manifest.get("config", {})
@@ -438,31 +376,55 @@ def cmd_diagnose(args) -> int:
         if args.val_fraction is not None
         else cfg_obj.get("val_fraction", 0.2)
     )
-    regularizer = args.regularizer or cfg_obj.get("regularizer", "unknown")
 
     ds = data.standardize(_load_dataset(args.data))
     if manifest_path.exists():
         _check_same_data(manifest_path, manifest, Path(args.data))
     split_cfg = training.RunConfig(seed=int(seed), val_fraction=float(val_fraction))
     _, val = training.split_dataset(split_cfg, ds)
-    lap("read")
-    codes = net.forward(enc, val.samples)
-    lap("encode")
-    jacobians = net.jacobians(dec, codes)
-    lap("jacobians")
+    regularizer = args.regularizer or cfg_obj.get("regularizer", "unknown")
+    return snapshot.enc, snapshot.dec, val.samples, regularizer
+
+
+def cmd_diagnose(args) -> int:
+    """Diagnostics of a checkpoint's decoder, or of the sphere field on a disc grid."""
+    out = Path(args.out)
     try:
-        field = geometry.conformal_field(codes, jacobians)
-        kappas = geometry.kappa_field(jacobians)
-    except ValueError as exc:
-        raise _runtime(str(exc))
-    lap("conformal_kappa")
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise _runtime(f"cannot create output directory {out}: {exc}")
+    timing = {}
+    clock = time.perf_counter()
+
+    def lap(stage: str) -> None:
+        nonlocal clock
+        now = time.perf_counter()
+        timing[stage] = now - clock
+        clock = now
+
+    oracle = args.oracle == "sphere"
+    if oracle:
+        codes = geometry.disc_grid(40, 2.0)
+        field = geometry.ConformalField(codes, geometry.stereographic_factor(codes))
+        kappas = None
+    else:
+        enc, dec, samples, regularizer = _validation_split(args)
+        lap("read")
+        codes = net.forward(enc, samples)
+        lap("encode")
+        jacobians = net.jacobians(dec, codes)
+        lap("jacobians")
+        try:
+            field = geometry.conformal_field(codes, jacobians)
+            kappas = geometry.kappa_field(jacobians)
+        except ValueError as exc:
+            raise _runtime(str(exc))
+        lap("conformal_kappa")
 
     curv = None
-    if dec.in_dim == 2:
+    if codes.shape[1] == 2:
         try:
-            graph = geometry.build_graph(
-                codes, k=args.k, bandwidth=_parse_bandwidth(args.bandwidth)
-            )
+            graph = geometry.build_graph(codes)
             lap("graph")
             curv = geometry.scalar_curvature(field, graph)
             lap("curvature")
@@ -470,17 +432,29 @@ def cmd_diagnose(args) -> int:
             raise _runtime(str(exc))
     else:
         print(
-            f"warning: latent dimension {dec.in_dim} != 2, curvature columns omitted",
+            f"warning: latent dimension {codes.shape[1]} != 2, curvature columns omitted",
             file=sys.stderr,
         )
 
     geometry.write_diagnostics_csv(out / DIAGNOSTICS_NAME, field, curv, kappas)
     lap("write_csv")
+    if oracle:
+        payload = {
+            "mode": "sphere-oracle",
+            "median_interior_curvature": float(np.median(curv.calibrated[curv.interior])),
+            "analytic_target": 2.0,
+            "nodes": int(codes.shape[0]),
+            "interior_nodes": int(curv.interior.sum()),
+            "calibration": curv.calibration,
+        }
+        _json_dump(payload, out / "oracle_summary.json")
+        print(json.dumps(payload, sort_keys=True))
+        return 0
+
     try:
-        summary = geometry.summarize_kappa(kappas)
+        payload = {"regularizer": regularizer, **geometry.summarize_kappa(kappas)}
     except ValueError as exc:
         raise _runtime(str(exc))
-    payload = {"regularizer": regularizer, **summary.to_dict()}
     if curv is not None:
         interior = curv.interior
         payload["curvature"] = {
@@ -517,20 +491,20 @@ def cmd_plot(args) -> int:
     codes = np.column_stack([cols["z1"], cols["z2"]])
     written = []
     svg = figures.scatter_svg(codes, cols["c_normalized"], "normalized conformal factor")
-    (out / "conformal_factor.svg").write_text(svg)
+    data.write_atomic(out / "conformal_factor.svg", svg)
     written.append("conformal_factor.svg")
     if "s_normalized" in cols:
         svg = figures.scatter_svg(
             codes, cols["s_normalized"], "normalized scalar curvature", diverging=True
         )
-        (out / "scalar_curvature.svg").write_text(svg)
+        data.write_atomic(out / "scalar_curvature.svg", svg)
         written.append("scalar_curvature.svg")
     if "kappa_jac" in cols and "kappa_pbm" in cols:
         try:
             svg = figures.kappa_strip_svg(cols["kappa_jac"], cols["kappa_pbm"])
         except ValueError as exc:
             raise _runtime(str(exc))
-        (out / "kappa_strip.svg").write_text(svg)
+        data.write_atomic(out / "kappa_strip.svg", svg)
         written.append("kappa_strip.svg")
     print(f"wrote {', '.join(written)} to {out}")
     return 0
@@ -620,8 +594,6 @@ def build_parser() -> _Parser:
     dia.add_argument("--checkpoint", default=None)
     dia.add_argument("--data", default=None)
     dia.add_argument("--out", required=True)
-    dia.add_argument("--k", type=int, default=10)
-    dia.add_argument("--bandwidth", default="auto")
     dia.add_argument("--seed", type=int, default=None)
     dia.add_argument("--val-fraction", dest="val_fraction", type=float, default=None)
     dia.add_argument("--regularizer", default=None)

@@ -1,4 +1,4 @@
-"""Swiss-roll generation, standardization, splits, and CSV round trips.
+"""Swiss-roll generation, standardization, splits, CSV round trips, atomic writes.
 
 The roll is sampled on the rectangle [3*pi/2, 9*pi/2] x [0, 21] with the
 scikit-learn parametrization (xi*cos(xi), eta, xi*sin(xi)), without
@@ -7,7 +7,8 @@ observation noise. All randomness is seeded and reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import os
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -100,19 +101,45 @@ def split(ds: Dataset, val_fraction: float, seed: int) -> tuple[Dataset, Dataset
     return take(train_idx), take(val_idx)
 
 
+def write_atomic(path: str | Path, text: str) -> None:
+    """Write ``text`` atomically: a temp file in the target directory, then ``os.replace``.
+
+    Every artifact file is written through here (``metrics.jsonl`` then grows
+    by appends). A failed write removes the temp file, leaves an existing file
+    at ``path`` as it was and re-raises.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except OSError:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def to_csv(ds: Dataset, path: str | Path) -> None:
     # one row of Python floats at a time: as fast as one whole-table
     # ``tolist()``, without holding every row's list at once
     table = np.column_stack([ds.samples, ds.true_params])
     lines = [CSV_HEADER] + [",".join(map(repr, row.tolist())) for row in table]
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
-def _require_five_fields(path, body: list[str]) -> None:
+def require_columns(path, body: list[str], n: int) -> None:
+    """Raise ``ValueError("{path}:{line}: ...")`` at the first body line that is not n numbers.
+
+    ``body`` holds the lines after the header, so its first line is line 2.
+    """
     for lineno, line in enumerate(body, start=2):
-        fields = line.count(",") + 1
-        if fields != 5:
-            raise ValueError(f"{path}:{lineno}: expected 5 columns, got {fields}")
+        cells = line.split(",")
+        if len(cells) != n:
+            raise ValueError(f"{path}:{lineno}: expected {n} columns, got {len(cells)}")
+        for cell in cells:
+            try:
+                float(cell)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
 
 
 def from_csv(path: str | Path) -> Dataset:
@@ -125,11 +152,11 @@ def from_csv(path: str | Path) -> Dataset:
     try:
         arr = np.loadtxt(body, dtype=np.float64, delimiter=",", comments=None, ndmin=2)
     except ValueError as exc:
-        _require_five_fields(path, body)
+        require_columns(path, body, 5)
         raise ValueError(f"{path}: {exc}") from exc
     # loadtxt skips blank lines, so a short table also means a malformed row
     if arr.shape != (len(body), 5):
-        _require_five_fields(path, body)
+        require_columns(path, body, 5)
     bad = np.argwhere(~np.isfinite(arr))
     if bad.size:
         row, col = bad[0]

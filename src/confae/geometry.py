@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import linalg, net
+from . import data, linalg, net
 
 # Entries of the largest squared-distance block the kNN search builds.
 _GRAPH_CHUNK = 2**20
@@ -52,10 +52,6 @@ class ConformalField:
             )
         self.normalized = _minmax(self.values)
 
-    @classmethod
-    def from_values(cls, codes: np.ndarray, values: np.ndarray) -> "ConformalField":
-        return cls(codes=codes, values=values)
-
 
 def _minmax(values: np.ndarray) -> np.ndarray:
     lo, hi = values.min(), values.max()
@@ -73,7 +69,6 @@ class LatentGraph:
     """
 
     n: int
-    k: int
     bandwidth: float
     edge_rows: np.ndarray  # (E,) int64, nondecreasing
     edge_cols: np.ndarray  # (E,) int64, increasing within a row
@@ -96,28 +91,8 @@ class CurvatureField:
     raw: np.ndarray
     normalized: np.ndarray  # raw / max |raw|
     interior: np.ndarray  # bool mask, nodes away from the bounding box
-    calibrated: np.ndarray | None = None
-    calibration: float | None = None
-
-
-@dataclass
-class KappaSummary:
-    mean_jac: float
-    std_jac: float
-    mean_pbm: float
-    std_pbm: float
-    count: int
-    excluded: int
-
-    def to_dict(self) -> dict:
-        return {
-            "kappa_jac_mean": self.mean_jac,
-            "kappa_jac_std": self.std_jac,
-            "kappa_pbm_mean": self.mean_pbm,
-            "kappa_pbm_std": self.std_pbm,
-            "count": self.count,
-            "excluded": self.excluded,
-        }
+    calibrated: np.ndarray  # calibration * raw
+    calibration: float
 
 
 def pullback_metrics(jacobians: np.ndarray) -> np.ndarray:
@@ -228,11 +203,11 @@ def _nearest(codes: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     return nbr_idx, nbr_d2
 
 
-def build_graph(codes: np.ndarray, k: int = 10, bandwidth: float | None = None) -> LatentGraph:
+def build_graph(codes: np.ndarray, k: int = 10) -> LatentGraph:
     """Mutual-max symmetrized kNN graph with weights exp(-d^2 / h^2).
 
-    ``bandwidth=None`` picks h as the median distance to the k-th neighbor.
-    Neighbor ties are broken by index so construction is deterministic.
+    The bandwidth h is the median distance to the k-th neighbor. Neighbor
+    ties are broken by index so construction is deterministic.
     """
     codes = np.asarray(codes, dtype=np.float64)
     n = codes.shape[0]
@@ -244,14 +219,9 @@ def build_graph(codes: np.ndarray, k: int = 10, bandwidth: float | None = None) 
         raise ValueError("codes must be finite")
 
     nbr_idx, nbr_d2 = _nearest(codes, k)
-    if bandwidth is None:
-        h = float(np.median(np.sqrt(nbr_d2.max(axis=1))))
-        if h <= 0.0:
-            h = 1.0  # all duplicate codes; weights saturate at 1 regardless
-    else:
-        h = float(bandwidth)
-        if h <= 0.0:
-            raise ValueError("bandwidth must be positive")
+    h = float(np.median(np.sqrt(nbr_d2.max(axis=1))))
+    if h <= 0.0:
+        h = 1.0  # all duplicate codes; weights saturate at 1 regardless
 
     # Both orientations of every directed kNN edge, merged by max in
     # (row, col) order; edges whose weight underflows to zero are dropped.
@@ -268,7 +238,6 @@ def build_graph(codes: np.ndarray, k: int = 10, bandwidth: float | None = None) 
     keys = keys[keep]
     return LatentGraph(
         n=n,
-        k=k,
         bandwidth=h,
         edge_rows=keys // n,
         edge_cols=keys % n,
@@ -329,9 +298,7 @@ def calibration_scale(graph: LatentGraph, codes: np.ndarray, interior: np.ndarra
     return target / med
 
 
-def scalar_curvature(
-    field: ConformalField, graph: LatentGraph, *, calibrate: bool = True
-) -> CurvatureField:
+def scalar_curvature(field: ConformalField, graph: LatentGraph) -> CurvatureField:
     """Discrete scalar curvature -(1/c) L log c of a 2-D conformal field."""
     if field.codes.shape[1] != 2:
         raise ValueError(
@@ -343,16 +310,13 @@ def scalar_curvature(
     peak = np.abs(raw).max()
     normalized = raw / peak if peak > 0.0 else np.zeros_like(raw)
     interior = interior_mask(field.codes, graph.bandwidth)
-    calibrated = gamma = None
-    if calibrate:
-        gamma = calibration_scale(graph, field.codes, interior)
-        calibrated = gamma * raw
+    gamma = calibration_scale(graph, field.codes, interior)
     return CurvatureField(
         codes=field.codes,
         raw=raw,
         normalized=normalized,
         interior=interior,
-        calibrated=calibrated,
+        calibrated=gamma * raw,
         calibration=gamma,
     )
 
@@ -375,11 +339,13 @@ def condition_numbers(dec: net.Mlp, z: np.ndarray) -> tuple[float, float]:
     return float(kjac), float(kpbm)
 
 
-def summarize_kappa(samples) -> KappaSummary:
+def summarize_kappa(samples) -> dict:
     """Mean and population standard deviation per condition number.
 
-    Infinite sentinels are excluded and counted; an all-sentinel input is an
-    error.
+    Returns the ``kappa_jac_mean``, ``kappa_jac_std``, ``kappa_pbm_mean``,
+    ``kappa_pbm_std``, ``count`` and ``excluded`` entries of
+    ``kappa_summary.json``. Infinite sentinels are excluded and counted; an
+    all-sentinel input is an error.
     """
     arr = np.asarray(samples, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] == 0:
@@ -389,14 +355,14 @@ def summarize_kappa(samples) -> KappaSummary:
     kept = arr[finite]
     if kept.shape[0] == 0:
         raise ValueError("all condition numbers are infinite sentinels")
-    return KappaSummary(
-        mean_jac=float(kept[:, 0].mean()),
-        std_jac=float(kept[:, 0].std()),
-        mean_pbm=float(kept[:, 1].mean()),
-        std_pbm=float(kept[:, 1].std()),
-        count=int(kept.shape[0]),
-        excluded=excluded,
-    )
+    return {
+        "kappa_jac_mean": float(kept[:, 0].mean()),
+        "kappa_jac_std": float(kept[:, 0].std()),
+        "kappa_pbm_mean": float(kept[:, 1].mean()),
+        "kappa_pbm_std": float(kept[:, 1].std()),
+        "count": int(kept.shape[0]),
+        "excluded": excluded,
+    }
 
 
 DIAGNOSTIC_COLUMNS = (
@@ -429,8 +395,7 @@ def write_diagnostics_csv(
     if curvature is not None:
         columns["s_raw"] = curvature.raw
         columns["s_normalized"] = curvature.normalized
-        if curvature.calibrated is not None:
-            columns["s_calibrated"] = curvature.calibrated
+        columns["s_calibrated"] = curvature.calibrated
         columns["interior"] = curvature.interior.astype(np.float64)
     if kappas is not None:
         kappas = np.asarray(kappas, dtype=np.float64)
@@ -439,24 +404,22 @@ def write_diagnostics_csv(
     names = [c for c in DIAGNOSTIC_COLUMNS if c in columns]
     table = np.column_stack([columns[c] for c in names]).tolist()
     lines = [",".join(names)] + [",".join(map(repr, row)) for row in table]
-    Path(path).write_text("\n".join(lines) + "\n")
+    data.write_atomic(path, "\n".join(lines) + "\n")
 
 
 def read_diagnostics_csv(path: str | Path) -> dict[str, np.ndarray]:
+    """Columns of a ``write_diagnostics_csv`` file by name; a file without rows is an error."""
     lines = Path(path).read_text().strip().splitlines()
-    if not lines:
+    if len(lines) < 2:
         raise ValueError(f"{path}: empty diagnostics file")
     names = [c.strip() for c in lines[0].split(",")]
-    rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != len(names):
-            raise ValueError(
-                f"{path}:{lineno}: expected {len(names)} columns, got {len(parts)}"
-            )
-        try:
-            rows.append([float(p) for p in parts])
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from None
-    data = np.array(rows, dtype=np.float64) if rows else np.zeros((0, len(names)))
-    return {name: data[:, i] for i, name in enumerate(names)}
+    body = lines[1:]
+    try:
+        table = np.loadtxt(body, dtype=np.float64, delimiter=",", comments=None, ndmin=2)
+    except ValueError as exc:
+        data.require_columns(path, body, len(names))
+        raise ValueError(f"{path}: {exc}") from exc
+    # loadtxt skips blank lines, so a table of another shape has a malformed line
+    if table.shape != (len(body), len(names)):
+        data.require_columns(path, body, len(names))
+    return {name: table[:, i] for i, name in enumerate(names)}

@@ -137,10 +137,6 @@ class Mlp:
         return self.layers[0].weight.shape[1]
 
     @property
-    def out_dim(self) -> int:
-        return self.layers[-1].weight.shape[0]
-
-    @property
     def dims(self) -> list[int]:
         return [self.in_dim] + [l.weight.shape[0] for l in self.layers]
 

@@ -119,8 +119,7 @@ def _samples_2d(batch: np.ndarray) -> np.ndarray:
 def recon_loss(enc: net.Mlp, dec: net.Mlp, batch: np.ndarray) -> float:
     """Mean squared reconstruction error, one squared norm per sample."""
     x = _samples_2d(batch)
-    y = net.forward(dec, net.forward(enc, x))
-    return float(((x - y) ** 2).sum() / x.shape[0])
+    return recon_loss_and_grad(net.forward(dec, net.forward(enc, x)), x, want_grad=False)[0]
 
 
 def recon_loss_and_grad(y: np.ndarray, batch: np.ndarray, *, want_grad=True):

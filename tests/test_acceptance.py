@@ -64,7 +64,7 @@ def test_criterion_1_autodiff_fidelity():
         rng = np.random.default_rng(2000 + i)
         z = rng.normal(size=network.in_dim) + 0.07  # keep off ReLU kinks
         v = rng.choice([-1.0, 1.0], size=network.in_dim)
-        u = rng.normal(size=network.out_dim)
+        u = rng.normal(size=network.dims[-1])
 
         fd_jac = fd_input_jacobian(lambda x: net.forward(network, x), z)
         jac = net.jacobian(network, z)
@@ -241,13 +241,13 @@ def test_criterion_5_curvature_pipeline():
     t0 = time.perf_counter()
     codes = np.random.default_rng(7).normal(size=(200, 2))
     graph = geometry.build_graph(codes, k=8)
-    const_field = geometry.ConformalField.from_values(codes, np.full(200, 2.5))
+    const_field = geometry.ConformalField(codes, np.full(200, 2.5))
     const_curv = geometry.scalar_curvature(const_field, graph)
     constant_ok = bool(np.all(const_curv.raw == 0.0))
 
     grid = geometry.disc_grid(40, 2.0)
     grid_graph = geometry.build_graph(grid, k=10)
-    sphere = geometry.ConformalField.from_values(grid, geometry.stereographic_factor(grid))
+    sphere = geometry.ConformalField(grid, geometry.stereographic_factor(grid))
     curv = geometry.scalar_curvature(sphere, grid_graph)
     median = float(np.median(curv.calibrated[curv.interior]))
     sphere_ok = abs(median - 2.0) < 0.4

@@ -3,8 +3,11 @@
 ``benchmarks/spans.py`` resolves its ``LAYERS`` when a tracer is built, so a
 renamed or deleted function would only surface in a traced benchmark run.
 The same holds for its per-call counters, which read fields of the results.
+Conversely, every public name of the package must have a caller other than
+the tests: package or script code, or the tracer.
 """
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -14,7 +17,8 @@ import pytest
 
 from confae import data, net, training
 
-SPANS = Path(__file__).resolve().parents[1] / "benchmarks" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "benchmarks" / "spans.py"
 
 
 def _spans():
@@ -85,3 +89,60 @@ def test_step_layer_calls_as_the_tracer_sees_them(tag, want):
         tracer.uninstall(STEP_LAYERS)
     names = [s.name for s in tracer.spans]
     assert tuple(names.count(name) for name in STEP_LAYERS) == want
+
+
+def _public_definitions(path):
+    """(qualified name, name) of each public top-level function and class of a
+    module and each public method of its public classes."""
+    tree = ast.parse(path.read_text())
+    defs = ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef
+    for node in tree.body:
+        if isinstance(node, defs) and not node.name.startswith("_"):
+            yield node.name, node.name
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, defs) and not item.name.startswith("_"):
+                        yield f"{node.name}.{item.name}", item.name
+
+
+def _referenced_names(path):
+    """Names a module reads: identifiers, attributes, imported names and string
+    constants (a lookup table of function names counts), but no docstring."""
+    tree = ast.parse(path.read_text())
+    docstrings = {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.body
+        and isinstance(node.body[0], ast.Expr)
+        and isinstance(node.body[0].value, ast.Constant)
+    }
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rsplit(".", 1)[-1])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if id(node) not in docstrings:
+                names.add(node.value)
+    return names
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    # ROADMAP: no src/ API that only tests call. A public name counts as used
+    # when src/ or scripts/ reads it, or the benchmark's tracer wraps it.
+    package = sorted((ROOT / "src" / "confae").glob("*.py"))
+    used = set().union(
+        *map(_referenced_names, [*package, *sorted((ROOT / "scripts").glob("*.py"))])
+    )
+    traced = {f"{mod}.{fn}" for mod, fn in _layers()}
+    unused = [
+        f"{path.stem}.{qualname}"
+        for path in package
+        for qualname, name in _public_definitions(path)
+        if name not in used and f"{path.stem}.{qualname}" not in traced
+    ]
+    assert unused == []

@@ -293,6 +293,31 @@ class TestTrain:
         assert {p.name for p in out.iterdir()} == names
         assert json.loads((out / cli.CHECKPOINT_NAME).read_text())["epoch"] == 2
 
+    def test_each_snapshot_is_written_once(self, tmp_path, roll_csv, monkeypatch):
+        written = []
+        write = cli._write_checkpoint
+
+        def counting_write(path, state):
+            written.append(state.epoch)
+            write(path, state)
+
+        monkeypatch.setattr(cli, "_write_checkpoint", counting_write)
+        code, _ = tiny_train(tmp_path, roll_csv, "run", "--set", "checkpoint_every=1")
+        assert code == 0
+        assert written == [1, 2]
+
+    def test_resuming_a_finished_run_into_another_directory_writes_its_snapshot(
+        self, tmp_path, roll_csv
+    ):
+        code, first = tiny_train(tmp_path, roll_csv, "first", "--set", "checkpoint_every=1")
+        assert code == 0
+        resume = ("--set", "checkpoint_every=1", "--resume", str(first))
+        code, other = tiny_train(tmp_path, roll_csv, "other", *resume)
+        assert code == 0
+        name = cli.CHECKPOINT_NAME
+        assert (other / name).read_bytes() == (first / name).read_bytes()
+        assert records(other) == records(first)
+
     def test_resume_continues_epoch_numbering(self, tmp_path, roll_csv):
         code, out = tiny_train(tmp_path, roll_csv, "run_resume")
         assert code == 0
@@ -584,6 +609,25 @@ class TestDiagnose:
         result = json.loads((cmp_out / "comparison.json").read_text())
         assert all("timing" not in run for run in result["runs"].values())
 
+    def test_failed_write_keeps_the_previous_diagnostics(self, tmp_path, roll_csv, monkeypatch):
+        code, run = tiny_train(tmp_path, roll_csv)
+        assert code == 0
+        out = tmp_path / "diag"
+        out.mkdir()
+        before = b"z1,z2,c\n0.5,0.5,1.0\n"  # a previous file unlike the one diagnose writes
+        (out / cli.DIAGNOSTICS_NAME).write_bytes(before)
+        replace = os.replace
+
+        def failing_replace(src, dst):
+            if Path(dst).name == cli.DIAGNOSTICS_NAME:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        assert self._diagnose(run / cli.CHECKPOINT_NAME, roll_csv, out) == 2
+        assert (out / cli.DIAGNOSTICS_NAME).read_bytes() == before
+        assert not [p.name for p in out.iterdir() if p.name.endswith(".tmp")]
+
     def test_missing_inputs_is_validation_error(self, tmp_path):
         assert run_cli("diagnose", "--out", str(tmp_path / "x")) == 1
 
@@ -592,7 +636,7 @@ class TestPlot:
     def _diag_csv(self, path, n=1):
         rng = np.random.default_rng(0)
         codes = rng.normal(size=(n, 2))
-        field = geometry.ConformalField.from_values(codes, np.abs(rng.normal(size=n)) + 0.5)
+        field = geometry.ConformalField(codes, np.abs(rng.normal(size=n)) + 0.5)
         kappas = np.column_stack([np.full(n, 2.0), np.full(n, 4.0)])
         geometry.write_diagnostics_csv(path, field, None, kappas)
 

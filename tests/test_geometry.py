@@ -74,17 +74,17 @@ class TestConformalFactor:
     def test_field_rejects_collapsed_values(self):
         codes = np.zeros((2, 2))
         with pytest.raises(ValueError, match="strictly positive"):
-            geometry.ConformalField.from_values(codes, np.array([1.0, 0.0]))
+            geometry.ConformalField(codes, np.array([1.0, 0.0]))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
     def test_field_rejects_non_finite_values(self, bad):
         codes = np.zeros((3, 2))
         with pytest.raises(ValueError, match="finite and strictly positive.* at index 1"):
-            geometry.ConformalField.from_values(codes, np.array([1.0, bad, 2.0]))
+            geometry.ConformalField(codes, np.array([1.0, bad, 2.0]))
 
     def test_field_normalization_attains_bounds(self):
         codes = np.zeros((3, 2))
-        field = geometry.ConformalField.from_values(codes, np.array([2.0, 5.0, 3.0]))
+        field = geometry.ConformalField(codes, np.array([2.0, 5.0, 3.0]))
         assert field.normalized.min() == 0.0 and field.normalized.max() == 1.0
 
 
@@ -267,7 +267,7 @@ class TestScalarCurvature:
     def test_constant_field_is_exactly_zero(self):
         codes = np.random.default_rng(8).normal(size=(60, 2))
         g = geometry.build_graph(codes, k=6)
-        field = geometry.ConformalField.from_values(codes, np.full(60, 3.7))
+        field = geometry.ConformalField(codes, np.full(60, 3.7))
         curv = geometry.scalar_curvature(field, g)
         assert np.all(curv.raw == 0.0)
         assert np.all(curv.normalized == 0.0)
@@ -276,7 +276,7 @@ class TestScalarCurvature:
     def test_sphere_field_recovers_curvature_two(self):
         codes = geometry.disc_grid(40, 2.0)
         g = geometry.build_graph(codes, k=10)
-        field = geometry.ConformalField.from_values(codes, geometry.stereographic_factor(codes))
+        field = geometry.ConformalField(codes, geometry.stereographic_factor(codes))
         curv = geometry.scalar_curvature(field, g)
         med = np.median(curv.calibrated[curv.interior])
         assert abs(med - 2.0) < 0.4
@@ -287,7 +287,7 @@ class TestScalarCurvature:
         codes = geometry.disc_grid(40, 2.0)
         g = geometry.build_graph(codes, k=10)
         a = math.sqrt(2.0)
-        field = geometry.ConformalField.from_values(
+        field = geometry.ConformalField(
             codes, geometry.stereographic_factor(codes, radius=a)
         )
         curv = geometry.scalar_curvature(field, g)
@@ -301,7 +301,7 @@ class TestScalarCurvature:
         # far below the sphere target of 2.
         codes = geometry.disc_grid(30, 2.0)
         g = geometry.build_graph(codes, k=10)
-        field = geometry.ConformalField.from_values(codes, np.exp(2.0 * codes[:, 0]))
+        field = geometry.ConformalField(codes, np.exp(2.0 * codes[:, 0]))
         curv = geometry.scalar_curvature(field, g)
         med = np.median(np.abs(curv.calibrated[curv.interior]))
         assert med < 1.0
@@ -309,7 +309,7 @@ class TestScalarCurvature:
     def test_rejects_non_2d_latents(self):
         codes = np.random.default_rng(9).normal(size=(30, 3))
         g = geometry.build_graph(codes, k=4)
-        field = geometry.ConformalField.from_values(codes, np.ones(30))
+        field = geometry.ConformalField(codes, np.ones(30))
         with pytest.raises(ValueError, match="2-D"):
             geometry.scalar_curvature(field, g)
 
@@ -367,16 +367,17 @@ class TestConditionNumbers:
 class TestSummarizeKappa:
     def test_constant_samples(self):
         s = geometry.summarize_kappa([(2.0, 4.0)] * 10)
-        assert (s.mean_jac, s.std_jac, s.mean_pbm, s.std_pbm) == (2.0, 0.0, 4.0, 0.0)
+        stats = ("kappa_jac_mean", "kappa_jac_std", "kappa_pbm_mean", "kappa_pbm_std")
+        assert tuple(s[key] for key in stats) == (2.0, 0.0, 4.0, 0.0)
 
     def test_population_std(self):
         s = geometry.summarize_kappa([(1.0, 1.0), (3.0, 3.0)])
-        assert s.mean_jac == 2.0 and s.std_jac == 1.0
+        assert s["kappa_jac_mean"] == 2.0 and s["kappa_jac_std"] == 1.0
 
     def test_sentinels_excluded_and_counted(self):
         s = geometry.summarize_kappa([(1.0, 1.0), (math.inf, math.inf), (3.0, 3.0)])
-        assert s.count == 2 and s.excluded == 1
-        assert s.mean_jac == 2.0
+        assert s["count"] == 2 and s["excluded"] == 1
+        assert s["kappa_jac_mean"] == 2.0
 
     def test_all_sentinels_rejected(self):
         with pytest.raises(ValueError):
@@ -391,7 +392,7 @@ class TestDiagnosticsCsv:
     def test_round_trip_with_all_columns(self, tmp_path):
         codes = geometry.disc_grid(8, 2.0)
         g = geometry.build_graph(codes, k=4)
-        field = geometry.ConformalField.from_values(codes, geometry.stereographic_factor(codes))
+        field = geometry.ConformalField(codes, geometry.stereographic_factor(codes))
         curv = geometry.scalar_curvature(field, g)
         kappas = np.column_stack([np.ones(len(codes)), np.ones(len(codes))])
         path = tmp_path / "diag.csv"
@@ -403,7 +404,7 @@ class TestDiagnosticsCsv:
 
     def test_kappa_columns_optional(self, tmp_path):
         codes = np.random.default_rng(10).normal(size=(5, 2))
-        field = geometry.ConformalField.from_values(codes, np.ones(5) + 0.1)
+        field = geometry.ConformalField(codes, np.ones(5) + 0.1)
         path = tmp_path / "diag.csv"
         geometry.write_diagnostics_csv(path, field)
         cols = geometry.read_diagnostics_csv(path)
@@ -412,7 +413,7 @@ class TestDiagnosticsCsv:
     @pytest.mark.parametrize("with_curvature", [True, False], ids=["inf-kappa", "no-curvature"])
     def test_bytes_match_per_cell_repr(self, tmp_path, with_curvature):
         codes = geometry.disc_grid(8, 2.0)
-        field = geometry.ConformalField.from_values(codes, geometry.stereographic_factor(codes))
+        field = geometry.ConformalField(codes, geometry.stereographic_factor(codes))
         kappas = 1.0 + np.random.default_rng(11).random((len(codes), 2))
         kappas[3] = math.inf  # rank-deficient sentinel
         columns = {"z1": codes[:, 0], "z2": codes[:, 1], "c": field.values}
@@ -421,8 +422,7 @@ class TestDiagnosticsCsv:
         if with_curvature:
             curv = geometry.scalar_curvature(field, geometry.build_graph(codes, k=4))
             columns.update(s_raw=curv.raw, s_normalized=curv.normalized)
-            if curv.calibrated is not None:
-                columns["s_calibrated"] = curv.calibrated
+            columns["s_calibrated"] = curv.calibrated
             columns["interior"] = curv.interior
         columns.update(kappa_jac=kappas[:, 0], kappa_pbm=kappas[:, 1])
         names = [c for c in geometry.DIAGNOSTIC_COLUMNS if c in columns]
@@ -434,8 +434,26 @@ class TestDiagnosticsCsv:
         assert path.read_text() == "\n".join([",".join(names), *rows]) + "\n"
         assert "inf" in path.read_text().splitlines()[4]
 
+    @pytest.mark.parametrize("text", ["", "z1,z2\n"], ids=["empty", "header-only"])
+    def test_file_without_rows_is_rejected(self, tmp_path, text):
+        path = tmp_path / "diag.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="empty diagnostics file"):
+            geometry.read_diagnostics_csv(path)
+
     def test_malformed_line_reports_number(self, tmp_path):
         path = tmp_path / "diag.csv"
         path.write_text("z1,z2\n1.0\n")
         with pytest.raises(ValueError, match=":2"):
+            geometry.read_diagnostics_csv(path)
+
+    @pytest.mark.parametrize(
+        "body,want",
+        [("1,2\n\n3,4\n", ":3: expected 2 columns"), ("1,2\n3,x\n", ":3: could not convert")],
+        ids=["blank-line", "non-numeric"],
+    )
+    def test_malformed_body_line_reports_its_number(self, tmp_path, body, want):
+        path = tmp_path / "diag.csv"
+        path.write_text("z1,z2\n" + body)
+        with pytest.raises(ValueError, match=want):
             geometry.read_diagnostics_csv(path)
