@@ -91,12 +91,18 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def _load_dataset(path: str) -> data.Dataset:
+def _data_file(path: str) -> Path:
+    """``path``, refused with exit 1 before any hash or parse if it does not exist."""
     p = Path(path)
     if not p.exists():
         raise _validation(f"dataset file not found: {p}")
+    return p
+
+
+def _load_dataset(path: Path) -> data.Dataset:
+    """The standardized dataset parsed from ``path``; exit 2 if it is malformed."""
     try:
-        return data.from_csv(p)
+        return data.standardize(data.from_csv(path))
     except ValueError as exc:
         raise _runtime(str(exc))
 
@@ -263,10 +269,10 @@ def _check_same_run(run_dir: Path, config: dict, data_sha256: str) -> None:
 
 def cmd_train(args) -> int:
     cfg = _resolve_config(args)
-    ds = data.standardize(_load_dataset(args.data))
+    data_path = _data_file(args.data)
 
     if args.calibrate_intensity:
-        lam, recon0, geo0 = training.calibrate_intensity(cfg, ds)
+        lam, recon0, geo0 = training.calibrate_intensity(cfg, _load_dataset(data_path))
         print(
             json.dumps(
                 {
@@ -286,14 +292,8 @@ def cmd_train(args) -> int:
             file=sys.stderr,
         )
 
-    out = Path(args.out)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise _runtime(f"cannot create output directory {out}: {exc}")
-
     config = cfg.to_dict()
-    data_sha256 = _sha256(Path(args.data))
+    data_sha256 = _sha256(data_path)
     resume, metrics = None, ""
     if args.resume:
         run_dir = Path(args.resume)
@@ -302,6 +302,14 @@ def cmd_train(args) -> int:
         if resume.epoch > cfg.epochs:
             raise _validation(f"cannot resume: {run_dir} is past epoch {cfg.epochs} already")
         metrics = _resumed_metrics(run_dir / METRICS_NAME, resume.epoch)
+    # parsed only once the hash check above has accepted the file
+    ds = _load_dataset(data_path)
+
+    out = Path(args.out)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise _runtime(f"cannot create output directory {out}: {exc}")
 
     manifest = {
         "format_version": 1,
@@ -377,9 +385,10 @@ def _validation_split(args):
         else cfg_obj.get("val_fraction", 0.2)
     )
 
-    ds = data.standardize(_load_dataset(args.data))
+    data_path = _data_file(args.data)
     if manifest_path.exists():
-        _check_same_data(manifest_path, manifest, Path(args.data))
+        _check_same_data(manifest_path, manifest, data_path)
+    ds = _load_dataset(data_path)
     split_cfg = training.RunConfig(seed=int(seed), val_fraction=float(val_fraction))
     _, val = training.split_dataset(split_cfg, ds)
     regularizer = args.regularizer or cfg_obj.get("regularizer", "unknown")

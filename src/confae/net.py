@@ -11,7 +11,9 @@ standard reverse sweep (:func:`backward`) yields exact parameter gradients of
 any scalar built from the primal output or the tangent output. Pushing the
 latent basis through the tangent pass gives the Jacobian's columns, so any
 function of the Gram matrix ``J^T J`` can be trained without nested autodiff
-machinery.
+machinery. Where no reverse sweep follows, :func:`jacobians` pushes the basis
+through the same operations without a tape: it holds the states of one layer
+at a time.
 
 A network's parameters are one float64 vector, ``Mlp.params`` (per layer the
 row-major weight, then the bias); every ``Layer`` array is a view into it,
@@ -301,15 +303,27 @@ def jvp(net: Mlp, z: np.ndarray, v: np.ndarray) -> JvpResult:
 
 
 def jacobians(net: Mlp, z: np.ndarray) -> np.ndarray:
-    """(B, out_dim, in_dim) Jacobian stack of a batch, one jvp with the basis block.
+    """(B, out_dim, in_dim) Jacobian stack of a batch, one tape-free sweep of the basis block.
 
-    The result is a transposed view of the contiguous (B, in_dim, out_dim)
-    block whose row k of entry p is ``J_p e_k``.
+    Each layer applies :func:`jvp`'s operations to the (B, in_dim, in_dim)
+    basis block in the same order, so the stack is bit-identical to that
+    block's ``jv``, but no tape is recorded: only the current layer's primal
+    and tangent states are held. The result is a transposed view of the
+    contiguous (B, in_dim, out_dim) block whose row k of entry p is
+    ``J_p e_k``.
     """
-    zb, _ = _as_batch(z, net.in_dim, "input")
-    b, m = zb.shape
-    basis = np.broadcast_to(np.eye(m), (b, m, m))
-    return jvp(net, zb, basis).jv.reshape(b, m, -1).transpose(0, 2, 1)
+    x, _ = _as_batch(z, net.in_dim, "input")
+    b, m = x.shape
+    tan = np.tile(np.eye(m), (b, 1))  # the basis block's B * m rows
+    for layer in net.layers:
+        x = x @ layer.weight.T
+        x += layer.bias
+        d = _dact(layer.activation, x, layer.slope)
+        # rebinding x frees the pre-activation before the tangent product
+        x = _act(layer.activation, x, layer.slope)
+        tan = tan @ layer.weight.T
+        np.multiply(d[:, None, :], tan.reshape(b, m, -1), out=tan.reshape(b, m, -1))
+    return tan.reshape(b, m, -1).transpose(0, 2, 1)
 
 
 def gram(rows: np.ndarray) -> np.ndarray:

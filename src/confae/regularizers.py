@@ -78,8 +78,8 @@ def trace_moments(rows: np.ndarray, probes: np.ndarray | None = None):
     """Per-code moments ``(t1, t2)`` of the pullback metric, plus the tape.
 
     ``rows`` is the (B, m, out) stack of the decoder's tangent rows along
-    the latent basis (one :func:`net.jvp` of the basis block, as in
-    :func:`net.jacobians`): the Jacobian's columns, whose Gram matrix is
+    the latent basis (one :func:`net.jvp` of the basis block; the same rows
+    as :func:`net.jacobians`): the Jacobian's columns, whose Gram matrix is
     ``G = J^T J``. ``probes`` is ``None`` for the exact moments or a
     (B, N, m) Rademacher block for the Monte-Carlo estimate. The probes
     enter only through the per-code matrix ``P = sum_i w_i v_i v_i^T``

@@ -10,6 +10,7 @@ import math
 import subprocess
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -309,14 +310,12 @@ def e2e(tmp_path_factory):
         summary = json.loads((out / "kappa_summary.json").read_text())
         return out, summary, lam, train_seconds
 
-    conf_dir, conf_summary, conf_lam, conf_seconds = train_and_diagnose("conf", "run_conf")
-    glob_dir, glob_summary, glob_lam, glob_seconds = train_and_diagnose("globiso", "run_globiso")
-    conf_repeat_dir, _, _, _ = train_and_diagnose("conf", "run_conf_repeat")
-    return {
-        "conf": (conf_dir, conf_summary, conf_lam, conf_seconds),
-        "globiso": (glob_dir, glob_summary, glob_lam, glob_seconds),
-        "conf_repeat": conf_repeat_dir,
-    }
+    # the pipelines are independent --single-thread processes: run two at a time
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        conf = pool.submit(train_and_diagnose, "conf", "run_conf")
+        glob = pool.submit(train_and_diagnose, "globiso", "run_globiso")
+        repeat = pool.submit(train_and_diagnose, "conf", "run_conf_repeat")
+        return {"conf": conf.result(), "globiso": glob.result(), "conf_repeat": repeat.result()[0]}
 
 
 def test_criterion_6_end_to_end(e2e):

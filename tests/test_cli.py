@@ -48,6 +48,14 @@ def tiny_train(tmp_path, roll_csv, out_name="run", *extra):
     return run_cli(*tiny_train_argv(roll_csv, out, *extra)), out
 
 
+def malformed_copy(csv, path):
+    """``csv`` with its first data line cut to four fields, written to ``path``."""
+    lines = csv.read_text().splitlines()
+    lines[1] = lines[1].rsplit(",", 1)[0]
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
 def records(run_dir, drop=()):
     lines = (run_dir / cli.METRICS_NAME).read_text().splitlines()
     return [{k: v for k, v in json.loads(l).items() if k not in drop} for l in lines]
@@ -468,6 +476,18 @@ class TestTrain:
         assert f"differs in {differ}" in capsys.readouterr().err
         assert (out / cli.MANIFEST_NAME).read_bytes() == manifest
 
+    def test_resume_refuses_other_data_before_parsing_it(self, tmp_path, roll_csv, capsys):
+        code, out = tiny_train(tmp_path, roll_csv)
+        assert code == 0
+        bad = malformed_copy(roll_csv, tmp_path / "bad.csv")
+        capsys.readouterr()
+        resume = ("--epochs", "3", "--resume", str(out))
+        code, other = tiny_train(tmp_path, bad, "other", *resume)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "differs in data.sha256" in err and "expected 5 columns" not in err
+        assert not other.exists()
+
     def test_failed_write_keeps_the_previous_checkpoint(self, tmp_path, roll_csv, monkeypatch):
         code, out = tiny_train(tmp_path, roll_csv)
         assert code == 0
@@ -584,6 +604,20 @@ class TestDiagnose:
         # the dataset the run was trained on is still diagnosed
         assert self._diagnose(run / cli.CHECKPOINT_NAME, trained, out) == 0
         assert (out / cli.DIAGNOSTICS_NAME).exists()
+
+    def test_refuses_other_data_before_parsing_it(self, tmp_path, capsys):
+        trained = tmp_path / "trained.csv"
+        assert run_cli("generate", "--n", "200", "--seed", "1", "--out", str(trained)) == 0
+        bad = malformed_copy(trained, tmp_path / "bad.csv")
+        code, run = tiny_train(tmp_path, trained)
+        assert code == 0
+        capsys.readouterr()
+        out = tmp_path / "diag"
+        assert self._diagnose(run / cli.CHECKPOINT_NAME, bad, out) == 1
+        err = capsys.readouterr().err
+        assert cli._sha256(trained) in err and cli._sha256(bad) in err
+        assert "expected 5 columns" not in err
+        assert list(out.iterdir()) == []
 
     def test_summary_holds_stage_timings_and_edges(self, tmp_path, roll_csv, capsys):
         code, run = tiny_train(tmp_path, roll_csv)
@@ -738,3 +772,14 @@ class TestExitCodes:
             run_cli("train", "--data", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "o"))
             == 1
         )
+
+    @pytest.mark.parametrize(
+        "body,message",
+        [("1,2,3,4,5\n", "at least two samples"), ("1,2,3,4,5\n1,2,4,4,5\n", "feature 0")],
+        ids=["one-row", "constant-feature"],
+    )
+    def test_data_that_cannot_be_standardized_exits_2(self, tmp_path, capsys, body, message):
+        csv = tmp_path / "flat.csv"
+        csv.write_text("x,y,z,xi,eta\n" + body)
+        assert run_cli("train", "--data", str(csv), "--out", str(tmp_path / "o")) == 2
+        assert message in capsys.readouterr().err

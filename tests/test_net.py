@@ -1,5 +1,6 @@
 import base64
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -303,6 +304,29 @@ class TestBlockTangents:
         for zp, jp in zip(z, stack):
             want = fd_input_jacobian(lambda x: net.forward(network, x), zp)
             assert rel_err(jp, want) < 1e-5
+
+    @pytest.mark.parametrize("b,dims", [(6, (3, 10, 6, 4)), (4000, (2, 50, 50, 50, 3))])
+    @pytest.mark.parametrize("act", BLOCK_ACTS)
+    def test_jacobians_equal_the_basis_block_jvp(self, act, b, dims):
+        # the tape-free sweep and the recorded one give the same bits
+        network = seeded_net(dims, (act,) * (len(dims) - 2) + ("identity",), 27)
+        z = np.random.default_rng(28).normal(size=(b, dims[0]))
+        m = dims[0]
+        basis = np.broadcast_to(np.eye(m), (b, m, m))
+        want = net.jvp(network, z, basis).jv.reshape(b, m, -1).transpose(0, 2, 1)
+        assert np.array_equal(net.jacobians(network, z), want)
+
+    def test_jacobians_memory_is_bounded(self):
+        # a tape of this batch (the jvp of its basis block) peaks near 33 MB
+        network = seeded_net((2, 50, 50, 50, 3), ("relu",) * 3 + ("identity",), 29)
+        z = np.random.default_rng(30).normal(size=(4000, 2))
+        tracemalloc.start()
+        try:
+            net.jacobians(network, z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20, peak
 
     @pytest.mark.parametrize("shape", [(4, 3, 2), (5, 0, 2), (5, 3, 3)])
     def test_block_shape_must_match_codes(self, shape):
