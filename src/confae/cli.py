@@ -49,6 +49,12 @@ KAPPA_SUMMARY_NAME = "kappa_summary.json"
 
 ENV_SEED = "CONFAE_SEED"
 
+# Codes per block of diagnose's Jacobian stage: only one block's Jacobian
+# stack is held at a time.
+JACOBIAN_BLOCK = 512
+# Bytes per read when a file is hashed.
+HASH_BLOCK = 2**16
+
 
 class CliError(Exception):
     def __init__(self, message: str, code: int):
@@ -87,7 +93,9 @@ def _json_dump(obj, path: Path) -> None:
 
 def _sha256(path: Path) -> str:
     h = hashlib.sha256()
-    h.update(path.read_bytes())
+    with open(path, "rb") as f:
+        for block in iter(lambda: f.read(HASH_BLOCK), b""):
+            h.update(block)
     return h.hexdigest()
 
 
@@ -268,6 +276,8 @@ def _check_same_run(run_dir: Path, config: dict, data_sha256: str) -> None:
 
 
 def cmd_train(args) -> int:
+    if args.calibrate_intensity and args.resume:
+        raise _validation("--calibrate-intensity is a dry run and cannot --resume a run")
     cfg = _resolve_config(args)
     data_path = _data_file(args.data)
 
@@ -395,6 +405,27 @@ def _validation_split(args):
     return snapshot.enc, snapshot.dec, val.samples, regularizer
 
 
+def _conformal_and_kappa(dec: net.Mlp, codes: np.ndarray, lap):
+    """The decoder's stretch field and (kappa_jac, kappa_pbm) rows at ``codes``.
+
+    The Jacobians are taken ``JACOBIAN_BLOCK`` codes at a time and each
+    block's stack is reduced to its c and kappas before the next one, so
+    memory does not grow with the codes beyond those three numbers each.
+    ``lap`` is called after each block's ``jacobians`` and
+    ``conformal_kappa`` stages.
+    """
+    n = codes.shape[0]
+    values, kappas = np.empty(n), np.empty((n, 2))
+    for start in range(0, n, JACOBIAN_BLOCK):
+        block = slice(start, start + JACOBIAN_BLOCK)
+        jacobians = net.jacobians(dec, codes[block])
+        lap("jacobians")
+        values[block] = geometry.conformal_factor(jacobians)
+        kappas[block] = geometry.kappa_field(jacobians)
+        lap("conformal_kappa")
+    return geometry.ConformalField(codes, values), kappas
+
+
 def cmd_diagnose(args) -> int:
     """Diagnostics of a checkpoint's decoder, or of the sphere field on a disc grid."""
     out = Path(args.out)
@@ -408,7 +439,7 @@ def cmd_diagnose(args) -> int:
     def lap(stage: str) -> None:
         nonlocal clock
         now = time.perf_counter()
-        timing[stage] = now - clock
+        timing[stage] = timing.get(stage, 0.0) + now - clock
         clock = now
 
     oracle = args.oracle == "sphere"
@@ -421,14 +452,10 @@ def cmd_diagnose(args) -> int:
         lap("read")
         codes = net.forward(enc, samples)
         lap("encode")
-        jacobians = net.jacobians(dec, codes)
-        lap("jacobians")
         try:
-            field = geometry.conformal_field(codes, jacobians)
-            kappas = geometry.kappa_field(jacobians)
+            field, kappas = _conformal_and_kappa(dec, codes, lap)
         except ValueError as exc:
             raise _runtime(str(exc))
-        lap("conformal_kappa")
 
     curv = None
     if codes.shape[1] == 2:

@@ -1,5 +1,8 @@
 """Swiss-roll generation, standardization, splits, CSV round trips, atomic writes.
 
+CSV files are streamed both ways: written ``CSV_BLOCK`` rows at a time and
+read line by line, so neither direction holds the whole text.
+
 The roll is sampled on the rectangle [3*pi/2, 9*pi/2] x [0, 21] with the
 scikit-learn parametrization (xi*cos(xi), eta, xi*sin(xi)), without
 observation noise. All randomness is seeded and reproducible.
@@ -7,7 +10,9 @@ observation noise. All randomness is seeded and reproducible.
 
 from __future__ import annotations
 
+import itertools
 import os
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -17,6 +22,8 @@ XI_RANGE = (1.5 * np.pi, 4.5 * np.pi)
 ETA_RANGE = (0.0, 21.0)
 
 CSV_HEADER = "x,y,z,xi,eta"
+# Rows per block that a CSV writer renders and writes at once.
+CSV_BLOCK = 512
 
 
 @dataclass
@@ -101,62 +108,131 @@ def split(ds: Dataset, val_fraction: float, seed: int) -> tuple[Dataset, Dataset
     return take(train_idx), take(val_idx)
 
 
-def write_atomic(path: str | Path, text: str) -> None:
-    """Write ``text`` atomically: a temp file in the target directory, then ``os.replace``.
+def write_atomic(path: str | Path, text: str | Iterable[str]) -> None:
+    """Write ``text``, one string or an iterable of pieces, atomically.
 
-    Every artifact file is written through here (``metrics.jsonl`` then grows
-    by appends). A failed write removes the temp file, leaves an existing file
-    at ``path`` as it was and re-raises.
+    The pieces go to a temp file in the target directory, then ``os.replace``
+    moves it onto ``path``. Every artifact file is written through here
+    (``metrics.jsonl`` then grows by appends). A failed write, or an error
+    raised while the pieces are produced, removes the temp file, leaves an
+    existing file at ``path`` as it was and re-raises.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_text(text)
+        with open(tmp, "w") as f:
+            f.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
-    except OSError:
+    except BaseException:
         tmp.unlink(missing_ok=True)
         raise
 
 
+def write_csv(path: str | Path, header: str, columns: list[np.ndarray]) -> None:
+    """``header``, then one line per row of the side-by-side ``columns``, each float its ``repr``.
+
+    ``columns`` are 1-D or 2-D arrays of equal length, stacked as by
+    ``np.column_stack``. Rows are stacked, rendered and written ``CSV_BLOCK``
+    at a time, so only one block's table and text are held.
+    """
+
+    def blocks():
+        yield header + "\n"
+        for start in range(0, len(columns[0]), CSV_BLOCK):
+            rows = np.column_stack([c[start : start + CSV_BLOCK] for c in columns]).tolist()
+            yield "\n".join([",".join(map(repr, row)) for row in rows]) + "\n"
+
+    write_atomic(path, blocks())
+
+
 def to_csv(ds: Dataset, path: str | Path) -> None:
-    # one row of Python floats at a time: as fast as one whole-table
-    # ``tolist()``, without holding every row's list at once
-    table = np.column_stack([ds.samples, ds.true_params])
-    lines = [CSV_HEADER] + [",".join(map(repr, row.tolist())) for row in table]
-    write_atomic(path, "\n".join(lines) + "\n")
+    write_csv(path, CSV_HEADER, [ds.samples, ds.true_params])
 
 
-def require_columns(path, body: list[str], n: int) -> None:
+class _Body:
+    """The lines of an open CSV file after its header, streamed.
+
+    Blank lines before the header and after the last row are skipped, as if
+    the file's text were stripped; ``header`` is the first other line,
+    stripped, and ``count``, once the lines are exhausted, the number of
+    body lines yielded.
+    """
+
+    def __init__(self, f):
+        self._f = f
+        self.header = next((line.strip() for line in f if not line.isspace()), "")
+        self.count = 0
+
+    def __iter__(self):
+        blank = []  # held until a later row shows they are inside the body
+        last = 0
+        for last, line in enumerate(self._f, start=1):
+            if line.isspace():
+                blank.append(line)
+                continue
+            if blank:
+                yield from blank
+                blank.clear()
+            yield line
+        self.count = last - len(blank)
+
+
+def _name_bad_line(path: Path, n: int) -> None:
     """Raise ``ValueError("{path}:{line}: ...")`` at the first body line that is not n numbers.
 
-    ``body`` holds the lines after the header, so its first line is line 2.
+    The header is line 1, as if blank lines before it were not there.
     """
-    for lineno, line in enumerate(body, start=2):
-        cells = line.split(",")
-        if len(cells) != n:
-            raise ValueError(f"{path}:{lineno}: expected {n} columns, got {len(cells)}")
-        for cell in cells:
-            try:
-                float(cell)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
+    with open(path) as f:
+        for lineno, line in enumerate(_Body(f), start=2):
+            cells = line.rstrip("\n").split(",")
+            if len(cells) != n:
+                raise ValueError(f"{path}:{lineno}: expected {n} columns, got {len(cells)}")
+            for cell in cells:
+                try:
+                    float(cell)
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: {exc}") from None
+
+
+def read_csv(path: str | Path, header: str | None = None) -> tuple[list[str], np.ndarray]:
+    """Column names and (rows, columns) float table of a CSV file with one header line.
+
+    ``header``, when given, is the header line the file must have. The body
+    streams from the open file into ``np.loadtxt``; a malformed line is
+    named by a second, line-by-line pass. A file without rows gives a table
+    of zero rows and, without a header either, no names.
+    """
+    path = Path(path)
+    with open(path) as f:
+        body = _Body(f)
+        if header is not None and body.header != header:
+            raise ValueError(f"expected header '{header}' in {path}")
+        names = [c.strip() for c in body.header.split(",")] if body.header else []
+        rows = iter(body)
+        first = next(rows, None)
+        if first is None:
+            return names, np.empty((0, len(names)))
+        try:
+            table = np.loadtxt(
+                itertools.chain([first], rows),
+                dtype=np.float64,
+                delimiter=",",
+                comments=None,
+                ndmin=2,
+            )
+        except ValueError as exc:
+            _name_bad_line(path, len(names))
+            raise ValueError(f"{path}: {exc}") from exc
+    # loadtxt skips empty lines, so a table of another shape has a malformed line
+    if table.shape != (body.count, len(names)):
+        _name_bad_line(path, len(names))
+    return names, table
 
 
 def from_csv(path: str | Path) -> Dataset:
-    lines = Path(path).read_text().strip().splitlines()
-    if not lines or lines[0].strip() != CSV_HEADER:
-        raise ValueError(f"expected header '{CSV_HEADER}' in {path}")
-    body = lines[1:]
-    if not body:
+    _, arr = read_csv(path, CSV_HEADER)
+    if not len(arr):
         raise ValueError(f"{path}: no data rows")
-    try:
-        arr = np.loadtxt(body, dtype=np.float64, delimiter=",", comments=None, ndmin=2)
-    except ValueError as exc:
-        require_columns(path, body, 5)
-        raise ValueError(f"{path}: {exc}") from exc
-    # loadtxt skips blank lines, so a short table also means a malformed row
-    if arr.shape != (len(body), 5):
-        require_columns(path, body, 5)
     bad = np.argwhere(~np.isfinite(arr))
     if bad.size:
         row, col = bad[0]

@@ -8,7 +8,9 @@ The kNN search is exact and tiled: each code is searched among the codes
 near its tile of a grid, and only rows that check cannot prove exact are
 searched against all codes. It returns the neighbors a full distance row
 would, ties included, and the graph is an edge list, so memory is O(n k)
-plus distance blocks of at most ``_GRAPH_CHUNK`` entries.
+plus distance blocks of at most ``_GRAPH_CHUNK`` = 2^16 entries (512 KiB).
+Each row is searched on its own, so the block size does not change the
+graph.
 
 The raw graph Laplacian ``L = D - W`` only approximates the continuous
 Laplacian up to a node-dependent negative scale, so curvature comes in three
@@ -27,8 +29,9 @@ import numpy as np
 
 from . import data, linalg, net
 
-# Entries of the largest squared-distance block the kNN search builds.
-_GRAPH_CHUNK = 2**20
+# Entries of the largest squared-distance block the kNN search builds
+# (512 KiB of float64).
+_GRAPH_CHUNK = 2**16
 # Codes per tile of the kNN search's grid, on average over the bounding box.
 _TILE = 64
 
@@ -100,10 +103,18 @@ def pullback_metrics(jacobians: np.ndarray) -> np.ndarray:
     return net.gram(jacobians.transpose(0, 2, 1))  # row k of block p = J_p e_k
 
 
+def conformal_factor(jacobians: np.ndarray) -> np.ndarray:
+    """Stretch factor trace(J^T J) / m of each Jacobian of a ``net.jacobians`` stack.
+
+    Each entry depends on its own Jacobian only, so a stack may be reduced
+    block by block.
+    """
+    return np.einsum("pkk->p", pullback_metrics(jacobians)) / jacobians.shape[2]
+
+
 def conformal_field(codes: np.ndarray, jacobians: np.ndarray) -> ConformalField:
     """Stretch factor at every code from the decoder's ``net.jacobians`` stack there."""
-    values = np.einsum("pkk->p", pullback_metrics(jacobians)) / jacobians.shape[2]
-    return ConformalField(codes=codes, values=values)
+    return ConformalField(codes=codes, values=conformal_factor(jacobians))
 
 
 def _sq_dists(queries: np.ndarray, codes: np.ndarray) -> np.ndarray:
@@ -402,24 +413,12 @@ def write_diagnostics_csv(
         columns["kappa_jac"] = kappas[:, 0]
         columns["kappa_pbm"] = kappas[:, 1]
     names = [c for c in DIAGNOSTIC_COLUMNS if c in columns]
-    table = np.column_stack([columns[c] for c in names]).tolist()
-    lines = [",".join(names)] + [",".join(map(repr, row)) for row in table]
-    data.write_atomic(path, "\n".join(lines) + "\n")
+    data.write_csv(path, ",".join(names), [columns[c] for c in names])
 
 
 def read_diagnostics_csv(path: str | Path) -> dict[str, np.ndarray]:
     """Columns of a ``write_diagnostics_csv`` file by name; a file without rows is an error."""
-    lines = Path(path).read_text().strip().splitlines()
-    if len(lines) < 2:
+    names, table = data.read_csv(path)
+    if not len(table):
         raise ValueError(f"{path}: empty diagnostics file")
-    names = [c.strip() for c in lines[0].split(",")]
-    body = lines[1:]
-    try:
-        table = np.loadtxt(body, dtype=np.float64, delimiter=",", comments=None, ndmin=2)
-    except ValueError as exc:
-        data.require_columns(path, body, len(names))
-        raise ValueError(f"{path}: {exc}") from exc
-    # loadtxt skips blank lines, so a table of another shape has a malformed line
-    if table.shape != (len(body), len(names)):
-        data.require_columns(path, body, len(names))
     return {name: table[:, i] for i, name in enumerate(names)}

@@ -53,19 +53,19 @@ def _act(name: str, a: np.ndarray, slope: float) -> np.ndarray:
     raise ValueError(f"unknown activation {name!r}")
 
 
-def _dact(name: str, a: np.ndarray, slope: float) -> np.ndarray:
-    # Derivative w.r.t. the pre-activation. The ReLU kink at 0 uses the
-    # zero-side subgradient.
+def _act_dact(name: str, a: np.ndarray, slope: float) -> tuple[np.ndarray, np.ndarray]:
+    """The activation at ``a`` and its derivative w.r.t. ``a``; tanh is evaluated once.
+
+    The ReLU kink at 0 uses the zero-side subgradient.
+    """
+    out = _act(name, a, slope)
     if name == "relu":
-        return (a > 0.0).astype(np.float64)
+        return out, (a > 0.0).astype(np.float64)
     if name == "leaky_relu":
-        return np.where(a > 0.0, 1.0, slope)
+        return out, np.where(a > 0.0, 1.0, slope)
     if name == "tanh":
-        t = np.tanh(a)
-        return 1.0 - t * t
-    if name == "identity":
-        return np.ones_like(a)
-    raise ValueError(f"unknown activation {name!r}")
+        return out, 1.0 - out * out
+    return out, np.ones_like(a)  # identity
 
 
 def _ddact(name: str, a: np.ndarray, slope: float) -> np.ndarray | None:
@@ -236,10 +236,10 @@ def _primal(net: Mlp, xb: np.ndarray):
     cur = xb
     for layer in net.layers:
         a = cur @ layer.weight.T + layer.bias
-        cur = _act(layer.activation, a, layer.slope)
+        cur, d = _act_dact(layer.activation, a, layer.slope)
         pre.append(a)
         out.append(cur)
-        dact.append(_dact(layer.activation, a, layer.slope))
+        dact.append(d)
     return pre, out, dact
 
 
@@ -318,9 +318,8 @@ def jacobians(net: Mlp, z: np.ndarray) -> np.ndarray:
     for layer in net.layers:
         x = x @ layer.weight.T
         x += layer.bias
-        d = _dact(layer.activation, x, layer.slope)
         # rebinding x frees the pre-activation before the tangent product
-        x = _act(layer.activation, x, layer.slope)
+        x, d = _act_dact(layer.activation, x, layer.slope)
         tan = tan @ layer.weight.T
         np.multiply(d[:, None, :], tan.reshape(b, m, -1), out=tan.reshape(b, m, -1))
     return tan.reshape(b, m, -1).transpose(0, 2, 1)

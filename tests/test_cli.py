@@ -5,6 +5,7 @@ import os
 import signal
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -292,6 +293,20 @@ class TestTrain:
         payload = json.loads(capsys.readouterr().out)
         assert payload["proposed_lambda_geo"] > 0
         assert not (out / cli.CHECKPOINT_NAME).exists()
+
+    @pytest.mark.parametrize("malformed", [False, True], ids=["data", "malformed-data"])
+    def test_calibrate_intensity_refuses_resume(self, tmp_path, roll_csv, capsys, malformed):
+        # refused before --data is parsed, even when the run to resume is missing
+        csv = malformed_copy(roll_csv, tmp_path / "bad.csv") if malformed else roll_csv
+        missing = tmp_path / "missing"
+        code, out = tiny_train(
+            tmp_path, csv, "dry", "--regularizer", "conf", "--calibrate-intensity",
+            "--resume", str(missing),
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "--calibrate-intensity" in captured.err and captured.out == ""
+        assert not out.exists() and not missing.exists()
 
     def test_checkpoint_cadence(self, tmp_path, roll_csv):
         # one snapshot file, overwritten every epoch, holds the last epoch
@@ -664,6 +679,35 @@ class TestDiagnose:
 
     def test_missing_inputs_is_validation_error(self, tmp_path):
         assert run_cli("diagnose", "--out", str(tmp_path / "x")) == 1
+
+
+class TestJacobianBlocks:
+    @pytest.mark.parametrize("act", ["relu", "leaky_relu", "tanh", "identity"])
+    def test_blocks_match_the_whole_stack(self, act):
+        dec = net.init([2, 50, 50, 50, 3], [act] * 3 + ["identity"], 31)
+        # two whole blocks and a short last one
+        codes = np.random.default_rng(32).normal(size=(2 * cli.JACOBIAN_BLOCK + 37, 2))
+        laps = []
+        field, kappas = cli._conformal_and_kappa(dec, codes, laps.append)
+        assert laps == ["jacobians", "conformal_kappa"] * 3
+        jacobians = net.jacobians(dec, codes)
+        want = geometry.conformal_field(codes, jacobians)
+        np.testing.assert_allclose(field.values, want.values, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(kappas, geometry.kappa_field(jacobians), rtol=1e-12, atol=0)
+        assert np.array_equal(field.codes, codes)
+
+    def test_memory_is_bounded(self):
+        # the whole stack of these codes, with its Gram and SVD transients,
+        # peaks near 9 MiB
+        dec = net.init([2, 50, 50, 50, 3], ["relu"] * 3 + ["identity"], 29)
+        codes = np.random.default_rng(30).normal(size=(4000, 2))
+        tracemalloc.start()
+        try:
+            cli._conformal_and_kappa(dec, codes, lambda stage: None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20, peak
 
 
 class TestPlot:

@@ -1,3 +1,6 @@
+import os
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -236,3 +239,90 @@ class TestCsv:
         path.write_text(data.CSV_HEADER + "\n" + body)
         with pytest.raises(ValueError, match="bad.csv"):
             data.from_csv(path)
+
+    @pytest.mark.parametrize("n", [data.CSV_BLOCK - 1, data.CSV_BLOCK, data.CSV_BLOCK + 1])
+    def test_blocks_render_as_one_string(self, tmp_path, n):
+        ds = data.swiss_roll(n, seed=18)
+        table = np.column_stack([ds.samples, ds.true_params]).tolist()
+        lines = [data.CSV_HEADER] + [",".join(map(repr, row)) for row in table]
+        path = tmp_path / "roll.csv"
+        data.to_csv(ds, path)
+        assert path.read_text() == "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("", "expected header 'x,y,z,xi,eta' in {path}"),
+            ("a,b,c\n1,2,3\n", "expected header 'x,y,z,xi,eta' in {path}"),
+            ("x,y,z,xi,eta\n\n", "{path}: no data rows"),
+            ("x,y,z,xi,eta\n1,2,3,4,5\n1,2,3\n", "{path}:3: expected 5 columns, got 3"),
+            ("x,y,z,xi,eta\n\n1,2,3,4,5\n", "{path}:2: expected 5 columns, got 1"),
+            ("x,y,z,xi,eta\n1,2,3,4,5\n  \n1,2,3,4,5\n", "{path}:3: expected 5 columns, got 1"),
+            (
+                "x,y,z,xi,eta\n1,2,3,4,5\n1,2,x,4,5\n",
+                "{path}:3: could not convert string to float: 'x'",
+            ),
+            ("x,y,z,xi,eta\n1,2,3,4,5\n1,2,3,nan,5\n", "{path}:3: non-finite value nan in column 4"),
+        ],
+        ids=[
+            "empty",
+            "wrong-header",
+            "header-only",
+            "short-row",
+            "blank-after-header",
+            "whitespace-line",
+            "non-numeric",
+            "non-finite",
+        ],
+    )
+    def test_error_messages(self, tmp_path, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError) as exc:
+            data.from_csv(path)
+        assert str(exc.value) == message.format(path=path)
+
+    def test_blank_lines_around_the_table_are_ignored(self, tmp_path):
+        ds = data.swiss_roll(7, seed=19)
+        path = tmp_path / "roll.csv"
+        data.to_csv(ds, path)
+        path.write_text("\n \n" + path.read_text() + "\n  \n\t\n")
+        back = data.from_csv(path)
+        assert np.array_equal(back.samples, ds.samples)
+        assert np.array_equal(back.true_params, ds.true_params)
+
+    def test_round_trip_does_not_hold_the_text(self, tmp_path):
+        # the text of 20000 rows takes about 2 MB, its list of lines twice that
+        ds = data.swiss_roll(20000, seed=20)
+        path = tmp_path / "roll.csv"
+        tracemalloc.start()
+        try:
+            data.to_csv(ds, path)
+            written = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            data.from_csv(path)
+            read = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert written < 2**20, written
+        assert read < 2 * 2**20, read
+
+
+class TestWriteAtomic:
+    def test_pieces_are_written_in_order(self, tmp_path):
+        path = tmp_path / "out.txt"
+        data.write_atomic(path, iter(["a", "b\n", "", "c\n"]))
+        assert path.read_text() == "ab\nc\n"
+
+    def test_failing_pieces_keep_the_previous_file(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("before\n")
+
+        def pieces():
+            yield "partial\n"
+            raise RuntimeError("rendering failed")
+
+        with pytest.raises(RuntimeError, match="rendering failed"):
+            data.write_atomic(path, pieces())
+        assert path.read_text() == "before\n"
+        assert os.listdir(tmp_path) == ["out.txt"]

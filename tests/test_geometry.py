@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from confae import geometry, net
+from confae import data, geometry, net
 
 from oracles import swiss_roll_jacobian
 
@@ -457,3 +457,45 @@ class TestDiagnosticsCsv:
         path.write_text("z1,z2\n" + body)
         with pytest.raises(ValueError, match=want):
             geometry.read_diagnostics_csv(path)
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1], ids=["block-1", "block", "block+1"])
+    def test_blocks_render_as_one_string(self, tmp_path, extra):
+        n = data.CSV_BLOCK + extra
+        rng = np.random.default_rng(12)
+        codes = rng.normal(size=(n, 2))
+        field = geometry.ConformalField(codes, np.exp(rng.normal(size=n)))
+        kappas = 1.0 + rng.random((n, 2))
+        kappas[n // 2] = math.inf
+        curv = geometry.scalar_curvature(field, geometry.build_graph(codes))
+        columns = [codes[:, 0], codes[:, 1], field.values, field.normalized, curv.raw]
+        columns += [curv.normalized, curv.calibrated, curv.interior, kappas[:, 0], kappas[:, 1]]
+        table = np.column_stack(columns).tolist()
+        lines = [",".join(geometry.DIAGNOSTIC_COLUMNS)] + [",".join(map(repr, r)) for r in table]
+        path = tmp_path / "diag.csv"
+        geometry.write_diagnostics_csv(path, field, curv, kappas)
+        assert path.read_text() == "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("", "{path}: empty diagnostics file"),
+            ("z1,z2\n \n\n", "{path}: empty diagnostics file"),
+            ("z1,z2\n1,2\n3\n", "{path}:3: expected 2 columns, got 1"),
+            ("z1,z2\n\n1,2\n", "{path}:2: expected 2 columns, got 1"),
+            ("z1,z2\n1,2\n3,x\n", "{path}:3: could not convert string to float: 'x'"),
+        ],
+        ids=["empty", "blank-body", "short-row", "blank-after-header", "non-numeric"],
+    )
+    def test_error_messages(self, tmp_path, text, message):
+        path = tmp_path / "diag.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError) as exc:
+            geometry.read_diagnostics_csv(path)
+        assert str(exc.value) == message.format(path=path)
+
+    def test_blank_lines_around_the_table_are_ignored(self, tmp_path):
+        path = tmp_path / "diag.csv"
+        path.write_text("\n  \nz1 , z2\n1,2\n3,inf\n\n \n")
+        cols = geometry.read_diagnostics_csv(path)
+        assert list(cols) == ["z1", "z2"]
+        assert np.array_equal(cols["z2"], [2.0, math.inf])

@@ -335,6 +335,41 @@ class TestBlockTangents:
             net.jvp(network, np.zeros((5, 2)), np.ones(shape))
 
 
+def _separate_act_dact(name, a, slope):
+    """The activation and its derivative from separate formulas, tanh evaluated twice."""
+    if name == "relu":
+        d = (a > 0.0).astype(np.float64)
+    elif name == "leaky_relu":
+        d = np.where(a > 0.0, 1.0, slope)
+    elif name == "tanh":
+        t = np.tanh(a)
+        d = 1.0 - t * t
+    else:
+        d = np.ones_like(a)
+    return net._act(name, a, slope), d
+
+
+@pytest.mark.parametrize("act", BLOCK_ACTS)
+def test_one_activation_pass_matches_the_separate_formulas(monkeypatch, act):
+    network = seeded_net((2, 9, 7, 3), (act, act, "identity"), 33)
+    rng = np.random.default_rng(34)
+    z, v = rng.normal(size=(6, 2)), rng.normal(size=(6, 4, 2))
+    out_grad, tan_grad = rng.normal(size=(6, 3)), rng.normal(size=(24, 3))
+
+    def sweeps():
+        y, tape = net.forward_tape(network, z)
+        res = net.jvp(network, z, v)
+        g, g_x, g_s = net.backward(network, res.trace, out_grad=out_grad, tan_grad=tan_grad)
+        states = tape.pre + tape.out + tape.dact + res.trace.tan_out
+        return [y, res.y, res.jv, net.jacobians(network, z), g.flat, g_x, g_s, *states]
+
+    got = sweeps()
+    monkeypatch.setattr(net, "_act_dact", _separate_act_dact)
+    want = sweeps()
+    assert len(got) == len(want)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
 class TestGradScalar:
     def test_linear_least_squares_closed_form(self):
         rng = np.random.default_rng(14)
