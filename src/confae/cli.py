@@ -161,8 +161,6 @@ def _resolve_config(args) -> training.RunConfig:
             obj[key] = value
     if args.exact_trace:
         obj["exact_trace"] = True
-    if args.detach_codes:
-        obj["detach_codes"] = True
     if "seed" not in obj:
         obj["seed"] = _default_seed()
     return training.RunConfig.from_dict(obj)
@@ -382,8 +380,6 @@ def _check_same_data(manifest_path: Path, manifest: dict, data_path: Path) -> No
 
 def _validation_split(args):
     """(encoder, decoder, validation samples, regularizer tag) of the run to diagnose."""
-    if not args.checkpoint or not args.data:
-        raise _validation("diagnose needs --checkpoint and --data (or --oracle sphere)")
     snapshot = _load_checkpoint(Path(args.checkpoint))
     manifest_path = Path(args.checkpoint).parent / MANIFEST_NAME
     manifest = _read_json(manifest_path, "manifest") if manifest_path.exists() else {}
@@ -427,7 +423,7 @@ def _conformal_and_kappa(dec: net.Mlp, codes: np.ndarray, lap):
 
 
 def cmd_diagnose(args) -> int:
-    """Diagnostics of a checkpoint's decoder, or of the sphere field on a disc grid."""
+    """Diagnostics of a checkpoint's decoder on the validation split of ``--data``."""
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -442,20 +438,14 @@ def cmd_diagnose(args) -> int:
         timing[stage] = timing.get(stage, 0.0) + now - clock
         clock = now
 
-    oracle = args.oracle == "sphere"
-    if oracle:
-        codes = geometry.disc_grid(40, 2.0)
-        field = geometry.ConformalField(codes, geometry.stereographic_factor(codes))
-        kappas = None
-    else:
-        enc, dec, samples, regularizer = _validation_split(args)
-        lap("read")
-        codes = net.forward(enc, samples)
-        lap("encode")
-        try:
-            field, kappas = _conformal_and_kappa(dec, codes, lap)
-        except ValueError as exc:
-            raise _runtime(str(exc))
+    enc, dec, samples, regularizer = _validation_split(args)
+    lap("read")
+    codes = net.forward(enc, samples)
+    lap("encode")
+    try:
+        field, kappas = _conformal_and_kappa(dec, codes, lap)
+    except ValueError as exc:
+        raise _runtime(str(exc))
 
     curv = None
     if codes.shape[1] == 2:
@@ -474,19 +464,6 @@ def cmd_diagnose(args) -> int:
 
     geometry.write_diagnostics_csv(out / DIAGNOSTICS_NAME, field, curv, kappas)
     lap("write_csv")
-    if oracle:
-        payload = {
-            "mode": "sphere-oracle",
-            "median_interior_curvature": float(np.median(curv.calibrated[curv.interior])),
-            "analytic_target": 2.0,
-            "nodes": int(codes.shape[0]),
-            "interior_nodes": int(curv.interior.sum()),
-            "calibration": curv.calibration,
-        }
-        _json_dump(payload, out / "oracle_summary.json")
-        print(json.dumps(payload, sort_keys=True))
-        return 0
-
     try:
         payload = {"regularizer": regularizer, **geometry.summarize_kappa(kappas)}
     except ValueError as exc:
@@ -620,20 +597,18 @@ def build_parser() -> _Parser:
     trn.add_argument("--lr", type=float, default=None)
     trn.add_argument("--weight-decay", dest="weight_decay", type=float, default=None)
     trn.add_argument("--exact-trace", dest="exact_trace", action="store_true")
-    trn.add_argument("--detach-codes", dest="detach_codes", action="store_true")
     trn.add_argument("--calibrate-intensity", action="store_true")
     trn.add_argument("--resume", default=None, help="run directory to continue")
     trn.add_argument("--single-thread", action="store_true")
     trn.set_defaults(func=cmd_train)
 
     dia = sub.add_parser("diagnose", help="geometry diagnostics for a checkpoint")
-    dia.add_argument("--checkpoint", default=None)
-    dia.add_argument("--data", default=None)
+    dia.add_argument("--checkpoint", required=True)
+    dia.add_argument("--data", required=True)
     dia.add_argument("--out", required=True)
     dia.add_argument("--seed", type=int, default=None)
     dia.add_argument("--val-fraction", dest="val_fraction", type=float, default=None)
     dia.add_argument("--regularizer", default=None)
-    dia.add_argument("--oracle", choices=("none", "sphere"), default="none")
     dia.add_argument("--single-thread", action="store_true")
     dia.set_defaults(func=cmd_diagnose)
 

@@ -27,20 +27,9 @@ CSV_BLOCK = 512
 
 
 @dataclass
-class Normalization:
-    mean: np.ndarray
-    std: np.ndarray
-
-    def apply(self, samples: np.ndarray) -> np.ndarray:
-        return (samples - self.mean) / self.std
-
-
-@dataclass
 class Dataset:
     samples: np.ndarray  # (n, 3)
     true_params: np.ndarray  # (n, 2) ground-truth (xi, eta)
-    normalization: Normalization | None = None
-    indices: np.ndarray | None = None  # positions in the source dataset, if split
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.float64)
@@ -72,13 +61,7 @@ def standardize(ds: Dataset) -> Dataset:
     for i, s in enumerate(std):
         if s <= 0.0:
             raise ValueError(f"feature {i} has zero variance")
-    norm = Normalization(mean=mean, std=std)
-    return Dataset(
-        samples=norm.apply(ds.samples),
-        true_params=ds.true_params.copy(),
-        normalization=norm,
-        indices=None if ds.indices is None else ds.indices.copy(),
-    )
+    return Dataset(samples=(ds.samples - mean) / std, true_params=ds.true_params.copy())
 
 
 def is_standardized(ds: Dataset, tol: float = 1e-6) -> bool:
@@ -98,12 +81,7 @@ def split(ds: Dataset, val_fraction: float, seed: int) -> tuple[Dataset, Dataset
     val_idx, train_idx = perm[:n_val], perm[n_val:]
 
     def take(idx):
-        return Dataset(
-            samples=ds.samples[idx],
-            true_params=ds.true_params[idx],
-            normalization=ds.normalization,
-            indices=idx.copy(),
-        )
+        return Dataset(samples=ds.samples[idx], true_params=ds.true_params[idx])
 
     return take(train_idx), take(val_idx)
 

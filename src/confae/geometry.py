@@ -274,14 +274,6 @@ def stereographic_factor(codes: np.ndarray, radius: float = 1.0) -> np.ndarray:
     return 4.0 * radius**4 / (radius**2 + r2) ** 2
 
 
-def disc_grid(resolution: int = 40, radius: float = 2.0) -> np.ndarray:
-    """Square grid over [-radius, radius]^2 clipped to the disc."""
-    axis = np.linspace(-radius, radius, resolution)
-    xx, yy = np.meshgrid(axis, axis)
-    pts = np.column_stack([xx.ravel(), yy.ravel()])
-    return pts[(pts**2).sum(axis=1) <= radius**2 + 1e-12]
-
-
 def _raw_curvature(values: np.ndarray, graph: LatentGraph) -> np.ndarray:
     return -graph.apply_laplacian(np.log(values)) / values
 
@@ -393,25 +385,24 @@ DIAGNOSTIC_COLUMNS = (
 def write_diagnostics_csv(
     path: str | Path,
     field: ConformalField,
-    curvature: CurvatureField | None = None,
-    kappas: np.ndarray | None = None,
+    curvature: CurvatureField | None,
+    kappas: np.ndarray,
 ) -> None:
-    """One row per code; curvature or kappa columns are omitted when absent."""
+    """One row per code; the curvature columns are omitted when ``curvature`` is None."""
+    kappas = np.asarray(kappas, dtype=np.float64)
     columns: dict[str, np.ndarray] = {
         "z1": field.codes[:, 0],
         "z2": field.codes[:, 1],
         "c": field.values,
         "c_normalized": field.normalized,
+        "kappa_jac": kappas[:, 0],
+        "kappa_pbm": kappas[:, 1],
     }
     if curvature is not None:
         columns["s_raw"] = curvature.raw
         columns["s_normalized"] = curvature.normalized
         columns["s_calibrated"] = curvature.calibrated
         columns["interior"] = curvature.interior.astype(np.float64)
-    if kappas is not None:
-        kappas = np.asarray(kappas, dtype=np.float64)
-        columns["kappa_jac"] = kappas[:, 0]
-        columns["kappa_pbm"] = kappas[:, 1]
     names = [c for c in DIAGNOSTIC_COLUMNS if c in columns]
     data.write_csv(path, ",".join(names), [columns[c] for c in names])
 

@@ -13,16 +13,6 @@ import math
 import numpy as np
 
 
-def as_matrix(a: np.ndarray) -> np.ndarray:
-    """Coerce to a 2-D float64 array and reject non-finite entries."""
-    m = np.asarray(a, dtype=np.float64)
-    if m.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got ndim={m.ndim}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix entries must be finite")
-    return m
-
-
 def condition_numbers(stack: np.ndarray) -> np.ndarray:
     """sigma_max / sigma_min of each matrix in a (B, r, c) stack, one batched SVD.
 
@@ -48,7 +38,9 @@ def condition_number(a: np.ndarray) -> float:
     Returns ``math.inf`` for rank-deficient input (see ``condition_numbers``);
     a zero matrix is an error.
     """
-    m = as_matrix(a)
+    m = np.asarray(a, dtype=np.float64)
+    if m.ndim != 2:
+        raise ValueError(f"expected a 2-D matrix, got ndim={m.ndim}")
     if not m.any():
         raise ValueError("condition number of the zero matrix is undefined")
     return float(condition_numbers(m[None])[0])

@@ -8,12 +8,14 @@ Two sweeps are supported over the same recorded evaluation:
 
 Both are recorded as nodes of one tape (:class:`DualTrace`), so a single
 standard reverse sweep (:func:`backward`) yields exact parameter gradients of
-any scalar built from the primal output or the tangent output. Pushing the
-latent basis through the tangent pass gives the Jacobian's columns, so any
-function of the Gram matrix ``J^T J`` can be trained without nested autodiff
-machinery. Where no reverse sweep follows, :func:`jacobians` pushes the basis
-through the same operations without a tape: it holds the states of one layer
-at a time.
+any scalar built from the primal output or the tangent output. Per layer the
+tape holds the activation's output and derivative and, after a tangent pass,
+the tangent pre-activations and outputs. It keeps no primal pre-activation:
+the reverse sweep forms tanh'' from tanh and tanh'. Pushing the latent basis
+through the tangent pass gives the Jacobian's columns, so any function of the
+Gram matrix ``J^T J`` can be trained without nested autodiff machinery. Where
+no reverse sweep follows, :func:`jacobians` pushes the basis through the same
+operations without a tape: it holds the states of one layer at a time.
 
 A network's parameters are one float64 vector, ``Mlp.params`` (per layer the
 row-major weight, then the bias); every ``Layer`` array is a view into it,
@@ -68,11 +70,14 @@ def _act_dact(name: str, a: np.ndarray, slope: float) -> tuple[np.ndarray, np.nd
     return out, np.ones_like(a)  # identity
 
 
-def _ddact(name: str, a: np.ndarray, slope: float) -> np.ndarray | None:
-    # Second derivative; None means identically zero (piecewise-linear).
+def _ddact(name: str, out: np.ndarray, dact: np.ndarray) -> np.ndarray | None:
+    """Second derivative from the activation's output and derivative.
+
+    None means identically zero (piecewise-linear). For tanh it is
+    -2 tanh (1 - tanh^2), with the factors in that order.
+    """
     if name == "tanh":
-        t = np.tanh(a)
-        return -2.0 * t * (1.0 - t * t)
+        return -2.0 * out * dact
     if name in ("relu", "leaky_relu", "identity"):
         return None
     raise ValueError(f"unknown activation {name!r}")
@@ -161,15 +166,13 @@ class ParamGradient:
 class DualTrace:
     """Recorded states of one primal / tangent evaluation.
 
-    ``pre[k]``, ``out[k]`` and ``dact[k]`` are the pre-activation, activation
-    output and activation derivative of layer k, one row per input; tangent
-    lists are present only when the tangent sweep ran and hold ``fanout``
-    rows per input, input-major (row ``b * fanout + i`` is tangent i of
-    input b).
+    ``out[k]`` and ``dact[k]`` are the activation output and activation
+    derivative of layer k, one row per input; tangent lists are present only
+    when the tangent sweep ran and hold ``fanout`` rows per input,
+    input-major (row ``b * fanout + i`` is tangent i of input b).
     """
 
     x0: np.ndarray
-    pre: list[np.ndarray]
     out: list[np.ndarray]
     dact: list[np.ndarray]
     fanout: int = 1
@@ -227,20 +230,21 @@ def forward(net: Mlp, x: np.ndarray) -> np.ndarray:
     """Evaluate the network; accepts a vector or a (B, in_dim) batch."""
     a, single = _as_batch(x, net.in_dim, "input")
     for layer in net.layers:
-        a = _act(layer.activation, a @ layer.weight.T + layer.bias, layer.slope)
+        a = a @ layer.weight.T
+        a += layer.bias
+        a = _act(layer.activation, a, layer.slope)
     return a[0] if single else a
 
 
 def _primal(net: Mlp, xb: np.ndarray):
-    pre, out, dact = [], [], []
+    out, dact = [], []
     cur = xb
     for layer in net.layers:
         a = cur @ layer.weight.T + layer.bias
         cur, d = _act_dact(layer.activation, a, layer.slope)
-        pre.append(a)
         out.append(cur)
         dact.append(d)
-    return pre, out, dact
+    return out, dact
 
 
 def _per_row(mask: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
@@ -252,8 +256,8 @@ def _per_row(mask: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
 def forward_tape(net: Mlp, x: np.ndarray) -> tuple[np.ndarray, DualTrace]:
     """Forward pass recording per-layer states for a later reverse sweep."""
     xb, _ = _as_batch(x, net.in_dim, "input")
-    pre, out, dact = _primal(net, xb)
-    return out[-1], DualTrace(x0=xb, pre=pre, out=out, dact=dact)
+    out, dact = _primal(net, xb)
+    return out[-1], DualTrace(x0=xb, out=out, dact=dact)
 
 
 def jvp(net: Mlp, z: np.ndarray, v: np.ndarray) -> JvpResult:
@@ -278,7 +282,7 @@ def jvp(net: Mlp, z: np.ndarray, v: np.ndarray) -> JvpResult:
         fanout = 1
         if vb.shape[0] != b:
             raise ValueError("input and tangent batches differ in size")
-    pre, out, dacts = _primal(net, zb)
+    out, dacts = _primal(net, zb)
     tan_pre, tan_out = [], []
     tan = vb
     for layer, d in zip(net.layers, dacts):
@@ -288,7 +292,6 @@ def jvp(net: Mlp, z: np.ndarray, v: np.ndarray) -> JvpResult:
         tan_out.append(tan)
     trace = DualTrace(
         x0=zb,
-        pre=pre,
         out=out,
         dact=dacts,
         fanout=fanout,
@@ -381,7 +384,7 @@ def backward(
         if g_s is not None:
             # s_k = dact(a_k) * t_k ; t_k = s_{k-1} @ W_k^T
             g_t = _per_row(dacts[k], g_s, n)
-            ddact = _ddact(layer.activation, trace.pre[k], layer.slope)
+            ddact = _ddact(layer.activation, trace.out[k], dacts[k])
             if ddact is not None:
                 # second-derivative term of every tangent row, summed per input
                 d = dacts[k].shape[1]

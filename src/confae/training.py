@@ -70,7 +70,6 @@ class RunConfig:
     probes: int = 8
     exact_trace: bool = False
     seed: int = 42
-    detach_codes: bool = False
     dims: list[int] = field(default_factory=lambda: [3, 50, 50, 50, 2])
     activation: str = "relu"
     val_fraction: float = 0.2
@@ -239,14 +238,18 @@ class PlateauState:
 
 
 def reduce_on_plateau(state: PlateauState, val_loss: float) -> float:
-    """Halt-and-decay schedule: cut lr after `patience` stale epochs."""
+    """Halt-and-decay schedule: cut lr after `patience` stale epochs.
+
+    A cut stops at ``min_lr``, and an lr already below ``min_lr`` is kept:
+    a cut never raises it.
+    """
     if val_loss < state.best - PLATEAU_IMPROVEMENT:
         state.best = val_loss
         state.bad_epochs = 0
     else:
         state.bad_epochs += 1
         if state.bad_epochs >= state.patience:
-            state.lr = max(state.lr * state.factor, state.min_lr)
+            state.lr = min(state.lr, max(state.lr * state.factor, state.min_lr))
             state.bad_epochs = 0
     return state.lr
 
@@ -266,8 +269,6 @@ class TrainState:
 
 @dataclass
 class TrainResult:
-    enc: net.Mlp
-    dec: net.Mlp
     records: list[EpochRecord]
     state: TrainState
 
@@ -331,10 +332,8 @@ def _batch_losses_and_grads(config, lam, enc, dec, x, rng, epoch, batch_no):
 
     The decoder is evaluated once (:func:`_decoder_tape`); both losses read
     its outputs, and their ``lam``-weighted adjoints seed one decoder sweep,
-    whose code gradient seeds the encoder's. ``detach_codes`` keeps the
-    geometric term out of the encoder, at the cost of a second, primal-only
-    decoder sweep for the reconstruction's code gradient. With ``lam`` zero
-    the enabled term is only evaluated (monitored mode). ``epoch`` and
+    whose code gradient seeds the encoder's. With ``lam`` zero the enabled
+    term is only evaluated (monitored mode). ``epoch`` and
     ``batch_no`` locate a :class:`TrainingDivergedError` or a
     :class:`~confae.regularizers.DegenerateJacobianError`.
     """
@@ -360,9 +359,7 @@ def _batch_losses_and_grads(config, lam, enc, dec, x, rng, epoch, batch_no):
     out_grad = g_rec if g_y is None else g_rec + lam * g_y
     tan_grad = None if g_rows is None else lam * g_rows.reshape(-1, y.shape[1])
     dec_grads, g_codes, _ = net.backward(dec, dec_tape, out_grad=out_grad, tan_grad=tan_grad)
-    if config.detach_codes and (g_y is not None or g_rows is not None):
-        _, g_codes, _ = net.backward(dec, dec_tape, out_grad=g_rec)
-    elif g_z is not None:
+    if g_z is not None:
         g_codes = g_codes + lam * g_z
     enc_grads, _, _ = net.backward(enc, enc_tape, out_grad=g_codes)
     return rec, geo_val, enc_grads, dec_grads
@@ -388,8 +385,7 @@ def train(
     """Minimize reconstruction + intensity * geometric term over minibatches.
 
     The geometric term is evaluated on the codes of the current batch; its
-    gradient reaches both networks unless ``detach_codes`` cuts the encoder
-    path. With intensity zero the enabled regularizer is still evaluated and
+    gradient reaches both networks. With intensity zero the enabled regularizer is still evaluated and
     logged (monitored mode). ``resume`` continues a run toward the same total
     epoch count, bit-exactly.
     """
@@ -471,7 +467,7 @@ def train(
             lr = reduce_on_plateau(plateau, val_recon)
         if on_epoch is not None:
             on_epoch(snapshot(epoch), record)
-    return TrainResult(enc=enc, dec=dec, records=records, state=snapshot(config.epochs))
+    return TrainResult(records=records, state=snapshot(config.epochs))
 
 
 CALIBRATION_SAMPLE = 512

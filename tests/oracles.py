@@ -20,3 +20,11 @@ def swiss_roll_jacobian(z: np.ndarray) -> np.ndarray:
             [np.sin(xi) + xi * np.cos(xi), 0.0],
         ]
     )
+
+
+def disc_grid(resolution: int = 40, radius: float = 2.0) -> np.ndarray:
+    """Square grid over [-radius, radius]^2 clipped to the disc."""
+    axis = np.linspace(-radius, radius, resolution)
+    xx, yy = np.meshgrid(axis, axis)
+    pts = np.column_stack([xx.ravel(), yy.ravel()])
+    return pts[(pts**2).sum(axis=1) <= radius**2 + 1e-12]

@@ -19,7 +19,7 @@ import pytest
 from confae import data, geometry, linalg, net
 from confae import regularizers as reg
 
-from oracles import swiss_roll_jacobian
+from oracles import disc_grid, swiss_roll_jacobian
 from test_net import fd_input_jacobian, fd_param_grad, rel_err, vjp
 from test_regularizers import hutch_moments, value_of
 
@@ -246,7 +246,7 @@ def test_criterion_5_curvature_pipeline():
     const_curv = geometry.scalar_curvature(const_field, graph)
     constant_ok = bool(np.all(const_curv.raw == 0.0))
 
-    grid = geometry.disc_grid(40, 2.0)
+    grid = disc_grid(40, 2.0)
     grid_graph = geometry.build_graph(grid, k=10)
     sphere = geometry.ConformalField(grid, geometry.stereographic_factor(grid))
     curv = geometry.scalar_curvature(sphere, grid_graph)

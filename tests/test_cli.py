@@ -225,6 +225,20 @@ class TestTrain:
         manifest = json.loads((out / cli.MANIFEST_NAME).read_text())
         assert manifest["config"]["scheduler"]["enabled"] is True
 
+    @pytest.mark.parametrize("how", ["config", "set"])
+    def test_detach_codes_is_an_unknown_key(self, tmp_path, roll_csv, capsys, how):
+        # the option was removed; a config that still sets it is refused
+        if how == "config":
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps({"detach_codes": False}))
+            extra = ("--config", str(cfg_path))
+        else:
+            extra = ("--set", "detach_codes=true")
+        code, out = tiny_train(tmp_path, roll_csv, "run", *extra)
+        assert code == 1
+        assert "detach_codes: unknown key" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_config_keys_all_reported(self, tmp_path, roll_csv, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"epochz": 1, "learning": 2}))
@@ -382,8 +396,19 @@ class TestTrain:
         name = cli.CHECKPOINT_NAME
         assert (out / name).read_bytes() == (straight / name).read_bytes()
 
-    def test_killed_run_resumes_to_the_uninterrupted_snapshot(self, tmp_path, roll_csv):
-        cadence = ("--epochs", "5", "--set", "checkpoint_every=2")
+    @pytest.mark.parametrize(
+        "schedule",
+        [
+            (),
+            # lr so small that every epoch after the first stalls: the lr is
+            # cut at epochs 3 and 5, across the snapshot of epoch 2
+            ("--lr", "1e-12", "--set", "scheduler.enabled=true", "--set", "scheduler.patience=2",
+             "--set", "scheduler.min_lr=0"),
+        ],
+        ids=["scheduler-off", "scheduler-on"],
+    )
+    def test_killed_run_resumes_to_the_uninterrupted_snapshot(self, tmp_path, roll_csv, schedule):
+        cadence = ("--epochs", "5", "--set", "checkpoint_every=2", *schedule)
         killed = tmp_path / "killed"
         paths = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
@@ -404,6 +429,8 @@ class TestTrain:
         name = cli.CHECKPOINT_NAME
         assert (killed / name).read_bytes() == (straight / name).read_bytes()
         assert records(killed, drop={"seconds"}) == records(straight, drop={"seconds"})
+        if schedule:
+            assert [r["lr"] for r in records(straight)] == [1e-12] * 3 + [5e-13] * 2
 
     def test_resume_into_another_directory_keeps_the_earlier_records(self, tmp_path, roll_csv):
         code, first = tiny_train(tmp_path, roll_csv, "first")
@@ -491,6 +518,23 @@ class TestTrain:
         assert f"differs in {differ}" in capsys.readouterr().err
         assert (out / cli.MANIFEST_NAME).read_bytes() == manifest
 
+    def test_resume_refuses_a_run_that_recorded_detach_codes(self, tmp_path, roll_csv, capsys):
+        code, out = tiny_train(tmp_path, roll_csv)
+        assert code == 0
+        path = out / cli.MANIFEST_NAME
+        manifest = json.loads(path.read_text())
+        # what a run made while the option existed recorded
+        manifest["config"]["detach_codes"] = False
+        path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        code, _ = tiny_train(tmp_path, roll_csv, "run", "--epochs", "3", "--resume", str(out))
+        assert code == 1
+        assert "differs in detach_codes" in capsys.readouterr().err
+        assert [r["epoch"] for r in records(out)] == [1, 2]
+        # the run can still be diagnosed
+        argv = ["--checkpoint", str(out / cli.CHECKPOINT_NAME), "--data", str(roll_csv)]
+        assert run_cli("diagnose", *argv, "--out", str(tmp_path / "diag")) == 0
+
     def test_resume_refuses_other_data_before_parsing_it(self, tmp_path, roll_csv, capsys):
         code, out = tiny_train(tmp_path, roll_csv)
         assert code == 0
@@ -557,14 +601,6 @@ class TestDiagnose:
         assert np.allclose(cols["kappa_pbm"], 1.0, atol=1e-9)
         summary = json.loads((out / cli.KAPPA_SUMMARY_NAME).read_text())
         assert summary["kappa_jac_mean"] == pytest.approx(1.0, abs=1e-9)
-
-    def test_sphere_oracle_mode(self, tmp_path, capsys):
-        out = tmp_path / "oracle"
-        code = run_cli("diagnose", "--oracle", "sphere", "--out", str(out))
-        assert code == 0
-        summary = json.loads((out / "oracle_summary.json").read_text())
-        assert abs(summary["median_interior_curvature"] - 2.0) < 0.4
-        assert (out / cli.DIAGNOSTICS_NAME).exists()
 
     @pytest.mark.parametrize(
         "text",
@@ -677,8 +713,17 @@ class TestDiagnose:
         assert (out / cli.DIAGNOSTICS_NAME).read_bytes() == before
         assert not [p.name for p in out.iterdir() if p.name.endswith(".tmp")]
 
-    def test_missing_inputs_is_validation_error(self, tmp_path):
-        assert run_cli("diagnose", "--out", str(tmp_path / "x")) == 1
+    def test_missing_inputs_is_validation_error(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        for given, missing in (
+            (("--data", "d.csv"), "--checkpoint"),
+            (("--checkpoint", "c.json"), "--data"),
+        ):
+            with pytest.raises(SystemExit) as exc:
+                run_cli("diagnose", *given, "--out", str(out))
+            assert exc.value.code == 1
+            assert missing in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestJacobianBlocks:
@@ -810,6 +855,26 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             run_cli("train", "--nonsense")
         assert exc.value.code == 1
+
+    @pytest.mark.parametrize(
+        "command,argv,removed",
+        [
+            ("train", ["--data", "d.csv", "--out", "o"], ["--detach-codes"]),
+            ("diagnose", ["--checkpoint", "c.json", "--data", "d.csv", "--out", "o"],
+             ["--oracle", "sphere"]),
+        ],
+        ids=["detach-codes", "oracle"],
+    )
+    def test_removed_options_are_refused(self, capsys, command, argv, removed):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(command, "--help")
+        assert exc.value.code == 0
+        assert removed[0] not in capsys.readouterr().out
+        # refused while the arguments are parsed, before any file is touched
+        with pytest.raises(SystemExit) as exc:
+            run_cli(command, *argv, *removed)
+        assert exc.value.code == 1
+        assert f"unrecognized arguments: {' '.join(removed)}" in capsys.readouterr().err
 
     def test_missing_data_file_is_validation(self, tmp_path):
         assert (

@@ -130,8 +130,9 @@ class TestStandardize:
     def test_round_trip(self):
         ds = data.swiss_roll(100, seed=7)
         out = data.standardize(ds)
-        back = out.samples * out.normalization.std + out.normalization.mean
+        back = out.samples * ds.samples.std(axis=0) + ds.samples.mean(axis=0)
         assert np.max(np.abs(back - ds.samples)) < 1e-12
+        assert np.array_equal(out.true_params, ds.true_params)
 
     def test_zero_variance_feature_named(self):
         ds = data.Dataset(
@@ -152,13 +153,18 @@ class TestSplit:
         ds = data.swiss_roll(30, seed=10)
         a = data.split(ds, 0.3, seed=11)
         b = data.split(ds, 0.3, seed=11)
-        assert np.array_equal(a[0].indices, b[0].indices)
+        for part_a, part_b in zip(a, b):
+            assert np.array_equal(part_a.samples, part_b.samples)
+            assert np.array_equal(part_a.true_params, part_b.true_params)
 
     def test_partition_is_disjoint_and_exhaustive(self):
         ds = data.swiss_roll(25, seed=12)
         train, val = data.split(ds, 0.2, seed=13)
-        merged = np.sort(np.concatenate([train.indices, val.indices]))
-        assert np.array_equal(merged, np.arange(25))
+        # every source row, sample beside its latents, lands in exactly one part
+        rows = np.unique(np.column_stack([ds.samples, ds.true_params]), axis=0)
+        merged = np.concatenate([np.column_stack([p.samples, p.true_params]) for p in (train, val)])
+        assert len(rows) == len(merged) == 25
+        assert np.array_equal(np.unique(merged, axis=0), rows)
 
     def test_fraction_bounds(self):
         ds = data.swiss_roll(10, seed=14)

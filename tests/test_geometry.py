@@ -3,12 +3,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from confae import data, geometry, net
 
-from oracles import swiss_roll_jacobian
+from oracles import disc_grid, swiss_roll_jacobian
 
 
 def linear_dec(w):
@@ -199,7 +199,7 @@ class TestBuildGraph:
     @pytest.mark.parametrize(
         "codes, k",
         [
-            (geometry.disc_grid(40, 2.0), 10),
+            (disc_grid(40, 2.0), 10),
             (integer_grid(12), 6),  # ties at the k-th distance
             (np.repeat(np.random.default_rng(8).normal(size=(15, 2)), 3, axis=0), 4),
             (np.random.default_rng(9).normal(size=(11, 2)), 10),  # n = k + 1
@@ -274,7 +274,7 @@ class TestScalarCurvature:
         assert np.all(curv.calibrated == 0.0)
 
     def test_sphere_field_recovers_curvature_two(self):
-        codes = geometry.disc_grid(40, 2.0)
+        codes = disc_grid(40, 2.0)
         g = geometry.build_graph(codes, k=10)
         field = geometry.ConformalField(codes, geometry.stereographic_factor(codes))
         curv = geometry.scalar_curvature(field, g)
@@ -284,7 +284,7 @@ class TestScalarCurvature:
     def test_calibration_transfers_to_other_curvatures(self):
         # Calibrated on the unit sphere field, the pipeline must land near
         # 2 / a^2 for the radius-a field on the same nodes.
-        codes = geometry.disc_grid(40, 2.0)
+        codes = disc_grid(40, 2.0)
         g = geometry.build_graph(codes, k=10)
         a = math.sqrt(2.0)
         field = geometry.ConformalField(
@@ -299,7 +299,7 @@ class TestScalarCurvature:
         # estimator carries a stencil-asymmetry noise floor, so the honest
         # claim is discrimination: the flat field's interior median must stay
         # far below the sphere target of 2.
-        codes = geometry.disc_grid(30, 2.0)
+        codes = disc_grid(30, 2.0)
         g = geometry.build_graph(codes, k=10)
         field = geometry.ConformalField(codes, np.exp(2.0 * codes[:, 0]))
         curv = geometry.scalar_curvature(field, g)
@@ -354,14 +354,30 @@ class TestConditionNumbers:
         assert np.all(np.isposinf(geometry.kappa_field(net.jacobians(dec, codes))))
 
     @given(st.integers(min_value=0, max_value=2**32 - 1))
+    @example(599)  # J differs in its last bits at kappa_jac 7.7e3; the kappas by 1.2e-12
     @settings(max_examples=25, deadline=None)
     def test_batch_matches_pointwise(self, seed):
         rng = np.random.default_rng(seed)
         dec = net.init([2, 7, 5, 3], ["tanh", "leaky_relu", "identity"], seed)
         codes = rng.normal(size=(9, 2))
-        batch = geometry.kappa_field(net.jacobians(dec, codes))
+        jacobians = net.jacobians(dec, codes)
+        batch = geometry.kappa_field(jacobians)
+        eps = np.finfo(np.float64).eps
         for i, z in enumerate(codes):
-            assert np.allclose(batch[i], geometry.condition_numbers(dec, z), rtol=1e-12, atol=0)
+            point = np.array(geometry.condition_numbers(dec, z))
+            jac = net.jacobian(dec, z)
+            if np.array_equal(jacobians[i], jac):
+                assert np.array_equal(batch[i], point)
+                continue
+            # A one-row block may round J differently (another GEMM kernel).
+            # To first order a change E of J moves kappa_jac by a relative
+            # (kappa_jac + 1) |E| / |J|, and kappa_pbm = kappa_jac^2 by twice
+            # that; the SVD itself adds a relative kappa_jac * eps.
+            sigma = np.linalg.svd(jac, compute_uv=False)
+            change = np.linalg.norm(jacobians[i] - jac, 2) / sigma[0]
+            tol = 4 * (point[0] + 1) * (change + eps)
+            gap = np.abs(batch[i] - point) / point
+            assert gap[0] <= tol and gap[1] <= 2 * tol, (i, gap, tol)
 
 
 class TestSummarizeKappa:
@@ -390,7 +406,7 @@ class TestSummarizeKappa:
 
 class TestDiagnosticsCsv:
     def test_round_trip_with_all_columns(self, tmp_path):
-        codes = geometry.disc_grid(8, 2.0)
+        codes = disc_grid(8, 2.0)
         g = geometry.build_graph(codes, k=4)
         field = geometry.ConformalField(codes, geometry.stereographic_factor(codes))
         curv = geometry.scalar_curvature(field, g)
@@ -402,17 +418,9 @@ class TestDiagnosticsCsv:
         assert np.array_equal(cols["c"], field.values)
         assert np.array_equal(cols["s_raw"], curv.raw)
 
-    def test_kappa_columns_optional(self, tmp_path):
-        codes = np.random.default_rng(10).normal(size=(5, 2))
-        field = geometry.ConformalField(codes, np.ones(5) + 0.1)
-        path = tmp_path / "diag.csv"
-        geometry.write_diagnostics_csv(path, field)
-        cols = geometry.read_diagnostics_csv(path)
-        assert "kappa_jac" not in cols and "s_raw" not in cols
-
     @pytest.mark.parametrize("with_curvature", [True, False], ids=["inf-kappa", "no-curvature"])
     def test_bytes_match_per_cell_repr(self, tmp_path, with_curvature):
-        codes = geometry.disc_grid(8, 2.0)
+        codes = disc_grid(8, 2.0)
         field = geometry.ConformalField(codes, geometry.stereographic_factor(codes))
         kappas = 1.0 + np.random.default_rng(11).random((len(codes), 2))
         kappas[3] = math.inf  # rank-deficient sentinel

@@ -102,6 +102,16 @@ class TestForward:
         with pytest.raises(ValueError):
             net.forward(n, np.zeros(4))
 
+    @pytest.mark.parametrize("act", net.ACTIVATIONS)
+    def test_bits_match_the_out_of_place_layers(self, act):
+        n = seeded_net((3, 9, 7, 2), (act, act, "identity"), 35)
+        n.params[:] = np.random.default_rng(36).normal(size=n.params.size)  # nonzero biases
+        x = np.random.default_rng(37).normal(size=(11, 3))
+        want = x
+        for layer in n.layers:
+            want = net._act(layer.activation, want @ layer.weight.T + layer.bias, layer.slope)
+        assert np.array_equal(net.forward(n, x), want)
+
     @given(
         st.integers(min_value=0, max_value=2**32 - 1),
         st.floats(min_value=1e-3, max_value=1e3),
@@ -237,7 +247,7 @@ class TestBlockTangents:
         assert blk.pullback is None
         # the primal runs once per code
         assert blk.trace.batch == 5 and blk.trace.fanout == 4
-        assert all(a.shape[0] == 5 for a in blk.trace.pre + blk.trace.dact)
+        assert all(a.shape[0] == 5 for a in blk.trace.out + blk.trace.dact)
 
     @pytest.mark.parametrize("adjoints", ["tan", "out+tan"])
     @pytest.mark.parametrize("act", BLOCK_ACTS)
@@ -284,9 +294,9 @@ class TestBlockTangents:
         seen = []
         ddact = net._ddact
 
-        def counted(name, a, slope):
+        def counted(name, out, dact):
             seen.append(name)
-            return ddact(name, a, slope)
+            return ddact(name, out, dact)
 
         monkeypatch.setattr(net, "_ddact", counted)
         got = net.backward(network, blk.trace, out_grad=out_grad, tan_grad=tan_grad)
@@ -350,6 +360,18 @@ def _separate_act_dact(name, a, slope):
 
 
 @pytest.mark.parametrize("act", BLOCK_ACTS)
+def test_second_derivative_bits_match_the_pre_activation_formula(act):
+    a = np.random.default_rng(38).normal(scale=2.0, size=(7, 5))
+    out, dact = net._act_dact(act, a, 0.01)
+    got = net._ddact(act, out, dact)
+    if act == "tanh":
+        t = np.tanh(a)
+        assert np.array_equal(got, -2.0 * t * (1.0 - t * t))
+    else:
+        assert got is None
+
+
+@pytest.mark.parametrize("act", BLOCK_ACTS)
 def test_one_activation_pass_matches_the_separate_formulas(monkeypatch, act):
     network = seeded_net((2, 9, 7, 3), (act, act, "identity"), 33)
     rng = np.random.default_rng(34)
@@ -360,7 +382,7 @@ def test_one_activation_pass_matches_the_separate_formulas(monkeypatch, act):
         y, tape = net.forward_tape(network, z)
         res = net.jvp(network, z, v)
         g, g_x, g_s = net.backward(network, res.trace, out_grad=out_grad, tan_grad=tan_grad)
-        states = tape.pre + tape.out + tape.dact + res.trace.tan_out
+        states = tape.out + tape.dact + res.trace.tan_out
         return [y, res.y, res.jv, net.jacobians(network, z), g.flat, g_x, g_s, *states]
 
     got = sweeps()

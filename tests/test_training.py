@@ -175,6 +175,10 @@ class TestReduceOnPlateau:
             lr = tr.reduce_on_plateau(state, 1.0)
         assert lr == 1e-4
 
+    def test_lr_below_min_is_kept(self):
+        state = tr.PlateauState(lr=1e-7, factor=0.5, patience=1, min_lr=1e-6)
+        assert [tr.reduce_on_plateau(state, 1.0) for _ in range(3)] == [1e-7] * 3
+
 
 class TestRunConfig:
     def test_unknown_keys_all_listed(self):
@@ -229,7 +233,7 @@ class TestTrain:
         ds = standardized_roll()
         a = tr.train(cfg, ds)
         b = tr.train(cfg, ds)
-        for la, lb in zip(a.dec.layers, b.dec.layers):
+        for la, lb in zip(a.state.dec.layers, b.state.dec.layers):
             assert np.array_equal(la.weight, lb.weight)
             assert np.array_equal(la.bias, lb.bias)
         # every epoch record identical apart from its wall-clock field
@@ -250,14 +254,14 @@ class TestTrain:
         # Monitored MC values are unbiased estimates of the exact-path loss:
         # evaluate both on the trained model over the validation codes.
         _, val_ds = tr.split_dataset(cfg, ds)
-        codes = net.forward(result.enc, val_ds.samples)
-        exact = value_of(reg.nonlinear_conformal_loss_and_grad, result.dec, codes)
+        codes = net.forward(result.state.enc, val_ds.samples)
+        exact = value_of(reg.nonlinear_conformal_loss_and_grad, result.state.dec, codes)
         rng = np.random.default_rng(11)
         draws = np.array(
             [
                 value_of(
                     reg.nonlinear_conformal_loss_and_grad,
-                    result.dec,
+                    result.state.dec,
                     codes,
                     reg.rademacher_block(rng, len(codes), cfg.probes, cfg.latent_dim),
                 )
@@ -288,7 +292,7 @@ class TestTrain:
         first = tr.train(half_cfg, ds)
         resumed = tr.train(full_cfg, ds, resume=first.state)
         assert resumed.records[0].epoch == 3  # numbering continues
-        for la, lb in zip(straight.dec.layers, resumed.dec.layers):
+        for la, lb in zip(straight.state.dec.layers, resumed.state.dec.layers):
             assert np.array_equal(la.weight, lb.weight)
 
     def test_divergence_aborts_with_location(self):
@@ -303,31 +307,12 @@ class TestTrain:
         with pytest.raises(ValueError, match="standardized"):
             tr.train(cfg, data.swiss_roll(100, seed=0))
 
-    def test_detach_codes_cuts_the_encoder_path(self):
-        # needs a smooth activation: a ReLU decoder's Jacobian is piecewise
-        # constant in z, so the trace terms send no gradient to the codes
-        ds = standardized_roll()
-        attached = tr.train(
-            small_config(regularizer="conf", lambda_geo=0.5, epochs=2, activation="tanh"), ds
-        )
-        detached = tr.train(
-            small_config(
-                regularizer="conf", lambda_geo=0.5, epochs=2, activation="tanh", detach_codes=True
-            ),
-            ds,
-        )
-        enc_diff = max(
-            np.max(np.abs(a.weight - b.weight))
-            for a, b in zip(attached.enc.layers, detached.enc.layers)
-        )
-        assert enc_diff > 0.0  # geometric gradient reached the encoder when attached
-
     def test_exact_trace_training_path(self):
         cfg = small_config(regularizer="conf", lambda_geo=0.5, epochs=2, exact_trace=True)
         result = tr.train(cfg, standardized_roll())
         assert all(np.isfinite(r.geo) and r.geo >= 0 for r in result.records)
         again = tr.train(cfg, standardized_roll())
-        for la, lb in zip(result.dec.layers, again.dec.layers):
+        for la, lb in zip(result.state.dec.layers, again.state.dec.layers):
             assert np.array_equal(la.weight, lb.weight)
 
     def test_baseline_schedule_reaches_low_reconstruction(self):
@@ -340,39 +325,33 @@ class TestTrain:
         assert result.records[-1].val_recon / 3.0 < 0.05
 
     def test_scheduler_reduces_lr_on_stall(self):
+        # at this lr val_recon moves by far less than PLATEAU_IMPROVEMENT, so
+        # every epoch after the first stalls and, with patience 1, halves lr
         cfg = small_config(
             epochs=6,
-            lr=1e-3,
-            scheduler=tr.SchedulerConfig(enabled=True, factor=0.5, patience=1, min_lr=1e-6),
+            lr=1e-12,
+            scheduler=tr.SchedulerConfig(enabled=True, factor=0.5, patience=1, min_lr=0.0),
         )
-        # An lr of zero cannot improve anything... instead stall by freezing:
-        # tiny dataset with tiny batches still improves; rely on patience=1
-        # and a short horizon instead: check lr is non-increasing and logged.
         result = tr.train(cfg, standardized_roll(n=60, seed=9))
-        lrs = [r.lr for r in result.records]
-        assert all(b <= a for a, b in zip(lrs, lrs[1:]))
+        assert [r.lr for r in result.records] == [1e-12, 1e-12, 5e-13, 2.5e-13, 1.25e-13, 6.25e-14]
 
 
-# (regularizer, detach_codes, exact_trace); the probe estimator only
-# matters for the moment losses
+# (regularizer, exact_trace); the probe estimator only matters for the
+# moment losses
 STEP_CASES = [
-    (tag, detach, exact)
+    (tag, exact)
     for tag in tr.REGULARIZERS
-    for detach in (False, True)
     for exact in ((True, False) if tag in ("lociso", "conf", "constconf") else (True,))
 ]
 
 
 class TestTrainingStepGradients:
     @pytest.mark.parametrize(
-        "tag,detach,exact",
+        "tag,exact",
         STEP_CASES,
-        ids=[
-            f"{t}-{'detached' if d else 'attached'}-{'exact' if e else 'mc'}"
-            for t, d, e in STEP_CASES
-        ],
+        ids=[f"{t}-attached-{'exact' if e else 'mc'}" for t, e in STEP_CASES],
     )
-    def test_step_gradients_match_fd(self, tag, detach, exact):
+    def test_step_gradients_match_fd(self, tag, exact):
         # tanh networks keep every loss smooth in the parameters; Monte-Carlo
         # probes come from a generator re-seeded for each evaluation, so the
         # finite differences see the same draw as the gradient
@@ -384,7 +363,6 @@ class TestTrainingStepGradients:
             activation="tanh",
             probes=3,
             exact_trace=exact,
-            detach_codes=detach,
         )
         enc, dec = tr.init_networks(cfg)
         x = np.random.default_rng(44).normal(size=(6, 3))
@@ -399,10 +377,8 @@ class TestTrainingStepGradients:
         rec, geo, enc_grads, dec_grads = step(enc, dec)
         assert rec == reg.recon_loss(enc, dec, x)
         assert (geo == 0.0) == (tag == "none")
-        # with detached codes the encoder sees only the reconstruction term
-        enc_target = (lambda e: step(e, dec)[0]) if detach else (lambda e: objective(e, dec))
         for grads, fd in (
-            (enc_grads, fd_param_grad(enc_target, enc)),
+            (enc_grads, fd_param_grad(lambda e: objective(e, dec), enc)),
             (dec_grads, fd_param_grad(lambda d: objective(enc, d), dec)),
         ):
             fd_w, fd_b = fd
