@@ -390,12 +390,13 @@ def _validation_split(args):
         if args.val_fraction is not None
         else cfg_obj.get("val_fraction", 0.2)
     )
+    split_cfg = training.RunConfig(seed=int(seed), val_fraction=float(val_fraction))
+    split_cfg.validate()
 
     data_path = _data_file(args.data)
     if manifest_path.exists():
         _check_same_data(manifest_path, manifest, data_path)
     ds = _load_dataset(data_path)
-    split_cfg = training.RunConfig(seed=int(seed), val_fraction=float(val_fraction))
     _, val = training.split_dataset(split_cfg, ds)
     regularizer = args.regularizer or cfg_obj.get("regularizer", "unknown")
     return snapshot.enc, snapshot.dec, val.samples, regularizer
@@ -423,12 +424,11 @@ def _conformal_and_kappa(dec: net.Mlp, codes: np.ndarray, lap):
 
 
 def cmd_diagnose(args) -> int:
-    """Diagnostics of a checkpoint's decoder on the validation split of ``--data``."""
-    out = Path(args.out)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise _runtime(f"cannot create output directory {out}: {exc}")
+    """Diagnostics of a checkpoint's decoder on the validation split of ``--data``.
+
+    ``--out`` is created only once the checkpoint, the manifest and the data
+    are accepted, so a refused call leaves no directory behind.
+    """
     timing = {}
     clock = time.perf_counter()
 
@@ -439,6 +439,11 @@ def cmd_diagnose(args) -> int:
         clock = now
 
     enc, dec, samples, regularizer = _validation_split(args)
+    out = Path(args.out)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise _runtime(f"cannot create output directory {out}: {exc}")
     lap("read")
     codes = net.forward(enc, samples)
     lap("encode")

@@ -157,8 +157,8 @@ class ParamGradient:
     biases: list[np.ndarray]
 
     @classmethod
-    def zeros_like(cls, net: Mlp) -> "ParamGradient":
-        flat = np.zeros_like(net.params)
+    def from_flat(cls, net: Mlp, flat: np.ndarray) -> "ParamGradient":
+        """The gradient held in ``flat``, a vector laid out like ``net.params``."""
         return cls(flat, *_views(flat, net.layers))
 
 
@@ -240,7 +240,8 @@ def _primal(net: Mlp, xb: np.ndarray):
     out, dact = [], []
     cur = xb
     for layer in net.layers:
-        a = cur @ layer.weight.T + layer.bias
+        a = cur @ layer.weight.T
+        a += layer.bias
         cur, d = _act_dact(layer.activation, a, layer.slope)
         out.append(cur)
         dact.append(d)
@@ -358,9 +359,10 @@ def backward(
     gradient w.r.t. the primal input (one row per input) and (if a tangent
     sweep was recorded) w.r.t. the tangent input (one row per tangent).
     """
-    grads = ParamGradient.zeros_like(net)
     if tan_grad is not None and trace.tan_out is None:
         raise ValueError("tangent adjoint given but the trace has no tangent sweep")
+    # every entry is written below: each layer's first term lands with out=
+    grads = ParamGradient.from_flat(net, np.empty_like(net.params))
 
     b, n = trace.batch, trace.fanout
     dacts = trace.dact
@@ -377,11 +379,14 @@ def backward(
         if g_x.ndim == 1:
             g_x = g_x[None, :]
 
+    # a tangent adjoint reaches every layer, and so does a primal one once it starts
+    tangent = g_s is not None
     for k in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[k]
+        g_w, g_b = grads.weights[k], grads.biases[k]
         # g_a is the primal pre-activation adjoint; None while nothing reaches it
         g_a = None
-        if g_s is not None:
+        if tangent:
             # s_k = dact(a_k) * t_k ; t_k = s_{k-1} @ W_k^T
             g_t = _per_row(dacts[k], g_s, n)
             ddact = _ddact(layer.activation, trace.out[k], dacts[k])
@@ -394,16 +399,25 @@ def backward(
                     * g_s.reshape(b, n, d)
                 ).sum(axis=1)
             s_in = trace.v0 if k == 0 else trace.tan_out[k - 1]
-            grads.weights[k] += g_t.T @ s_in
+            np.matmul(g_t.T, s_in, out=g_w)
             g_s = g_t @ layer.weight
         if g_x is not None:
             term = dacts[k] * g_x
-            g_a = term if g_a is None else g_a + term
+            if g_a is None:
+                g_a = term
+            else:
+                g_a += term
         if g_a is None:
+            if not tangent:
+                g_w.fill(0.0)
+            g_b.fill(0.0)
             continue
         x_in = trace.x0 if k == 0 else trace.out[k - 1]
-        grads.weights[k] += g_a.T @ x_in
-        grads.biases[k] += g_a.sum(axis=0)
+        if tangent:
+            g_w += g_a.T @ x_in
+        else:
+            np.matmul(g_a.T, x_in, out=g_w)
+        g_a.sum(axis=0, out=g_b)
         g_x = g_a @ layer.weight
     if g_x is None:
         g_x = np.zeros_like(trace.x0)

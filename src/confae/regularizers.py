@@ -12,8 +12,10 @@ vectors (entries +-1): both estimators are unbiased and exact for diagonal
 metrics. The probes enter only through the per-code matrix
 ``P = mean_i v_i v_i^T``, so ``t1 = tr(G P)`` and ``t2 = tr(G G P)``, and a
 point's probe set is shared between the two moments, so the conformal ratio
-sees correlated noise. With ``probes=None``, ``P = I`` and the moments are
-exact; the losses are differentiable either way.
+sees correlated noise. With ``probes=None`` the moments are exact,
+``t1 = tr G`` and ``t2 = tr G^2``, and no ``P`` is formed: the exact path
+costs one Gram einsum and two trace einsums forward, and one ``S @ C``
+product back. The losses are differentiable either way.
 
 The ratio-of-estimates in the per-point conformal loss is biased for finite
 probe counts (ratio of two unbiased estimates); the exact path has no such
@@ -62,10 +64,8 @@ def rademacher_block(rng: np.random.Generator, batch: int, count: int, dim: int)
     return rng.integers(0, 2, size=(batch, count, dim)) * 2.0 - 1.0
 
 
-def _probe_block(b: int, m: int, probes: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """The (B, N, m) probe block plus moment weights; ``None`` is the exact basis."""
-    if probes is None:
-        return np.broadcast_to(np.eye(m), (b, m, m)), np.ones(m)
+def _probe_block(b: int, m: int, probes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The checked (B, N, m) probe block plus its moment weights."""
     block = np.asarray(probes, dtype=np.float64)
     if block.ndim != 3 or block.shape[0] != b or block.shape[2] != m:
         raise ValueError(f"probe block must be (batch, count, {m})")
@@ -82,18 +82,22 @@ def trace_moments(rows: np.ndarray, probes: np.ndarray | None = None):
     as :func:`net.jacobians`): the Jacobian's columns, whose Gram matrix is
     ``G = J^T J``. ``probes`` is ``None`` for the exact moments or a
     (B, N, m) Rademacher block for the Monte-Carlo estimate. The probes
-    enter only through the per-code matrix ``P = sum_i w_i v_i v_i^T``
-    (``P = I`` for ``None``), so ``t1 = tr(G P) = sum_i w_i v_i^T G v_i``
-    and ``t2 = tr(G G P) = sum_i w_i v_i^T G^2 v_i``. The third element
-    feeds :func:`_moments_backward`.
+    enter only through the per-code matrix ``P = sum_i w_i v_i v_i^T``, so
+    ``t1 = tr(G P) = sum_i w_i v_i^T G v_i`` and
+    ``t2 = tr(G G P) = sum_i w_i v_i^T G^2 v_i``. The exact moments
+    ``t1 = tr G`` and ``t2 = tr G^2`` form no ``P`` (it would be ``I``, and
+    the bits are the same without it). The third element feeds
+    :func:`_moments_backward`; its ``P`` is ``None`` on the exact path.
     """
     rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim != 3 or rows.shape[0] == 0:
         raise ValueError(f"tangent rows must be a nonempty (batch, m, out) stack, got {rows.shape}")
-    block, weights = _probe_block(*rows.shape[:2], probes)
     g = net.gram(rows)
-    p = np.einsum("bni,bnj,n->bij", block, block, weights)
-    gp = g @ p
+    p, gp = None, g
+    if probes is not None:
+        block, weights = _probe_block(*rows.shape[:2], probes)
+        p = np.einsum("bni,bnj,n->bij", block, block, weights)
+        gp = g @ p
     t1 = np.einsum("bii->b", gp)
     t2 = np.einsum("bij,bji->b", g, gp)
     return t1, t2, (rows, p, gp)
@@ -102,9 +106,17 @@ def trace_moments(rows: np.ndarray, probes: np.ndarray | None = None):
 def _moments_backward(tape, d_t1: np.ndarray, d_t2: np.ndarray) -> np.ndarray:
     rows, p, gp = tape
     # S = dL/dG = d_t1 P + d_t2 (G P + P G) is symmetric, so G = C C^T
-    # gives the tangent-row adjoint dL/dC = 2 S C.
-    s = d_t1[:, None, None] * p + d_t2[:, None, None] * (gp + gp.transpose(0, 2, 1))
-    return 2.0 * s @ rows
+    # gives the tangent-row adjoint dL/dC = 2 S C. With P = I the d_t1 term
+    # lands on the diagonal alone.
+    b, m = rows.shape[:2]
+    s = gp + gp.transpose(0, 2, 1)
+    s *= d_t2[:, None, None]
+    if p is None:
+        s.reshape(b, m * m)[:, :: m + 1] += d_t1[:, None]
+    else:
+        s += d_t1[:, None, None] * p
+    s *= 2.0
+    return s @ rows
 
 
 def _samples_2d(batch: np.ndarray) -> np.ndarray:

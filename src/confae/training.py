@@ -104,6 +104,8 @@ class RunConfig:
             out.append("eps: must be positive")
         if self.probes < 1:
             out.append("probes: must be at least 1")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            out.append("seed: must be a nonnegative integer")
         if len(self.dims) < 2 or any(d < 1 for d in self.dims):
             out.append("dims: need at least two positive sizes")
         if self.activation not in net.ACTIVATIONS:
@@ -205,19 +207,34 @@ def adamw_step(
     eps: float = 1e-8,
     weight_decay: float = 0.0,
 ) -> None:
-    """One decoupled-weight-decay Adam step on the whole parameter vector, in place."""
+    """One decoupled-weight-decay Adam step on the whole parameter vector, in place.
+
+    Each update is evaluated in the order of
+    ``theta -= lr * weight_decay * theta``, ``m = beta1 m + (1 - beta1) g``,
+    ``v = beta2 v + (1 - beta2) g g`` and
+    ``theta -= lr * (m / bc1) / (sqrt(v / bc2) + eps)``, through one scratch
+    vector and the step vector instead of a temporary per operation.
+    """
     theta, g, m, v = network.params, grads.flat, state.m, state.v
     if not theta.shape == g.shape == m.shape == v.shape:
         raise ValueError("gradient shape does not match parameters")
     state.step += 1
     bc1 = 1.0 - beta1**state.step
     bc2 = 1.0 - beta2**state.step
-    theta -= lr * weight_decay * theta  # decay decoupled from the moments
+    scratch = np.multiply(lr * weight_decay, theta)
+    theta -= scratch  # decay decoupled from the moments
     m *= beta1
-    m += (1.0 - beta1) * g
+    m += np.multiply(1.0 - beta1, g, out=scratch)
     v *= beta2
-    v += (1.0 - beta2) * g * g
-    theta -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+    np.multiply(1.0 - beta2, g, out=scratch)
+    v += np.multiply(scratch, g, out=scratch)
+    np.divide(v, bc2, out=scratch)
+    np.sqrt(scratch, out=scratch)
+    scratch += eps
+    step = m / bc1
+    step *= lr
+    step /= scratch
+    theta -= step
 
 
 @dataclass

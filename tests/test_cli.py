@@ -280,6 +280,13 @@ class TestTrain:
         assert f"{roll_csv}:6: non-finite value nan in column 1" in capsys.readouterr().err
         assert not (out / "checkpoint.json").exists()
 
+    def test_negative_seed_exits_1_naming_the_key(self, tmp_path, roll_csv, capsys):
+        code, out = tiny_train(tmp_path, roll_csv, "run", "--seed", "-1")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "  - seed: must be a nonnegative integer" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_inert_regularizer_warns(self, tmp_path, roll_csv, capsys):
         code, _ = tiny_train(
             tmp_path, roll_csv, "run_inert", "--regularizer", "conf", "--lambda-geo", "0"
@@ -617,7 +624,7 @@ class TestDiagnose:
         argv = ["diagnose", "--checkpoint", str(ckpt), "--data", str(roll_csv), "--out", str(out)]
         assert run_cli(*argv) == 2
         assert str(run / cli.MANIFEST_NAME) in capsys.readouterr().err
-        assert not (out / cli.DIAGNOSTICS_NAME).exists()
+        assert not out.exists()
 
     @pytest.mark.parametrize("damage,want", CHECKPOINT_DAMAGES)
     def test_damaged_checkpoint_exits_naming_it(self, tmp_path, roll_csv, capsys, damage, want):
@@ -632,11 +639,37 @@ class TestDiagnose:
         assert str(ckpt) in err
         if damage == "old_format":
             assert "format_version 1" in err
-        assert not (out / cli.DIAGNOSTICS_NAME).exists()
+        assert not out.exists()
 
-    def _diagnose(self, ckpt, csv, out):
+    def test_missing_checkpoint_exits_1_naming_it(self, tmp_path, roll_csv, capsys):
+        ckpt, out = tmp_path / "run" / cli.CHECKPOINT_NAME, tmp_path / "diag"
+        assert self._diagnose(ckpt, roll_csv, out) == 1
+        assert f"checkpoint not found: {ckpt}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags,problem",
+        [
+            (["--seed", "-1"], "seed: must be a nonnegative integer"),
+            (["--val-fraction", "1.5"], "val_fraction: must lie strictly between 0 and 1"),
+        ],
+        ids=["seed", "val-fraction"],
+    )
+    def test_out_of_range_split_exits_1_naming_the_key(
+        self, tmp_path, roll_csv, capsys, flags, problem
+    ):
+        code, run = tiny_train(tmp_path, roll_csv)
+        assert code == 0
+        capsys.readouterr()
+        out = tmp_path / "diag"
+        assert self._diagnose(run / cli.CHECKPOINT_NAME, roll_csv, out, *flags) == 1
+        err = capsys.readouterr().err
+        assert f"  - {problem}" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def _diagnose(self, ckpt, csv, out, *flags):
         return run_cli(
-            "diagnose", "--checkpoint", str(ckpt), "--data", str(csv), "--out", str(out)
+            "diagnose", "--checkpoint", str(ckpt), "--data", str(csv), "--out", str(out), *flags
         )
 
     def test_refuses_data_the_run_was_not_trained_on(self, tmp_path, capsys):
@@ -668,7 +701,7 @@ class TestDiagnose:
         err = capsys.readouterr().err
         assert cli._sha256(trained) in err and cli._sha256(bad) in err
         assert "expected 5 columns" not in err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_summary_holds_stage_timings_and_edges(self, tmp_path, roll_csv, capsys):
         code, run = tiny_train(tmp_path, roll_csv)

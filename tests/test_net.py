@@ -533,7 +533,7 @@ class TestParams:
 
     def test_gradient_views_share_its_flat_vector(self):
         network = net.init([3, 5, 2], ["relu", "identity"], 1)
-        grads = net.ParamGradient.zeros_like(network)
+        grads = net.ParamGradient.from_flat(network, np.zeros_like(network.params))
         assert grads.flat.shape == network.params.shape
         assert all(np.shares_memory(g, grads.flat) for g in grads.weights + grads.biases)
         assert [g.shape for g in grads.weights] == [l.weight.shape for l in network.layers]

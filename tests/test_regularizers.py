@@ -404,6 +404,64 @@ class TestProperties:
         assert abs(got - want) < 1e-10
 
 
+def identity_probe_moments(rows, probes=None):
+    """The exact moments through ``P = I``, built as the probe path builds ``P``."""
+    b, m = rows.shape[:2]
+    block = np.broadcast_to(np.eye(m), (b, m, m))
+    p = np.einsum("bni,bnj,n->bij", block, block, np.ones(m))
+    g = net.gram(rows)
+    gp = g @ p
+    return np.einsum("bii->b", gp), np.einsum("bij,bji->b", g, gp), (rows, p, gp)
+
+
+def identity_probe_backward(tape, d_t1, d_t2):
+    rows, p, gp = tape
+    s = d_t1[:, None, None] * p + d_t2[:, None, None] * (gp + gp.transpose(0, 2, 1))
+    return 2.0 * s @ rows
+
+
+class TestExactPathBits:
+    """The exact path forms no ``P``; its bits equal those of the ``P = I`` formulas."""
+
+    @staticmethod
+    def reference(monkeypatch, loss, rows):
+        with monkeypatch.context() as patch:
+            patch.setattr(reg, "trace_moments", identity_probe_moments)
+            patch.setattr(reg, "_moments_backward", identity_probe_backward)
+            return loss(rows)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("loss", MOMENT_LOSSES)
+    def test_value_and_row_adjoint_equal_the_identity_probe_formula(self, monkeypatch, loss, m):
+        rng = np.random.default_rng(40 + m)
+        rows = rng.normal(size=(64, m, 3)) * rng.uniform(0.1, 3.0, size=(64, 1, 1))
+        value, g_rows = loss(rows)
+        want_value, want_rows = self.reference(monkeypatch, loss, rows)
+        assert value == want_value
+        assert np.array_equal(g_rows, want_rows)
+
+    @pytest.mark.parametrize(
+        "loss,zero_codes,index",
+        [
+            (reg.nonlinear_conformal_loss_and_grad, [3, 6], 3),
+            # only a vanishing batch mean is degenerate; argmin names the first code
+            (reg.constant_conformal_loss_and_grad, slice(None), 0),
+        ],
+        ids=["conf", "constconf"],
+    )
+    def test_degenerate_trace_is_reported_at_the_same_index(
+        self, monkeypatch, loss, zero_codes, index
+    ):
+        rows = np.random.default_rng(43).normal(size=(8, 2, 3))
+        rows[zero_codes] = 0.0
+        with pytest.raises(reg.DegenerateJacobianError) as want:
+            self.reference(monkeypatch, loss, rows)
+        with pytest.raises(reg.DegenerateJacobianError) as got:
+            loss(rows)
+        assert got.value.index == want.value.index == index
+        assert got.value.value == want.value.value
+
+
 def fd_code_grad(scalar_of_codes, codes, step=1e-6):
     """Central-difference gradient of a scalar w.r.t. every code entry."""
     fd = np.zeros_like(codes)

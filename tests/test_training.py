@@ -37,7 +37,7 @@ def untimed(record):
 
 def weight_grad(network, g):
     """Gradient that is ``g`` on the first layer's weight and zero elsewhere."""
-    grads = net.ParamGradient.zeros_like(network)
+    grads = net.ParamGradient.from_flat(network, np.zeros_like(network.params))
     grads.weights[0][:] = g
     return grads
 
@@ -62,7 +62,7 @@ class TestAdamW:
         network = net.init([2, 3], ["identity"], 0)
         before = [l.weight.copy() for l in network.layers]
         state = tr.AdamWState.zeros(network)
-        grads = net.ParamGradient.zeros_like(network)
+        grads = net.ParamGradient.from_flat(network, np.zeros_like(network.params))
         tr.adamw_step(network, grads, state, lr=0.1, weight_decay=0.0)
         for layer, b in zip(network.layers, before):
             assert np.array_equal(layer.weight, b)
@@ -125,7 +125,7 @@ class TestAdamW:
         moments = [(np.zeros_like(a), np.zeros_like(a)) for a in arrays]
         opts = dict(lr=1e-2, beta1=0.8, beta2=0.99, eps=1e-7, weight_decay=1e-2)
         for step in range(1, 21):
-            grads = net.ParamGradient.zeros_like(network)
+            grads = net.ParamGradient.from_flat(network, np.zeros_like(network.params))
             grads.flat[:] = rng.normal(size=grads.flat.size)
             tr.adamw_step(network, grads, state, **opts)
             per_array_adamw(reference, grads, moments, step, **opts)
@@ -137,7 +137,7 @@ class TestAdamW:
     @pytest.mark.parametrize("what", ["gradient", "m", "v"])
     def test_size_mismatch_is_refused(self, what):
         network = net.init([2, 3], ["identity"], 0)
-        grads = net.ParamGradient.zeros_like(network)
+        grads = net.ParamGradient.from_flat(network, np.zeros_like(network.params))
         state = tr.AdamWState.zeros(network)
         if what == "gradient":
             grads.flat = np.zeros(network.params.size + 1)
@@ -194,6 +194,12 @@ class TestRunConfig:
         cfg.regularizer = "nope"
         problems = cfg.problems()
         assert len(problems) == 3
+
+    @pytest.mark.parametrize("seed", [-1, 2.5, "7"])
+    def test_seed_must_be_a_nonnegative_integer(self, seed):
+        with pytest.raises(tr.ConfigError) as err:
+            tr.RunConfig.from_dict({"seed": seed})
+        assert err.value.problems == ["seed: must be a nonnegative integer"]
 
     def test_globiso_needs_pairs(self):
         cfg = small_config(regularizer="globiso", lambda_geo=1.0, batch_size=1)
