@@ -47,8 +47,6 @@ MANIFEST_NAME = "manifest.json"
 DIAGNOSTICS_NAME = "diagnostics.csv"
 KAPPA_SUMMARY_NAME = "kappa_summary.json"
 
-ENV_SEED = "CONFAE_SEED"
-
 # Codes per block of diagnose's Jacobian stage: only one block's Jacobian
 # stack is held at a time.
 JACOBIAN_BLOCK = 512
@@ -77,16 +75,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _default_seed() -> int:
-    env = os.environ.get(ENV_SEED)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise _validation(f"{ENV_SEED} must be an integer, got {env!r}")
-    return 42
-
-
 def _json_dump(obj, path: Path) -> None:
     data.write_atomic(path, json.dumps(obj, sort_keys=True, indent=1) + "\n")
 
@@ -105,6 +93,16 @@ def _data_file(path: str) -> Path:
     if not p.exists():
         raise _validation(f"dataset file not found: {p}")
     return p
+
+
+def _out_dir(path: str) -> Path:
+    """The directory ``path``, created with its parents; exit 2 if it cannot be."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise _runtime(f"cannot create output directory {out}: {exc}")
+    return out
 
 
 def _load_dataset(path: Path) -> data.Dataset:
@@ -161,13 +159,11 @@ def _resolve_config(args) -> training.RunConfig:
             obj[key] = value
     if args.exact_trace:
         obj["exact_trace"] = True
-    if "seed" not in obj:
-        obj["seed"] = _default_seed()
     return training.RunConfig.from_dict(obj)
 
 
 def cmd_generate(args) -> int:
-    ds = data.swiss_roll(args.n, seed=args.seed if args.seed is not None else _default_seed())
+    ds = data.swiss_roll(args.n, seed=args.seed)
     if args.standardize:
         ds = data.standardize(ds)
     out = Path(args.out)
@@ -193,7 +189,7 @@ def _write_checkpoint(path: Path, state: training.TrainState) -> None:
         "decoder": net.to_dict(state.dec),
         "enc_opt": state.enc_opt.to_dict(),
         "dec_opt": state.dec_opt.to_dict(),
-        "rng_state": state.rng_state,
+        "rng_state": state.rng.bit_generator.state,
         "plateau": state.plateau.to_dict(),
     }
     _json_dump(payload, path)
@@ -225,14 +221,15 @@ def _load_checkpoint(path: Path) -> training.TrainState:
         if epoch < 0:
             raise ValueError(f"negative epoch {epoch}")
         enc, dec = net.from_dict(obj["encoder"]), net.from_dict(obj["decoder"])
-        np.random.default_rng().bit_generator.state = obj["rng_state"]  # rejects a bad state
+        rng = np.random.default_rng()
+        rng.bit_generator.state = obj["rng_state"]  # rejects a bad state
         return training.TrainState(
             epoch=epoch,
             enc=enc,
             dec=dec,
             enc_opt=training.AdamWState.from_dict(obj["enc_opt"], enc),
             dec_opt=training.AdamWState.from_dict(obj["dec_opt"], dec),
-            rng_state=obj["rng_state"],
+            rng=rng,
             plateau=training.PlateauState.from_dict(obj["plateau"]),
         )
     except KeyError as exc:
@@ -256,18 +253,28 @@ def _resumed_metrics(path: Path, epoch: int) -> str:
     return "".join(line + "\n" for line in lines)
 
 
+def _read_manifest(path: Path) -> tuple[dict, str]:
+    """The run config and data hash a train manifest records; exit 2 naming
+    ``path`` unless it holds a ``config`` object and a ``data.sha256`` string."""
+    manifest = _read_json(path, "manifest")
+    config, recorded = manifest.get("config"), manifest.get("data")
+    data_sha256 = recorded.get("sha256") if isinstance(recorded, dict) else None
+    if not isinstance(config, dict) or not isinstance(data_sha256, str):
+        raise _runtime(
+            f"malformed manifest {path}: config must be an object and data.sha256 a string"
+        )
+    return config, data_sha256
+
+
 def _check_same_run(run_dir: Path, config: dict, data_sha256: str) -> None:
     """Refuse to resume ``run_dir`` under another config (``epochs`` aside) or dataset."""
     path = run_dir / MANIFEST_NAME
     if not path.exists():
         raise _validation(f"cannot resume: {path} missing")
-    manifest = _read_json(path, "manifest")
-    old, old_data = manifest.get("config"), manifest.get("data")
-    if not isinstance(old, dict) or not isinstance(old_data, dict):
-        raise _runtime(f"malformed manifest {path}: config and data must be objects")
+    old, old_sha256 = _read_manifest(path)
     keys = (set(old) | set(config)) - {"epochs"}
     differ = sorted(k for k in keys if old.get(k) != config.get(k))
-    if old_data.get("sha256") != data_sha256:
+    if old_sha256 != data_sha256:
         differ.append("data.sha256")
     if differ:
         raise _validation(f"cannot resume {run_dir}: this run differs in {', '.join(differ)}")
@@ -313,11 +320,7 @@ def cmd_train(args) -> int:
     # parsed only once the hash check above has accepted the file
     ds = _load_dataset(data_path)
 
-    out = Path(args.out)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise _runtime(f"cannot create output directory {out}: {exc}")
+    out = _out_dir(args.out)
 
     manifest = {
         "format_version": 1,
@@ -365,40 +368,31 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _check_same_data(manifest_path: Path, manifest: dict, data_path: Path) -> None:
-    """Refuse to diagnose a run on another dataset than the one it was trained on."""
-    recorded = manifest.get("data")
-    if not isinstance(recorded, dict) or "sha256" not in recorded:
-        raise _runtime(f"malformed manifest {manifest_path}: data must be an object with sha256")
-    actual = _sha256(data_path)
-    if recorded["sha256"] != actual:
-        raise _validation(
-            f"{data_path} has sha256 {actual}, but the run was trained on data with sha256 "
-            f"{recorded['sha256']} ({manifest_path})"
-        )
-
-
 def _validation_split(args):
-    """(encoder, decoder, validation samples, regularizer tag) of the run to diagnose."""
+    """(encoder, decoder, validation samples, regularizer tag) of the run to diagnose.
+
+    The split's seed and fraction default to those of the manifest beside the
+    checkpoint, which also names the only dataset accepted; a checkpoint with
+    no manifest is diagnosed on any data, with ``RunConfig``'s defaults.
+    """
     snapshot = _load_checkpoint(Path(args.checkpoint))
     manifest_path = Path(args.checkpoint).parent / MANIFEST_NAME
-    manifest = _read_json(manifest_path, "manifest") if manifest_path.exists() else {}
-    cfg_obj = manifest.get("config", {})
-    seed = args.seed if args.seed is not None else cfg_obj.get("seed", _default_seed())
-    val_fraction = (
-        args.val_fraction
-        if args.val_fraction is not None
-        else cfg_obj.get("val_fraction", 0.2)
-    )
-    split_cfg = training.RunConfig(seed=int(seed), val_fraction=float(val_fraction))
+    config, data_sha256 = _read_manifest(manifest_path) if manifest_path.exists() else ({}, None)
+    split = {key: config[key] for key in ("seed", "val_fraction") if key in config}
+    for key in ("seed", "val_fraction"):
+        if getattr(args, key) is not None:
+            split[key] = getattr(args, key)
+    split_cfg = training.RunConfig(**split)
     split_cfg.validate()
 
     data_path = _data_file(args.data)
-    if manifest_path.exists():
-        _check_same_data(manifest_path, manifest, data_path)
-    ds = _load_dataset(data_path)
-    _, val = training.split_dataset(split_cfg, ds)
-    regularizer = args.regularizer or cfg_obj.get("regularizer", "unknown")
+    if data_sha256 is not None and (actual := _sha256(data_path)) != data_sha256:
+        raise _validation(
+            f"{data_path} has sha256 {actual}, but the run was trained on data with sha256 "
+            f"{data_sha256} ({manifest_path})"
+        )
+    _, val = training.split_dataset(split_cfg, _load_dataset(data_path))
+    regularizer = args.regularizer or config.get("regularizer", "unknown")
     return snapshot.enc, snapshot.dec, val.samples, regularizer
 
 
@@ -439,11 +433,7 @@ def cmd_diagnose(args) -> int:
         clock = now
 
     enc, dec, samples, regularizer = _validation_split(args)
-    out = Path(args.out)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise _runtime(f"cannot create output directory {out}: {exc}")
+    out = _out_dir(args.out)
     lap("read")
     codes = net.forward(enc, samples)
     lap("encode")
@@ -501,11 +491,7 @@ def cmd_plot(args) -> int:
         raise _runtime(str(exc))
     if "z1" not in cols or "z2" not in cols or "c_normalized" not in cols:
         raise _runtime(f"{path}: missing latent/conformal columns")
-    out = Path(args.out)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise _runtime(f"cannot create output directory {out}: {exc}")
+    out = _out_dir(args.out)
     codes = np.column_stack([cols["z1"], cols["z2"]])
     written = []
     svg = figures.scatter_svg(codes, cols["c_normalized"], "normalized conformal factor")
@@ -567,9 +553,7 @@ def cmd_compare(args) -> int:
         ordering = bool(checks) and all(checks)
     result = {"runs": runs, "expected_ordering": ordering}
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        _json_dump(result, out / "comparison.json")
+        _json_dump(result, _out_dir(args.out) / "comparison.json")
     else:
         print(json.dumps(result, sort_keys=True))
     return 0
@@ -579,16 +563,17 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="confae", description=__doc__)
     parser.add_argument("--version", action="version", version=f"confae {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--single-thread", action="store_true")
 
-    gen = sub.add_parser("generate", help="sample the roll dataset to CSV")
+    gen = sub.add_parser("generate", parents=[common], help="sample the roll dataset to CSV")
     gen.add_argument("--n", type=int, default=5000)
-    gen.add_argument("--seed", type=int, default=None)
+    gen.add_argument("--seed", type=int, default=42)
     gen.add_argument("--out", required=True)
     gen.add_argument("--standardize", action="store_true")
-    gen.add_argument("--single-thread", action="store_true")
     gen.set_defaults(func=cmd_generate)
 
-    trn = sub.add_parser("train", help="train an autoencoder run")
+    trn = sub.add_parser("train", parents=[common], help="train an autoencoder run")
     trn.add_argument("--config", default=None, help="JSON run config")
     trn.add_argument("--data", required=True, help="dataset CSV")
     trn.add_argument("--out", required=True, help="run directory")
@@ -604,29 +589,25 @@ def build_parser() -> _Parser:
     trn.add_argument("--exact-trace", dest="exact_trace", action="store_true")
     trn.add_argument("--calibrate-intensity", action="store_true")
     trn.add_argument("--resume", default=None, help="run directory to continue")
-    trn.add_argument("--single-thread", action="store_true")
     trn.set_defaults(func=cmd_train)
 
-    dia = sub.add_parser("diagnose", help="geometry diagnostics for a checkpoint")
+    dia = sub.add_parser("diagnose", parents=[common], help="geometry diagnostics for a checkpoint")
     dia.add_argument("--checkpoint", required=True)
     dia.add_argument("--data", required=True)
     dia.add_argument("--out", required=True)
     dia.add_argument("--seed", type=int, default=None)
     dia.add_argument("--val-fraction", dest="val_fraction", type=float, default=None)
     dia.add_argument("--regularizer", default=None)
-    dia.add_argument("--single-thread", action="store_true")
     dia.set_defaults(func=cmd_diagnose)
 
-    plt = sub.add_parser("plot", help="SVG figures from diagnostics.csv")
+    plt = sub.add_parser("plot", parents=[common], help="SVG figures from diagnostics.csv")
     plt.add_argument("--diagnostics", required=True)
     plt.add_argument("--out", required=True)
-    plt.add_argument("--single-thread", action="store_true")
     plt.set_defaults(func=cmd_plot)
 
-    cmp_ = sub.add_parser("compare", help="side-by-side kappa table for runs")
+    cmp_ = sub.add_parser("compare", parents=[common], help="side-by-side kappa table for runs")
     cmp_.add_argument("runs", nargs="+", help="run directories with kappa summaries")
     cmp_.add_argument("--out", default=None)
-    cmp_.add_argument("--single-thread", action="store_true")
     cmp_.set_defaults(func=cmd_compare)
 
     return parser

@@ -215,7 +215,8 @@ def _nearest(codes: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def build_graph(codes: np.ndarray, k: int = 10) -> LatentGraph:
-    """Mutual-max symmetrized kNN graph with weights exp(-d^2 / h^2).
+    """Symmetrized kNN graph with weights exp(-d^2 / h^2): codes i and j are
+    linked when either is among the other's k nearest.
 
     The bandwidth h is the median distance to the k-th neighbor. Neighbor
     ties are broken by index so construction is deterministic.
@@ -234,17 +235,21 @@ def build_graph(codes: np.ndarray, k: int = 10) -> LatentGraph:
     if h <= 0.0:
         h = 1.0  # all duplicate codes; weights saturate at 1 regardless
 
-    # Both orientations of every directed kNN edge, merged by max in
-    # (row, col) order; edges whose weight underflows to zero are dropped.
-    w = np.exp(-nbr_d2.ravel() / h**2)
-    rows = np.repeat(np.arange(n), k)
-    cols = nbr_idx.ravel()
-    keys = np.concatenate([rows * n + cols, cols * n + rows])
+    # Both orientations of every directed kNN edge as row * n + col keys,
+    # merged in key order. An edge found from both ends has bit-equal
+    # squared distances, since _sq_dists computes (x_i - x_j)^2 and
+    # (x_j - x_i)^2 alike, so the merge keeps the first of each key. Edges
+    # whose weight underflows to zero are dropped.
+    rows, nk = np.arange(n)[:, None], nbr_idx.size
+    keys = np.concatenate([(rows * n + nbr_idx).ravel(), (nbr_idx * n + rows).ravel()])
+    del nbr_idx
     order = np.argsort(keys)
     keys = keys[order]
-    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
-    weights = np.maximum.reduceat(np.concatenate([w, w])[order], starts)
-    keys = keys[starts]
+    first = np.r_[True, keys[1:] != keys[:-1]]
+    keys = keys[first]
+    order = order[first]
+    weights = np.exp(-nbr_d2.ravel()[order % nk] / h**2)
+    del order, nbr_d2
     keep = weights != 0.0
     keys = keys[keep]
     return LatentGraph(

@@ -8,6 +8,11 @@ The optimizer works on whole parameter vectors: a network's weights and
 biases are views of its ``params`` (see :mod:`confae.net`), so an AdamW step
 and the saved moments are each one array operation.
 
+A run's state is one :class:`TrainState`: ``train`` advances it in place,
+epoch by epoch (networks, AdamW moments, the loop's generator and the
+plateau scheduler, which holds the learning rate), and hands that same
+object to the epoch callback and the result.
+
 A training step records the decoder's tape once and sweeps it backward once:
 the losses are functions of the decoder's outputs (:mod:`confae.regularizers`),
 so the step sums their weighted adjoints, not their parameter gradients.
@@ -17,7 +22,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -46,6 +51,48 @@ class TrainingDivergedError(RuntimeError):
         super().__init__(
             f"non-finite {term} loss ({value!r}) at epoch {epoch}, batch {batch}"
         )
+
+
+def _integer(value) -> bool:
+    """A plain or numpy integer; a bool, though an ``int``, is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _real(value) -> bool:
+    return _integer(value) or isinstance(value, (float, np.floating))
+
+
+# Each config key with the test its value must pass and the problem reported
+# when it fails ({v} is the value). A test checks the type before the range,
+# so a mistyped value is reported, not raised on.
+_CONFIG_RULES = (
+    ("regularizer", lambda v: v in REGULARIZERS, "unknown tag {v!r}"),
+    ("lambda_geo", lambda v: v is None or _real(v) and v >= 0, "must be nonnegative"),
+    ("epochs", lambda v: _integer(v) and v >= 1, "must be an integer of at least 1"),
+    ("batch_size", lambda v: _integer(v) and v >= 1, "must be an integer of at least 1"),
+    ("lr", lambda v: _real(v) and v > 0, "must be positive"),
+    ("weight_decay", lambda v: _real(v) and v >= 0, "must be nonnegative"),
+    ("beta1", lambda v: _real(v) and 0.0 <= v < 1.0, "must lie in [0, 1)"),
+    ("beta2", lambda v: _real(v) and 0.0 <= v < 1.0, "must lie in [0, 1)"),
+    ("eps", lambda v: _real(v) and v > 0, "must be positive"),
+    ("probes", lambda v: _integer(v) and v >= 1, "must be an integer of at least 1"),
+    ("exact_trace", lambda v: isinstance(v, (bool, np.bool_)), "must be true or false"),
+    ("seed", lambda v: _integer(v) and v >= 0, "must be a nonnegative integer"),
+    (
+        "dims",
+        lambda v: isinstance(v, (list, tuple))
+        and len(v) >= 2
+        and all(_integer(d) and d >= 1 for d in v),
+        "need a list of at least two positive integer sizes",
+    ),
+    ("activation", lambda v: v in net.ACTIVATIONS, "unknown tag {v!r}"),
+    ("val_fraction", lambda v: _real(v) and 0.0 < v < 1.0, "must lie strictly between 0 and 1"),
+    ("checkpoint_every", lambda v: _integer(v) and v >= 0, "must be a nonnegative integer"),
+    ("scheduler.enabled", lambda v: isinstance(v, (bool, np.bool_)), "must be true or false"),
+    ("scheduler.factor", lambda v: _real(v) and 0.0 < v < 1.0, "must lie strictly between 0 and 1"),
+    ("scheduler.patience", lambda v: _integer(v) and v >= 1, "must be an integer of at least 1"),
+    ("scheduler.min_lr", lambda v: _real(v) and v >= 0, "must be nonnegative"),
+)
 
 
 @dataclass
@@ -82,44 +129,14 @@ class RunConfig:
 
     def problems(self) -> list[str]:
         out = []
-        if self.regularizer not in REGULARIZERS:
-            out.append(f"regularizer: unknown tag {self.regularizer!r}")
-        if self.lambda_geo is not None and self.lambda_geo < 0:
-            out.append("lambda_geo: must be nonnegative")
-        if self.epochs < 1:
-            out.append("epochs: must be at least 1")
-        if self.batch_size < 1:
-            out.append("batch_size: must be at least 1")
-        if self.regularizer == "globiso" and self.batch_size < 2:
+        for key, ok, problem in _CONFIG_RULES:
+            value = self
+            for part in key.split("."):
+                value = getattr(value, part)
+            if not ok(value):
+                out.append(f"{key}: {problem.format(v=value)}")
+        if self.regularizer == "globiso" and _integer(self.batch_size) and self.batch_size < 2:
             out.append("batch_size: pairwise regularizer needs batches of at least 2")
-        if not self.lr > 0:
-            out.append("lr: must be positive")
-        if self.weight_decay < 0:
-            out.append("weight_decay: must be nonnegative")
-        for name in ("beta1", "beta2"):
-            b = getattr(self, name)
-            if not 0.0 <= b < 1.0:
-                out.append(f"{name}: must lie in [0, 1)")
-        if not self.eps > 0:
-            out.append("eps: must be positive")
-        if self.probes < 1:
-            out.append("probes: must be at least 1")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
-            out.append("seed: must be a nonnegative integer")
-        if len(self.dims) < 2 or any(d < 1 for d in self.dims):
-            out.append("dims: need at least two positive sizes")
-        if self.activation not in net.ACTIVATIONS:
-            out.append(f"activation: unknown tag {self.activation!r}")
-        if not 0.0 < self.val_fraction < 1.0:
-            out.append("val_fraction: must lie strictly between 0 and 1")
-        if self.checkpoint_every < 0:
-            out.append("checkpoint_every: must be nonnegative")
-        if not 0.0 < self.scheduler.factor < 1.0:
-            out.append("scheduler.factor: must lie strictly between 0 and 1")
-        if self.scheduler.patience < 1:
-            out.append("scheduler.patience: must be at least 1")
-        if self.scheduler.min_lr < 0:
-            out.append("scheduler.min_lr: must be nonnegative")
         return out
 
     def validate(self) -> None:
@@ -213,7 +230,9 @@ def adamw_step(
     ``theta -= lr * weight_decay * theta``, ``m = beta1 m + (1 - beta1) g``,
     ``v = beta2 v + (1 - beta2) g g`` and
     ``theta -= lr * (m / bc1) / (sqrt(v / bc2) + eps)``, through one scratch
-    vector and the step vector instead of a temporary per operation.
+    vector and the step vector instead of a temporary per operation. The
+    decay is skipped when ``weight_decay`` is 0, where it changes no bits
+    (but the sign of a -0.0).
     """
     theta, g, m, v = network.params, grads.flat, state.m, state.v
     if not theta.shape == g.shape == m.shape == v.shape:
@@ -221,8 +240,9 @@ def adamw_step(
     state.step += 1
     bc1 = 1.0 - beta1**state.step
     bc2 = 1.0 - beta2**state.step
-    scratch = np.multiply(lr * weight_decay, theta)
-    theta -= scratch  # decay decoupled from the moments
+    scratch = np.empty_like(theta)
+    if weight_decay != 0.0:  # decay decoupled from the moments
+        theta -= np.multiply(lr * weight_decay, theta, out=scratch)
     m *= beta1
     m += np.multiply(1.0 - beta1, g, out=scratch)
     v *= beta2
@@ -273,14 +293,15 @@ def reduce_on_plateau(state: PlateauState, val_loss: float) -> float:
 
 @dataclass
 class TrainState:
-    """Everything needed to continue a run exactly where it stopped."""
+    """A run as of its last finished epoch: everything needed to continue it
+    exactly where it stopped. ``plateau.lr`` is the learning rate."""
 
     epoch: int
     enc: net.Mlp
     dec: net.Mlp
     enc_opt: AdamWState
     dec_opt: AdamWState
-    rng_state: dict
+    rng: np.random.Generator
     plateau: PlateauState
 
 
@@ -312,6 +333,15 @@ def init_networks(config: RunConfig) -> tuple[net.Mlp, net.Mlp]:
 
 def split_dataset(config: RunConfig, ds: data_mod.Dataset):
     return data_mod.split(ds, config.val_fraction, _derived_seeds(config.seed)["split"])
+
+
+def _initial_state(config: RunConfig) -> TrainState:
+    """Epoch 0 of a fresh run: seeded networks, zero moments, the loop's generator."""
+    enc, dec = init_networks(config)
+    s = config.scheduler
+    plateau = PlateauState(config.lr, s.factor, s.patience, s.min_lr)
+    rng = np.random.default_rng(_derived_seeds(config.seed)["loop"])
+    return TrainState(0, enc, dec, AdamWState.zeros(enc), AdamWState.zeros(dec), rng, plateau)
 
 
 # looked up on the module per call, so that wrappers installed there are seen
@@ -404,7 +434,7 @@ def train(
     The geometric term is evaluated on the codes of the current batch; its
     gradient reaches both networks. With intensity zero the enabled regularizer is still evaluated and
     logged (monitored mode). ``resume`` continues a run toward the same total
-    epoch count, bit-exactly.
+    epoch count, bit-exactly, and is itself the state advanced in place.
     """
     config.validate()
     lam = _require_intensity(config)
@@ -412,38 +442,18 @@ def train(
         raise ValueError("dataset must be standardized before training")
 
     train_ds, val_ds = split_dataset(config, ds)
-    if resume is None:
-        enc, dec = init_networks(config)
-        enc_opt, dec_opt = AdamWState.zeros(enc), AdamWState.zeros(dec)
-        rng = np.random.default_rng(_derived_seeds(config.seed)["loop"])
-        plateau = PlateauState(
-            lr=config.lr,
-            factor=config.scheduler.factor,
-            patience=config.scheduler.patience,
-            min_lr=config.scheduler.min_lr,
-        )
-        start_epoch = 0
-    else:
-        enc, dec = resume.enc, resume.dec
-        enc_opt, dec_opt = resume.enc_opt, resume.dec_opt
-        rng = np.random.default_rng()
-        rng.bit_generator.state = resume.rng_state
-        plateau = resume.plateau
-        start_epoch = resume.epoch
-
-    def snapshot(epoch: int) -> TrainState:
-        rng_state = rng.bit_generator.state
-        return TrainState(epoch, enc, dec, enc_opt, dec_opt, rng_state, replace(plateau, lr=lr))
-
+    state = _initial_state(config) if resume is None else resume
     x_train = train_ds.samples
     x_val = val_ds.samples
     n_train = x_train.shape[0]
+    opts = dict(
+        beta1=config.beta1, beta2=config.beta2, eps=config.eps, weight_decay=config.weight_decay
+    )
     records = []
-    lr = plateau.lr
 
-    for epoch in range(start_epoch + 1, config.epochs + 1):
+    for epoch in range(state.epoch + 1, config.epochs + 1):
         tic = time.perf_counter()
-        perm = rng.permutation(n_train)
+        perm = state.rng.permutation(n_train)
         recon_sum = 0.0
         geo_sum = 0.0
         n_batches = 0
@@ -451,22 +461,15 @@ def train(
             idx = perm[lo : lo + config.batch_size]
             x = x_train[idx]
             rec, geo_val, enc_grads, dec_grads = _batch_losses_and_grads(
-                config, lam, enc, dec, x, rng, epoch, batch_no
+                config, lam, state.enc, state.dec, x, state.rng, epoch, batch_no
             )
-            opts = dict(
-                lr=lr,
-                beta1=config.beta1,
-                beta2=config.beta2,
-                eps=config.eps,
-                weight_decay=config.weight_decay,
-            )
-            adamw_step(enc, enc_grads, enc_opt, **opts)
-            adamw_step(dec, dec_grads, dec_opt, **opts)
+            adamw_step(state.enc, enc_grads, state.enc_opt, lr=state.plateau.lr, **opts)
+            adamw_step(state.dec, dec_grads, state.dec_opt, lr=state.plateau.lr, **opts)
             recon_sum += rec * x.shape[0]
             geo_sum += geo_val
             n_batches += 1
 
-        val_recon = reg.recon_loss(enc, dec, x_val)
+        val_recon = reg.recon_loss(state.enc, state.dec, x_val)
         epoch_recon = recon_sum / n_train
         epoch_geo = geo_sum / n_batches
         record = EpochRecord(
@@ -474,17 +477,17 @@ def train(
             recon=epoch_recon,
             geo=epoch_geo,
             val_recon=val_recon,
-            lr=lr,
+            lr=state.plateau.lr,
             seconds=time.perf_counter() - tic,
             total=epoch_recon + lam * epoch_geo,
         )
         records.append(record)
+        state.epoch = epoch
         if config.scheduler.enabled:
-            plateau.lr = lr
-            lr = reduce_on_plateau(plateau, val_recon)
+            reduce_on_plateau(state.plateau, val_recon)
         if on_epoch is not None:
-            on_epoch(snapshot(epoch), record)
-    return TrainResult(records=records, state=snapshot(config.epochs))
+            on_epoch(state, record)
+    return TrainResult(records=records, state=state)
 
 
 CALIBRATION_SAMPLE = 512

@@ -146,3 +146,32 @@ def test_every_public_name_has_a_caller_outside_the_tests():
         if name not in used and f"{path.stem}.{qualname}" not in traced
     ]
     assert unused == []
+
+
+def _environment_reads(path):
+    """The key of each ``os.environ`` or ``os.getenv`` read in a module, as
+    source text; a comprehension or loop variable stands for what it iterates."""
+    tree = ast.parse(path.read_text())
+    bound = {}
+    for node in ast.walk(tree):
+        loops = [node] if isinstance(node, ast.For) else getattr(node, "generators", [])
+        bound.update((ast.unparse(g.target), ast.unparse(g.iter)) for g in loops)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and ast.unparse(node.func) in ("os.environ.get", "os.getenv"):
+            key = node.args[0]
+        elif isinstance(node, ast.Subscript) and ast.unparse(node.value) == "os.environ":
+            key = node.slice
+        else:
+            continue
+        yield bound.get(ast.unparse(key), ast.unparse(key))
+
+
+def test_only_thread_settings_are_read_from_the_environment():
+    # a run is set by its config and flags; the environment only carries the
+    # BLAS thread settings numpy loads under, which the manifest records
+    reads = {
+        (path.name, key)
+        for path in sorted((ROOT / "src" / "confae").glob("*.py"))
+        for key in _environment_reads(path)
+    }
+    assert reads == {("cli.py", "THREAD_VARS")}

@@ -147,13 +147,6 @@ class TestGenerate:
         ds = data.from_csv(path)
         assert np.max(np.abs(ds.samples.mean(axis=0))) < 1e-9
 
-    def test_env_seed_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(cli.ENV_SEED, "77")
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        run_cli("generate", "--n", "30", "--out", str(a))
-        run_cli("generate", "--n", "30", "--seed", "77", "--out", str(b))
-        assert a.read_bytes() == b.read_bytes()
-
     def test_unwritable_path_fails_with_io_code(self, tmp_path):
         blocker = tmp_path / "file"
         blocker.write_text("x")
@@ -578,10 +571,10 @@ class TestDiagnose:
             [net.Layer(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]), np.zeros(2), "identity")]
         )
         dec = net.Mlp([net.Layer(np.eye(2), np.zeros(2), "identity")])
-        rng_state = np.random.default_rng(0).bit_generator.state
+        rng = np.random.default_rng(0)
         opts = training.AdamWState.zeros(enc), training.AdamWState.zeros(dec)
         plateau = training.PlateauState(lr=1e-3)
-        cli._write_checkpoint(path, training.TrainState(1, enc, dec, *opts, rng_state, plateau))
+        cli._write_checkpoint(path, training.TrainState(1, enc, dec, *opts, rng, plateau))
 
     def test_identity_decoder_diagnostics(self, tmp_path, roll_csv):
         ckpt = tmp_path / "ckpt.json"
@@ -611,8 +604,24 @@ class TestDiagnose:
 
     @pytest.mark.parametrize(
         "text",
-        ["{", "[]", '{"data": "roll.csv"}', '{"data": {"path": "roll.csv"}}'],
-        ids=["truncated", "not-an-object", "data-not-an-object", "data-without-sha256"],
+        [
+            "{",
+            "[]",
+            '{"data": "roll.csv"}',
+            '{"data": {"path": "roll.csv"}}',
+            '{"config": [], "data": {"sha256": "0"}}',
+            '{"data": {"sha256": "0"}}',
+            '{"config": {}, "data": {"sha256": 0}}',
+        ],
+        ids=[
+            "truncated",
+            "not-an-object",
+            "data-not-an-object",
+            "data-without-sha256",
+            "config-not-an-object",
+            "without-config",
+            "sha256-not-a-string",
+        ],
     )
     def test_malformed_manifest_exits_2_naming_it(self, tmp_path, roll_csv, capsys, text):
         run = tmp_path / "run"
@@ -884,6 +893,70 @@ class TestCompare:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize(
+        "where,value,key",
+        [
+            ("set", "lr=null", "lr"),
+            ("set", "dims=5", "dims"),
+            ("set", "scheduler.factor=x", "scheduler.factor"),
+            ("set", "probes=2.5", "probes"),
+            ("set", "batch_size=[1]", "batch_size"),
+            ("manifest", '"abc"', "seed"),
+            ("manifest", "null", "val_fraction"),
+        ],
+        ids=[
+            "lr-null",
+            "dims-5",
+            "scheduler.factor-x",
+            "probes-2.5",
+            "batch_size-list",
+            "manifest-seed-abc",
+            "manifest-val_fraction-null",
+        ],
+    )
+    def test_mistyped_config_value_exits_1_naming_the_key(
+        self, tmp_path, roll_csv, capsys, where, value, key
+    ):
+        out = tmp_path / "out"
+        if where == "set":
+            code = run_cli("train", "--data", str(roll_csv), "--out", str(out), "--set", value)
+        else:  # a train manifest's split parameter, read by diagnose
+            assert tiny_train(tmp_path, roll_csv)[0] == 0
+            path = tmp_path / "run" / cli.MANIFEST_NAME
+            manifest = json.loads(path.read_text())
+            manifest["config"][key] = json.loads(value)
+            path.write_text(json.dumps(manifest))
+            checkpoint = tmp_path / "run" / cli.CHECKPOINT_NAME
+            capsys.readouterr()
+            code = run_cli(
+                "diagnose", "--checkpoint", str(checkpoint), "--data", str(roll_csv),
+                "--out", str(out),
+            )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "invalid configuration" in err and f"  - {key}: " in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_uncreatable_out_exits_2_naming_it(self, tmp_path, roll_csv, capsys):
+        code, run = tiny_train(tmp_path, roll_csv)
+        assert code == 0
+        diagnose = ["diagnose", "--checkpoint", str(run / cli.CHECKPOINT_NAME)]
+        diagnose += ["--data", str(roll_csv), "--out"]
+        assert run_cli(*diagnose, str(run)) == 0
+        blocker = tmp_path / "file"
+        blocker.write_text("x")
+        out = blocker / "sub"  # its parent is a file
+        for argv in (
+            tiny_train_argv(roll_csv, out),
+            [*diagnose, str(out)],
+            ["plot", "--diagnostics", str(run / cli.DIAGNOSTICS_NAME), "--out", str(out)],
+            ["compare", str(run), "--out", str(out)],
+        ):
+            capsys.readouterr()
+            assert run_cli(*argv) == 2, argv[0]
+            assert f"cannot create output directory {out}" in capsys.readouterr().err
+
     def test_unknown_argument_exits_one(self):
         with pytest.raises(SystemExit) as exc:
             run_cli("train", "--nonsense")

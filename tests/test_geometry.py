@@ -250,6 +250,20 @@ class TestBuildGraph:
             tracemalloc.stop()
         assert peak < 64 * 2**20, peak
 
+    def test_edge_merge_memory_is_bounded(self):
+        # the search peaks at about 8 words per directed edge; the merge of
+        # both orientations must stay below 10 (it took 13 while it held
+        # the doubled keys, their sort order and the doubled weights at once)
+        n, k = 4000, 10
+        codes = np.random.default_rng(22).normal(size=(n, 2))
+        tracemalloc.start()
+        try:
+            geometry.build_graph(codes, k=k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 8 * n * k, peak
+
     def test_non_finite_codes_rejected(self):
         codes = np.random.default_rng(21).normal(size=(20, 2))
         codes[7, 1] = np.nan

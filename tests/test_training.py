@@ -116,14 +116,15 @@ class TestAdamW:
         want = 2.0 - 0.1 * 0.5 * 2.0 - 0.1 * 1.0 / (1.0 + 1e-8)
         assert network.layers[0].weight[0, 0] == pytest.approx(want, abs=1e-12)
 
-    def test_vector_step_equals_per_array_update(self):
+    @pytest.mark.parametrize("weight_decay", [1e-2, 0.0])
+    def test_vector_step_equals_per_array_update(self, weight_decay):
         rng = np.random.default_rng(4)
         network = net.init([3, 6, 5, 2], ["tanh", "relu", "identity"], 8)
         reference = net.from_dict(net.to_dict(network))
         state = tr.AdamWState.zeros(network)
         arrays = [a for l in reference.layers for a in (l.weight, l.bias)]
         moments = [(np.zeros_like(a), np.zeros_like(a)) for a in arrays]
-        opts = dict(lr=1e-2, beta1=0.8, beta2=0.99, eps=1e-7, weight_decay=1e-2)
+        opts = dict(lr=1e-2, beta1=0.8, beta2=0.99, eps=1e-7, weight_decay=weight_decay)
         for step in range(1, 21):
             grads = net.ParamGradient.from_flat(network, np.zeros_like(network.params))
             grads.flat[:] = rng.normal(size=grads.flat.size)
@@ -200,6 +201,12 @@ class TestRunConfig:
         with pytest.raises(tr.ConfigError) as err:
             tr.RunConfig.from_dict({"seed": seed})
         assert err.value.problems == ["seed: must be a nonnegative integer"]
+
+    def test_numpy_integers_pass_where_ints_do(self):
+        cfg = small_config(
+            epochs=np.int64(2), batch_size=np.int32(8), seed=np.uint8(3), dims=[np.int64(3), 4, 2]
+        )
+        assert cfg.problems() == []
 
     def test_globiso_needs_pairs(self):
         cfg = small_config(regularizer="globiso", lambda_geo=1.0, batch_size=1)
