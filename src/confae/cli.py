@@ -46,6 +46,8 @@ METRICS_NAME = "metrics.jsonl"
 MANIFEST_NAME = "manifest.json"
 DIAGNOSTICS_NAME = "diagnostics.csv"
 KAPPA_SUMMARY_NAME = "kappa_summary.json"
+# The entries of a kappa summary that ``compare`` tabulates.
+KAPPA_KEYS = ("kappa_jac_mean", "kappa_jac_std", "kappa_pbm_mean", "kappa_pbm_std")
 
 # Codes per block of diagnose's Jacobian stage: only one block's Jacobian
 # stack is held at a time.
@@ -163,6 +165,10 @@ def _resolve_config(args) -> training.RunConfig:
 
 
 def cmd_generate(args) -> int:
+    if args.n < 2:
+        raise _validation(f"--n must be at least 2, got {args.n}")
+    if args.seed < 0:
+        raise _validation(f"--seed must be nonnegative, got {args.seed}")
     ds = data.swiss_roll(args.n, seed=args.seed)
     if args.standardize:
         ds = data.standardize(ds)
@@ -515,16 +521,21 @@ def cmd_plot(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    runs = {}
+    runs, sources = {}, {}
     for run in args.runs:
         run_dir = Path(run)
         summary_path = run_dir / KAPPA_SUMMARY_NAME
         if not summary_path.exists():
             raise _validation(f"run '{run}' has no {KAPPA_SUMMARY_NAME} (run diagnose first)")
         obj = _read_json(summary_path, "kappa summary")
+        missing = [k for k in KAPPA_KEYS if not isinstance(obj.get(k), (int, float))]
+        if missing:
+            raise _runtime(f"kappa summary {summary_path} has no numeric {', '.join(missing)}")
         obj.pop("timing", None)  # wall time would make comparison.json differ per run
-        tag = obj.get("regularizer", run_dir.name)
-        runs[tag] = obj
+        tag = str(obj.get("regularizer", run_dir.name))
+        if tag in runs:
+            raise _validation(f"runs '{sources[tag]}' and '{run}' are both tagged {tag!r}")
+        runs[tag], sources[tag] = obj, run
 
     header = ["metric"] + list(runs)
     rows = []

@@ -3,18 +3,17 @@
 Two sweeps are supported over the same recorded evaluation:
 
 * a primal forward pass (affine maps + pointwise activations),
-* a tangent pass propagating a directional derivative ``Jv`` alongside the
-  primal states (forward mode).
+* a tangent pass pushing the latent basis alongside the primal states
+  (forward mode), whose outputs are the Jacobian's columns ``J e_k``.
 
 Both are recorded as nodes of one tape (:class:`DualTrace`), so a single
 standard reverse sweep (:func:`backward`) yields exact parameter gradients of
-any scalar built from the primal output or the tangent output. Per layer the
-tape holds the activation's output and derivative and, after a tangent pass,
-the tangent pre-activations and outputs. It keeps no primal pre-activation:
-the reverse sweep forms tanh'' from tanh and tanh'. Pushing the latent basis
-through the tangent pass gives the Jacobian's columns, so any function of the
-Gram matrix ``J^T J`` can be trained without nested autodiff machinery. Where
-no reverse sweep follows, :func:`jacobians` pushes the basis through the same
+any scalar built from the primal output or the Jacobian's columns, such as a
+function of the pullback metric ``J^T J``, without nested autodiff machinery.
+Per layer the tape holds the activation's output and derivative and, after a
+tangent pass, the tangent pre-activations and outputs. It keeps no primal
+pre-activation: the reverse sweep forms tanh'' from tanh and tanh'. Where no
+reverse sweep follows, :func:`jacobians` pushes the basis through the same
 operations without a tape: it holds the states of one layer at a time.
 
 A network's parameters are one float64 vector, ``Mlp.params`` (per layer the
@@ -23,14 +22,13 @@ and a :class:`ParamGradient` holds the same layout in ``flat``. Saved, such a
 vector is the base64 text of its little-endian float64 bytes
 (:func:`encode_vector`, :func:`decode_vector`).
 
-States are batched row-wise: a (B, d) array holds B independent inputs.
-Public entry points also accept single vectors. A JVP may carry N tangents
-per input as a (B, N, m) block: the N tangents of a code share one primal
-row (pre-activations, outputs and activation derivatives are computed on B
-rows), while tangent states live on B*N rows. The reverse sweep sums the
-tangents' second-derivative terms per code before the primal adjoint
-products, and skips the primal adjoint chain where nothing reaches it (a
-piecewise-linear activation and no primal-output adjoint).
+Inputs are (B, d) batches, one row per input; only :func:`jacobian` takes a
+single point. The m basis tangents of a code share one primal row
+(pre-activations, outputs and activation derivatives are computed on B rows),
+while tangent states live on B*m rows. The reverse sweep sums the tangents'
+second-derivative terms per code before the primal adjoint products, and
+skips the primal adjoint chain where nothing reaches it (a piecewise-linear
+activation and no primal-output adjoint).
 """
 
 from __future__ import annotations
@@ -168,14 +166,13 @@ class DualTrace:
 
     ``out[k]`` and ``dact[k]`` are the activation output and activation
     derivative of layer k, one row per input; tangent lists are present only
-    when the tangent sweep ran and hold ``fanout`` rows per input,
-    input-major (row ``b * fanout + i`` is tangent i of input b).
+    when the tangent sweep ran and hold m rows per input, one per latent
+    basis vector, input-major (row ``b * m + k`` is ``J e_k`` at input b).
     """
 
     x0: np.ndarray
     out: list[np.ndarray]
     dact: list[np.ndarray]
-    fanout: int = 1
     v0: np.ndarray | None = None
     tan_pre: list[np.ndarray] | None = None
     tan_out: list[np.ndarray] | None = None
@@ -216,24 +213,21 @@ def init(dims: list[int], activations: list[str], seed: int) -> Mlp:
     return Mlp(layers)
 
 
-def _as_batch(x: np.ndarray, dim: int, what: str) -> tuple[np.ndarray, bool]:
+def _as_batch(x: np.ndarray, dim: int) -> np.ndarray:
     a = np.asarray(x, dtype=np.float64)
-    single = a.ndim == 1
-    if single:
-        a = a[None, :]
     if a.ndim != 2 or a.shape[1] != dim:
-        raise ValueError(f"{what} must have length {dim}, got shape {np.shape(x)}")
-    return a, single
+        raise ValueError(f"input must be a (batch, {dim}) array, got shape {np.shape(x)}")
+    return a
 
 
 def forward(net: Mlp, x: np.ndarray) -> np.ndarray:
-    """Evaluate the network; accepts a vector or a (B, in_dim) batch."""
-    a, single = _as_batch(x, net.in_dim, "input")
+    """Evaluate the network on a (B, in_dim) batch."""
+    a = _as_batch(x, net.in_dim)
     for layer in net.layers:
         a = a @ layer.weight.T
         a += layer.bias
         a = _act(layer.activation, a, layer.slope)
-    return a[0] if single else a
+    return a
 
 
 def _primal(net: Mlp, xb: np.ndarray):
@@ -256,67 +250,44 @@ def _per_row(mask: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
 
 def forward_tape(net: Mlp, x: np.ndarray) -> tuple[np.ndarray, DualTrace]:
     """Forward pass recording per-layer states for a later reverse sweep."""
-    xb, _ = _as_batch(x, net.in_dim, "input")
+    xb = _as_batch(x, net.in_dim)
     out, dact = _primal(net, xb)
     return out[-1], DualTrace(x0=xb, out=out, dact=dact)
 
 
-def jvp(net: Mlp, z: np.ndarray, v: np.ndarray) -> JvpResult:
-    """Primal output and directional derivative ``Jv`` at ``z``.
+def jvp(net: Mlp, z: np.ndarray) -> JvpResult:
+    """Primal output and the Jacobian's columns ``J e_k`` at a (B, m) batch of codes.
 
-    ``v`` is one tangent per input, (B, m), or a (B, N, m) block of N
-    tangents per input; a block's primal runs once per input and ``jv``
-    holds its B * N tangent rows, input-major.
+    The latent basis is the block of m tangents per code; the primal runs
+    once per code and ``jv`` holds the B * m tangent rows, code-major.
     """
-    zb, single = _as_batch(z, net.in_dim, "input")
-    b = zb.shape[0]
-    va = np.asarray(v, dtype=np.float64)
-    if va.ndim == 3:
-        if va.shape[0] != b or va.shape[1] == 0 or va.shape[2] != net.in_dim:
-            raise ValueError(
-                f"tangent block must be ({b}, N >= 1, {net.in_dim}), got shape {va.shape}"
-            )
-        fanout, vsingle = va.shape[1], False
-        vb = va.reshape(b * fanout, net.in_dim)
-    else:
-        vb, vsingle = _as_batch(va, net.in_dim, "tangent")
-        fanout = 1
-        if vb.shape[0] != b:
-            raise ValueError("input and tangent batches differ in size")
+    zb = _as_batch(z, net.in_dim)
+    b, m = zb.shape
+    # a broadcast view (stride 0 at m = 1): a contiguous basis rounds the
+    # layer-0 weight gradient differently
+    vb = np.broadcast_to(np.eye(m), (b, m, m)).reshape(b * m, m)
     out, dacts = _primal(net, zb)
     tan_pre, tan_out = [], []
     tan = vb
     for layer, d in zip(net.layers, dacts):
         t = tan @ layer.weight.T
-        tan = _per_row(d, t, fanout)
+        tan = _per_row(d, t, m)
         tan_pre.append(t)
         tan_out.append(tan)
-    trace = DualTrace(
-        x0=zb,
-        out=out,
-        dact=dacts,
-        fanout=fanout,
-        v0=vb,
-        tan_pre=tan_pre,
-        tan_out=tan_out,
-    )
-    cur = out[-1]
-    if single and vsingle:
-        return JvpResult(cur[0], tan[0], None, trace)
-    return JvpResult(cur, tan, None, trace)
+    trace = DualTrace(x0=zb, out=out, dact=dacts, v0=vb, tan_pre=tan_pre, tan_out=tan_out)
+    return JvpResult(out[-1], tan, None, trace)
 
 
 def jacobians(net: Mlp, z: np.ndarray) -> np.ndarray:
     """(B, out_dim, in_dim) Jacobian stack of a batch, one tape-free sweep of the basis block.
 
-    Each layer applies :func:`jvp`'s operations to the (B, in_dim, in_dim)
-    basis block in the same order, so the stack is bit-identical to that
-    block's ``jv``, but no tape is recorded: only the current layer's primal
-    and tangent states are held. The result is a transposed view of the
+    Each layer applies :func:`jvp`'s operations to the latent basis in the
+    same order, so the stack is bit-identical to its ``jv``, but no tape is
+    recorded: only the current layer's primal and tangent states are held. The result is a transposed view of the
     contiguous (B, in_dim, out_dim) block whose row k of entry p is
     ``J_p e_k``.
     """
-    x, _ = _as_batch(z, net.in_dim, "input")
+    x = _as_batch(z, net.in_dim)
     b, m = x.shape
     tan = np.tile(np.eye(m), (b, 1))  # the basis block's B * m rows
     for layer in net.layers:
@@ -346,6 +317,13 @@ def jacobian(net: Mlp, z: np.ndarray) -> np.ndarray:
     return jacobians(net, zv[None, :])[0].copy()
 
 
+def _adjoint(g: np.ndarray, shape: tuple[int, int], what: str) -> np.ndarray:
+    a = np.asarray(g, dtype=np.float64)
+    if a.shape != shape:
+        raise ValueError(f"{what} adjoint must have shape {shape}, got {a.shape}")
+    return a
+
+
 def backward(
     net: Mlp,
     trace: DualTrace,
@@ -354,30 +332,22 @@ def backward(
 ) -> tuple[ParamGradient, np.ndarray, np.ndarray | None]:
     """One reverse sweep over a recorded tape.
 
-    The adjoints seed the scalar's derivative w.r.t. the primal output and
-    the tangent output respectively. Returns parameter gradients, the
-    gradient w.r.t. the primal input (one row per input) and (if a tangent
-    sweep was recorded) w.r.t. the tangent input (one row per tangent).
+    The adjoints seed the scalar's derivative w.r.t. the primal output
+    (B, out_dim) and the tangent output (B * m, out_dim). Returns parameter
+    gradients, the gradient w.r.t. the primal input (one row per input) and
+    (if a tangent sweep was recorded) w.r.t. the tangent input (one row per
+    tangent).
     """
     if tan_grad is not None and trace.tan_out is None:
         raise ValueError("tangent adjoint given but the trace has no tangent sweep")
     # every entry is written below: each layer's first term lands with out=
     grads = ParamGradient.from_flat(net, np.empty_like(net.params))
 
-    b, n = trace.batch, trace.fanout
+    b, n = trace.x0.shape  # a tangent sweep has n = m rows per input
     dacts = trace.dact
-
-    g_s = None
-    if tan_grad is not None:
-        g_s = np.asarray(tan_grad, dtype=np.float64)
-        if g_s.ndim == 1:
-            g_s = g_s[None, :]
-
-    g_x = None
-    if out_grad is not None:
-        g_x = np.asarray(out_grad, dtype=np.float64)
-        if g_x.ndim == 1:
-            g_x = g_x[None, :]
+    out_dim = dacts[-1].shape[1]
+    g_s = None if tan_grad is None else _adjoint(tan_grad, (b * n, out_dim), "tangent")
+    g_x = None if out_grad is None else _adjoint(out_grad, (b, out_dim), "output")
 
     # a tangent adjoint reaches every layer, and so does a primal one once it starts
     tangent = g_s is not None

@@ -78,8 +78,8 @@ def trace_moments(rows: np.ndarray, probes: np.ndarray | None = None):
     """Per-code moments ``(t1, t2)`` of the pullback metric, plus the tape.
 
     ``rows`` is the (B, m, out) stack of the decoder's tangent rows along
-    the latent basis (one :func:`net.jvp` of the basis block; the same rows
-    as :func:`net.jacobians`): the Jacobian's columns, whose Gram matrix is
+    the latent basis (one :func:`net.jvp`; the same rows as
+    :func:`net.jacobians`): the Jacobian's columns, whose Gram matrix is
     ``G = J^T J``. ``probes`` is ``None`` for the exact moments or a
     (B, N, m) Rademacher block for the Monte-Carlo estimate. The probes
     enter only through the per-code matrix ``P = sum_i w_i v_i v_i^T``, so
@@ -121,10 +121,8 @@ def _moments_backward(tape, d_t1: np.ndarray, d_t2: np.ndarray) -> np.ndarray:
 
 def _samples_2d(batch: np.ndarray) -> np.ndarray:
     x = np.asarray(batch, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[None, :]
-    if x.shape[0] == 0:
-        raise ValueError("batch is empty")
+    if x.ndim != 2 or x.shape[0] == 0:
+        raise ValueError(f"batch must be a nonempty (batch, d) array, got shape {x.shape}")
     return x
 
 

@@ -64,7 +64,8 @@ def _real(value) -> bool:
 
 # Each config key with the test its value must pass and the problem reported
 # when it fails ({v} is the value). A test checks the type before the range,
-# so a mistyped value is reported, not raised on.
+# so a mistyped value is reported, not raised on. A real value that is not
+# finite (nan or an infinity) is reported as such before its test runs.
 _CONFIG_RULES = (
     ("regularizer", lambda v: v in REGULARIZERS, "unknown tag {v!r}"),
     ("lambda_geo", lambda v: v is None or _real(v) and v >= 0, "must be nonnegative"),
@@ -133,7 +134,9 @@ class RunConfig:
             value = self
             for part in key.split("."):
                 value = getattr(value, part)
-            if not ok(value):
+            if isinstance(value, (float, np.floating)) and not np.isfinite(value):
+                out.append(f"{key}: must be finite, got {value}")
+            elif not ok(value):
                 out.append(f"{key}: {problem.format(v=value)}")
         if self.regularizer == "globiso" and _integer(self.batch_size) and self.batch_size < 2:
             out.append("batch_size: pairwise regularizer needs batches of at least 2")
@@ -358,9 +361,8 @@ def _decoder_tape(config, dec, codes):
     if config.regularizer not in _MOMENT_LOSSES:
         y, tape = net.forward_tape(dec, codes)
         return y, None, tape
-    b, m = codes.shape
-    res = net.jvp(dec, codes, np.broadcast_to(np.eye(m), (b, m, m)))
-    return res.y, res.jv.reshape(b, m, -1), res.trace
+    res = net.jvp(dec, codes)
+    return res.y, res.jv.reshape(*codes.shape, -1), res.trace
 
 
 def _geo_value_and_grads(config, codes, y, rows, probes, want_grad):

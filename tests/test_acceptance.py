@@ -20,7 +20,7 @@ from confae import data, geometry, linalg, net
 from confae import regularizers as reg
 
 from oracles import disc_grid, swiss_roll_jacobian
-from test_net import fd_input_jacobian, fd_param_grad, rel_err, vjp
+from test_net import fd_input_jacobian, fd_param_grad, forward_point, rel_err, vjp
 from test_regularizers import hutch_moments, value_of
 
 SEED = 42
@@ -67,20 +67,23 @@ def test_criterion_1_autodiff_fidelity():
         v = rng.choice([-1.0, 1.0], size=network.in_dim)
         u = rng.normal(size=network.dims[-1])
 
-        fd_jac = fd_input_jacobian(lambda x: net.forward(network, x), z)
+        fd_jac = fd_input_jacobian(lambda x: forward_point(network, x), z)
         jac = net.jacobian(network, z)
         worst_first_order = max(worst_first_order, rel_err(jac, fd_jac))
 
-        res = net.jvp(network, z, v)
-        worst_first_order = max(worst_first_order, rel_err(res.jv, fd_jac @ v))
+        # the basis rows J e_k combine into Jv = sum_k v_k J e_k
+        res = net.jvp(network, z[None, :])
+        jv = v @ res.jv
+        worst_first_order = max(worst_first_order, rel_err(jv, fd_jac @ v))
 
         jtu = vjp(network, z, u)
         worst_first_order = max(worst_first_order, rel_err(jtu, fd_jac.T @ u))
 
         def tangent_norm_sq(n_):
-            return float(np.sum(net.jvp(n_, z, v).jv ** 2))
+            return float(np.sum((v @ net.jvp(n_, z[None, :]).jv) ** 2))
 
-        grads, _, _ = net.backward(network, res.trace, tan_grad=2.0 * res.jv[None, :])
+        # the adjoint of ||Jv||^2 at basis row k is 2 v_k Jv
+        grads, _, _ = net.backward(network, res.trace, tan_grad=2.0 * np.outer(v, jv))
         fd_w, fd_b = fd_param_grad(tangent_norm_sq, network)
         flat_ad = np.concatenate(
             [g.ravel() for g in grads.weights] + [g.ravel() for g in grads.biases]

@@ -40,10 +40,9 @@ def test_traced_layer_is_a_package_callable(module, name):
 def test_jvp_counter_reads_a_block_jvp():
     dec = net.init([2, 6, 3], ["relu", "identity"], 0)
     codes = np.random.default_rng(1).normal(size=(4, 2))
-    block = np.ones((4, 3, 2))
-    res = net.jvp(dec, codes, block)
-    counts = _spans()._jvp_counts((dec, codes, block), {}, res)
-    # one primal row per code, whatever the number of probe tangents; the
+    res = net.jvp(dec, codes)
+    counts = _spans()._jvp_counts((dec, codes), {}, res)
+    # one primal row per code, whatever the number of basis tangents; the
     # JVP computes no pullback, so that counter reads 0
     assert counts == {"rows": 4, "pullback_rows": 0}
     assert all(type(v) is int for v in counts.values())

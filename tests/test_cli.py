@@ -1,3 +1,4 @@
+import argparse
 import base64
 import errno
 import json
@@ -731,8 +732,7 @@ class TestDiagnose:
         # 120 samples, 20% validation; every code has at least k = 10 edges
         assert summaries[0]["curvature"]["edges"] >= 24 * 10
         cmp_out = tmp_path / "cmp"
-        runs = [str(tmp_path / "a"), str(tmp_path / "b")]
-        assert run_cli("compare", *runs, "--out", str(cmp_out)) == 0
+        assert run_cli("compare", str(tmp_path / "a"), "--out", str(cmp_out)) == 0
         result = json.loads((cmp_out / "comparison.json").read_text())
         assert all("timing" not in run for run in result["runs"].values())
 
@@ -884,6 +884,32 @@ class TestCompare:
         table_line = capsys.readouterr().out.splitlines()[1]
         assert table_line.count("2.00 +- 0.10") == 2
 
+    def test_runs_with_one_tag_exit_1_naming_both(self, tmp_path, capsys):
+        a = self._run_dir(tmp_path, "conf", 2.0, 5.0)
+        b = tmp_path / "copy"
+        b.mkdir()
+        (b / cli.KAPPA_SUMMARY_NAME).write_bytes((a / cli.KAPPA_SUMMARY_NAME).read_bytes())
+        out = tmp_path / "cmp"
+        assert run_cli("compare", str(a), str(b), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert str(a) in err and str(b) in err and "'conf'" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("damage", ["missing", "string"])
+    def test_summary_without_a_kappa_entry_exits_2_naming_it(self, tmp_path, capsys, damage):
+        a = self._run_dir(tmp_path, "conf", 2.0, 5.0)
+        b = self._run_dir(tmp_path, "globiso", 4.0, 19.0)
+        path = b / cli.KAPPA_SUMMARY_NAME
+        summary = json.loads(path.read_text())
+        if damage == "missing":
+            del summary["kappa_pbm_std"]
+        else:
+            summary["kappa_pbm_std"] = "0.2"
+        path.write_text(json.dumps(summary))
+        assert run_cli("compare", str(a), str(b)) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "kappa_pbm_std" in err and "Traceback" not in err
+
     def test_missing_summary_names_the_run(self, tmp_path, capsys):
         a = self._run_dir(tmp_path, "conf", 2.0, 5.0)
         empty = tmp_path / "empty"
@@ -936,6 +962,47 @@ class TestExitCodes:
         assert code == 1
         assert "invalid configuration" in err and f"  - {key}: " in err
         assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv,key,value",
+        [
+            (["--lambda-geo", "inf"], "lambda_geo", "inf"),
+            (["--lambda-geo", "nan"], "lambda_geo", "nan"),
+            (["--lr", "inf"], "lr", "inf"),
+            (["--weight-decay", "inf"], "weight_decay", "inf"),
+            (["--set", "eps=Infinity"], "eps", "inf"),
+            (["--set", "beta1=NaN"], "beta1", "nan"),
+            (["--set", "beta2=-Infinity"], "beta2", "-inf"),
+            (["--set", "scheduler.min_lr=Infinity"], "scheduler.min_lr", "inf"),
+            (["--set", "scheduler.factor=NaN"], "scheduler.factor", "nan"),
+        ],
+        ids=[
+            "lambda_geo-inf", "lambda_geo-nan", "lr-inf", "weight_decay-inf", "eps-inf",
+            "beta1-nan", "beta2--inf", "scheduler.min_lr-inf", "scheduler.factor-nan",
+        ],
+    )
+    def test_non_finite_real_exits_1_naming_key_and_value(
+        self, tmp_path, roll_csv, capsys, argv, key, value
+    ):
+        out = tmp_path / "out"
+        code = run_cli("train", "--data", str(roll_csv), "--out", str(out), *argv)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"  - {key}: must be finite, got {value}\n" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [(["--n", "0"], "--n"), (["--n", "1", "--standardize"], "--n"), (["--seed", "-1"], "--seed")],
+        ids=["n-0", "n-1-standardize", "seed-negative"],
+    )
+    def test_generate_out_of_range_exits_1_naming_the_flag(self, tmp_path, capsys, argv, flag):
+        out = tmp_path / "roll.csv"
+        assert run_cli("generate", *argv, "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert f"error: {flag} must be" in err and "Traceback" not in err
         assert not out.exists()
 
     def test_uncreatable_out_exits_2_naming_it(self, tmp_path, roll_csv, capsys):
@@ -998,3 +1065,43 @@ class TestExitCodes:
         csv.write_text("x,y,z,xi,eta\n" + body)
         assert run_cli("train", "--data", str(csv), "--out", str(tmp_path / "o")) == 2
         assert message in capsys.readouterr().err
+
+
+def _numeric_flags():
+    """``(subcommand, flag)`` for every option the parser converts to an int or a float."""
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return [
+        (name, action.option_strings[0])
+        for name, parser in sub.choices.items()
+        for action in parser._actions
+        if action.type in (int, float)
+    ]
+
+
+@pytest.fixture(scope="module")
+def boundary_run(tmp_path_factory):
+    """A 120-sample roll and a one-epoch conf checkpoint trained on it."""
+    root = tmp_path_factory.mktemp("boundary")
+    csv = root / "roll.csv"
+    assert run_cli("generate", "--n", "120", "--seed", "5", "--out", str(csv)) == 0
+    argv = tiny_train_argv(csv, root / "run", "--regularizer", "conf", "--lambda-geo", "0.1")
+    assert run_cli(*argv) == 0
+    return csv, root / "run" / cli.CHECKPOINT_NAME
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize("command,flag", _numeric_flags(), ids=lambda v: v)
+def test_numeric_flag_boundaries_exit_cleanly(tmp_path, boundary_run, command, flag, value):
+    csv, checkpoint = boundary_run
+    out = str(tmp_path / "out")
+    base = {
+        "generate": ["--n", "50", "--out", str(tmp_path / "roll.csv")],
+        "train": tiny_train_argv(csv, out, "--regularizer", "conf", "--lambda-geo", "0.1")[1:],
+        "diagnose": ["--checkpoint", str(checkpoint), "--data", str(csv), "--out", out],
+    }[command]
+    # the flag under test comes last, so it overrides the base argv's value
+    try:
+        code = run_cli(command, *base, flag, value)
+    except SystemExit as exc:
+        code = exc.code
+    assert code in (0, 1, 2)

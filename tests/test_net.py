@@ -22,10 +22,21 @@ def seeded_net(dims, activations, seed):
 
 
 def vjp(network, z, u):
-    """``J^T u`` at ``z``: the input gradient of one reverse sweep seeded with ``u``."""
-    _, trace = net.forward_tape(network, z)
-    _, g_in, _ = net.backward(network, trace, out_grad=u)
+    """``J^T u`` at the point ``z``: the input gradient of one reverse sweep seeded with ``u``."""
+    _, trace = net.forward_tape(network, z[None, :])
+    _, g_in, _ = net.backward(network, trace, out_grad=u[None, :])
     return g_in[0]
+
+
+def point_jvp(network, z):
+    """The basis JVP at the point ``z`` and its (out_dim, m) Jacobian ``J``."""
+    res = net.jvp(network, z[None, :])
+    return res, res.jv.T
+
+
+def forward_point(network, x):
+    """The network's output at the single point ``x``."""
+    return net.forward(network, x[None, :])[0]
 
 
 def fd_input_jacobian(f, x, step=1e-6):
@@ -72,11 +83,11 @@ def fd_param_grad(scalar_of_net, network, step=1e-5):
 class TestForward:
     def test_identity_layer(self):
         n = net.Mlp([net.Layer(np.eye(2), np.zeros(2), "identity")])
-        assert np.array_equal(net.forward(n, np.array([1.0, 2.0])), [1.0, 2.0])
+        assert np.array_equal(net.forward(n, np.array([[1.0, 2.0]])), [[1.0, 2.0]])
 
     def test_relu_clipping(self):
         n = net.Mlp([net.Layer(np.eye(2), np.zeros(2), "relu")])
-        assert np.array_equal(net.forward(n, np.array([-1.0, 3.0])), [0.0, 3.0])
+        assert np.array_equal(net.forward(n, np.array([[-1.0, 3.0]])), [[0.0, 3.0]])
 
     def test_fixed_tanh_net_matches_hand_composition(self):
         w1 = np.array([[0.2, -0.4], [0.7, 0.1], [-0.3, 0.5]])
@@ -88,19 +99,33 @@ class TestForward:
         # hand composition, spelled out
         h = np.tanh(w1 @ x + b1)
         want = np.tanh(w2 @ h + b2)
-        assert rel_err(net.forward(n, x), want) < 1e-12
+        assert rel_err(forward_point(n, x), want) < 1e-12
 
     def test_batched_matches_per_sample(self):
         n = seeded_net((3, 5, 2), ("relu", "identity"), 0)
         xs = np.random.default_rng(1).normal(size=(4, 3))
         batched = net.forward(n, xs)
         for i in range(4):
-            assert rel_err(batched[i], net.forward(n, xs[i])) < 1e-15
+            assert rel_err(batched[i], net.forward(n, xs[i : i + 1])[0]) < 1e-15
 
     def test_dimension_mismatch(self):
         n = seeded_net((3, 2), ("identity",), 0)
         with pytest.raises(ValueError):
-            net.forward(n, np.zeros(4))
+            net.forward(n, np.zeros((1, 4)))
+
+    @pytest.mark.parametrize("entry", ["forward", "forward_tape", "jvp", "jacobians"])
+    def test_single_vector_is_refused(self, entry):
+        n = seeded_net((3, 4, 2), ("tanh", "identity"), 0)
+        with pytest.raises(ValueError, match=r"\(batch, 3\).*\(3,\)"):
+            getattr(net, entry)(n, np.zeros(3))
+
+    def test_single_vector_adjoints_are_refused(self):
+        n = seeded_net((3, 4, 2), ("tanh", "identity"), 0)
+        res = net.jvp(n, np.zeros((1, 3)))
+        with pytest.raises(ValueError, match=r"output adjoint.*\(2,\)"):
+            net.backward(n, res.trace, out_grad=np.ones(2))
+        with pytest.raises(ValueError, match=r"tangent adjoint.*\(2,\)"):
+            net.backward(n, res.trace, tan_grad=np.ones(2))
 
     @pytest.mark.parametrize("act", net.ACTIVATIONS)
     def test_bits_match_the_out_of_place_layers(self, act):
@@ -122,8 +147,8 @@ class TestForward:
         for layer in n.layers:
             layer.bias[:] = 0.0
         z = np.random.default_rng(seed).normal(size=3)
-        lhs = net.forward(n, alpha * z)
-        rhs = alpha * net.forward(n, z)
+        lhs = forward_point(n, alpha * z)
+        rhs = alpha * forward_point(n, z)
         assert rel_err(lhs, rhs) < 1e-12
 
 
@@ -132,29 +157,30 @@ class TestJvp:
         rng = np.random.default_rng(2)
         w = rng.normal(size=(3, 2))
         n = net.Mlp([net.Layer(w, np.zeros(3), "identity")])
-        z, v = rng.normal(size=2), rng.normal(size=2)
-        res = net.jvp(n, z, v)
-        assert np.allclose(res.jv, w @ v, atol=0)
+        res = net.jvp(n, rng.normal(size=(4, 2)))
+        assert np.allclose(res.jv.reshape(4, 2, 3), w.T, atol=0)
 
-    def test_zero_tangent(self):
-        n = seeded_net((3, 4, 2), ("tanh", "identity"), 3)
-        res = net.jvp(n, np.ones(3), np.zeros(3))
-        assert np.array_equal(res.jv, np.zeros(2))
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_tangents_are_the_latent_basis(self, m):
+        n = seeded_net((m, 4, 2), ("tanh", "identity"), 3)
+        trace = net.jvp(n, np.ones((5, m))).trace
+        assert np.array_equal(trace.v0.reshape(5, m, m), np.broadcast_to(np.eye(m), (5, m, m)))
+        # a broadcast view: at m = 1 its rows share one stride-0 element
+        assert trace.v0.strides[0] == (0 if m == 1 else 8 * m)
 
     @pytest.mark.parametrize("acts", [("relu", "relu", "identity"), ("tanh", "tanh", "tanh"), ("leaky_relu", "tanh", "identity")])
     def test_matches_finite_differences(self, acts):
         n = seeded_net((3, 8, 8, 2), acts, 7)
         rng = np.random.default_rng(8)
         z = rng.normal(size=3) + 0.05  # keep away from ReLU kinks
-        v = rng.normal(size=3)
-        res = net.jvp(n, z, v)
-        want = fd_input_jacobian(lambda x: net.forward(n, x), z) @ v
-        assert rel_err(res.jv, want) < 1e-5
+        _, j = point_jvp(n, z)
+        want = fd_input_jacobian(lambda x: forward_point(n, x), z)
+        assert rel_err(j, want) < 1e-5
 
     def test_primal_equals_forward(self):
         n = seeded_net((2, 5, 2), ("relu", "identity"), 11)
-        z = np.array([0.3, -0.7])
-        res = net.jvp(n, z, np.array([1.0, 0.0]))
+        z = np.array([[0.3, -0.7]])
+        res = net.jvp(n, z)
         assert rel_err(res.y, net.forward(n, z)) == 0
 
 
@@ -180,7 +206,7 @@ class TestVjp:
         z = rng.normal(size=3)
         v = rng.normal(size=3)
         u = rng.normal(size=2)
-        jv = net.jvp(n, z, v).jv
+        jv = point_jvp(n, z)[1] @ v
         jtu = vjp(n, z, u)
         assert abs(u @ jv - jtu @ v) <= 1e-10 * max(abs(u @ jv), 1.0)
 
@@ -211,86 +237,84 @@ class TestJacobian:
         n = seeded_net((3, 10, 5), ("tanh", "identity"), 9)
         z = np.random.default_rng(10).normal(size=3)
         j = net.jacobian(n, z)
-        want = fd_input_jacobian(lambda x: net.forward(n, x), z)
+        want = fd_input_jacobian(lambda x: forward_point(n, x), z)
         assert rel_err(j, want) < 1e-5
 
     def test_consistency_with_jvp(self):
         n = seeded_net((4, 7, 3), ("relu", "identity"), 12)
-        rng = np.random.default_rng(13)
-        z, v = rng.normal(size=4) + 0.05, rng.normal(size=4)
-        j = net.jacobian(n, z)
-        jv = net.jvp(n, z, v).jv
-        assert rel_err(j @ v, jv) < 1e-10
+        z = np.random.default_rng(13).normal(size=4) + 0.05
+        assert np.array_equal(net.jacobian(n, z), point_jvp(n, z)[1])
 
 
 BLOCK_ACTS = ("relu", "leaky_relu", "tanh", "identity")
 
 
-def block_and_repeated_jvps(act, b=5, n=4, seed=21):
-    """The same tangents as one (B, N, m) block and as repeated (B * N, m) rows."""
+def basis_jvp(act, b=5, seed=21):
+    """A (2, 9, 7, 3) network and the basis JVP of b random codes."""
     network = seeded_net((2, 9, 7, 3), (act, act, "identity"), seed)
-    rng = np.random.default_rng(seed)
-    z = rng.normal(size=(b, 2))
-    block = rng.normal(size=(b, n, 2))
-    blk = net.jvp(network, z, block)
-    rep = net.jvp(network, np.repeat(z, n, axis=0), block.reshape(-1, 2))
-    return network, blk, rep
+    z = np.random.default_rng(seed).normal(size=(b, 2))
+    return network, z, net.jvp(network, z)
 
 
 class TestBlockTangents:
     @pytest.mark.parametrize("act", BLOCK_ACTS)
-    def test_outputs_match_repeated_rows(self, act):
-        _, blk, rep = block_and_repeated_jvps(act, n=4)
-        assert blk.y.shape == (5, 3)
-        assert np.array_equal(np.repeat(blk.y, 4, axis=0), rep.y)
-        assert np.array_equal(blk.jv, rep.jv)
-        assert blk.pullback is None
-        # the primal runs once per code
-        assert blk.trace.batch == 5 and blk.trace.fanout == 4
-        assert all(a.shape[0] == 5 for a in blk.trace.out + blk.trace.dact)
+    def test_primal_runs_once_per_code(self, act):
+        network, z, res = basis_jvp(act)
+        assert np.array_equal(res.y, net.forward(network, z))
+        assert res.jv.shape == (10, 3)
+        assert res.pullback is None
+        assert res.trace.batch == 5
+        assert all(a.shape[0] == 5 for a in res.trace.out + res.trace.dact)
+        assert all(a.shape[0] == 10 for a in res.trace.tan_pre + res.trace.tan_out)
 
     @pytest.mark.parametrize("adjoints", ["tan", "out+tan"])
     @pytest.mark.parametrize("act", BLOCK_ACTS)
-    def test_backward_matches_repeated_rows(self, act, adjoints):
-        b, n = 5, 4
-        network, blk, rep = block_and_repeated_jvps(act, b=b, n=n)
+    def test_backward_matches_finite_differences(self, act, adjoints):
+        # the scalar <out_grad, y> + <tan_grad, jv>; its second-derivative
+        # terms are summed over each code's basis rows
+        b = 5
+        network, z, res = basis_jvp(act, b=b)
         rng = np.random.default_rng(22)
-        tan_grad = rng.normal(size=(b * n, 3))
-        out_grad = rep_out_grad = None
-        if "out" in adjoints:
-            # the scalar sees each code's output once: seed its first probe row
-            out_grad = rng.normal(size=(b, 3))
-            rep_out_grad = np.zeros((b * n, 3))
-            rep_out_grad[::n] = out_grad
-        g_blk, x_blk, s_blk = net.backward(network, blk.trace, out_grad=out_grad, tan_grad=tan_grad)
-        g_rep, x_rep, s_rep = net.backward(network, rep.trace, out_grad=rep_out_grad, tan_grad=tan_grad)
-        assert x_blk.shape == (b, 2)
-        x_rep = x_rep.reshape(b, n, 2).sum(axis=1)
-        pairs = list(zip(g_blk.weights + g_blk.biases, g_rep.weights + g_rep.biases))
-        pairs += [(x_blk, x_rep), (s_blk, s_rep)]
-        for got, want in pairs:
-            if act == "tanh":
-                np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
-            else:
-                assert np.array_equal(got, want)
+        tan_grad = rng.normal(size=(b * 2, 3))
+        out_grad = rng.normal(size=(b, 3)) if "out" in adjoints else None
+
+        def scalar(nw, zz=z):
+            r = net.jvp(nw, zz)
+            primal = 0.0 if out_grad is None else np.sum(out_grad * r.y)
+            return float(primal + np.sum(tan_grad * r.jv))
+
+        grads, g_x, g_s = net.backward(network, res.trace, out_grad=out_grad, tan_grad=tan_grad)
+        fd_w, fd_b = fd_param_grad(scalar, network)
+        for got, want in zip(grads.weights + grads.biases, fd_w + fd_b):
+            assert rel_err(got, want) < 1e-6 or np.max(np.abs(got - want)) < 1e-9
+        fd_x = np.zeros_like(z)
+        for idx in np.ndindex(z.shape):
+            e = np.zeros_like(z)
+            e[idx] = 1e-6
+            fd_x[idx] = (scalar(network, z + e) - scalar(network, z - e)) / 2e-6
+        assert rel_err(g_x, fd_x) < 1e-6 or np.max(np.abs(g_x - fd_x)) < 1e-9
+        # the basis adjoint: row k of code p is J_p^T tan_grad[p, k]
+        jt = net.jacobians(network, z).transpose(0, 2, 1)
+        want_s = np.einsum("pio,pko->pki", jt, tan_grad.reshape(b, 2, 3)).reshape(b * 2, 2)
+        np.testing.assert_allclose(g_s, want_s, rtol=1e-12, atol=1e-14)
 
     def test_piecewise_linear_primal_adjoint_is_skipped(self):
         # nothing reaches the primal chain: the input gradient is exact zeros
-        network, blk, _ = block_and_repeated_jvps("relu")
-        _, g_in, _ = net.backward(network, blk.trace, tan_grad=np.ones((20, 3)))
+        network, _, res = basis_jvp("relu")
+        _, g_in, _ = net.backward(network, res.trace, tan_grad=np.ones((10, 3)))
         assert np.array_equal(g_in, np.zeros((5, 2)))
 
     @pytest.mark.parametrize("adjoints,calls", [("out", 0), ("tan", 3), ("out+tan", 3)])
     def test_second_derivatives_only_under_a_tangent_adjoint(self, monkeypatch, adjoints, calls):
-        network, blk, _ = block_and_repeated_jvps("tanh")
+        network, _, res = basis_jvp("tanh")
         rng = np.random.default_rng(26)
         out_grad = rng.normal(size=(5, 3)) if "out" in adjoints else None
-        tan_grad = rng.normal(size=(20, 3)) if "tan" in adjoints else None
-        want = net.backward(network, blk.trace, out_grad=out_grad, tan_grad=tan_grad)
+        tan_grad = rng.normal(size=(10, 3)) if "tan" in adjoints else None
+        want = net.backward(network, res.trace, out_grad=out_grad, tan_grad=tan_grad)
         if tan_grad is None:
             # the reference: a zero tangent adjoint adds only zero terms
-            zeros = np.zeros((20, 3))
-            want = net.backward(network, blk.trace, out_grad=out_grad, tan_grad=zeros)[:2]
+            zeros = np.zeros((10, 3))
+            want = net.backward(network, res.trace, out_grad=out_grad, tan_grad=zeros)[:2]
         seen = []
         ddact = net._ddact
 
@@ -299,7 +323,7 @@ class TestBlockTangents:
             return ddact(name, out, dact)
 
         monkeypatch.setattr(net, "_ddact", counted)
-        got = net.backward(network, blk.trace, out_grad=out_grad, tan_grad=tan_grad)
+        got = net.backward(network, res.trace, out_grad=out_grad, tan_grad=tan_grad)
         # a tangent sweep makes one call per layer, a primal-only sweep none
         assert sorted(seen) == ["identity", "tanh", "tanh"][:calls]
         g, x_in = got[:2]
@@ -312,7 +336,7 @@ class TestBlockTangents:
         stack = net.jacobians(network, z)
         assert stack.shape == (6, 4, 3)
         for zp, jp in zip(z, stack):
-            want = fd_input_jacobian(lambda x: net.forward(network, x), zp)
+            want = fd_input_jacobian(lambda x: forward_point(network, x), zp)
             assert rel_err(jp, want) < 1e-5
 
     @pytest.mark.parametrize("b,dims", [(6, (3, 10, 6, 4)), (4000, (2, 50, 50, 50, 3))])
@@ -322,8 +346,7 @@ class TestBlockTangents:
         network = seeded_net(dims, (act,) * (len(dims) - 2) + ("identity",), 27)
         z = np.random.default_rng(28).normal(size=(b, dims[0]))
         m = dims[0]
-        basis = np.broadcast_to(np.eye(m), (b, m, m))
-        want = net.jvp(network, z, basis).jv.reshape(b, m, -1).transpose(0, 2, 1)
+        want = net.jvp(network, z).jv.reshape(b, m, -1).transpose(0, 2, 1)
         assert np.array_equal(net.jacobians(network, z), want)
 
     def test_jacobians_memory_is_bounded(self):
@@ -337,12 +360,6 @@ class TestBlockTangents:
         finally:
             tracemalloc.stop()
         assert peak < 12 * 2**20, peak
-
-    @pytest.mark.parametrize("shape", [(4, 3, 2), (5, 0, 2), (5, 3, 3)])
-    def test_block_shape_must_match_codes(self, shape):
-        network = seeded_net((2, 4, 3), ("relu", "identity"), 25)
-        with pytest.raises(ValueError, match="tangent block"):
-            net.jvp(network, np.zeros((5, 2)), np.ones(shape))
 
 
 def _separate_act_dact(name, a, slope):
@@ -375,12 +392,12 @@ def test_second_derivative_bits_match_the_pre_activation_formula(act):
 def test_one_activation_pass_matches_the_separate_formulas(monkeypatch, act):
     network = seeded_net((2, 9, 7, 3), (act, act, "identity"), 33)
     rng = np.random.default_rng(34)
-    z, v = rng.normal(size=(6, 2)), rng.normal(size=(6, 4, 2))
-    out_grad, tan_grad = rng.normal(size=(6, 3)), rng.normal(size=(24, 3))
+    z = rng.normal(size=(6, 2))
+    out_grad, tan_grad = rng.normal(size=(6, 3)), rng.normal(size=(12, 3))
 
     def sweeps():
         y, tape = net.forward_tape(network, z)
-        res = net.jvp(network, z, v)
+        res = net.jvp(network, z)
         g, g_x, g_s = net.backward(network, res.trace, out_grad=out_grad, tan_grad=tan_grad)
         states = tape.out + tape.dact + res.trace.tan_out
         return [y, res.y, res.jv, net.jacobians(network, z), g.flat, g_x, g_s, *states]
@@ -397,24 +414,24 @@ class TestGradScalar:
         rng = np.random.default_rng(14)
         w = rng.normal(size=(3, 3))
         n = net.Mlp([net.Layer(w, np.zeros(3), "identity")])
-        z = rng.normal(size=3)
-        x = rng.normal(size=3)
+        z = rng.normal(size=(1, 3))
+        x = rng.normal(size=(1, 3))
         y, trace = net.forward_tape(n, z)
-        resid = y[0] - x  # adjoint of 0.5 * ||y - x||^2
-        grads, _, _ = net.backward(n, trace, out_grad=resid[None, :])
-        want = np.outer(w @ z - x, z)
+        resid = y - x  # adjoint of 0.5 * ||y - x||^2
+        grads, _, _ = net.backward(n, trace, out_grad=resid)
+        want = (z @ w.T - x).T @ z
         assert rel_err(grads.weights[0], want) < 1e-12
 
     def test_constant_scalar_has_zero_gradient(self):
         n = seeded_net((2, 4, 2), ("tanh", "identity"), 15)
-        _, trace = net.forward_tape(n, np.ones(2))
+        _, trace = net.forward_tape(n, np.ones((1, 2)))
         grads, _, _ = net.backward(n, trace, out_grad=np.zeros((1, 2)))
         assert all(not gw.any() for gw in grads.weights)
         assert all(not gb.any() for gb in grads.biases)
 
     def test_missing_tape_is_a_usage_error(self):
         n = seeded_net((2, 2), ("identity",), 0)
-        _, trace = net.forward_tape(n, np.ones(2))
+        _, trace = net.forward_tape(n, np.ones((1, 2)))
         with pytest.raises(ValueError, match="tangent"):
             net.backward(n, trace, tan_grad=np.ones((1, 2)))
 
@@ -429,14 +446,15 @@ class TestGradScalar:
     def test_grad_of_squared_tangent_norm_matches_fd(self, acts, seed):
         n = seeded_net((3, 6, 5, 2), acts, seed)
         rng = np.random.default_rng(seed)
-        z = rng.normal(size=3) + 0.1
+        z = rng.normal(size=(1, 3)) + 0.1
         v = rng.choice([-1.0, 1.0], size=3)
 
         def scalar(network):
-            return float(np.sum(net.jvp(network, z, v).jv ** 2))
+            return float(np.sum((v @ net.jvp(network, z).jv) ** 2))
 
-        res = net.jvp(n, z, v)
-        grads, _, _ = net.backward(n, res.trace, tan_grad=2.0 * res.jv[None, :])
+        res = net.jvp(n, z)
+        # Jv = sum_k v_k J e_k: basis row k's adjoint is 2 v_k Jv
+        grads, _, _ = net.backward(n, res.trace, tan_grad=2.0 * np.outer(v, v @ res.jv))
         fd_w, fd_b = fd_param_grad(scalar, n)
         for gw, fw in zip(grads.weights, fd_w):
             assert rel_err(gw, fw) < 1e-4
@@ -452,10 +470,10 @@ class TestGradScalar:
         x = rng.normal(size=3)
 
         def scalar_of_input(zz):
-            d = net.forward(n, zz) - x
+            d = forward_point(n, zz) - x
             return float(d @ d)
 
-        y, trace = net.forward_tape(n, z)
+        y, trace = net.forward_tape(n, z[None, :])
         _, g_in, _ = net.backward(n, trace, out_grad=2.0 * (y - x[None, :]))
         step = 1e-6
         fd = np.array(

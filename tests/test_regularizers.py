@@ -38,9 +38,8 @@ MOMENT_LOSSES = (
 def basis_rows(dec, codes):
     """The latent-basis JVP of ``codes`` and its (B, m, out) tangent rows."""
     z = np.atleast_2d(np.asarray(codes, dtype=np.float64))
-    b, m = z.shape
-    res = net.jvp(dec, z, np.broadcast_to(np.eye(m), (b, m, m)))
-    return res, res.jv.reshape(b, m, -1)
+    res = net.jvp(dec, z)
+    return res, res.jv.reshape(*z.shape, -1)
 
 
 def loss_and_grads(loss, dec, codes, *rest, want_grad=True):
@@ -150,6 +149,13 @@ class TestReconLoss:
         with pytest.raises(ValueError):
             reg.recon_loss(eye, eye, np.zeros((0, 2)))
 
+    def test_single_sample_vector_rejected(self):
+        eye = linear_dec(np.eye(2))
+        with pytest.raises(ValueError, match=r"\(2,\)"):
+            reg.recon_loss(eye, eye, np.ones(2))
+        with pytest.raises(ValueError, match=r"\(2,\)"):
+            reg.recon_loss_and_grad(np.ones((1, 2)), np.ones(2))
+
 
 class TestGlobalIsoLoss:
     def test_identity_decoder(self):
@@ -165,7 +171,7 @@ class TestGlobalIsoLoss:
     def test_three_codes_match_pair_enumeration(self):
         dec = net.init([2, 5, 3], ["tanh", "identity"], 4)
         codes = np.random.default_rng(5).normal(size=(3, 2))
-        ys = [net.forward(dec, c) for c in codes]
+        ys = net.forward(dec, codes)
         gaps = []
         for i in range(3):
             for j in range(i + 1, 3):
