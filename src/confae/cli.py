@@ -41,7 +41,7 @@ from . import __version__, data, figures, geometry, net, training
 from .regularizers import DegenerateJacobianError
 
 CHECKPOINT_NAME = "checkpoint.json"
-CHECKPOINT_FORMAT_VERSION = 2
+CHECKPOINT_FORMAT_VERSION = 3
 METRICS_NAME = "metrics.jsonl"
 MANIFEST_NAME = "manifest.json"
 DIAGNOSTICS_NAME = "diagnostics.csv"
@@ -115,18 +115,15 @@ def _load_dataset(path: Path) -> data.Dataset:
         raise _runtime(str(exc))
 
 
-def _set_by_dotted_key(target: dict, key: str, raw: str) -> None:
+def _override_value(raw: str):
+    """A ``--set`` value: ``inf``, ``-inf`` or ``nan`` as that float, else
+    ``raw`` read as JSON, else the string itself."""
+    if raw.lower() in ("inf", "-inf", "nan"):
+        return float(raw)
     try:
-        value = json.loads(raw)
+        return json.loads(raw)
     except json.JSONDecodeError:
-        value = raw
-    parts = key.split(".")
-    node = target
-    for part in parts[:-1]:
-        node = node.setdefault(part, {})
-        if not isinstance(node, dict):
-            raise _validation(f"override {key!r} collides with a scalar entry")
-    node[parts[-1]] = value
+        return raw
 
 
 def _resolve_config(args) -> training.RunConfig:
@@ -145,7 +142,7 @@ def _resolve_config(args) -> training.RunConfig:
         if "=" not in override:
             raise _validation(f"--set expects key=value, got {override!r}")
         key, raw = override.split("=", 1)
-        _set_by_dotted_key(obj, key, raw)
+        obj[key] = _override_value(raw)
     flag_map = {
         "seed": args.seed,
         "regularizer": args.regularizer,
@@ -196,7 +193,6 @@ def _write_checkpoint(path: Path, state: training.TrainState) -> None:
         "enc_opt": state.enc_opt.to_dict(),
         "dec_opt": state.dec_opt.to_dict(),
         "rng_state": state.rng.bit_generator.state,
-        "plateau": state.plateau.to_dict(),
     }
     _json_dump(payload, path)
 
@@ -236,7 +232,6 @@ def _load_checkpoint(path: Path) -> training.TrainState:
             enc_opt=training.AdamWState.from_dict(obj["enc_opt"], enc),
             dec_opt=training.AdamWState.from_dict(obj["dec_opt"], dec),
             rng=rng,
-            plateau=training.PlateauState.from_dict(obj["plateau"]),
         )
     except KeyError as exc:
         raise _runtime(f"malformed checkpoint {path}: missing key {exc}")
@@ -497,6 +492,10 @@ def cmd_plot(args) -> int:
         raise _runtime(str(exc))
     if "z1" not in cols or "z2" not in cols or "c_normalized" not in cols:
         raise _runtime(f"{path}: missing latent/conformal columns")
+    # the kappa columns may hold inf sentinels; these may not
+    for name in ("z1", "z2", "c_normalized", "s_normalized"):
+        if name in cols and not np.all(np.isfinite(cols[name])):
+            raise _runtime(f"{path}: column {name} holds a non-finite value")
     out = _out_dir(args.out)
     codes = np.column_stack([cols["z1"], cols["z2"]])
     written = []
@@ -588,7 +587,7 @@ def build_parser() -> _Parser:
     trn.add_argument("--config", default=None, help="JSON run config")
     trn.add_argument("--data", required=True, help="dataset CSV")
     trn.add_argument("--out", required=True, help="run directory")
-    trn.add_argument("--set", action="append", metavar="KEY=VALUE", help="dotted config override")
+    trn.add_argument("--set", action="append", metavar="KEY=VALUE", help="config override")
     trn.add_argument("--seed", type=int, default=None)
     trn.add_argument("--regularizer", choices=training.REGULARIZERS, default=None)
     trn.add_argument("--lambda-geo", dest="lambda_geo", type=float, default=None)

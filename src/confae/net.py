@@ -39,13 +39,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 ACTIVATIONS = ("relu", "leaky_relu", "tanh", "identity")
+# leaky_relu's slope on the negative side
+LEAKY_SLOPE = 0.01
 
 
-def _act(name: str, a: np.ndarray, slope: float) -> np.ndarray:
+def _act(name: str, a: np.ndarray) -> np.ndarray:
     if name == "relu":
         return np.maximum(a, 0.0)
     if name == "leaky_relu":
-        return np.where(a > 0.0, a, slope * a)
+        return np.where(a > 0.0, a, LEAKY_SLOPE * a)
     if name == "tanh":
         return np.tanh(a)
     if name == "identity":
@@ -53,16 +55,16 @@ def _act(name: str, a: np.ndarray, slope: float) -> np.ndarray:
     raise ValueError(f"unknown activation {name!r}")
 
 
-def _act_dact(name: str, a: np.ndarray, slope: float) -> tuple[np.ndarray, np.ndarray]:
+def _act_dact(name: str, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The activation at ``a`` and its derivative w.r.t. ``a``; tanh is evaluated once.
 
     The ReLU kink at 0 uses the zero-side subgradient.
     """
-    out = _act(name, a, slope)
+    out = _act(name, a)
     if name == "relu":
         return out, (a > 0.0).astype(np.float64)
     if name == "leaky_relu":
-        return out, np.where(a > 0.0, 1.0, slope)
+        return out, np.where(a > 0.0, 1.0, LEAKY_SLOPE)
     if name == "tanh":
         return out, 1.0 - out * out
     return out, np.ones_like(a)  # identity
@@ -86,7 +88,6 @@ class Layer:
     weight: np.ndarray  # (out, in)
     bias: np.ndarray  # (out,)
     activation: str
-    slope: float = 0.01  # leaky_relu only
 
     def __post_init__(self):
         self.weight = np.asarray(self.weight, dtype=np.float64)
@@ -133,7 +134,7 @@ class Mlp:
                 )
         self.params = np.concatenate([a.ravel() for l in self.layers for a in (l.weight, l.bias)])
         self.layers = [
-            Layer(w, b, l.activation, l.slope)
+            Layer(w, b, l.activation)
             for l, w, b in zip(self.layers, *_views(self.params, self.layers))
         ]
 
@@ -226,7 +227,7 @@ def forward(net: Mlp, x: np.ndarray) -> np.ndarray:
     for layer in net.layers:
         a = a @ layer.weight.T
         a += layer.bias
-        a = _act(layer.activation, a, layer.slope)
+        a = _act(layer.activation, a)
     return a
 
 
@@ -236,7 +237,7 @@ def _primal(net: Mlp, xb: np.ndarray):
     for layer in net.layers:
         a = cur @ layer.weight.T
         a += layer.bias
-        cur, d = _act_dact(layer.activation, a, layer.slope)
+        cur, d = _act_dact(layer.activation, a)
         out.append(cur)
         dact.append(d)
     return out, dact
@@ -294,7 +295,7 @@ def jacobians(net: Mlp, z: np.ndarray) -> np.ndarray:
         x = x @ layer.weight.T
         x += layer.bias
         # rebinding x frees the pre-activation before the tangent product
-        x, d = _act_dact(layer.activation, x, layer.slope)
+        x, d = _act_dact(layer.activation, x)
         tan = tan @ layer.weight.T
         np.multiply(d[:, None, :], tan.reshape(b, m, -1), out=tan.reshape(b, m, -1))
     return tan.reshape(b, m, -1).transpose(0, 2, 1)
@@ -415,19 +416,18 @@ def to_dict(net: Mlp) -> dict:
     return {
         "dims": net.dims,
         "activations": [l.activation for l in net.layers],
-        "slopes": [l.slope for l in net.layers],
         "params": encode_vector(net.params),
     }
 
 
 def from_dict(obj: dict) -> Mlp:
     """Network of :func:`to_dict`; ``ValueError`` or ``TypeError`` if malformed."""
-    dims, acts, slopes = obj["dims"], obj["activations"], obj["slopes"]
-    if not len(acts) == len(slopes) == len(dims) - 1:
-        raise ValueError(f"{len(dims)} dims need {len(dims) - 1} activations and slopes")
+    dims, acts = obj["dims"], obj["activations"]
+    if len(acts) != len(dims) - 1:
+        raise ValueError(f"{len(dims)} dims need {len(dims) - 1} activations")
     # decoded first, so that no layer is allocated larger than the text
     params = decode_vector(obj["params"], sum(o * (i + 1) for i, o in zip(dims, dims[1:])))
-    layers = zip(dims, dims[1:], acts, slopes)
-    net = Mlp([Layer(np.zeros((o, i)), np.zeros(o), act, slope) for i, o, act, slope in layers])
+    layers = zip(dims, dims[1:], acts)
+    net = Mlp([Layer(np.zeros((o, i)), np.zeros(o), act) for i, o, act in layers])
     net.params[:] = params
     return net

@@ -1,4 +1,4 @@
-"""Optimization loop: AdamW, plateau scheduling, minibatching, metrics.
+"""Optimization loop: AdamW, minibatching, metrics.
 
 Runs are deterministic: all randomness (parameter init, the train/validation
 split, epoch shuffles, probe draws) derives from the config seed through one
@@ -9,9 +9,10 @@ biases are views of its ``params`` (see :mod:`confae.net`), so an AdamW step
 and the saved moments are each one array operation.
 
 A run's state is one :class:`TrainState`: ``train`` advances it in place,
-epoch by epoch (networks, AdamW moments, the loop's generator and the
-plateau scheduler, which holds the learning rate), and hands that same
-object to the epoch callback and the result.
+epoch by epoch (networks, AdamW moments and the loop's generator), and
+hands that same object to the epoch callback and the result. The learning
+rate and the weight decay are constant, and AdamW's other constants are
+those of :func:`adamw_step`.
 
 A training step records the decoder's tape once and sweeps it backward once:
 the losses are functions of the decoder's outputs (:mod:`confae.regularizers`),
@@ -31,8 +32,6 @@ from . import net
 from . import regularizers as reg
 
 REGULARIZERS = ("none", "globiso", "lociso", "conf", "constconf")
-
-PLATEAU_IMPROVEMENT = 1e-8
 
 
 class ConfigError(ValueError):
@@ -73,9 +72,6 @@ _CONFIG_RULES = (
     ("batch_size", lambda v: _integer(v) and v >= 1, "must be an integer of at least 1"),
     ("lr", lambda v: _real(v) and v > 0, "must be positive"),
     ("weight_decay", lambda v: _real(v) and v >= 0, "must be nonnegative"),
-    ("beta1", lambda v: _real(v) and 0.0 <= v < 1.0, "must lie in [0, 1)"),
-    ("beta2", lambda v: _real(v) and 0.0 <= v < 1.0, "must lie in [0, 1)"),
-    ("eps", lambda v: _real(v) and v > 0, "must be positive"),
     ("probes", lambda v: _integer(v) and v >= 1, "must be an integer of at least 1"),
     ("exact_trace", lambda v: isinstance(v, (bool, np.bool_)), "must be true or false"),
     ("seed", lambda v: _integer(v) and v >= 0, "must be a nonnegative integer"),
@@ -89,19 +85,7 @@ _CONFIG_RULES = (
     ("activation", lambda v: v in net.ACTIVATIONS, "unknown tag {v!r}"),
     ("val_fraction", lambda v: _real(v) and 0.0 < v < 1.0, "must lie strictly between 0 and 1"),
     ("checkpoint_every", lambda v: _integer(v) and v >= 0, "must be a nonnegative integer"),
-    ("scheduler.enabled", lambda v: isinstance(v, (bool, np.bool_)), "must be true or false"),
-    ("scheduler.factor", lambda v: _real(v) and 0.0 < v < 1.0, "must lie strictly between 0 and 1"),
-    ("scheduler.patience", lambda v: _integer(v) and v >= 1, "must be an integer of at least 1"),
-    ("scheduler.min_lr", lambda v: _real(v) and v >= 0, "must be nonnegative"),
 )
-
-
-@dataclass
-class SchedulerConfig:
-    enabled: bool = False
-    factor: float = 0.5
-    patience: int = 10
-    min_lr: float = 1e-6
 
 
 @dataclass
@@ -112,9 +96,6 @@ class RunConfig:
     batch_size: int = 64
     lr: float = 1e-3
     weight_decay: float = 0.0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     probes: int = 8
     exact_trace: bool = False
     seed: int = 42
@@ -122,7 +103,6 @@ class RunConfig:
     activation: str = "relu"
     val_fraction: float = 0.2
     checkpoint_every: int = 0
-    scheduler: SchedulerConfig = field(default_factory=SchedulerConfig)
 
     @property
     def latent_dim(self) -> int:
@@ -131,9 +111,7 @@ class RunConfig:
     def problems(self) -> list[str]:
         out = []
         for key, ok, problem in _CONFIG_RULES:
-            value = self
-            for part in key.split("."):
-                value = getattr(value, part)
+            value = getattr(self, key)
             if isinstance(value, (float, np.floating)) and not np.isfinite(value):
                 out.append(f"{key}: must be finite, got {value}")
             elif not ok(value):
@@ -152,29 +130,10 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "RunConfig":
-        problems = []
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = sorted(set(obj) - known)
-        problems.extend(f"{k}: unknown key" for k in unknown)
-        kwargs = {}
-        for key, value in obj.items():
-            if key in unknown:
-                continue
-            if key == "scheduler":
-                if not isinstance(value, dict):
-                    problems.append("scheduler: expected an object")
-                    continue
-                sched_known = set(SchedulerConfig.__dataclass_fields__)
-                bad = sorted(set(value) - sched_known)
-                problems.extend(f"scheduler.{k}: unknown key" for k in bad)
-                kwargs["scheduler"] = SchedulerConfig(
-                    **{k: v for k, v in value.items() if k in sched_known}
-                )
-            else:
-                kwargs[key] = value
-        if problems:
-            raise ConfigError(problems)
-        cfg = cls(**kwargs)
+        unknown = sorted(set(obj) - set(cls.__dataclass_fields__))
+        if unknown:
+            raise ConfigError([f"{k}: unknown key" for k in unknown])
+        cfg = cls(**obj)
         cfg.validate()
         return cfg
 
@@ -185,7 +144,6 @@ class EpochRecord:
     recon: float
     geo: float
     val_recon: float
-    lr: float
     seconds: float
     total: float
 
@@ -261,43 +219,9 @@ def adamw_step(
 
 
 @dataclass
-class PlateauState:
-    lr: float
-    factor: float = 0.5
-    patience: int = 10
-    min_lr: float = 1e-6
-    best: float = np.inf
-    bad_epochs: int = 0
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "PlateauState":
-        return cls(**obj)
-
-
-def reduce_on_plateau(state: PlateauState, val_loss: float) -> float:
-    """Halt-and-decay schedule: cut lr after `patience` stale epochs.
-
-    A cut stops at ``min_lr``, and an lr already below ``min_lr`` is kept:
-    a cut never raises it.
-    """
-    if val_loss < state.best - PLATEAU_IMPROVEMENT:
-        state.best = val_loss
-        state.bad_epochs = 0
-    else:
-        state.bad_epochs += 1
-        if state.bad_epochs >= state.patience:
-            state.lr = min(state.lr, max(state.lr * state.factor, state.min_lr))
-            state.bad_epochs = 0
-    return state.lr
-
-
-@dataclass
 class TrainState:
     """A run as of its last finished epoch: everything needed to continue it
-    exactly where it stopped. ``plateau.lr`` is the learning rate."""
+    exactly where it stopped."""
 
     epoch: int
     enc: net.Mlp
@@ -305,7 +229,6 @@ class TrainState:
     enc_opt: AdamWState
     dec_opt: AdamWState
     rng: np.random.Generator
-    plateau: PlateauState
 
 
 @dataclass
@@ -341,10 +264,8 @@ def split_dataset(config: RunConfig, ds: data_mod.Dataset):
 def _initial_state(config: RunConfig) -> TrainState:
     """Epoch 0 of a fresh run: seeded networks, zero moments, the loop's generator."""
     enc, dec = init_networks(config)
-    s = config.scheduler
-    plateau = PlateauState(config.lr, s.factor, s.patience, s.min_lr)
     rng = np.random.default_rng(_derived_seeds(config.seed)["loop"])
-    return TrainState(0, enc, dec, AdamWState.zeros(enc), AdamWState.zeros(dec), rng, plateau)
+    return TrainState(0, enc, dec, AdamWState.zeros(enc), AdamWState.zeros(dec), rng)
 
 
 # looked up on the module per call, so that wrappers installed there are seen
@@ -414,6 +335,15 @@ def _batch_losses_and_grads(config, lam, enc, dec, x, rng, epoch, batch_no):
     return rec, geo_val, enc_grads, dec_grads
 
 
+def _check_data(config: RunConfig, ds: data_mod.Dataset, use: str) -> None:
+    """Refuse data that is not standardized or does not fit ``config.dims``."""
+    if not data_mod.is_standardized(ds):
+        raise ValueError(f"dataset must be standardized before {use}")
+    n, size = ds.samples.shape[1], config.dims[0]
+    if n != size:
+        raise ConfigError([f"dims: input size {size} does not match the data's {n} columns"])
+
+
 def _require_intensity(config: RunConfig) -> float:
     if config.regularizer == "none":
         return 0.0
@@ -440,17 +370,14 @@ def train(
     """
     config.validate()
     lam = _require_intensity(config)
-    if not data_mod.is_standardized(ds):
-        raise ValueError("dataset must be standardized before training")
+    _check_data(config, ds, "training")
 
     train_ds, val_ds = split_dataset(config, ds)
     state = _initial_state(config) if resume is None else resume
     x_train = train_ds.samples
     x_val = val_ds.samples
     n_train = x_train.shape[0]
-    opts = dict(
-        beta1=config.beta1, beta2=config.beta2, eps=config.eps, weight_decay=config.weight_decay
-    )
+    opts = dict(lr=config.lr, weight_decay=config.weight_decay)
     records = []
 
     for epoch in range(state.epoch + 1, config.epochs + 1):
@@ -465,8 +392,8 @@ def train(
             rec, geo_val, enc_grads, dec_grads = _batch_losses_and_grads(
                 config, lam, state.enc, state.dec, x, state.rng, epoch, batch_no
             )
-            adamw_step(state.enc, enc_grads, state.enc_opt, lr=state.plateau.lr, **opts)
-            adamw_step(state.dec, dec_grads, state.dec_opt, lr=state.plateau.lr, **opts)
+            adamw_step(state.enc, enc_grads, state.enc_opt, **opts)
+            adamw_step(state.dec, dec_grads, state.dec_opt, **opts)
             recon_sum += rec * x.shape[0]
             geo_sum += geo_val
             n_batches += 1
@@ -479,14 +406,11 @@ def train(
             recon=epoch_recon,
             geo=epoch_geo,
             val_recon=val_recon,
-            lr=state.plateau.lr,
             seconds=time.perf_counter() - tic,
             total=epoch_recon + lam * epoch_geo,
         )
         records.append(record)
         state.epoch = epoch
-        if config.scheduler.enabled:
-            reduce_on_plateau(state.plateau, val_recon)
         if on_epoch is not None:
             on_epoch(state, record)
     return TrainResult(records=records, state=state)
@@ -515,8 +439,7 @@ def calibrate_intensity(config: RunConfig, ds: data_mod.Dataset):
     config.validate()
     if config.regularizer == "none":
         raise ConfigError(["regularizer: nothing to calibrate for tag 'none'"])
-    if not data_mod.is_standardized(ds):
-        raise ValueError("dataset must be standardized before calibration")
+    _check_data(config, ds, "calibration")
     train_ds, _ = split_dataset(config, ds)
     sample = train_ds.samples[: min(CALIBRATION_SAMPLE, len(train_ds))]
     enc, dec = init_networks(config)

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from confae import cli, geometry, net, training
 
@@ -76,6 +78,11 @@ def damage_checkpoint(path, damage):
     ckpt = json.loads(path.read_text())
     if damage == "old_format":
         ckpt["format_version"] = 1
+    elif damage == "format_2":  # as written while the plateau state and slopes were saved
+        ckpt["format_version"] = 2
+        ckpt["plateau"] = dict(lr=1e-3, factor=0.5, patience=10, min_lr=1e-6, best=1.0)
+        for key in ("encoder", "decoder"):
+            ckpt[key]["slopes"] = [0.01] * len(ckpt[key]["activations"])
     elif damage == "missing_key":
         del ckpt["enc_opt"]["m"]
     elif damage == "short_moment":
@@ -99,6 +106,7 @@ def damage_checkpoint(path, damage):
 
 CHECKPOINT_DAMAGES = [
     ("old_format", 1),
+    ("format_2", 1),
     ("missing_key", 2),
     ("short_moment", 2),
     ("bad_rng_state", 2),
@@ -213,24 +221,37 @@ class TestTrain:
             "--seed",
             "4",
             "--set",
-            "scheduler.enabled=true",
+            "activation=tanh",
         )
         assert code == 0
         manifest = json.loads((out / cli.MANIFEST_NAME).read_text())
-        assert manifest["config"]["scheduler"]["enabled"] is True
+        assert manifest["config"]["activation"] == "tanh"
+        assert manifest["config"]["epochs"] == 1 and manifest["config"]["seed"] == 4
 
     @pytest.mark.parametrize("how", ["config", "set"])
-    def test_detach_codes_is_an_unknown_key(self, tmp_path, roll_csv, capsys, how):
-        # the option was removed; a config that still sets it is refused
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("detach_codes", False),
+            ("scheduler", {"enabled": True}),
+            ("scheduler.enabled", True),
+            ("beta1", 0.9),
+            ("beta2", 0.999),
+            ("eps", 1e-8),
+        ],
+        ids=["detach_codes", "scheduler", "scheduler.enabled", "beta1", "beta2", "eps"],
+    )
+    def test_removed_key_is_an_unknown_key(self, tmp_path, roll_csv, capsys, how, key, value):
+        # the settings were removed; a config that still sets one is refused
         if how == "config":
             cfg_path = tmp_path / "cfg.json"
-            cfg_path.write_text(json.dumps({"detach_codes": False}))
+            cfg_path.write_text(json.dumps({key: value}))
             extra = ("--config", str(cfg_path))
         else:
-            extra = ("--set", "detach_codes=true")
+            extra = ("--set", f"{key}={json.dumps(value)}")
         code, out = tiny_train(tmp_path, roll_csv, "run", *extra)
         assert code == 1
-        assert "detach_codes: unknown key" in capsys.readouterr().err
+        assert f"  - {key}: unknown key\n" in capsys.readouterr().err
         assert not out.exists()
 
     def test_unknown_config_keys_all_reported(self, tmp_path, roll_csv, capsys):
@@ -384,7 +405,7 @@ class TestTrain:
         code, out = tiny_train(tmp_path, roll_csv, "run_half")
         assert code == 0
         ckpt = json.loads((out / cli.CHECKPOINT_NAME).read_text())
-        assert ckpt["format_version"] == cli.CHECKPOINT_FORMAT_VERSION == 2
+        assert ckpt["format_version"] == cli.CHECKPOINT_FORMAT_VERSION == 3
         state = cli._load_checkpoint(out / cli.CHECKPOINT_NAME)
         for key, network in (("enc_opt", state.enc), ("dec_opt", state.dec)):
             assert set(ckpt[key]) == {"step", "m", "v"}
@@ -397,19 +418,8 @@ class TestTrain:
         name = cli.CHECKPOINT_NAME
         assert (out / name).read_bytes() == (straight / name).read_bytes()
 
-    @pytest.mark.parametrize(
-        "schedule",
-        [
-            (),
-            # lr so small that every epoch after the first stalls: the lr is
-            # cut at epochs 3 and 5, across the snapshot of epoch 2
-            ("--lr", "1e-12", "--set", "scheduler.enabled=true", "--set", "scheduler.patience=2",
-             "--set", "scheduler.min_lr=0"),
-        ],
-        ids=["scheduler-off", "scheduler-on"],
-    )
-    def test_killed_run_resumes_to_the_uninterrupted_snapshot(self, tmp_path, roll_csv, schedule):
-        cadence = ("--epochs", "5", "--set", "checkpoint_every=2", *schedule)
+    def test_killed_run_resumes_to_the_uninterrupted_snapshot(self, tmp_path, roll_csv):
+        cadence = ("--epochs", "5", "--set", "checkpoint_every=2")
         killed = tmp_path / "killed"
         paths = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
@@ -430,8 +440,6 @@ class TestTrain:
         name = cli.CHECKPOINT_NAME
         assert (killed / name).read_bytes() == (straight / name).read_bytes()
         assert records(killed, drop={"seconds"}) == records(straight, drop={"seconds"})
-        if schedule:
-            assert [r["lr"] for r in records(straight)] == [1e-12] * 3 + [5e-13] * 2
 
     def test_resume_into_another_directory_keeps_the_earlier_records(self, tmp_path, roll_csv):
         code, first = tiny_train(tmp_path, roll_csv, "first")
@@ -493,8 +501,8 @@ class TestTrain:
         assert code == want
         err = capsys.readouterr().err
         assert str(named) in err
-        if damage == "old_format":
-            assert "format_version 1" in err
+        if damage in ("old_format", "format_2"):
+            assert f"format_version {1 if damage == 'old_format' else 2}" in err
 
     @pytest.mark.parametrize(
         "extra,differ",
@@ -518,6 +526,25 @@ class TestTrain:
         assert code == 1
         assert f"differs in {differ}" in capsys.readouterr().err
         assert (out / cli.MANIFEST_NAME).read_bytes() == manifest
+
+    def test_resume_refuses_a_run_with_the_removed_settings(self, tmp_path, roll_csv, capsys):
+        # a run as written while the optimizer constants and the plateau
+        # scheduler were config keys
+        code, out = tiny_train(tmp_path, roll_csv)
+        assert code == 0
+        path = out / cli.MANIFEST_NAME
+        manifest = json.loads(path.read_text())
+        manifest["config"].update(
+            beta1=0.9, beta2=0.999, eps=1e-8,
+            scheduler={"enabled": False, "factor": 0.5, "patience": 10, "min_lr": 1e-6},
+        )
+        path.write_text(json.dumps(manifest))
+        damage_checkpoint(out / cli.CHECKPOINT_NAME, "format_2")
+        capsys.readouterr()
+        code, _ = tiny_train(tmp_path, roll_csv, "run", "--epochs", "3", "--resume", str(out))
+        assert code == 1
+        assert "differs in beta1, beta2, eps, scheduler\n" in capsys.readouterr().err
+        assert [r["epoch"] for r in records(out)] == [1, 2]
 
     def test_resume_refuses_a_run_that_recorded_detach_codes(self, tmp_path, roll_csv, capsys):
         code, out = tiny_train(tmp_path, roll_csv)
@@ -574,8 +601,7 @@ class TestDiagnose:
         dec = net.Mlp([net.Layer(np.eye(2), np.zeros(2), "identity")])
         rng = np.random.default_rng(0)
         opts = training.AdamWState.zeros(enc), training.AdamWState.zeros(dec)
-        plateau = training.PlateauState(lr=1e-3)
-        cli._write_checkpoint(path, training.TrainState(1, enc, dec, *opts, rng, plateau))
+        cli._write_checkpoint(path, training.TrainState(1, enc, dec, *opts, rng))
 
     def test_identity_decoder_diagnostics(self, tmp_path, roll_csv):
         ckpt = tmp_path / "ckpt.json"
@@ -647,8 +673,8 @@ class TestDiagnose:
         assert self._diagnose(ckpt, roll_csv, out) == want
         err = capsys.readouterr().err
         assert str(ckpt) in err
-        if damage == "old_format":
-            assert "format_version 1" in err
+        if damage in ("old_format", "format_2"):
+            assert f"format_version {1 if damage == 'old_format' else 2}" in err
         assert not out.exists()
 
     def test_missing_checkpoint_exits_1_naming_it(self, tmp_path, roll_csv, capsys):
@@ -839,6 +865,27 @@ class TestPlot:
         assert run_cli("plot", "--diagnostics", str(diag), "--out", str(tmp_path / "f")) == 2
         assert ":2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("column", ["z1", "z2", "c_normalized", "s_normalized", "kappa_jac"])
+    def test_non_finite_cell_is_refused_naming_file_and_column(
+        self, tmp_path, capsys, column, value
+    ):
+        names = ["z1", "z2", "c_normalized", "s_normalized", "kappa_jac", "kappa_pbm"]
+        rows = [[0.1, 0.2, 0.5, -0.3, 2.0, 4.0], [0.4, -0.1, 1.0, 0.7, 3.0, 9.0]]
+        rows[1][names.index(column)] = value
+        diag = tmp_path / "d.csv"
+        diag.write_text("".join(",".join(map(str, r)) + "\n" for r in [names, *rows]))
+        out = tmp_path / "figs"
+        code = run_cli("plot", "--diagnostics", str(diag), "--out", str(out))
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if column == "kappa_jac":  # inf is the condition number's sentinel, so it is plotted
+            assert code == 0 and (out / "kappa_strip.svg").exists()
+        else:
+            assert code == 2
+            assert f"{diag}: column {column} holds a non-finite value" in err
+            assert not out.exists()
+
 
 class TestCompare:
     def _run_dir(self, tmp_path, tag, kjac, kpbm):
@@ -924,7 +971,6 @@ class TestExitCodes:
         [
             ("set", "lr=null", "lr"),
             ("set", "dims=5", "dims"),
-            ("set", "scheduler.factor=x", "scheduler.factor"),
             ("set", "probes=2.5", "probes"),
             ("set", "batch_size=[1]", "batch_size"),
             ("manifest", '"abc"', "seed"),
@@ -933,7 +979,6 @@ class TestExitCodes:
         ids=[
             "lr-null",
             "dims-5",
-            "scheduler.factor-x",
             "probes-2.5",
             "batch_size-list",
             "manifest-seed-abc",
@@ -971,15 +1016,16 @@ class TestExitCodes:
             (["--lambda-geo", "nan"], "lambda_geo", "nan"),
             (["--lr", "inf"], "lr", "inf"),
             (["--weight-decay", "inf"], "weight_decay", "inf"),
-            (["--set", "eps=Infinity"], "eps", "inf"),
-            (["--set", "beta1=NaN"], "beta1", "nan"),
-            (["--set", "beta2=-Infinity"], "beta2", "-inf"),
-            (["--set", "scheduler.min_lr=Infinity"], "scheduler.min_lr", "inf"),
-            (["--set", "scheduler.factor=NaN"], "scheduler.factor", "nan"),
+            (["--set", "lr=inf"], "lr", "inf"),
+            (["--set", "lambda_geo=nan"], "lambda_geo", "nan"),
+            (["--set", "weight_decay=-inf"], "weight_decay", "-inf"),
+            (["--set", "val_fraction=NaN"], "val_fraction", "nan"),
+            (["--set", "lambda_geo=Infinity"], "lambda_geo", "inf"),
         ],
         ids=[
-            "lambda_geo-inf", "lambda_geo-nan", "lr-inf", "weight_decay-inf", "eps-inf",
-            "beta1-nan", "beta2--inf", "scheduler.min_lr-inf", "scheduler.factor-nan",
+            "lambda_geo-inf", "lambda_geo-nan", "lr-inf", "weight_decay-inf", "set-lr-inf",
+            "set-lambda_geo-nan", "set-weight_decay--inf", "set-val_fraction-NaN",
+            "set-lambda_geo-Infinity",
         ],
     )
     def test_non_finite_real_exits_1_naming_key_and_value(
@@ -992,6 +1038,15 @@ class TestExitCodes:
         assert f"  - {key}: must be finite, got {value}\n" in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("extra", [[], ["--calibrate-intensity"]], ids=["train", "calibrate"])
+    def test_dims_that_do_not_fit_the_data_exit_1(self, tmp_path, roll_csv, capsys, extra):
+        argv = ["--set", "dims=[5,4,2]", "--regularizer", "conf", "--lambda-geo", "0.1", *extra]
+        code = run_cli("train", "--data", str(roll_csv), "--out", str(tmp_path / "out"), *argv)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "  - dims: input size 5 does not match the data's 3 columns\n" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize(
         "argv,flag",
@@ -1102,6 +1157,42 @@ def test_numeric_flag_boundaries_exit_cleanly(tmp_path, boundary_run, command, f
     # the flag under test comes last, so it overrides the base argv's value
     try:
         code = run_cli(command, *base, flag, value)
+    except SystemExit as exc:
+        code = exc.code
+    assert code in (0, 1, 2)
+
+
+# The config keys a run reads, and keys that earlier versions read and that
+# are now refused as unknown.
+SET_KEYS = sorted(training.RunConfig.__dataclass_fields__)
+REMOVED_KEYS = ["beta1", "beta2", "detach_codes", "eps", "scheduler", "scheduler.enabled"]
+# Small values of every JSON type and the non-finite reals, so that no drawn
+# config allocates a large array.
+SET_VALUES = st.one_of(
+    st.integers(-2, 64).map(str),
+    st.floats(allow_nan=False, allow_infinity=False).map(json.dumps),
+    st.sampled_from(["inf", "-inf", "nan", "true", "null"]),
+    st.sampled_from([*net.ACTIVATIONS, *training.REGULARIZERS]),
+    st.text("abcdefghijklmnopqrstuvwxyz_", max_size=8),
+    st.lists(st.integers(-2, 64), max_size=5).map(json.dumps),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    overrides=st.lists(
+        st.tuples(st.sampled_from(SET_KEYS + REMOVED_KEYS), SET_VALUES), min_size=1, max_size=4
+    )
+)
+def test_calibration_under_drawn_overrides_exits_cleanly(boundary_run, overrides):
+    csv, checkpoint = boundary_run
+    argv = ["train", "--calibrate-intensity", "--data", str(csv)]
+    argv += ["--out", str(checkpoint.parent / "calibration")]
+    argv += ["--set", "regularizer=conf", "--set", "dims=[3,8,2]"]
+    for key, value in overrides:  # later overrides replace the base values
+        argv += ["--set", f"{key}={value}"]
+    try:
+        code = run_cli(*argv)
     except SystemExit as exc:
         code = exc.code
     assert code in (0, 1, 2)

@@ -134,7 +134,7 @@ class TestForward:
         x = np.random.default_rng(37).normal(size=(11, 3))
         want = x
         for layer in n.layers:
-            want = net._act(layer.activation, want @ layer.weight.T + layer.bias, layer.slope)
+            want = net._act(layer.activation, want @ layer.weight.T + layer.bias)
         assert np.array_equal(net.forward(n, x), want)
 
     @given(
@@ -362,24 +362,24 @@ class TestBlockTangents:
         assert peak < 12 * 2**20, peak
 
 
-def _separate_act_dact(name, a, slope):
+def _separate_act_dact(name, a):
     """The activation and its derivative from separate formulas, tanh evaluated twice."""
     if name == "relu":
         d = (a > 0.0).astype(np.float64)
     elif name == "leaky_relu":
-        d = np.where(a > 0.0, 1.0, slope)
+        d = np.where(a > 0.0, 1.0, net.LEAKY_SLOPE)
     elif name == "tanh":
         t = np.tanh(a)
         d = 1.0 - t * t
     else:
         d = np.ones_like(a)
-    return net._act(name, a, slope), d
+    return net._act(name, a), d
 
 
 @pytest.mark.parametrize("act", BLOCK_ACTS)
 def test_second_derivative_bits_match_the_pre_activation_formula(act):
     a = np.random.default_rng(38).normal(scale=2.0, size=(7, 5))
-    out, dact = net._act_dact(act, a, 0.01)
+    out, dact = net._act_dact(act, a)
     got = net._ddact(act, out, dact)
     if act == "tanh":
         t = np.tanh(a)
@@ -580,14 +580,12 @@ class TestCheckpointFormat:
             training.AdamWState(3, rng.normal(size=n.params.size), rng.random(n.params.size))
             for n in (enc, dec)
         )
-        plateau = training.PlateauState(lr=1e-3, best=0.25, bad_epochs=2)
-        state = training.TrainState(7, enc, dec, enc_opt, dec_opt, rng, plateau)
+        state = training.TrainState(7, enc, dec, enc_opt, dec_opt, rng)
         path = tmp_path / "ckpt.json"
         cli._write_checkpoint(path, state)
         back = cli._load_checkpoint(path)
         assert back.epoch == 7
         assert back.rng.bit_generator.state == rng.bit_generator.state
-        assert back.plateau == plateau
         for a, b in ((enc, back.enc), (dec, back.dec)):
             assert np.array_equal(a.params, b.params)
             assert [l.activation for l in a.layers] == [l.activation for l in b.layers]
@@ -598,7 +596,11 @@ class TestCheckpointFormat:
     def test_file_carries_format_version_and_tags(self, tmp_path):
         _, _, ckpt = trained_checkpoint(tmp_path)
         obj = json.loads(ckpt.read_text())
-        assert obj["format_version"] == 2
+        assert obj["format_version"] == 3
+        assert set(obj) == {
+            "format_version", "epoch", "encoder", "decoder", "enc_opt", "dec_opt", "rng_state"
+        }
+        assert set(obj["decoder"]) == {"dims", "activations", "params"}
         assert obj["epoch"] == 2
         assert obj["encoder"]["dims"] == [3, 8, 2]
         assert obj["decoder"]["dims"] == [2, 8, 3]

@@ -149,38 +149,6 @@ class TestAdamW:
         assert state.step == 0
 
 
-class TestReduceOnPlateau:
-    def test_improving_losses_keep_lr(self):
-        state = tr.PlateauState(lr=1e-3, factor=0.5, patience=3)
-        for loss in (1.0, 0.9, 0.8, 0.7, 0.6):
-            lr = tr.reduce_on_plateau(state, loss)
-        assert lr == 1e-3
-
-    def test_constant_losses_decay_after_patience(self):
-        state = tr.PlateauState(lr=1e-3, factor=0.5, patience=3)
-        lrs = [tr.reduce_on_plateau(state, 1.0) for _ in range(4)]
-        assert lrs[:3] == [1e-3, 1e-3, 1e-3]
-        assert lrs[3] == pytest.approx(5e-4)
-
-    def test_counter_resets_on_improvement(self):
-        state = tr.PlateauState(lr=1e-3, factor=0.5, patience=2)
-        tr.reduce_on_plateau(state, 1.0)
-        tr.reduce_on_plateau(state, 1.0)  # bad 1
-        tr.reduce_on_plateau(state, 0.5)  # improvement, reset
-        tr.reduce_on_plateau(state, 0.5)  # bad 1
-        assert state.lr == 1e-3
-
-    def test_lr_clamped_at_min(self):
-        state = tr.PlateauState(lr=1e-3, factor=0.1, patience=1, min_lr=1e-4)
-        for _ in range(10):
-            lr = tr.reduce_on_plateau(state, 1.0)
-        assert lr == 1e-4
-
-    def test_lr_below_min_is_kept(self):
-        state = tr.PlateauState(lr=1e-7, factor=0.5, patience=1, min_lr=1e-6)
-        assert [tr.reduce_on_plateau(state, 1.0) for _ in range(3)] == [1e-7] * 3
-
-
 class TestRunConfig:
     def test_unknown_keys_all_listed(self):
         with pytest.raises(tr.ConfigError) as err:
@@ -336,17 +304,6 @@ class TestTrain:
         ds = data.standardize(data.swiss_roll(5000, seed=100))
         result = tr.train(cfg, ds)
         assert result.records[-1].val_recon / 3.0 < 0.05
-
-    def test_scheduler_reduces_lr_on_stall(self):
-        # at this lr val_recon moves by far less than PLATEAU_IMPROVEMENT, so
-        # every epoch after the first stalls and, with patience 1, halves lr
-        cfg = small_config(
-            epochs=6,
-            lr=1e-12,
-            scheduler=tr.SchedulerConfig(enabled=True, factor=0.5, patience=1, min_lr=0.0),
-        )
-        result = tr.train(cfg, standardized_roll(n=60, seed=9))
-        assert [r.lr for r in result.records] == [1e-12, 1e-12, 5e-13, 2.5e-13, 1.25e-13, 6.25e-14]
 
 
 # (regularizer, exact_trace); the probe estimator only matters for the
