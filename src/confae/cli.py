@@ -320,6 +320,8 @@ def cmd_train(args) -> int:
         metrics = _resumed_metrics(run_dir / METRICS_NAME, resume.epoch)
     # parsed only once the hash check above has accepted the file
     ds = _load_dataset(data_path)
+    # a run that train would refuse leaves --out as it found it
+    training.training_intensity(cfg, ds)
 
     out = _out_dir(args.out)
 

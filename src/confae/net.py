@@ -11,10 +11,19 @@ standard reverse sweep (:func:`backward`) yields exact parameter gradients of
 any scalar built from the primal output or the Jacobian's columns, such as a
 function of the pullback metric ``J^T J``, without nested autodiff machinery.
 Per layer the tape holds the activation's output and derivative and, after a
-tangent pass, the tangent pre-activations and outputs. It keeps no primal
-pre-activation: the reverse sweep forms tanh'' from tanh and tanh'. Where no
-reverse sweep follows, :func:`jacobians` pushes the basis through the same
-operations without a tape: it holds the states of one layer at a time.
+tangent pass, the derivative repeated onto the tangent rows and the tangent
+outputs; the tangent pre-activation is kept for tanh layers only. It keeps no
+primal pre-activation: the reverse sweep forms tanh'' from tanh and tanh'.
+Where no reverse sweep follows, :func:`jacobians` pushes the basis through
+the same operations without a tape: it holds the states of one layer at a
+time.
+
+An identity layer forms no derivative (its tape entry is ``None``), so no
+sweep multiplies by its all-ones derivative: the primal and tangent outputs
+are the pre-activations, and the reverse sweep passes adjoints through
+unscaled. :func:`backward` returns the parameter gradient and the adjoint of
+the primal input, which a caller that does not read it can skip; it forms no
+adjoint of the tangent input (the latent basis).
 
 A network's parameters are one float64 vector, ``Mlp.params`` (per layer the
 row-major weight, then the bias); every ``Layer`` array is a view into it,
@@ -34,11 +43,14 @@ activation and no primal-output adjoint).
 from __future__ import annotations
 
 import base64
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 ACTIVATIONS = ("relu", "leaky_relu", "tanh", "identity")
+# activations whose second derivative is identically zero
+PIECEWISE_LINEAR = ("relu", "leaky_relu", "identity")
 # leaky_relu's slope on the negative side
 LEAKY_SLOPE = 0.01
 
@@ -55,22 +67,25 @@ def _act(name: str, a: np.ndarray) -> np.ndarray:
     raise ValueError(f"unknown activation {name!r}")
 
 
-def _act_dact(name: str, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _act_dact(name: str, a: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     """The activation at ``a`` and its derivative w.r.t. ``a``; tanh is evaluated once.
 
-    The ReLU kink at 0 uses the zero-side subgradient.
+    The ReLU kink at 0 uses the zero-side subgradient, and ReLU overwrites
+    ``a`` with its output once the mask is taken. An identity layer returns
+    ``a`` itself and ``None`` for its all-ones derivative.
     """
-    out = _act(name, a)
     if name == "relu":
-        return out, (a > 0.0).astype(np.float64)
+        mask = (a > 0.0).astype(np.float64)
+        return np.maximum(a, 0.0, out=a), mask
+    out = _act(name, a)
     if name == "leaky_relu":
         return out, np.where(a > 0.0, 1.0, LEAKY_SLOPE)
     if name == "tanh":
         return out, 1.0 - out * out
-    return out, np.ones_like(a)  # identity
+    return out, None  # identity
 
 
-def _ddact(name: str, out: np.ndarray, dact: np.ndarray) -> np.ndarray | None:
+def _ddact(name: str, out: np.ndarray, dact: np.ndarray | None) -> np.ndarray | None:
     """Second derivative from the activation's output and derivative.
 
     None means identically zero (piecewise-linear). For tanh it is
@@ -78,7 +93,7 @@ def _ddact(name: str, out: np.ndarray, dact: np.ndarray) -> np.ndarray | None:
     """
     if name == "tanh":
         return -2.0 * out * dact
-    if name in ("relu", "leaky_relu", "identity"):
+    if name in PIECEWISE_LINEAR:
         return None
     raise ValueError(f"unknown activation {name!r}")
 
@@ -138,6 +153,17 @@ class Mlp:
             for l, w, b in zip(self.layers, *_views(self.params, self.layers))
         ]
 
+    def rebind(self, flat: np.ndarray) -> None:
+        """Make ``flat``, a vector laid out like ``params``, the network's parameters.
+
+        ``params`` and every layer array become views of ``flat``; nothing is copied.
+        """
+        if flat.shape != self.params.shape:
+            raise ValueError(f"parameter vector must have shape {self.params.shape}")
+        self.params = flat
+        for layer, w, b in zip(self.layers, *_views(flat, self.layers)):
+            layer.weight, layer.bias = w, b
+
     @property
     def in_dim(self) -> int:
         return self.layers[0].weight.shape[1]
@@ -166,16 +192,22 @@ class DualTrace:
     """Recorded states of one primal / tangent evaluation.
 
     ``out[k]`` and ``dact[k]`` are the activation output and activation
-    derivative of layer k, one row per input; tangent lists are present only
-    when the tangent sweep ran and hold m rows per input, one per latent
-    basis vector, input-major (row ``b * m + k`` is ``J e_k`` at input b).
+    derivative of layer k, one row per input (``dact[k]`` is ``None`` for
+    an identity layer); tangent lists are present only when the tangent
+    sweep ran and hold m rows per input, one per latent basis vector,
+    input-major (row ``b * m + k`` is ``J e_k`` at input b). ``tan_dact[k]``
+    is ``dact[k]`` repeated onto those rows (``None`` at an identity layer),
+    and ``tan_pre[k]``, the tangent pre-activation, is kept only where the
+    activation's second derivative, which the reverse sweep reads, is not
+    zero (tanh).
     """
 
     x0: np.ndarray
     out: list[np.ndarray]
-    dact: list[np.ndarray]
+    dact: list[np.ndarray | None]
     v0: np.ndarray | None = None
-    tan_pre: list[np.ndarray] | None = None
+    tan_pre: list[np.ndarray | None] | None = None
+    tan_dact: list[np.ndarray | None] | None = None
     tan_out: list[np.ndarray] | None = None
 
     @property
@@ -243,17 +275,23 @@ def _primal(net: Mlp, xb: np.ndarray):
     return out, dact
 
 
-def _per_row(mask: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
-    """``mask`` (B, d) applied to each of the B * n ``rows`` of its input."""
-    b, d = mask.shape
-    return (mask[:, None, :] * rows.reshape(b, n, d)).reshape(rows.shape)
-
-
 def forward_tape(net: Mlp, x: np.ndarray) -> tuple[np.ndarray, DualTrace]:
     """Forward pass recording per-layer states for a later reverse sweep."""
     xb = _as_batch(x, net.in_dim)
     out, dact = _primal(net, xb)
     return out[-1], DualTrace(x0=xb, out=out, dact=dact)
+
+
+@functools.lru_cache(maxsize=8)
+def _basis(b: int, m: int) -> np.ndarray:
+    """The read-only (B * m, m) latent basis block, B copies of ``I_m``.
+
+    Built from a broadcast view (stride 0 at m = 1): a contiguous basis
+    rounds the layer-0 weight gradient differently.
+    """
+    vb = np.broadcast_to(np.eye(m), (b, m, m)).reshape(b * m, m)
+    vb.flags.writeable = False
+    return vb
 
 
 def jvp(net: Mlp, z: np.ndarray) -> JvpResult:
@@ -264,18 +302,23 @@ def jvp(net: Mlp, z: np.ndarray) -> JvpResult:
     """
     zb = _as_batch(z, net.in_dim)
     b, m = zb.shape
-    # a broadcast view (stride 0 at m = 1): a contiguous basis rounds the
-    # layer-0 weight gradient differently
-    vb = np.broadcast_to(np.eye(m), (b, m, m)).reshape(b * m, m)
+    vb = _basis(b, m)
     out, dacts = _primal(net, zb)
-    tan_pre, tan_out = [], []
+    tan_pre, tan_dact, tan_out = [], [], []
     tan = vb
     for layer, d in zip(net.layers, dacts):
         t = tan @ layer.weight.T
-        tan = _per_row(d, t, m)
-        tan_pre.append(t)
+        rep = None if d is None else np.repeat(d, m, axis=0)
+        # only a second derivative reads the tangent pre-activation
+        smooth = layer.activation not in PIECEWISE_LINEAR
+        if rep is None:
+            tan = t
+        else:
+            tan = t * rep if smooth else np.multiply(t, rep, out=t)
+        tan_pre.append(t if smooth else None)
+        tan_dact.append(rep)
         tan_out.append(tan)
-    trace = DualTrace(x0=zb, out=out, dact=dacts, v0=vb, tan_pre=tan_pre, tan_out=tan_out)
+    trace = DualTrace(zb, out, dacts, vb, tan_pre, tan_dact, tan_out)
     return JvpResult(out[-1], tan, None, trace)
 
 
@@ -297,7 +340,8 @@ def jacobians(net: Mlp, z: np.ndarray) -> np.ndarray:
         # rebinding x frees the pre-activation before the tangent product
         x, d = _act_dact(layer.activation, x)
         tan = tan @ layer.weight.T
-        np.multiply(d[:, None, :], tan.reshape(b, m, -1), out=tan.reshape(b, m, -1))
+        if d is not None:
+            np.multiply(d[:, None, :], tan.reshape(b, m, -1), out=tan.reshape(b, m, -1))
     return tan.reshape(b, m, -1).transpose(0, 2, 1)
 
 
@@ -330,50 +374,64 @@ def backward(
     trace: DualTrace,
     out_grad: np.ndarray | None = None,
     tan_grad: np.ndarray | None = None,
-) -> tuple[ParamGradient, np.ndarray, np.ndarray | None]:
+    *,
+    grads: ParamGradient | None = None,
+    input_grad: bool = True,
+) -> tuple[ParamGradient, np.ndarray | None]:
     """One reverse sweep over a recorded tape.
 
     The adjoints seed the scalar's derivative w.r.t. the primal output
     (B, out_dim) and the tangent output (B * m, out_dim). Returns parameter
-    gradients, the gradient w.r.t. the primal input (one row per input) and
-    (if a tangent sweep was recorded) w.r.t. the tangent input (one row per
-    tangent).
+    gradients, written into ``grads`` when it is given (every entry is
+    overwritten), and the gradient w.r.t. the primal input (one row per
+    input), which ``input_grad=False`` skips and returns as ``None``. No
+    adjoint of the tangent input is formed.
     """
     if tan_grad is not None and trace.tan_out is None:
         raise ValueError("tangent adjoint given but the trace has no tangent sweep")
-    # every entry is written below: each layer's first term lands with out=
-    grads = ParamGradient.from_flat(net, np.empty_like(net.params))
+    if grads is None:
+        # every entry is written below: each layer's first term lands with out=
+        grads = ParamGradient.from_flat(net, np.empty_like(net.params))
 
     b, n = trace.x0.shape  # a tangent sweep has n = m rows per input
     dacts = trace.dact
-    out_dim = dacts[-1].shape[1]
+    out_dim = net.layers[-1].weight.shape[0]
     g_s = None if tan_grad is None else _adjoint(tan_grad, (b * n, out_dim), "tangent")
     g_x = None if out_grad is None else _adjoint(out_grad, (b, out_dim), "output")
 
     # a tangent adjoint reaches every layer, and so does a primal one once it starts
     tangent = g_s is not None
-    for k in range(len(net.layers) - 1, -1, -1):
-        layer = net.layers[k]
+    last = len(net.layers) - 1
+    for k in range(last, -1, -1):
+        layer, d = net.layers[k], dacts[k]
         g_w, g_b = grads.weights[k], grads.biases[k]
         # g_a is the primal pre-activation adjoint; None while nothing reaches it
         g_a = None
+        # the adjoints reaching the top layer are the caller's; below it they
+        # are this sweep's own, scaled in place
+        own = k < last
         if tangent:
             # s_k = dact(a_k) * t_k ; t_k = s_{k-1} @ W_k^T
-            g_t = _per_row(dacts[k], g_s, n)
-            ddact = _ddact(layer.activation, trace.out[k], dacts[k])
+            ddact = _ddact(layer.activation, trace.out[k], d)
             if ddact is not None:
                 # second-derivative term of every tangent row, summed per input
-                d = dacts[k].shape[1]
+                width = d.shape[1]
                 g_a = (
                     ddact[:, None, :]
-                    * trace.tan_pre[k].reshape(b, n, d)
-                    * g_s.reshape(b, n, d)
+                    * trace.tan_pre[k].reshape(b, n, width)
+                    * g_s.reshape(b, n, width)
                 ).sum(axis=1)
+            g_t = g_s
+            if d is not None:
+                g_t = np.multiply(trace.tan_dact[k], g_s, out=g_s if own else None)
             s_in = trace.v0 if k == 0 else trace.tan_out[k - 1]
             np.matmul(g_t.T, s_in, out=g_w)
-            g_s = g_t @ layer.weight
+            if k > 0:
+                g_s = g_t @ layer.weight
         if g_x is not None:
-            term = dacts[k] * g_x
+            term = g_x
+            if d is not None:
+                term = np.multiply(d, g_x, out=g_x if own else None)
             if g_a is None:
                 g_a = term
             else:
@@ -389,10 +447,13 @@ def backward(
         else:
             np.matmul(g_a.T, x_in, out=g_w)
         g_a.sum(axis=0, out=g_b)
-        g_x = g_a @ layer.weight
+        if k > 0 or input_grad:
+            g_x = g_a @ layer.weight
+    if not input_grad:
+        return grads, None
     if g_x is None:
         g_x = np.zeros_like(trace.x0)
-    return grads, g_x, g_s
+    return grads, g_x
 
 
 def encode_vector(v: np.ndarray) -> str:

@@ -32,6 +32,8 @@ one reverse sweep (:func:`confae.training._batch_losses_and_grads`).
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from . import net
@@ -96,7 +98,8 @@ def trace_moments(rows: np.ndarray, probes: np.ndarray | None = None):
     p, gp = None, g
     if probes is not None:
         block, weights = _probe_block(*rows.shape[:2], probes)
-        p = np.einsum("bni,bnj,n->bij", block, block, weights)
+        # one batched product: each term is exactly +-w_i, summed in probe order
+        p = (block * weights[:, None]).transpose(0, 2, 1) @ block
         gp = g @ p
     t1 = np.einsum("bii->b", gp)
     t2 = np.einsum("bij,bji->b", g, gp)
@@ -142,6 +145,26 @@ def recon_loss_and_grad(y: np.ndarray, batch: np.ndarray, *, want_grad=True):
     return value, 2.0 * diff / x.shape[0]
 
 
+@functools.lru_cache(maxsize=4)
+def _pairs(b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(iu, ju, ends)`` of the b(b-1)/2 code pairs ``iu < ju``; ``ends`` is ``iu`` then ``ju``."""
+    iu, ju = np.triu_indices(b, k=1)
+    ends = np.concatenate([iu, ju])
+    for a in (iu, ju, ends):
+        a.flags.writeable = False
+    return iu, ju, ends
+
+
+def _scatter(ends: np.ndarray, pair_grad: np.ndarray, b: int) -> np.ndarray:
+    """(b, d) sums of ``+pair_grad`` at each pair's first code and ``-pair_grad``
+    at its second, accumulated in pair order as ``np.add.at`` would."""
+    weights = np.concatenate([pair_grad, -pair_grad])
+    out = np.empty((b, pair_grad.shape[1]))
+    for c in range(out.shape[1]):
+        out[:, c] = np.bincount(ends, weights=weights[:, c], minlength=b)
+    return out
+
+
 def global_iso_loss_and_grad(codes: np.ndarray, y: np.ndarray, *, want_grad=True):
     """Mean absolute gap between latent and decoded pairwise distances.
 
@@ -149,28 +172,23 @@ def global_iso_loss_and_grad(codes: np.ndarray, y: np.ndarray, *, want_grad=True
     ``y`` and ``codes`` in that order.
     """
     z = np.asarray(codes, dtype=np.float64)
-    if z.shape[0] < 2:
+    b = z.shape[0]
+    if b < 2:
         raise ValueError("pairwise distances need at least two codes")
-    iu, ju = np.triu_indices(z.shape[0], k=1)
-    dz = np.linalg.norm(z[iu] - z[ju], axis=1)
-    dx = np.linalg.norm(y[iu] - y[ju], axis=1)
+    iu, ju, ends = _pairs(b)
+    diff_z = z[iu] - z[ju]
+    diff_y = y[iu] - y[ju]
+    dz = np.linalg.norm(diff_z, axis=1)
+    dx = np.linalg.norm(diff_y, axis=1)
     gap = dz - dx
     value = float(np.abs(gap).mean())
     if not want_grad:
         return value, None, None
     sgn = np.sign(gap) / gap.shape[0]
-
-    g_y = np.zeros_like(y)
     safe_dx = np.where(dx > 0.0, dx, 1.0)
-    pair_gy = (-sgn / safe_dx * (dx > 0.0))[:, None] * (y[iu] - y[ju])
-    np.add.at(g_y, iu, pair_gy)
-    np.add.at(g_y, ju, -pair_gy)
-
-    g_z = np.zeros_like(z)
+    g_y = _scatter(ends, (-sgn / safe_dx * (dx > 0.0))[:, None] * diff_y, b)
     safe_dz = np.where(dz > 0.0, dz, 1.0)
-    pair_gz = (sgn / safe_dz * (dz > 0.0))[:, None] * (z[iu] - z[ju])
-    np.add.at(g_z, iu, pair_gz)
-    np.add.at(g_z, ju, -pair_gz)
+    g_z = _scatter(ends, (sgn / safe_dz * (dz > 0.0))[:, None] * diff_z, b)
     return value, g_y, g_z
 
 

@@ -5,8 +5,11 @@ split, epoch shuffles, probe draws) derives from the config seed through one
 seed sequence, and every reduction has a fixed order.
 
 The optimizer works on whole parameter vectors: a network's weights and
-biases are views of its ``params`` (see :mod:`confae.net`), so an AdamW step
-and the saved moments are each one array operation.
+biases are views of its ``params`` (see :mod:`confae.net`). Inside
+:func:`train` the encoder's and the decoder's parameters, their AdamW moments
+and their gradient are each one autoencoder vector, encoder half first, so a
+batch takes one AdamW step; each network, and each network's saved moments,
+views its half.
 
 A run's state is one :class:`TrainState`: ``train`` advances it in place,
 epoch by epoch (networks, AdamW moments and the loop's generator), and
@@ -175,8 +178,8 @@ class AdamWState:
 
 
 def adamw_step(
-    network: net.Mlp,
-    grads: net.ParamGradient,
+    theta: np.ndarray,
+    g: np.ndarray,
     state: AdamWState,
     *,
     lr: float,
@@ -185,7 +188,9 @@ def adamw_step(
     eps: float = 1e-8,
     weight_decay: float = 0.0,
 ) -> None:
-    """One decoupled-weight-decay Adam step on the whole parameter vector, in place.
+    """One decoupled-weight-decay Adam step on the parameter vector ``theta``, in place.
+
+    ``g`` is the gradient, and ``state`` holds the moments, all laid out alike.
 
     Each update is evaluated in the order of
     ``theta -= lr * weight_decay * theta``, ``m = beta1 m + (1 - beta1) g``,
@@ -195,7 +200,7 @@ def adamw_step(
     decay is skipped when ``weight_decay`` is 0, where it changes no bits
     (but the sign of a -0.0).
     """
-    theta, g, m, v = network.params, grads.flat, state.m, state.v
+    m, v = state.m, state.v
     if not theta.shape == g.shape == m.shape == v.shape:
         raise ValueError("gradient shape does not match parameters")
     state.step += 1
@@ -221,7 +226,13 @@ def adamw_step(
 @dataclass
 class TrainState:
     """A run as of its last finished epoch: everything needed to continue it
-    exactly where it stopped."""
+    exactly where it stopped.
+
+    The networks take one AdamW step per batch together, so ``enc_opt`` and
+    ``dec_opt`` must hold the same step count (``ValueError`` otherwise).
+    Inside :func:`train` each network's ``params`` and moments are views of
+    one autoencoder vector (see :func:`_autoencoder_vectors`).
+    """
 
     epoch: int
     enc: net.Mlp
@@ -229,6 +240,11 @@ class TrainState:
     enc_opt: AdamWState
     dec_opt: AdamWState
     rng: np.random.Generator
+
+    def __post_init__(self):
+        if self.enc_opt.step != self.dec_opt.step:
+            steps = f"{self.enc_opt.step} and {self.dec_opt.step}"
+            raise ValueError(f"encoder and decoder AdamW steps differ ({steps})")
 
 
 @dataclass
@@ -297,7 +313,7 @@ def _geo_value_and_grads(config, codes, y, rows, probes, want_grad):
     return value, None, g_rows, None
 
 
-def _batch_losses_and_grads(config, lam, enc, dec, x, rng, epoch, batch_no):
+def _batch_losses_and_grads(config, lam, enc, dec, x, rng, epoch, batch_no, grads=(None, None)):
     """``(recon, geo, enc_grads, dec_grads)`` of one step on recon + lam * geo.
 
     The decoder is evaluated once (:func:`_decoder_tape`); both losses read
@@ -305,7 +321,9 @@ def _batch_losses_and_grads(config, lam, enc, dec, x, rng, epoch, batch_no):
     whose code gradient seeds the encoder's. With ``lam`` zero the enabled
     term is only evaluated (monitored mode). ``epoch`` and
     ``batch_no`` locate a :class:`TrainingDivergedError` or a
-    :class:`~confae.regularizers.DegenerateJacobianError`.
+    :class:`~confae.regularizers.DegenerateJacobianError`. ``grads`` is the
+    pair of :class:`~confae.net.ParamGradient` the sweeps write into, or
+    ``None`` for a fresh one.
     """
     codes, enc_tape = net.forward_tape(enc, x)
     y, rows, dec_tape = _decoder_tape(config, dec, codes)
@@ -328,10 +346,13 @@ def _batch_losses_and_grads(config, lam, enc, dec, x, rng, epoch, batch_no):
             raise TrainingDivergedError(epoch, batch_no, config.regularizer, geo_val)
     out_grad = g_rec if g_y is None else g_rec + lam * g_y
     tan_grad = None if g_rows is None else lam * g_rows.reshape(-1, y.shape[1])
-    dec_grads, g_codes, _ = net.backward(dec, dec_tape, out_grad=out_grad, tan_grad=tan_grad)
+    enc_grads, dec_grads = grads
+    dec_grads, g_codes = net.backward(
+        dec, dec_tape, out_grad=out_grad, tan_grad=tan_grad, grads=dec_grads
+    )
     if g_z is not None:
         g_codes = g_codes + lam * g_z
-    enc_grads, _, _ = net.backward(enc, enc_tape, out_grad=g_codes)
+    enc_grads, _ = net.backward(enc, enc_tape, out_grad=g_codes, grads=enc_grads, input_grad=False)
     return rec, geo_val, enc_grads, dec_grads
 
 
@@ -344,14 +365,52 @@ def _check_data(config: RunConfig, ds: data_mod.Dataset, use: str) -> None:
         raise ConfigError([f"dims: input size {size} does not match the data's {n} columns"])
 
 
-def _require_intensity(config: RunConfig) -> float:
-    if config.regularizer == "none":
-        return 0.0
-    if config.lambda_geo is None:
-        raise ConfigError(
-            ["lambda_geo: required when a regularizer is enabled (run intensity calibration)"]
-        )
-    return config.lambda_geo
+def _autoencoder_vectors(state: TrainState):
+    """``(params, opt, flat, grads)`` over the encoder's and then the decoder's parameters.
+
+    ``params`` and the moments of ``opt`` are each one vector, of which the
+    state's networks and AdamW states become views. ``grads`` is the pair of
+    gradients the training step writes, views of the one vector ``flat``.
+    """
+    enc, dec = state.enc, state.dec
+    n = enc.params.size
+    # one allocation: in the benchmark's train workloads, four separate
+    # vectors let glibc trim and regrow the heap at every batch of the first
+    # epoch, and one block did not (the layout is sensitive; see CHANGES.md)
+    params, m, v, flat = np.empty((4, n + dec.params.size))
+    for whole, parts in (
+        (params, (enc.params, dec.params)),
+        (m, (state.enc_opt.m, state.dec_opt.m)),
+        (v, (state.enc_opt.v, state.dec_opt.v)),
+    ):
+        np.concatenate(parts, out=whole)
+    opt = AdamWState(state.enc_opt.step, m, v)
+    grads = []
+    halves = ((enc, state.enc_opt, slice(n)), (dec, state.dec_opt, slice(n, None)))
+    for network, network_opt, half in halves:
+        network.rebind(params[half])
+        network_opt.m, network_opt.v = m[half], v[half]
+        grads.append(net.ParamGradient.from_flat(network, flat[half]))
+    return params, opt, flat, tuple(grads)
+
+
+def training_intensity(config: RunConfig, ds: data_mod.Dataset) -> float:
+    """The weight of the geometric term when ``config`` trains on ``ds``.
+
+    A :class:`ConfigError` refuses an invalid config, an enabled regularizer
+    without ``lambda_geo`` and data whose width is not ``dims[0]``;
+    ``ValueError`` refuses data that is not standardized.
+    """
+    config.validate()
+    lam = 0.0
+    if config.regularizer != "none":
+        if config.lambda_geo is None:
+            raise ConfigError(
+                ["lambda_geo: required when a regularizer is enabled (run intensity calibration)"]
+            )
+        lam = config.lambda_geo
+    _check_data(config, ds, "training")
+    return lam
 
 
 def train(
@@ -368,12 +427,10 @@ def train(
     logged (monitored mode). ``resume`` continues a run toward the same total
     epoch count, bit-exactly, and is itself the state advanced in place.
     """
-    config.validate()
-    lam = _require_intensity(config)
-    _check_data(config, ds, "training")
-
+    lam = training_intensity(config, ds)
     train_ds, val_ds = split_dataset(config, ds)
     state = _initial_state(config) if resume is None else resume
+    params, opt, flat, grads = _autoencoder_vectors(state)
     x_train = train_ds.samples
     x_val = val_ds.samples
     n_train = x_train.shape[0]
@@ -389,14 +446,14 @@ def train(
         for batch_no, lo in enumerate(range(0, n_train, config.batch_size)):
             idx = perm[lo : lo + config.batch_size]
             x = x_train[idx]
-            rec, geo_val, enc_grads, dec_grads = _batch_losses_and_grads(
-                config, lam, state.enc, state.dec, x, state.rng, epoch, batch_no
+            rec, geo_val, _, _ = _batch_losses_and_grads(
+                config, lam, state.enc, state.dec, x, state.rng, epoch, batch_no, grads
             )
-            adamw_step(state.enc, enc_grads, state.enc_opt, **opts)
-            adamw_step(state.dec, dec_grads, state.dec_opt, **opts)
+            adamw_step(params, flat, opt, **opts)
             recon_sum += rec * x.shape[0]
             geo_sum += geo_val
             n_batches += 1
+        state.enc_opt.step = state.dec_opt.step = opt.step
 
         val_recon = reg.recon_loss(state.enc, state.dec, x_val)
         epoch_recon = recon_sum / n_train

@@ -83,7 +83,7 @@ def test_criterion_1_autodiff_fidelity():
             return float(np.sum((v @ net.jvp(n_, z[None, :]).jv) ** 2))
 
         # the adjoint of ||Jv||^2 at basis row k is 2 v_k Jv
-        grads, _, _ = net.backward(network, res.trace, tan_grad=2.0 * np.outer(v, jv))
+        grads, _ = net.backward(network, res.trace, tan_grad=2.0 * np.outer(v, jv))
         fd_w, fd_b = fd_param_grad(tangent_norm_sq, network)
         flat_ad = np.concatenate(
             [g.ravel() for g in grads.weights] + [g.ravel() for g in grads.biases]

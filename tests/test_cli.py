@@ -97,6 +97,8 @@ def damage_checkpoint(path, damage):
         ckpt["decoder"]["params"] = _text(params)
     elif damage == "decoder_not_object":
         ckpt["decoder"] = [1]
+    elif damage == "unequal_steps":
+        ckpt["dec_opt"]["step"] += 1
     elif damage == "short_params":
         ckpt["encoder"]["params"] = _text(_vector(ckpt["encoder"]["params"])[:-1])
     else:
@@ -114,6 +116,7 @@ CHECKPOINT_DAMAGES = [
     ("non_finite_param", 2),
     ("decoder_not_object", 2),
     ("short_params", 2),
+    ("unequal_steps", 2),
 ]
 
 # Runs the CLI in a process that SIGKILLs itself once epoch 3's record and any
@@ -1047,6 +1050,25 @@ class TestExitCodes:
         assert code == 1
         assert "  - dims: input size 5 does not match the data's 3 columns\n" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv,problem",
+        [
+            (["--regularizer", "conf"], "  - lambda_geo: required"),
+            (["--set", "dims=[5,4,2]"], "  - dims: input size 5 does not match"),
+        ],
+        ids=["conf-without-lambda", "dims-misfit"],
+    )
+    def test_refused_train_leaves_the_run_in_out_as_it_was(
+        self, tmp_path, roll_csv, capsys, argv, problem
+    ):
+        code, run = tiny_train(tmp_path, roll_csv)
+        assert code == 0
+        before = {p.name: p.read_bytes() for p in run.iterdir()}
+        capsys.readouterr()
+        assert run_cli("train", "--data", str(roll_csv), "--out", str(run), *argv) == 1
+        assert problem in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in run.iterdir()} == before
 
     @pytest.mark.parametrize(
         "argv,flag",

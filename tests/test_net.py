@@ -24,7 +24,7 @@ def seeded_net(dims, activations, seed):
 def vjp(network, z, u):
     """``J^T u`` at the point ``z``: the input gradient of one reverse sweep seeded with ``u``."""
     _, trace = net.forward_tape(network, z[None, :])
-    _, g_in, _ = net.backward(network, trace, out_grad=u[None, :])
+    _, g_in = net.backward(network, trace, out_grad=u[None, :])
     return g_in[0]
 
 
@@ -264,8 +264,21 @@ class TestBlockTangents:
         assert res.jv.shape == (10, 3)
         assert res.pullback is None
         assert res.trace.batch == 5
-        assert all(a.shape[0] == 5 for a in res.trace.out + res.trace.dact)
-        assert all(a.shape[0] == 10 for a in res.trace.tan_pre + res.trace.tan_out)
+        trace = res.trace
+        assert all(a.shape[0] == 5 for a in trace.out)
+        assert all(a.shape[0] == 10 for a in trace.tan_out)
+        for layer, d, rep, t_pre, t_out in zip(
+            network.layers, trace.dact, trace.tan_dact, trace.tan_pre, trace.tan_out
+        ):
+            # an identity layer forms no all-ones derivative
+            assert (d is None) == (rep is None) == (layer.activation == "identity")
+            if d is not None:
+                assert d.shape == (5, t_out.shape[1])
+                assert np.array_equal(rep, np.repeat(d, 2, axis=0))
+            # only tanh's second derivative reads the tangent pre-activation
+            assert (t_pre is None) == (layer.activation != "tanh")
+            if t_pre is not None:
+                assert np.array_equal(t_out, t_pre * rep)
 
     @pytest.mark.parametrize("adjoints", ["tan", "out+tan"])
     @pytest.mark.parametrize("act", BLOCK_ACTS)
@@ -283,7 +296,7 @@ class TestBlockTangents:
             primal = 0.0 if out_grad is None else np.sum(out_grad * r.y)
             return float(primal + np.sum(tan_grad * r.jv))
 
-        grads, g_x, g_s = net.backward(network, res.trace, out_grad=out_grad, tan_grad=tan_grad)
+        grads, g_x = net.backward(network, res.trace, out_grad=out_grad, tan_grad=tan_grad)
         fd_w, fd_b = fd_param_grad(scalar, network)
         for got, want in zip(grads.weights + grads.biases, fd_w + fd_b):
             assert rel_err(got, want) < 1e-6 or np.max(np.abs(got - want)) < 1e-9
@@ -293,15 +306,26 @@ class TestBlockTangents:
             e[idx] = 1e-6
             fd_x[idx] = (scalar(network, z + e) - scalar(network, z - e)) / 2e-6
         assert rel_err(g_x, fd_x) < 1e-6 or np.max(np.abs(g_x - fd_x)) < 1e-9
-        # the basis adjoint: row k of code p is J_p^T tan_grad[p, k]
-        jt = net.jacobians(network, z).transpose(0, 2, 1)
-        want_s = np.einsum("pio,pko->pki", jt, tan_grad.reshape(b, 2, 3)).reshape(b * 2, 2)
-        np.testing.assert_allclose(g_s, want_s, rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("act", BLOCK_ACTS)
+    def test_sweep_into_given_gradient_without_input_adjoint(self, act):
+        # the training step's form: the same parameter bits, written into
+        # the caller's vector, and no input adjoint
+        network, _, res = basis_jvp(act)
+        rng = np.random.default_rng(25)
+        out_grad, tan_grad = rng.normal(size=(5, 3)), rng.normal(size=(10, 3))
+        want, _ = net.backward(network, res.trace, out_grad=out_grad, tan_grad=tan_grad)
+        into = net.ParamGradient.from_flat(network, np.full_like(network.params, np.nan))
+        got, g_x = net.backward(
+            network, res.trace, out_grad=out_grad, tan_grad=tan_grad, grads=into, input_grad=False
+        )
+        assert got is into and g_x is None
+        assert np.array_equal(into.flat, want.flat)
 
     def test_piecewise_linear_primal_adjoint_is_skipped(self):
         # nothing reaches the primal chain: the input gradient is exact zeros
         network, _, res = basis_jvp("relu")
-        _, g_in, _ = net.backward(network, res.trace, tan_grad=np.ones((10, 3)))
+        _, g_in = net.backward(network, res.trace, tan_grad=np.ones((10, 3)))
         assert np.array_equal(g_in, np.zeros((5, 2)))
 
     @pytest.mark.parametrize("adjoints,calls", [("out", 0), ("tan", 3), ("out+tan", 3)])
@@ -328,6 +352,19 @@ class TestBlockTangents:
         assert sorted(seen) == ["identity", "tanh", "tanh"][:calls]
         g, x_in = got[:2]
         assert np.array_equal(g.flat, want[0].flat) and np.array_equal(x_in, want[1])
+
+    @pytest.mark.parametrize("act", BLOCK_ACTS)
+    def test_sweep_leaves_the_callers_adjoints_as_they_were(self, act):
+        # the sweep scales its own adjoints in place, never the caller's,
+        # even when the top layer has a derivative
+        network = seeded_net((2, 9, 7, 3), (act,) * 3, 39)
+        z = np.random.default_rng(40).normal(size=(5, 2))
+        res = net.jvp(network, z)
+        rng = np.random.default_rng(41)
+        out_grad, tan_grad = rng.normal(size=(5, 3)), rng.normal(size=(10, 3))
+        kept = out_grad.copy(), tan_grad.copy()
+        net.backward(network, res.trace, out_grad=out_grad, tan_grad=tan_grad)
+        assert np.array_equal(out_grad, kept[0]) and np.array_equal(tan_grad, kept[1])
 
     @pytest.mark.parametrize("act", BLOCK_ACTS)
     def test_jacobians_match_finite_differences(self, act):
@@ -372,7 +409,7 @@ def _separate_act_dact(name, a):
         t = np.tanh(a)
         d = 1.0 - t * t
     else:
-        d = np.ones_like(a)
+        d = None  # identity: no all-ones derivative is formed
     return net._act(name, a), d
 
 
@@ -398,15 +435,17 @@ def test_one_activation_pass_matches_the_separate_formulas(monkeypatch, act):
     def sweeps():
         y, tape = net.forward_tape(network, z)
         res = net.jvp(network, z)
-        g, g_x, g_s = net.backward(network, res.trace, out_grad=out_grad, tan_grad=tan_grad)
+        g, g_x = net.backward(network, res.trace, out_grad=out_grad, tan_grad=tan_grad)
         states = tape.out + tape.dact + res.trace.tan_out
-        return [y, res.y, res.jv, net.jacobians(network, z), g.flat, g_x, g_s, *states]
+        return [y, res.y, res.jv, net.jacobians(network, z), g.flat, g_x, *states]
 
     got = sweeps()
     monkeypatch.setattr(net, "_act_dact", _separate_act_dact)
     want = sweeps()
     assert len(got) == len(want)
-    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    assert all(
+        a is None and b is None or np.array_equal(a, b) for a, b in zip(got, want)
+    )
 
 
 class TestGradScalar:
@@ -418,14 +457,14 @@ class TestGradScalar:
         x = rng.normal(size=(1, 3))
         y, trace = net.forward_tape(n, z)
         resid = y - x  # adjoint of 0.5 * ||y - x||^2
-        grads, _, _ = net.backward(n, trace, out_grad=resid)
+        grads, _ = net.backward(n, trace, out_grad=resid)
         want = (z @ w.T - x).T @ z
         assert rel_err(grads.weights[0], want) < 1e-12
 
     def test_constant_scalar_has_zero_gradient(self):
         n = seeded_net((2, 4, 2), ("tanh", "identity"), 15)
         _, trace = net.forward_tape(n, np.ones((1, 2)))
-        grads, _, _ = net.backward(n, trace, out_grad=np.zeros((1, 2)))
+        grads, _ = net.backward(n, trace, out_grad=np.zeros((1, 2)))
         assert all(not gw.any() for gw in grads.weights)
         assert all(not gb.any() for gb in grads.biases)
 
@@ -454,7 +493,7 @@ class TestGradScalar:
 
         res = net.jvp(n, z)
         # Jv = sum_k v_k J e_k: basis row k's adjoint is 2 v_k Jv
-        grads, _, _ = net.backward(n, res.trace, tan_grad=2.0 * np.outer(v, v @ res.jv))
+        grads, _ = net.backward(n, res.trace, tan_grad=2.0 * np.outer(v, v @ res.jv))
         fd_w, fd_b = fd_param_grad(scalar, n)
         for gw, fw in zip(grads.weights, fd_w):
             assert rel_err(gw, fw) < 1e-4
@@ -474,7 +513,7 @@ class TestGradScalar:
             return float(d @ d)
 
         y, trace = net.forward_tape(n, z[None, :])
-        _, g_in, _ = net.backward(n, trace, out_grad=2.0 * (y - x[None, :]))
+        _, g_in = net.backward(n, trace, out_grad=2.0 * (y - x[None, :]))
         step = 1e-6
         fd = np.array(
             [

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from confae import net
 from confae import regularizers as reg
 
-from oracles import swiss_roll_jacobian
+from oracles import einsum_trace_moments, global_iso_add_at, swiss_roll_jacobian
 from test_net import fd_param_grad, rel_err
 
 
@@ -70,7 +70,7 @@ def loss_and_grads(loss, dec, codes, *rest, want_grad=True):
         assert all(a is None for a in adjoints)
         return value, None, None
     tan_grad = None if g_rows is None else g_rows.reshape(-1, dec.dims[-1])
-    dec_grads, g_in, _ = net.backward(dec, tape, out_grad=g_y, tan_grad=tan_grad)
+    dec_grads, g_in = net.backward(dec, tape, out_grad=g_y, tan_grad=tan_grad)
     return value, dec_grads, g_in + g_z
 
 
@@ -426,6 +426,39 @@ def identity_probe_backward(tape, d_t1, d_t2):
     return 2.0 * s @ rows
 
 
+@given(
+    st.integers(min_value=1, max_value=16),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=1, max_value=70),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_probe_matrix_equals_the_weighted_einsum(count, m, b, seed):
+    # each product in P is exactly +-1/N; the batched product sums them in
+    # the einsum's order, so every moment and the tape carry the same bits
+    rng = np.random.default_rng(seed)
+    rows = rng.normal(size=(b, m, 3))
+    block = reg.rademacher_block(rng, b, count, m)
+    got = reg.trace_moments(rows, block)
+    want = einsum_trace_moments(rows, block)
+    assert all(np.array_equal(g, w) for g, w in zip(got[:2] + got[2][1:], want[:2] + want[2][1:]))
+
+
+def test_global_iso_scatter_equals_add_at():
+    # duplicated codes and outputs give zero distances, whose pairs carry no adjoint
+    rng = np.random.default_rng(50)
+    for _ in range(200):
+        b = int(rng.integers(2, 130))
+        z, y = rng.normal(size=(b, 2)), rng.normal(size=(b, 3))
+        dup = rng.integers(0, b, size=b // 8)
+        z[dup[: len(dup) // 2]] = z[0]
+        y[dup[len(dup) // 2 :]] = y[-1]
+        value, g_y, g_z = reg.global_iso_loss_and_grad(z, y)
+        want_value, want_y, want_z = global_iso_add_at(z, y)
+        assert value == want_value
+        assert np.array_equal(g_y, want_y) and np.array_equal(g_z, want_z)
+
+
 class TestExactPathBits:
     """The exact path forms no ``P``; its bits equal those of the ``P = I`` formulas."""
 
@@ -529,7 +562,7 @@ class TestGradientFidelity:
         batch = np.random.default_rng(32).normal(size=(3, 3))
         codes, enc_tape = net.forward_tape(enc, batch)
         value, dec_grads, g_codes = loss_and_grads(reg.recon_loss_and_grad, dec, codes, batch)
-        enc_grads, _, _ = net.backward(enc, enc_tape, out_grad=g_codes)
+        enc_grads, _ = net.backward(enc, enc_tape, out_grad=g_codes)
         assert value == pytest.approx(reg.recon_loss(enc, dec, batch), abs=1e-14)
         assert value_of(reg.recon_loss_and_grad, dec, codes, batch) == value
         fd_w, _ = fd_param_grad(lambda n: reg.recon_loss(n, dec, batch), enc)

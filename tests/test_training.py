@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -7,6 +8,7 @@ from confae import data, net
 from confae import regularizers as reg
 from confae import training as tr
 
+from oracles import einsum_trace_moments, two_vector_train
 from test_net import fd_param_grad, rel_err
 from test_regularizers import value_of
 
@@ -63,7 +65,7 @@ class TestAdamW:
         before = [l.weight.copy() for l in network.layers]
         state = tr.AdamWState.zeros(network)
         grads = net.ParamGradient.from_flat(network, np.zeros_like(network.params))
-        tr.adamw_step(network, grads, state, lr=0.1, weight_decay=0.0)
+        tr.adamw_step(network.params, grads.flat, state, lr=0.1, weight_decay=0.0)
         for layer, b in zip(network.layers, before):
             assert np.array_equal(layer.weight, b)
 
@@ -74,7 +76,7 @@ class TestAdamW:
         grads = weight_grad(network, g)
         state = tr.AdamWState.zeros(network)
         lr, eps = 1e-3, 1e-8
-        tr.adamw_step(network, grads, state, lr=lr, eps=eps)
+        tr.adamw_step(network.params, grads.flat, state, lr=lr, eps=eps)
         # first step: m_hat = g, v_hat = g^2  ->  delta = lr * g / (|g| + eps)
         want = theta0 - lr * g / (np.abs(g) + eps)
         assert np.max(np.abs(network.layers[0].weight - want)) < 1e-15
@@ -86,7 +88,7 @@ class TestAdamW:
         assert abs(np.linalg.norm(network.layers[0].weight) - 1.0) < 1e-12
         for _ in range(500):
             grads = weight_grad(network, network.layers[0].weight)
-            tr.adamw_step(network, grads, state, lr=0.1)
+            tr.adamw_step(network.params, grads.flat, state, lr=0.1)
         assert np.linalg.norm(network.layers[0].weight) < 1e-3
 
     def test_zero_decay_reduces_to_plain_adam(self):
@@ -101,7 +103,8 @@ class TestAdamW:
         for step in range(1, 51):
             g = rng.normal(size=theta.shape)
             grads = weight_grad(network, g)
-            tr.adamw_step(network, grads, state, lr=lr, beta1=b1, beta2=b2, eps=eps, weight_decay=0.0)
+            opts = dict(lr=lr, beta1=b1, beta2=b2, eps=eps, weight_decay=0.0)
+            tr.adamw_step(network.params, grads.flat, state, **opts)
             m = b1 * m + (1 - b1) * g
             v = b2 * v + (1 - b2) * g * g
             theta = theta - lr * (m / (1 - b1**step)) / (np.sqrt(v / (1 - b2**step)) + eps)
@@ -111,7 +114,7 @@ class TestAdamW:
         network = net.Mlp([net.Layer(np.array([[2.0]]), np.zeros(1), "identity")])
         state = tr.AdamWState.zeros(network)
         g = np.array([[1.0]])
-        tr.adamw_step(network, weight_grad(network, g), state, lr=0.1, weight_decay=0.5)
+        tr.adamw_step(network.params, weight_grad(network, g).flat, state, lr=0.1, weight_decay=0.5)
         # theta <- theta - lr*wd*theta - lr * g/(|g|+eps)
         want = 2.0 - 0.1 * 0.5 * 2.0 - 0.1 * 1.0 / (1.0 + 1e-8)
         assert network.layers[0].weight[0, 0] == pytest.approx(want, abs=1e-12)
@@ -128,7 +131,7 @@ class TestAdamW:
         for step in range(1, 21):
             grads = net.ParamGradient.from_flat(network, np.zeros_like(network.params))
             grads.flat[:] = rng.normal(size=grads.flat.size)
-            tr.adamw_step(network, grads, state, **opts)
+            tr.adamw_step(network.params, grads.flat, state, **opts)
             per_array_adamw(reference, grads, moments, step, **opts)
         assert state.step == 20
         assert np.array_equal(network.params, reference.params)
@@ -145,7 +148,7 @@ class TestAdamW:
         else:
             setattr(state, what, np.zeros(network.params.size - 1))
         with pytest.raises(ValueError, match="gradient shape does not match parameters"):
-            tr.adamw_step(network, grads, state, lr=0.1)
+            tr.adamw_step(network.params, grads.flat, state, lr=0.1)
         assert state.step == 0
 
 
@@ -383,6 +386,100 @@ class TestTrainingStepGradients:
             tr._batch_losses_and_grads(cfg, 0.5, enc, dec, x, np.random.default_rng(0), 3, 4)
         assert (err.value.epoch, err.value.batch) == (3, 4)
         assert (err.value.index, err.value.value) == (0, 0.0)
+
+
+# (regularizer, hidden activation, probes or None for exact moments, batch size)
+ORACLE_CASES = [
+    ("conf", "relu", 8, 16),
+    ("conf", "relu", None, 16),
+    ("conf", "tanh", 3, 16),
+    ("conf", "tanh", None, 16),
+    ("lociso", "tanh", 8, 16),
+    ("lociso", "relu", None, 16),
+    ("constconf", "relu", 3, 16),
+    ("constconf", "tanh", None, 16),
+    ("globiso", "relu", None, 16),
+    ("globiso", "tanh", None, 199),  # each epoch ends on a singleton batch
+    ("none", "relu", None, 16),
+    ("none", "tanh", None, 16),
+]
+
+
+def oracle_config(tag, act, probes, batch_size, **overrides):
+    base = dict(
+        regularizer=tag,
+        lambda_geo=None if tag == "none" else 0.4,
+        epochs=3,
+        batch_size=batch_size,
+        dims=[3, 10, 10, 2],
+        activation=act,
+        probes=probes or 8,
+        exact_trace=probes is None,
+        weight_decay=0.01 if act == "tanh" else 0.0,
+    )
+    return small_config(**{**base, **overrides})
+
+
+class TestTwoVectorOracle:
+    """``train`` keeps the bits of two networks stepped one vector at a time."""
+
+    @staticmethod
+    def oracle(monkeypatch, cfg, ds):
+        with monkeypatch.context() as patch:
+            patch.setattr(reg, "trace_moments", einsum_trace_moments)
+            return two_vector_train(cfg, ds)
+
+    @staticmethod
+    def assert_same_run(state, oracle):
+        enc, dec, enc_opt, dec_opt, rng = oracle
+        for got, want in ((state.enc, enc), (state.dec, dec)):
+            assert np.array_equal(got.params, want.params)
+        for got, want in ((state.enc_opt, enc_opt), (state.dec_opt, dec_opt)):
+            assert got.step == want.step
+            assert np.array_equal(got.m, want.m) and np.array_equal(got.v, want.v)
+        assert state.rng.bit_generator.state == rng.bit_generator.state
+
+    @pytest.mark.parametrize(
+        "tag,act,probes,batch_size",
+        ORACLE_CASES,
+        ids=[f"{t}-{a}-{'exact' if p is None else f'mc{p}'}-b{b}" for t, a, p, b in ORACLE_CASES],
+    )
+    def test_trained_bits_equal_the_oracle(self, monkeypatch, tag, act, probes, batch_size):
+        cfg = oracle_config(tag, act, probes, batch_size)
+        ds = standardized_roll(n=250)
+        state = tr.train(cfg, ds).state
+        assert state.epoch == 3
+        self.assert_same_run(state, self.oracle(monkeypatch, cfg, ds))
+
+    def test_resumed_bits_equal_the_oracle(self, monkeypatch):
+        ds = standardized_roll(n=250)
+        cfg = oracle_config("conf", "relu", 8, 16)
+        first = tr.train(oracle_config("conf", "relu", 8, 16, epochs=1), ds).state
+        state = tr.train(cfg, ds, resume=first).state
+        self.assert_same_run(state, self.oracle(monkeypatch, cfg, ds))
+
+    def test_unequal_steps_are_refused(self):
+        # one update steps both networks, so a state cannot count them apart
+        s = tr.train(small_config(epochs=1), standardized_roll()).state
+        ahead = tr.AdamWState(s.dec_opt.step + 1, s.dec_opt.m, s.dec_opt.v)
+        with pytest.raises(ValueError, match=r"AdamW steps differ \(10 and 11\)"):
+            tr.TrainState(s.epoch, s.enc, s.dec, s.enc_opt, ahead, s.rng)
+
+
+def test_training_memory_peak_is_bounded():
+    # tracemalloc peak of two epochs of the benchmark's conf Monte-Carlo run:
+    # 1.48 MiB before the autoencoder vectors, 1.53 MiB with them; drawing an
+    # epoch's (4000, 8, 2) probe block in one call instead of per batch
+    # reproduces the stream but peaks at 2.13 MiB
+    cfg = tr.RunConfig(regularizer="conf", lambda_geo=0.24, epochs=2)
+    ds = data.standardize(data.swiss_roll(5000, seed=42))
+    tracemalloc.start()
+    try:
+        tr.train(cfg, ds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.75 * 2**20, peak
 
 
 class TestCalibrateIntensity:
