@@ -29,6 +29,7 @@ if "--single-thread" in sys.argv:  # must happen before numpy loads
 _THREADS = {var: os.environ.get(var) for var in THREAD_VARS}
 
 import argparse
+import base64
 import hashlib
 import itertools
 import json
@@ -41,7 +42,7 @@ from . import __version__, data, figures, geometry, net, training
 from .regularizers import DegenerateJacobianError
 
 CHECKPOINT_NAME = "checkpoint.json"
-CHECKPOINT_FORMAT_VERSION = 3
+CHECKPOINT_FORMAT_VERSION = 4
 METRICS_NAME = "metrics.jsonl"
 MANIFEST_NAME = "manifest.json"
 DIAGNOSTICS_NAME = "diagnostics.csv"
@@ -183,15 +184,37 @@ def cmd_generate(args) -> int:
     return 0
 
 
+def _encode(v: np.ndarray) -> str:
+    """Base64 text of the vector's little-endian float64 (``"<f8"``) bytes."""
+    return base64.b64encode(np.asarray(v, dtype="<f8").tobytes()).decode("ascii")
+
+
+def _decode(text: str, size: int) -> np.ndarray:
+    """Inverse of :func:`_encode`; ``ValueError`` unless it holds ``size`` finite values."""
+    raw = base64.b64decode(text, validate=True)  # TypeError unless text is a string
+    if len(raw) != 8 * size:
+        raise ValueError(f"vector holds {len(raw) / 8:g} values, expected {size}")
+    v = np.frombuffer(raw, dtype="<f8").astype(np.float64)
+    if not np.all(np.isfinite(v)):
+        raise ValueError("vector holds a non-finite value")
+    return v
+
+
 def _write_checkpoint(path: Path, state: training.TrainState) -> None:
-    """The run's snapshot: everything ``state`` holds, float vectors base64-encoded."""
+    """The run's snapshot (format 4): everything ``state`` holds.
+
+    Each network is saved as its ``dims`` and ``activations``; ``params``
+    and the AdamW moments are each one base64 vector over both networks,
+    encoder half first.
+    """
+    enc, dec, opt = state.enc, state.dec, state.opt
     payload = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "epoch": state.epoch,
-        "encoder": net.to_dict(state.enc),
-        "decoder": net.to_dict(state.dec),
-        "enc_opt": state.enc_opt.to_dict(),
-        "dec_opt": state.dec_opt.to_dict(),
+        "encoder": {"dims": enc.dims, "activations": [l.activation for l in enc.layers]},
+        "decoder": {"dims": dec.dims, "activations": [l.activation for l in dec.layers]},
+        "params": _encode(np.concatenate((enc.params, dec.params))),
+        "adamw": {"step": opt.step, "m": _encode(opt.m), "v": _encode(opt.v)},
         "rng_state": state.rng.bit_generator.state,
     }
     _json_dump(payload, path)
@@ -222,17 +245,26 @@ def _load_checkpoint(path: Path) -> training.TrainState:
         epoch = int(obj["epoch"])
         if epoch < 0:
             raise ValueError(f"negative epoch {epoch}")
-        enc, dec = net.from_dict(obj["encoder"]), net.from_dict(obj["decoder"])
+        shapes = []
+        for key in ("encoder", "decoder"):
+            dims, acts = obj[key]["dims"], obj[key]["activations"]
+            if len(acts) != len(dims) - 1:
+                raise ValueError(f"{key}: {len(dims)} dims need {len(dims) - 1} activations")
+            shapes.append(list(zip(dims, dims[1:], acts)))
+        sizes = [sum(o * (i + 1) for i, o, _ in layers) for layers in shapes]
+        adamw = obj["adamw"]
+        # decoded first, so that no layer is allocated larger than the text
+        texts = obj["params"], adamw["m"], adamw["v"]
+        params, m, v = (_decode(text, sum(sizes)) for text in texts)
+        enc, dec = (
+            net.Mlp([net.Layer(np.zeros((o, i)), np.zeros(o), act) for i, o, act in layers])
+            for layers in shapes
+        )
+        enc.params[:], dec.params[:] = params[: sizes[0]], params[sizes[0] :]
         rng = np.random.default_rng()
         rng.bit_generator.state = obj["rng_state"]  # rejects a bad state
-        return training.TrainState(
-            epoch=epoch,
-            enc=enc,
-            dec=dec,
-            enc_opt=training.AdamWState.from_dict(obj["enc_opt"], enc),
-            dec_opt=training.AdamWState.from_dict(obj["dec_opt"], dec),
-            rng=rng,
-        )
+        opt = training.AdamWState(int(adamw["step"]), m, v)
+        return training.TrainState(epoch=epoch, enc=enc, dec=dec, opt=opt, rng=rng)
     except KeyError as exc:
         raise _runtime(f"malformed checkpoint {path}: missing key {exc}")
     except (TypeError, ValueError) as exc:

@@ -27,9 +27,8 @@ adjoint of the tangent input (the latent basis).
 
 A network's parameters are one float64 vector, ``Mlp.params`` (per layer the
 row-major weight, then the bias); every ``Layer`` array is a view into it,
-and a :class:`ParamGradient` holds the same layout in ``flat``. Saved, such a
-vector is the base64 text of its little-endian float64 bytes
-(:func:`encode_vector`, :func:`decode_vector`).
+and a :class:`ParamGradient` holds the same layout in ``flat``. The module
+holds numerics only: the checkpoint format lives in :mod:`confae.cli`.
 
 Inputs are (B, d) batches, one row per input; only :func:`jacobian` takes a
 single point. The m basis tangents of a code share one primal row
@@ -42,7 +41,6 @@ activation and no primal-output adjoint).
 
 from __future__ import annotations
 
-import base64
 import functools
 from dataclasses import dataclass, field
 
@@ -455,40 +453,3 @@ def backward(
         g_x = np.zeros_like(trace.x0)
     return grads, g_x
 
-
-def encode_vector(v: np.ndarray) -> str:
-    """Base64 text of the vector's little-endian float64 (``"<f8"``) bytes."""
-    return base64.b64encode(np.asarray(v, dtype="<f8").tobytes()).decode("ascii")
-
-
-def decode_vector(text: str, size: int) -> np.ndarray:
-    """Inverse of :func:`encode_vector`; ``ValueError`` unless it holds ``size`` finite values."""
-    raw = base64.b64decode(text, validate=True)  # TypeError unless text is a string
-    if len(raw) != 8 * size:
-        raise ValueError(f"vector holds {len(raw) / 8:g} values, expected {size}")
-    v = np.frombuffer(raw, dtype="<f8").astype(np.float64)
-    if not np.all(np.isfinite(v)):
-        raise ValueError("vector holds a non-finite value")
-    return v
-
-
-def to_dict(net: Mlp) -> dict:
-    """JSON-ready description: dims, activation tags and the encoded ``params``."""
-    return {
-        "dims": net.dims,
-        "activations": [l.activation for l in net.layers],
-        "params": encode_vector(net.params),
-    }
-
-
-def from_dict(obj: dict) -> Mlp:
-    """Network of :func:`to_dict`; ``ValueError`` or ``TypeError`` if malformed."""
-    dims, acts = obj["dims"], obj["activations"]
-    if len(acts) != len(dims) - 1:
-        raise ValueError(f"{len(dims)} dims need {len(dims) - 1} activations")
-    # decoded first, so that no layer is allocated larger than the text
-    params = decode_vector(obj["params"], sum(o * (i + 1) for i, o in zip(dims, dims[1:])))
-    layers = zip(dims, dims[1:], acts)
-    net = Mlp([Layer(np.zeros((o, i)), np.zeros(o), act) for i, o, act in layers])
-    net.params[:] = params
-    return net

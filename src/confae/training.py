@@ -5,14 +5,14 @@ split, epoch shuffles, probe draws) derives from the config seed through one
 seed sequence, and every reduction has a fixed order.
 
 The optimizer works on whole parameter vectors: a network's weights and
-biases are views of its ``params`` (see :mod:`confae.net`). Inside
-:func:`train` the encoder's and the decoder's parameters, their AdamW moments
-and their gradient are each one autoencoder vector, encoder half first, so a
-batch takes one AdamW step; each network, and each network's saved moments,
-views its half.
+biases are views of its ``params`` (see :mod:`confae.net`). The autoencoder
+has one AdamW state, whose moments are laid out like the encoder's
+``params`` followed by the decoder's. Inside :func:`train` the parameters,
+the moments and the gradient are each one such vector, so a batch takes one
+AdamW step, and each network views its half of the parameters.
 
 A run's state is one :class:`TrainState`: ``train`` advances it in place,
-epoch by epoch (networks, AdamW moments and the loop's generator), and
+epoch by epoch (networks, AdamW state and the loop's generator), and
 hands that same object to the epoch callback and the result. The learning
 rate and the weight decay are constant, and AdamW's other constants are
 those of :func:`adamw_step`.
@@ -156,25 +156,15 @@ class EpochRecord:
 
 @dataclass
 class AdamWState:
-    """Step count and first/second moments, laid out like the network's ``params``."""
+    """Step count and first/second moments, laid out like the parameter vector they step."""
 
     step: int
     m: np.ndarray
     v: np.ndarray
 
     @classmethod
-    def zeros(cls, network: net.Mlp) -> "AdamWState":
-        return cls(0, np.zeros_like(network.params), np.zeros_like(network.params))
-
-    def to_dict(self) -> dict:
-        """The step, and each moment as :func:`confae.net.encode_vector` text."""
-        return {"step": self.step, "m": net.encode_vector(self.m), "v": net.encode_vector(self.v)}
-
-    @classmethod
-    def from_dict(cls, obj: dict, network: net.Mlp) -> "AdamWState":
-        """Saved moments of ``network``; ``ValueError`` unless finite and of its length."""
-        m, v = (net.decode_vector(obj[key], network.params.size) for key in ("m", "v"))
-        return cls(int(obj["step"]), m, v)
+    def zeros(cls, size: int) -> "AdamWState":
+        return cls(0, np.zeros(size), np.zeros(size))
 
 
 def adamw_step(
@@ -228,23 +218,17 @@ class TrainState:
     """A run as of its last finished epoch: everything needed to continue it
     exactly where it stopped.
 
-    The networks take one AdamW step per batch together, so ``enc_opt`` and
-    ``dec_opt`` must hold the same step count (``ValueError`` otherwise).
-    Inside :func:`train` each network's ``params`` and moments are views of
-    one autoencoder vector (see :func:`_autoencoder_vectors`).
+    ``opt`` is the autoencoder's one AdamW state: its moments are laid out
+    like ``enc.params`` followed by ``dec.params``. Inside :func:`train`
+    each network's ``params`` is a view of one autoencoder vector (see
+    :func:`_autoencoder_vectors`).
     """
 
     epoch: int
     enc: net.Mlp
     dec: net.Mlp
-    enc_opt: AdamWState
-    dec_opt: AdamWState
+    opt: AdamWState
     rng: np.random.Generator
-
-    def __post_init__(self):
-        if self.enc_opt.step != self.dec_opt.step:
-            steps = f"{self.enc_opt.step} and {self.dec_opt.step}"
-            raise ValueError(f"encoder and decoder AdamW steps differ ({steps})")
 
 
 @dataclass
@@ -281,7 +265,7 @@ def _initial_state(config: RunConfig) -> TrainState:
     """Epoch 0 of a fresh run: seeded networks, zero moments, the loop's generator."""
     enc, dec = init_networks(config)
     rng = np.random.default_rng(_derived_seeds(config.seed)["loop"])
-    return TrainState(0, enc, dec, AdamWState.zeros(enc), AdamWState.zeros(dec), rng)
+    return TrainState(0, enc, dec, AdamWState.zeros(enc.params.size + dec.params.size), rng)
 
 
 # looked up on the module per call, so that wrappers installed there are seen
@@ -313,13 +297,20 @@ def _geo_value_and_grads(config, codes, y, rows, probes, want_grad):
     return value, None, g_rows, None
 
 
+def _evaluates_geo(config: RunConfig, batch: int) -> bool:
+    """Whether a batch of ``batch`` codes evaluates the geometric term: a
+    trailing singleton batch has no pairs to compare."""
+    return config.regularizer != "none" and (config.regularizer != "globiso" or batch >= 2)
+
+
 def _batch_losses_and_grads(config, lam, enc, dec, x, rng, epoch, batch_no, grads=(None, None)):
     """``(recon, geo, enc_grads, dec_grads)`` of one step on recon + lam * geo.
 
     The decoder is evaluated once (:func:`_decoder_tape`); both losses read
     its outputs, and their ``lam``-weighted adjoints seed one decoder sweep,
     whose code gradient seeds the encoder's. With ``lam`` zero the enabled
-    term is only evaluated (monitored mode). ``epoch`` and
+    term is only evaluated (monitored mode); ``geo`` is 0.0 where the batch
+    does not evaluate it (:func:`_evaluates_geo`). ``epoch`` and
     ``batch_no`` locate a :class:`TrainingDivergedError` or a
     :class:`~confae.regularizers.DegenerateJacobianError`. ``grads`` is the
     pair of :class:`~confae.net.ParamGradient` the sweeps write into, or
@@ -331,8 +322,7 @@ def _batch_losses_and_grads(config, lam, enc, dec, x, rng, epoch, batch_no, grad
     if not np.isfinite(rec):
         raise TrainingDivergedError(epoch, batch_no, "recon", rec)
     geo_val, g_y, g_rows, g_z = 0.0, None, None, None
-    # a trailing singleton batch has no pairs to compare
-    if config.regularizer != "none" and (config.regularizer != "globiso" or x.shape[0] >= 2):
+    if _evaluates_geo(config, x.shape[0]):
         probes = None
         if rows is not None and not config.exact_trace:
             probes = reg.rademacher_block(rng, codes.shape[0], config.probes, config.latent_dim)
@@ -366,32 +356,27 @@ def _check_data(config: RunConfig, ds: data_mod.Dataset, use: str) -> None:
 
 
 def _autoencoder_vectors(state: TrainState):
-    """``(params, opt, flat, grads)`` over the encoder's and then the decoder's parameters.
+    """``(params, flat, grads)`` over the encoder's and then the decoder's parameters.
 
-    ``params`` and the moments of ``opt`` are each one vector, of which the
-    state's networks and AdamW states become views. ``grads`` is the pair of
-    gradients the training step writes, views of the one vector ``flat``.
+    ``params`` is one vector, of which the state's networks become views,
+    and ``state.opt``'s moments are replaced by copies beside it. ``grads``
+    is the pair of gradients the training step writes, views of the one
+    vector ``flat``.
     """
-    enc, dec = state.enc, state.dec
+    enc, dec, opt = state.enc, state.dec, state.opt
     n = enc.params.size
     # one allocation: in the benchmark's train workloads, four separate
     # vectors let glibc trim and regrow the heap at every batch of the first
     # epoch, and one block did not (the layout is sensitive; see CHANGES.md)
     params, m, v, flat = np.empty((4, n + dec.params.size))
-    for whole, parts in (
-        (params, (enc.params, dec.params)),
-        (m, (state.enc_opt.m, state.dec_opt.m)),
-        (v, (state.enc_opt.v, state.dec_opt.v)),
-    ):
-        np.concatenate(parts, out=whole)
-    opt = AdamWState(state.enc_opt.step, m, v)
+    np.concatenate((enc.params, dec.params), out=params)
+    m[:], v[:] = opt.m, opt.v
+    opt.m, opt.v = m, v
     grads = []
-    halves = ((enc, state.enc_opt, slice(n)), (dec, state.dec_opt, slice(n, None)))
-    for network, network_opt, half in halves:
+    for network, half in ((enc, slice(n)), (dec, slice(n, None))):
         network.rebind(params[half])
-        network_opt.m, network_opt.v = m[half], v[half]
         grads.append(net.ParamGradient.from_flat(network, flat[half]))
-    return params, opt, flat, tuple(grads)
+    return params, flat, tuple(grads)
 
 
 def training_intensity(config: RunConfig, ds: data_mod.Dataset) -> float:
@@ -430,7 +415,7 @@ def train(
     lam = training_intensity(config, ds)
     train_ds, val_ds = split_dataset(config, ds)
     state = _initial_state(config) if resume is None else resume
-    params, opt, flat, grads = _autoencoder_vectors(state)
+    params, flat, grads = _autoencoder_vectors(state)
     x_train = train_ds.samples
     x_val = val_ds.samples
     n_train = x_train.shape[0]
@@ -442,22 +427,21 @@ def train(
         perm = state.rng.permutation(n_train)
         recon_sum = 0.0
         geo_sum = 0.0
-        n_batches = 0
+        n_geo = 0  # batches that evaluated the geometric term
         for batch_no, lo in enumerate(range(0, n_train, config.batch_size)):
             idx = perm[lo : lo + config.batch_size]
             x = x_train[idx]
             rec, geo_val, _, _ = _batch_losses_and_grads(
                 config, lam, state.enc, state.dec, x, state.rng, epoch, batch_no, grads
             )
-            adamw_step(params, flat, opt, **opts)
+            adamw_step(params, flat, state.opt, **opts)
             recon_sum += rec * x.shape[0]
             geo_sum += geo_val
-            n_batches += 1
-        state.enc_opt.step = state.dec_opt.step = opt.step
+            n_geo += _evaluates_geo(config, x.shape[0])
 
         val_recon = reg.recon_loss(state.enc, state.dec, x_val)
         epoch_recon = recon_sum / n_train
-        epoch_geo = geo_sum / n_batches
+        epoch_geo = geo_sum / max(n_geo, 1)
         record = EpochRecord(
             epoch=epoch,
             recon=epoch_recon,
@@ -492,6 +476,8 @@ def calibrate_intensity(config: RunConfig, ds: data_mod.Dataset):
     with no probe draw) and returns
     ``(proposed_intensity, recon_value, geo_value)`` with
     ``proposed_intensity = CALIBRATION_BALANCE * recon_value / geo_value``.
+    A :class:`ConfigError` refuses a sample on which the term is not
+    evaluated (globiso on a one-code training split).
     """
     config.validate()
     if config.regularizer == "none":
@@ -499,6 +485,9 @@ def calibrate_intensity(config: RunConfig, ds: data_mod.Dataset):
     _check_data(config, ds, "calibration")
     train_ds, _ = split_dataset(config, ds)
     sample = train_ds.samples[: min(CALIBRATION_SAMPLE, len(train_ds))]
+    if not _evaluates_geo(config, len(sample)):
+        problem = f"compares pairs of codes, but the training split holds {len(sample)}"
+        raise ConfigError([f"regularizer: {config.regularizer} {problem}"])
     enc, dec = init_networks(config)
     recon0 = reg.recon_loss(enc, dec, sample)
     codes = net.forward(enc, sample)

@@ -111,7 +111,7 @@ def two_vector_train(config, ds):
     lam = 0.0 if config.regularizer == "none" else config.lambda_geo
     x_train = training.split_dataset(config, ds)[0].samples
     enc, dec = training.init_networks(config)
-    enc_opt, dec_opt = training.AdamWState.zeros(enc), training.AdamWState.zeros(dec)
+    enc_opt, dec_opt = (training.AdamWState.zeros(n.params.size) for n in (enc, dec))
     rng = np.random.default_rng(training._derived_seeds(config.seed)["loop"])
     opts = dict(lr=config.lr, weight_decay=config.weight_decay)
     for _ in range(config.epochs):

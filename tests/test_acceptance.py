@@ -184,7 +184,7 @@ def test_criterion_3_regularizer_algebra():
     # invariance under global output scaling
     dec = net.init([2, 8, 3], ["relu", "identity"], 5)
     before = value_of(reg.nonlinear_conformal_loss_and_grad, dec, codes)
-    scaled = net.from_dict(net.to_dict(dec))
+    scaled = net.Mlp(dec.layers)
     scaled.layers[-1].weight *= 3.0
     scaled.layers[-1].bias *= 3.0
     after = value_of(reg.nonlinear_conformal_loss_and_grad, scaled, codes)

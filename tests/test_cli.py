@@ -73,6 +73,20 @@ def _text(vector):
     return base64.b64encode(np.asarray(vector, "<f8").tobytes()).decode()
 
 
+def _as_format_3(ckpt):
+    """A format-4 snapshot rewritten as format 3 saved it: each network's
+    ``params`` and each network's AdamW state apart."""
+    dims = ckpt["encoder"]["dims"]
+    n = sum(o * (i + 1) for i, o in zip(dims, dims[1:]))
+    params, adamw = _vector(ckpt.pop("params")), ckpt.pop("adamw")
+    halves = (("encoder", "enc_opt", slice(n)), ("decoder", "dec_opt", slice(n, None)))
+    for key, opt_key, half in halves:
+        ckpt[key]["params"] = _text(params[half])
+        moments = {k: _text(_vector(adamw[k])[half]) for k in ("m", "v")}
+        ckpt[opt_key] = {"step": adamw["step"], **moments}
+    ckpt["format_version"] = 3
+
+
 def damage_checkpoint(path, damage):
     """Rewrite the snapshot at ``path`` with one fault."""
     ckpt = json.loads(path.read_text())
@@ -83,24 +97,26 @@ def damage_checkpoint(path, damage):
         ckpt["plateau"] = dict(lr=1e-3, factor=0.5, patience=10, min_lr=1e-6, best=1.0)
         for key in ("encoder", "decoder"):
             ckpt[key]["slopes"] = [0.01] * len(ckpt[key]["activations"])
+    elif damage == "format_3":
+        _as_format_3(ckpt)
     elif damage == "missing_key":
-        del ckpt["enc_opt"]["m"]
+        del ckpt["adamw"]["m"]
     elif damage == "short_moment":
-        ckpt["dec_opt"]["v"] = _text(_vector(ckpt["dec_opt"]["v"])[:-1])
+        ckpt["adamw"]["v"] = _text(_vector(ckpt["adamw"]["v"])[:-1])
+    elif damage == "short_m":
+        ckpt["adamw"]["m"] = _text(_vector(ckpt["adamw"]["m"])[:-1])
     elif damage == "bad_rng_state":
         del ckpt["rng_state"]["state"]
     elif damage == "bad_base64":
-        ckpt["decoder"]["params"] = "not base64!"
+        ckpt["params"] = "not base64!"
     elif damage == "non_finite_param":
-        params = _vector(ckpt["decoder"]["params"]).copy()
-        params[3] = np.nan
-        ckpt["decoder"]["params"] = _text(params)
+        params = _vector(ckpt["params"]).copy()
+        params[-4] = np.nan  # the decoder's last weight
+        ckpt["params"] = _text(params)
     elif damage == "decoder_not_object":
         ckpt["decoder"] = [1]
-    elif damage == "unequal_steps":
-        ckpt["dec_opt"]["step"] += 1
     elif damage == "short_params":
-        ckpt["encoder"]["params"] = _text(_vector(ckpt["encoder"]["params"])[:-1])
+        ckpt["params"] = _text(_vector(ckpt["params"])[:-1])
     else:
         raise ValueError(damage)
     path.write_text(json.dumps(ckpt))
@@ -109,15 +125,18 @@ def damage_checkpoint(path, damage):
 CHECKPOINT_DAMAGES = [
     ("old_format", 1),
     ("format_2", 1),
+    ("format_3", 1),
     ("missing_key", 2),
     ("short_moment", 2),
+    ("short_m", 2),
     ("bad_rng_state", 2),
     ("bad_base64", 2),
     ("non_finite_param", 2),
     ("decoder_not_object", 2),
     ("short_params", 2),
-    ("unequal_steps", 2),
 ]
+# the format version each refused old-format damage names
+OLD_FORMATS = {"old_format": 1, "format_2": 2, "format_3": 3}
 
 # Runs the CLI in a process that SIGKILLs itself once epoch 3's record and any
 # snapshot of that epoch are written.
@@ -333,6 +352,18 @@ class TestTrain:
         assert payload["proposed_lambda_geo"] > 0
         assert not (out / cli.CHECKPOINT_NAME).exists()
 
+    def test_calibrating_globiso_on_a_one_code_split_exits_1(self, tmp_path, capsys):
+        two = tmp_path / "two.csv"
+        assert run_cli("generate", "--n", "2", "--out", str(two)) == 0
+        out = tmp_path / "r"
+        argv = ["train", "--data", str(two), "--out", str(out), "--regularizer", "globiso"]
+        capsys.readouterr()
+        assert run_cli(*argv, "--calibrate-intensity") == 1
+        captured = capsys.readouterr()
+        assert "regularizer: globiso compares pairs of codes" in captured.err
+        assert "training split holds 1" in captured.err and captured.out == ""
+        assert not out.exists()
+
     @pytest.mark.parametrize("malformed", [False, True], ids=["data", "malformed-data"])
     def test_calibrate_intensity_refuses_resume(self, tmp_path, roll_csv, capsys, malformed):
         # refused before --data is parsed, even when the run to resume is missing
@@ -408,12 +439,14 @@ class TestTrain:
         code, out = tiny_train(tmp_path, roll_csv, "run_half")
         assert code == 0
         ckpt = json.loads((out / cli.CHECKPOINT_NAME).read_text())
-        assert ckpt["format_version"] == cli.CHECKPOINT_FORMAT_VERSION == 3
+        assert ckpt["format_version"] == cli.CHECKPOINT_FORMAT_VERSION == 4
         state = cli._load_checkpoint(out / cli.CHECKPOINT_NAME)
-        for key, network in (("enc_opt", state.enc), ("dec_opt", state.dec)):
-            assert set(ckpt[key]) == {"step", "m", "v"}
-            assert _vector(ckpt[key]["m"]).size == _vector(ckpt[key]["v"]).size
-            assert _vector(ckpt[key]["m"]).size == network.params.size
+        # one AdamW state, laid out like the encoder's params and then the decoder's
+        size = state.enc.params.size + state.dec.params.size
+        assert set(ckpt["adamw"]) == {"step", "m", "v"}
+        assert ckpt["adamw"]["step"] == state.opt.step == 12  # 2 epochs of 96 codes in 16s
+        for text in (ckpt["params"], ckpt["adamw"]["m"], ckpt["adamw"]["v"]):
+            assert _vector(text).size == size
         code, _ = tiny_train(tmp_path, roll_csv, "run_half", "--epochs", "4", "--resume", str(out))
         assert code == 0
         code, straight = tiny_train(tmp_path, roll_csv, "run_full", "--epochs", "4")
@@ -504,8 +537,8 @@ class TestTrain:
         assert code == want
         err = capsys.readouterr().err
         assert str(named) in err
-        if damage in ("old_format", "format_2"):
-            assert f"format_version {1 if damage == 'old_format' else 2}" in err
+        if damage in OLD_FORMATS:
+            assert f"format_version {OLD_FORMATS[damage]}" in err
 
     @pytest.mark.parametrize(
         "extra,differ",
@@ -603,8 +636,8 @@ class TestDiagnose:
         )
         dec = net.Mlp([net.Layer(np.eye(2), np.zeros(2), "identity")])
         rng = np.random.default_rng(0)
-        opts = training.AdamWState.zeros(enc), training.AdamWState.zeros(dec)
-        cli._write_checkpoint(path, training.TrainState(1, enc, dec, *opts, rng))
+        opt = training.AdamWState.zeros(enc.params.size + dec.params.size)
+        cli._write_checkpoint(path, training.TrainState(1, enc, dec, opt, rng))
 
     def test_identity_decoder_diagnostics(self, tmp_path, roll_csv):
         ckpt = tmp_path / "ckpt.json"
@@ -676,8 +709,8 @@ class TestDiagnose:
         assert self._diagnose(ckpt, roll_csv, out) == want
         err = capsys.readouterr().err
         assert str(ckpt) in err
-        if damage in ("old_format", "format_2"):
-            assert f"format_version {1 if damage == 'old_format' else 2}" in err
+        if damage in OLD_FORMATS:
+            assert f"format_version {OLD_FORMATS[damage]}" in err
         assert not out.exists()
 
     def test_missing_checkpoint_exits_1_naming_it(self, tmp_path, roll_csv, capsys):

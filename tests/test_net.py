@@ -560,12 +560,27 @@ def two_layer_net():
     )
 
 
+def fresh_state(enc, dec):
+    """Epoch 0 of ``enc`` and ``dec`` with zero moments."""
+    opt = training.AdamWState.zeros(enc.params.size + dec.params.size)
+    return training.TrainState(0, enc, dec, opt, np.random.default_rng(0))
+
+
+def reloaded(path, state):
+    """``state`` written to the checkpoint ``path`` and read back."""
+    cli._write_checkpoint(path, state)
+    return cli._load_checkpoint(path)
+
+
 class TestParams:
     @pytest.mark.parametrize("how", ["init", "from_dict", "Mlp"])
-    def test_layer_arrays_are_views_of_params(self, how):
+    def test_layer_arrays_are_views_of_params(self, how, tmp_path):
+        # "from_dict": a network as a checkpoint reads it back
         network = {
             "init": lambda: net.init([3, 5, 4, 2], ["relu", "tanh", "identity"], 0),
-            "from_dict": lambda: net.from_dict(net.to_dict(two_layer_net())),
+            "from_dict": lambda: reloaded(
+                tmp_path / "ckpt.json", fresh_state(two_layer_net(), two_layer_net())
+            ).dec,
             "Mlp": two_layer_net,
         }[how]()
         arrays = [a for l in network.layers for a in (l.weight, l.bias)]
@@ -608,6 +623,23 @@ def trained_checkpoint(tmp_path):
     return data, out, out / cli.CHECKPOINT_NAME
 
 
+@st.composite
+def drawn_states(draw):
+    """A ``TrainState`` of drawn sizes (latent size 1 among them), activations,
+    parameters, moments, step, epoch and generator state."""
+    dims = draw(st.lists(st.integers(1, 5), min_size=2, max_size=5))
+    layers = len(dims) - 1
+    acts = st.lists(st.sampled_from(net.ACTIVATIONS), min_size=layers, max_size=layers)
+    seed = draw(st.integers(0, 2**32 - 1))
+    enc = net.init(dims, draw(acts), seed)
+    dec = net.init(dims[::-1], draw(acts), seed + 1)
+    rng = np.random.default_rng(seed)
+    size = enc.params.size + dec.params.size
+    opt = training.AdamWState(draw(st.integers(0, 10**6)), rng.normal(size=size), rng.random(size))
+    rng.random(draw(st.integers(0, 3)))  # the generator's state moves on
+    return training.TrainState(draw(st.integers(0, 10**6)), enc, dec, opt, rng)
+
+
 class TestCheckpointFormat:
     """The CLI's run snapshot, the one file format networks are saved in."""
 
@@ -615,47 +647,58 @@ class TestCheckpointFormat:
         enc = net.init([3, 5, 2], ["relu", "identity"], 33)
         dec = net.init([2, 5, 3], ["leaky_relu", "identity"], 34)
         rng = np.random.default_rng(35)
-        enc_opt, dec_opt = (
-            training.AdamWState(3, rng.normal(size=n.params.size), rng.random(n.params.size))
-            for n in (enc, dec)
-        )
-        state = training.TrainState(7, enc, dec, enc_opt, dec_opt, rng)
-        path = tmp_path / "ckpt.json"
-        cli._write_checkpoint(path, state)
-        back = cli._load_checkpoint(path)
+        size = enc.params.size + dec.params.size
+        opt = training.AdamWState(3, rng.normal(size=size), rng.random(size))
+        back = reloaded(tmp_path / "ckpt.json", training.TrainState(7, enc, dec, opt, rng))
         assert back.epoch == 7
         assert back.rng.bit_generator.state == rng.bit_generator.state
         for a, b in ((enc, back.enc), (dec, back.dec)):
             assert np.array_equal(a.params, b.params)
             assert [l.activation for l in a.layers] == [l.activation for l in b.layers]
-        for a, b in ((enc_opt, back.enc_opt), (dec_opt, back.dec_opt)):
-            assert a.step == b.step
-            assert np.array_equal(a.m, b.m) and np.array_equal(a.v, b.v)
+        assert back.opt.step == 3
+        assert np.array_equal(back.opt.m, opt.m) and np.array_equal(back.opt.v, opt.v)
+
+    @settings(max_examples=60, deadline=None)
+    @given(state=drawn_states())
+    def test_drawn_states_round_trip(self, tmp_path_factory, state):
+        back = reloaded(tmp_path_factory.mktemp("ckpt") / "ckpt.json", state)
+        assert back.epoch == state.epoch
+        for a, b in ((state.enc, back.enc), (state.dec, back.dec)):
+            assert b.dims == a.dims
+            assert [l.activation for l in b.layers] == [l.activation for l in a.layers]
+            assert np.array_equal(b.params, a.params)
+        assert back.opt.step == state.opt.step
+        assert np.array_equal(back.opt.m, state.opt.m)
+        assert np.array_equal(back.opt.v, state.opt.v)
+        assert back.rng.bit_generator.state == state.rng.bit_generator.state
 
     def test_file_carries_format_version_and_tags(self, tmp_path):
         _, _, ckpt = trained_checkpoint(tmp_path)
         obj = json.loads(ckpt.read_text())
-        assert obj["format_version"] == 3
+        assert obj["format_version"] == 4
         assert set(obj) == {
-            "format_version", "epoch", "encoder", "decoder", "enc_opt", "dec_opt", "rng_state"
+            "format_version", "epoch", "encoder", "decoder", "params", "adamw", "rng_state"
         }
-        assert set(obj["decoder"]) == {"dims", "activations", "params"}
+        assert set(obj["decoder"]) == {"dims", "activations"}
+        assert set(obj["adamw"]) == {"step", "m", "v"}
         assert obj["epoch"] == 2
+        assert obj["adamw"]["step"] == 12  # 2 epochs of 96 codes in batches of 16
         assert obj["encoder"]["dims"] == [3, 8, 2]
         assert obj["decoder"]["dims"] == [2, 8, 3]
         assert obj["decoder"]["activations"] == ["relu", "identity"]
-        # every float vector reads back as the README says, laid out like Mlp.params
+        # every float vector reads back as the README says: one np.frombuffer
+        # each, laid out like the encoder's Mlp.params and then the decoder's
         state = cli._load_checkpoint(ckpt)
         vectors = {
-            ("encoder", "params"): state.enc.params,
-            ("decoder", "params"): state.dec.params,
-            ("enc_opt", "m"): state.enc_opt.m,
-            ("enc_opt", "v"): state.enc_opt.v,
-            ("dec_opt", "m"): state.dec_opt.m,
-            ("dec_opt", "v"): state.dec_opt.v,
+            "params": np.concatenate((state.enc.params, state.dec.params)),
+            "m": state.opt.m,
+            "v": state.opt.v,
         }
-        for (part, key), want in vectors.items():
-            assert np.array_equal(np.frombuffer(base64.b64decode(obj[part][key]), "<f8"), want)
+        for key, want in vectors.items():
+            text = obj["adamw"][key] if key in ("m", "v") else obj[key]
+            got = np.frombuffer(base64.b64decode(text), "<f8")
+            assert got.size == (8 * 4 + 2 * 9) + (8 * 3 + 3 * 9)
+            assert np.array_equal(got, want)
 
     def test_bad_version_rejected(self, tmp_path):
         data, out, ckpt = trained_checkpoint(tmp_path)

@@ -268,7 +268,7 @@ class TestNonlinearConformalLoss:
         dec = net.init([2, 8, 3], ["relu", "identity"], 13)
         codes = np.random.default_rng(14).normal(size=(5, 2))
         before = value_of(reg.nonlinear_conformal_loss_and_grad, dec, codes)
-        scaled = net.from_dict(net.to_dict(dec))
+        scaled = net.Mlp(dec.layers)
         scaled.layers[-1].weight *= 3.0
         scaled.layers[-1].bias *= 3.0
         after = value_of(reg.nonlinear_conformal_loss_and_grad, scaled, codes)
@@ -335,7 +335,7 @@ class TestConstantConformalLoss:
         dec = net.init([2, 6, 4], ["relu", "identity"], 18)
         codes = np.random.default_rng(19).normal(size=(4, 2))
         before = value_of(reg.constant_conformal_loss_and_grad, dec, codes)
-        scaled = net.from_dict(net.to_dict(dec))
+        scaled = net.Mlp(dec.layers)
         scaled.layers[-1].weight *= 5.0
         scaled.layers[-1].bias *= 5.0
         after = value_of(reg.constant_conformal_loss_and_grad, scaled, codes)
