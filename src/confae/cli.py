@@ -8,6 +8,10 @@ which is what makes two runs of the same seed byte-identical by guarantee
 rather than by accident. The thread variables numpy loaded under are
 recorded in the train manifest; ``--single-thread`` exits 1 when they are
 not all pinned, as when ``main`` is called after numpy was imported.
+
+A checkpoint (format 5) stores its run's ``RunConfig``, which builds both
+networks and gives ``diagnose`` its split and regularizer tag; a manifest
+beside it must record the same config (``epochs`` aside).
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ _THREADS = {var: os.environ.get(var) for var in THREAD_VARS}
 
 import argparse
 import base64
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -42,7 +47,7 @@ from . import __version__, data, figures, geometry, net, training
 from .regularizers import DegenerateJacobianError
 
 CHECKPOINT_NAME = "checkpoint.json"
-CHECKPOINT_FORMAT_VERSION = 4
+CHECKPOINT_FORMAT_VERSION = 5
 METRICS_NAME = "metrics.jsonl"
 MANIFEST_NAME = "manifest.json"
 DIAGNOSTICS_NAME = "diagnostics.csv"
@@ -200,19 +205,15 @@ def _decode(text: str, size: int) -> np.ndarray:
     return v
 
 
-def _write_checkpoint(path: Path, state: training.TrainState) -> None:
-    """The run's snapshot (format 4): everything ``state`` holds.
-
-    Each network is saved as its ``dims`` and ``activations``; ``params``
-    and the AdamW moments are each one base64 vector over both networks,
-    encoder half first.
-    """
+def _write_checkpoint(path: Path, config: training.RunConfig, state: training.TrainState) -> None:
+    """The run's snapshot (format 5): ``config`` and everything ``state`` holds.
+    ``params`` and the AdamW moments are each one base64 vector over both
+    networks, encoder half first."""
     enc, dec, opt = state.enc, state.dec, state.opt
     payload = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "epoch": state.epoch,
-        "encoder": {"dims": enc.dims, "activations": [l.activation for l in enc.layers]},
-        "decoder": {"dims": dec.dims, "activations": [l.activation for l in dec.layers]},
+        "config": config.to_dict(),
         "params": _encode(np.concatenate((enc.params, dec.params))),
         "adamw": {"step": opt.step, "m": _encode(opt.m), "v": _encode(opt.v)},
         "rng_state": state.rng.bit_generator.state,
@@ -230,8 +231,9 @@ def _read_json(path: Path, kind: str) -> dict:
     return obj
 
 
-def _load_checkpoint(path: Path) -> training.TrainState:
-    """The snapshot at ``path``, for ``diagnose`` and ``--resume`` alike."""
+def _load_checkpoint(path: Path) -> tuple[training.RunConfig, training.TrainState]:
+    """The run config and snapshot at ``path``, for ``diagnose`` and ``--resume``
+    alike; the config builds the networks, which take the saved parameters."""
     if not path.exists():
         raise _validation(f"checkpoint not found: {path}")
     obj = _read_json(path, "checkpoint")
@@ -242,32 +244,26 @@ def _load_checkpoint(path: Path) -> training.TrainState:
             f"expected {CHECKPOINT_FORMAT_VERSION}"
         )
     try:
-        epoch = int(obj["epoch"])
-        if epoch < 0:
-            raise ValueError(f"negative epoch {epoch}")
-        shapes = []
-        for key in ("encoder", "decoder"):
-            dims, acts = obj[key]["dims"], obj[key]["activations"]
-            if len(acts) != len(dims) - 1:
-                raise ValueError(f"{key}: {len(dims)} dims need {len(dims) - 1} activations")
-            shapes.append(list(zip(dims, dims[1:], acts)))
-        sizes = [sum(o * (i + 1) for i, o, _ in layers) for layers in shapes]
-        adamw = obj["adamw"]
-        # decoded first, so that no layer is allocated larger than the text
+        recorded, epoch, adamw = obj["config"], obj["epoch"], obj["adamw"]
+        if not isinstance(recorded, dict):
+            raise TypeError("config must be an object")
+        config = training.RunConfig.from_dict(recorded)
+        if missing := sorted(config.to_dict().keys() - recorded.keys()):
+            raise ValueError(f"config lacks {', '.join(missing)}")
+        for key, count in (("epoch", epoch), ("adamw.step", adamw["step"])):
+            if not training._integer(count) or count < 0:
+                raise ValueError(f"{key} must be a nonnegative integer, got {count!r}")
+        enc, dec = training.init_networks(config)
         texts = obj["params"], adamw["m"], adamw["v"]
-        params, m, v = (_decode(text, sum(sizes)) for text in texts)
-        enc, dec = (
-            net.Mlp([net.Layer(np.zeros((o, i)), np.zeros(o), act) for i, o, act in layers])
-            for layers in shapes
-        )
-        enc.params[:], dec.params[:] = params[: sizes[0]], params[sizes[0] :]
+        params, m, v = (_decode(text, enc.params.size + dec.params.size) for text in texts)
+        enc.params[:], dec.params[:] = np.split(params, [enc.params.size])
         rng = np.random.default_rng()
         rng.bit_generator.state = obj["rng_state"]  # rejects a bad state
-        opt = training.AdamWState(int(adamw["step"]), m, v)
-        return training.TrainState(epoch=epoch, enc=enc, dec=dec, opt=opt, rng=rng)
+        opt = training.AdamWState(adamw["step"], m, v)
+        return config, training.TrainState(epoch=epoch, enc=enc, dec=dec, opt=opt, rng=rng)
     except KeyError as exc:
         raise _runtime(f"malformed checkpoint {path}: missing key {exc}")
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:  # a ConfigError among them
         raise _runtime(f"malformed checkpoint {path}: {exc}")
 
 
@@ -299,18 +295,37 @@ def _read_manifest(path: Path) -> tuple[dict, str]:
     return config, data_sha256
 
 
+def _config_differences(a: dict, b: dict) -> list[str]:
+    """The keys whose values differ between two run configs, ``epochs`` aside."""
+    return sorted(k for k in (set(a) | set(b)) - {"epochs"} if a.get(k) != b.get(k))
+
+
 def _check_same_run(run_dir: Path, config: dict, data_sha256: str) -> None:
     """Refuse to resume ``run_dir`` under another config (``epochs`` aside) or dataset."""
     path = run_dir / MANIFEST_NAME
     if not path.exists():
         raise _validation(f"cannot resume: {path} missing")
-    old, old_sha256 = _read_manifest(path)
-    keys = (set(old) | set(config)) - {"epochs"}
-    differ = sorted(k for k in keys if old.get(k) != config.get(k))
+    recorded, old_sha256 = _read_manifest(path)
+    differ = _config_differences(recorded, config)
     if old_sha256 != data_sha256:
         differ.append("data.sha256")
     if differ:
         raise _validation(f"cannot resume {run_dir}: this run differs in {', '.join(differ)}")
+
+
+def _manifest_beside(checkpoint: Path, config: training.RunConfig) -> str | None:
+    """The data hash the manifest beside ``checkpoint`` records (None without
+    one); exit 2 naming both files if it records a config other than ``config``."""
+    manifest = checkpoint.parent / MANIFEST_NAME
+    if not manifest.exists():
+        return None
+    recorded, data_sha256 = _read_manifest(manifest)
+    if differ := _config_differences(recorded, config.to_dict()):
+        raise _runtime(
+            f"checkpoint {checkpoint} and manifest {manifest} record different configs "
+            f"(they differ in {', '.join(differ)})"
+        )
+    return data_sha256
 
 
 def cmd_train(args) -> int:
@@ -346,7 +361,9 @@ def cmd_train(args) -> int:
     if args.resume:
         run_dir = Path(args.resume)
         _check_same_run(run_dir, config, data_sha256)
-        resume = _load_checkpoint(run_dir / CHECKPOINT_NAME)
+        stored, resume = _load_checkpoint(run_dir / CHECKPOINT_NAME)
+        # the new config is the manifest's, so this also compares it with the checkpoint's
+        _manifest_beside(run_dir / CHECKPOINT_NAME, stored)
         if resume.epoch > cfg.epochs:
             raise _validation(f"cannot resume: {run_dir} is past epoch {cfg.epochs} already")
         metrics = _resumed_metrics(run_dir / METRICS_NAME, resume.epoch)
@@ -383,7 +400,7 @@ def cmd_train(args) -> int:
         # the last epoch's snapshot is written once, after training returns
         every = cfg.checkpoint_every
         if every > 0 and state.epoch % every == 0 and state.epoch < cfg.epochs:
-            _write_checkpoint(out / CHECKPOINT_NAME, state)
+            _write_checkpoint(out / CHECKPOINT_NAME, cfg, state)
 
     try:
         result = training.train(cfg, ds, resume=resume, on_epoch=on_epoch)
@@ -392,7 +409,7 @@ def cmd_train(args) -> int:
     finally:
         metrics_file.close()
 
-    _write_checkpoint(out / CHECKPOINT_NAME, result.state)
+    _write_checkpoint(out / CHECKPOINT_NAME, cfg, result.state)
     last = result.records[-1] if result.records else None
     if last is not None:
         print(
@@ -406,29 +423,25 @@ def cmd_train(args) -> int:
 def _validation_split(args):
     """(encoder, decoder, validation samples, regularizer tag) of the run to diagnose.
 
-    The split's seed and fraction default to those of the manifest beside the
-    checkpoint, which also names the only dataset accepted; a checkpoint with
-    no manifest is diagnosed on any data, with ``RunConfig``'s defaults.
+    The split's seed and fraction and the tag are the checkpoint config's
+    unless a flag overrides them. A manifest beside the checkpoint names the
+    only dataset accepted; a checkpoint with no manifest takes any data.
     """
-    snapshot = _load_checkpoint(Path(args.checkpoint))
-    manifest_path = Path(args.checkpoint).parent / MANIFEST_NAME
-    config, data_sha256 = _read_manifest(manifest_path) if manifest_path.exists() else ({}, None)
-    split = {key: config[key] for key in ("seed", "val_fraction") if key in config}
-    for key in ("seed", "val_fraction"):
-        if getattr(args, key) is not None:
-            split[key] = getattr(args, key)
-    split_cfg = training.RunConfig(**split)
+    checkpoint = Path(args.checkpoint)
+    config, snapshot = _load_checkpoint(checkpoint)
+    data_sha256 = _manifest_beside(checkpoint, config)
+    overrides = {k: v for k in ("seed", "val_fraction") if (v := getattr(args, k)) is not None}
+    split_cfg = dataclasses.replace(config, **overrides)
     split_cfg.validate()
 
     data_path = _data_file(args.data)
     if data_sha256 is not None and (actual := _sha256(data_path)) != data_sha256:
         raise _validation(
             f"{data_path} has sha256 {actual}, but the run was trained on data with sha256 "
-            f"{data_sha256} ({manifest_path})"
+            f"{data_sha256} ({checkpoint.parent / MANIFEST_NAME})"
         )
     _, val = training.split_dataset(split_cfg, _load_dataset(data_path))
-    regularizer = args.regularizer or config.get("regularizer", "unknown")
-    return snapshot.enc, snapshot.dec, val.samples, regularizer
+    return snapshot.enc, snapshot.dec, val.samples, args.regularizer or config.regularizer
 
 
 def _conformal_and_kappa(dec: net.Mlp, codes: np.ndarray, lap):
@@ -561,9 +574,12 @@ def cmd_compare(args) -> int:
         if not summary_path.exists():
             raise _validation(f"run '{run}' has no {KAPPA_SUMMARY_NAME} (run diagnose first)")
         obj = _read_json(summary_path, "kappa summary")
-        missing = [k for k in KAPPA_KEYS if not isinstance(obj.get(k), (int, float))]
+        # a bool is no number, and NaN and the infinities are not below inf
+        missing = [
+            k for k in KAPPA_KEYS if not (training._real(v := obj.get(k)) and abs(v) < np.inf)
+        ]
         if missing:
-            raise _runtime(f"kappa summary {summary_path} has no numeric {', '.join(missing)}")
+            raise _runtime(f"kappa summary {summary_path} has no finite {', '.join(missing)}")
         obj.pop("timing", None)  # wall time would make comparison.json differ per run
         tag = str(obj.get("regularizer", run_dir.name))
         if tag in runs:

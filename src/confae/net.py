@@ -105,16 +105,6 @@ class Layer:
     def __post_init__(self):
         self.weight = np.asarray(self.weight, dtype=np.float64)
         self.bias = np.asarray(self.bias, dtype=np.float64)
-        if self.weight.ndim != 2 or self.bias.ndim != 1:
-            raise ValueError("layer weight must be 2-D and bias 1-D")
-        if self.weight.shape[0] != self.bias.shape[0]:
-            raise ValueError(
-                f"bias length {self.bias.shape[0]} does not match weight rows {self.weight.shape[0]}"
-            )
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
-        if not (np.all(np.isfinite(self.weight)) and np.all(np.isfinite(self.bias))):
-            raise ValueError("layer parameters must be finite")
 
 
 def _views(flat: np.ndarray, layers: list[Layer]) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -138,13 +128,6 @@ class Mlp:
     params: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.layers:
-            raise ValueError("network needs at least one layer")
-        for prev, nxt in zip(self.layers, self.layers[1:]):
-            if prev.weight.shape[0] != nxt.weight.shape[1]:
-                raise ValueError(
-                    f"layer dimensions do not chain: {prev.weight.shape} -> {nxt.weight.shape}"
-                )
         self.params = np.concatenate([a.ravel() for l in self.layers for a in (l.weight, l.bias)])
         self.layers = [
             Layer(w, b, l.activation)
@@ -165,10 +148,6 @@ class Mlp:
     @property
     def in_dim(self) -> int:
         return self.layers[0].weight.shape[1]
-
-    @property
-    def dims(self) -> list[int]:
-        return [self.in_dim] + [l.weight.shape[0] for l in self.layers]
 
 
 @dataclass

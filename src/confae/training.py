@@ -11,6 +11,9 @@ has one AdamW state, whose moments are laid out like the encoder's
 the moments and the gradient are each one such vector, so a batch takes one
 AdamW step, and each network views its half of the parameters.
 
+Only :func:`_architectures` maps a config to layers: a checkpoint stores its
+run's config, and :func:`init_networks` builds its networks as for a fresh run.
+
 A run's state is one :class:`TrainState`: ``train`` advances it in place,
 epoch by epoch (networks, AdamW state and the loop's generator), and
 hands that same object to the epoch callback and the result. The learning

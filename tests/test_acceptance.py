@@ -65,7 +65,7 @@ def test_criterion_1_autodiff_fidelity():
         rng = np.random.default_rng(2000 + i)
         z = rng.normal(size=network.in_dim) + 0.07  # keep off ReLU kinks
         v = rng.choice([-1.0, 1.0], size=network.in_dim)
-        u = rng.normal(size=network.dims[-1])
+        u = rng.normal(size=network.layers[-1].bias.size)
 
         fd_jac = fd_input_jacobian(lambda x: forward_point(network, x), z)
         jac = net.jacobian(network, z)

@@ -73,10 +73,21 @@ def _text(vector):
     return base64.b64encode(np.asarray(vector, "<f8").tobytes()).decode()
 
 
-def _as_format_3(ckpt):
-    """A format-4 snapshot rewritten as format 3 saved it: each network's
-    ``params`` and each network's AdamW state apart."""
-    dims = ckpt["encoder"]["dims"]
+def _as_older_format(ckpt, version):
+    """A format-5 snapshot rewritten as format ``version`` (2, 3 or 4) saved it.
+
+    Format 4 saved each network's ``dims`` and per-layer ``activations`` in
+    place of the config; format 3 also split ``params`` and the AdamW state
+    per network; format 2 also saved a plateau state and per-layer slopes.
+    """
+    config = ckpt.pop("config")
+    dims = config["dims"]
+    acts = [config["activation"]] * (len(dims) - 2) + ["identity"]
+    ckpt["encoder"] = {"dims": dims, "activations": acts}
+    ckpt["decoder"] = {"dims": dims[::-1], "activations": acts}
+    ckpt["format_version"] = version
+    if version == 4:
+        return
     n = sum(o * (i + 1) for i, o in zip(dims, dims[1:]))
     params, adamw = _vector(ckpt.pop("params")), ckpt.pop("adamw")
     halves = (("encoder", "enc_opt", slice(n)), ("decoder", "dec_opt", slice(n, None)))
@@ -84,21 +95,46 @@ def _as_format_3(ckpt):
         ckpt[key]["params"] = _text(params[half])
         moments = {k: _text(_vector(adamw[k])[half]) for k in ("m", "v")}
         ckpt[opt_key] = {"step": adamw["step"], **moments}
-    ckpt["format_version"] = 3
+    if version == 2:
+        ckpt["plateau"] = dict(lr=1e-3, factor=0.5, patience=10, min_lr=1e-6, best=1.0)
+        for key in ("encoder", "decoder"):
+            ckpt[key]["slopes"] = [0.01] * len(acts)
+
+
+# the format version each refused old-format damage names
+OLD_FORMATS = {"old_format": 1, "format_2": 2, "format_3": 3, "format_4": 4}
+# damages that set one key of the snapshot (a dotted key path) to a value;
+# the others have their own branch in damage_checkpoint
+CHECKPOINT_EDITS = {
+    "config_not_object": ("config", [1]),
+    "config_disagrees_with_manifest": ("config.activation", "tanh"),
+    "architecture": ("config.dims", [3, 9, 2]),
+    "bad_config": ("config.dims", "abc"),
+    "unknown_config_key": ("config.detach_codes", False),
+    "epoch_fraction": ("epoch", 1.9),
+    "epoch_string": ("epoch", "1"),
+    "epoch_bool": ("epoch", True),
+    "step_fraction": ("adamw.step", 2.5),
+    "step_negative": ("adamw.step", -1),
+}
 
 
 def damage_checkpoint(path, damage):
     """Rewrite the snapshot at ``path`` with one fault."""
     ckpt = json.loads(path.read_text())
-    if damage == "old_format":
+    if damage in CHECKPOINT_EDITS:
+        key, value = CHECKPOINT_EDITS[damage]
+        *parents, last = key.split(".")
+        target = ckpt
+        for parent in parents:
+            target = target[parent]
+        target[last] = value
+    elif damage == "old_format":
         ckpt["format_version"] = 1
-    elif damage == "format_2":  # as written while the plateau state and slopes were saved
-        ckpt["format_version"] = 2
-        ckpt["plateau"] = dict(lr=1e-3, factor=0.5, patience=10, min_lr=1e-6, best=1.0)
-        for key in ("encoder", "decoder"):
-            ckpt[key]["slopes"] = [0.01] * len(ckpt[key]["activations"])
-    elif damage == "format_3":
-        _as_format_3(ckpt)
+    elif damage in OLD_FORMATS:
+        _as_older_format(ckpt, OLD_FORMATS[damage])
+    elif damage == "config_lacks_key":
+        del ckpt["config"]["seed"]
     elif damage == "missing_key":
         del ckpt["adamw"]["m"]
     elif damage == "short_moment":
@@ -113,8 +149,6 @@ def damage_checkpoint(path, damage):
         params = _vector(ckpt["params"]).copy()
         params[-4] = np.nan  # the decoder's last weight
         ckpt["params"] = _text(params)
-    elif damage == "decoder_not_object":
-        ckpt["decoder"] = [1]
     elif damage == "short_params":
         ckpt["params"] = _text(_vector(ckpt["params"])[:-1])
     else:
@@ -123,20 +157,17 @@ def damage_checkpoint(path, damage):
 
 
 CHECKPOINT_DAMAGES = [
-    ("old_format", 1),
-    ("format_2", 1),
-    ("format_3", 1),
+    *((damage, 1) for damage in OLD_FORMATS),
+    *((damage, 2) for damage in CHECKPOINT_EDITS),
+    ("config_lacks_key", 2),
     ("missing_key", 2),
     ("short_moment", 2),
     ("short_m", 2),
     ("bad_rng_state", 2),
     ("bad_base64", 2),
     ("non_finite_param", 2),
-    ("decoder_not_object", 2),
     ("short_params", 2),
 ]
-# the format version each refused old-format damage names
-OLD_FORMATS = {"old_format": 1, "format_2": 2, "format_3": 3}
 
 # Runs the CLI in a process that SIGKILLs itself once epoch 3's record and any
 # snapshot of that epoch are written.
@@ -390,9 +421,9 @@ class TestTrain:
         written = []
         write = cli._write_checkpoint
 
-        def counting_write(path, state):
+        def counting_write(path, config, state):
             written.append(state.epoch)
-            write(path, state)
+            write(path, config, state)
 
         monkeypatch.setattr(cli, "_write_checkpoint", counting_write)
         code, _ = tiny_train(tmp_path, roll_csv, "run", "--set", "checkpoint_every=1")
@@ -439,8 +470,10 @@ class TestTrain:
         code, out = tiny_train(tmp_path, roll_csv, "run_half")
         assert code == 0
         ckpt = json.loads((out / cli.CHECKPOINT_NAME).read_text())
-        assert ckpt["format_version"] == cli.CHECKPOINT_FORMAT_VERSION == 4
-        state = cli._load_checkpoint(out / cli.CHECKPOINT_NAME)
+        assert ckpt["format_version"] == cli.CHECKPOINT_FORMAT_VERSION == 5
+        config, state = cli._load_checkpoint(out / cli.CHECKPOINT_NAME)
+        assert ckpt["config"] == config.to_dict()
+        assert ckpt["config"] == json.loads((out / cli.MANIFEST_NAME).read_text())["config"]
         # one AdamW state, laid out like the encoder's params and then the decoder's
         size = state.enc.params.size + state.dec.params.size
         assert set(ckpt["adamw"]) == {"step", "m", "v"}
@@ -449,6 +482,8 @@ class TestTrain:
             assert _vector(text).size == size
         code, _ = tiny_train(tmp_path, roll_csv, "run_half", "--epochs", "4", "--resume", str(out))
         assert code == 0
+        # the resumed snapshot stores the new run's config
+        assert json.loads((out / cli.CHECKPOINT_NAME).read_text())["config"]["epochs"] == 4
         code, straight = tiny_train(tmp_path, roll_csv, "run_full", "--epochs", "4")
         assert code == 0
         name = cli.CHECKPOINT_NAME
@@ -536,9 +571,11 @@ class TestTrain:
         code, _ = tiny_train(tmp_path, roll_csv, "run", "--epochs", "3", "--resume", str(out))
         assert code == want
         err = capsys.readouterr().err
-        assert str(named) in err
+        assert str(named) in err and "Traceback" not in err
         if damage in OLD_FORMATS:
             assert f"format_version {OLD_FORMATS[damage]}" in err
+        if damage == "config_disagrees_with_manifest":
+            assert f"{out / cli.MANIFEST_NAME} record different configs" in err
 
     @pytest.mark.parametrize(
         "extra,differ",
@@ -595,9 +632,12 @@ class TestTrain:
         assert code == 1
         assert "differs in detach_codes" in capsys.readouterr().err
         assert [r["epoch"] for r in records(out)] == [1, 2]
-        # the run can still be diagnosed
+        # diagnose refuses a checkpoint whose manifest records another config
         argv = ["--checkpoint", str(out / cli.CHECKPOINT_NAME), "--data", str(roll_csv)]
-        assert run_cli("diagnose", *argv, "--out", str(tmp_path / "diag")) == 0
+        assert run_cli("diagnose", *argv, "--out", str(tmp_path / "diag")) == 2
+        err = capsys.readouterr().err
+        assert f"{out / cli.CHECKPOINT_NAME} and manifest {path}" in err
+        assert "differ in detach_codes" in err
 
     def test_resume_refuses_other_data_before_parsing_it(self, tmp_path, roll_csv, capsys):
         code, out = tiny_train(tmp_path, roll_csv)
@@ -631,13 +671,14 @@ class TestTrain:
 
 class TestDiagnose:
     def _identity_checkpoint(self, path):
-        enc = net.Mlp(
-            [net.Layer(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]), np.zeros(2), "identity")]
-        )
-        dec = net.Mlp([net.Layer(np.eye(2), np.zeros(2), "identity")])
+        """A one-layer autoencoder whose decoder embeds the codes isometrically."""
+        config = training.RunConfig(dims=[3, 2])
+        enc, dec = training.init_networks(config)
+        enc.layers[0].weight[:] = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
+        dec.layers[0].weight[:] = [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]
         rng = np.random.default_rng(0)
         opt = training.AdamWState.zeros(enc.params.size + dec.params.size)
-        cli._write_checkpoint(path, training.TrainState(1, enc, dec, opt, rng))
+        cli._write_checkpoint(path, config, training.TrainState(1, enc, dec, opt, rng))
 
     def test_identity_decoder_diagnostics(self, tmp_path, roll_csv):
         ckpt = tmp_path / "ckpt.json"
@@ -698,6 +739,30 @@ class TestDiagnose:
         assert str(run / cli.MANIFEST_NAME) in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "key,value",
+        [("seed", "abc"), ("val_fraction", None), ("activation", "tanh")],
+        ids=["seed-abc", "val_fraction-null", "activation-tanh"],
+    )
+    def test_manifest_of_another_config_exits_2_naming_both(
+        self, tmp_path, roll_csv, capsys, key, value
+    ):
+        # the split and the tag come from the checkpoint, which the manifest must describe
+        code, run = tiny_train(tmp_path, roll_csv)
+        assert code == 0
+        path = run / cli.MANIFEST_NAME
+        manifest = json.loads(path.read_text())
+        manifest["config"][key] = value
+        path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        out = tmp_path / "diag"
+        assert self._diagnose(run / cli.CHECKPOINT_NAME, roll_csv, out) == 2
+        err = capsys.readouterr().err
+        both = f"checkpoint {run / cli.CHECKPOINT_NAME} and manifest {path}"
+        assert f"{both} record different configs (they differ in {key})" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("damage,want", CHECKPOINT_DAMAGES)
     def test_damaged_checkpoint_exits_naming_it(self, tmp_path, roll_csv, capsys, damage, want):
         code, run = tiny_train(tmp_path, roll_csv)
@@ -708,9 +773,11 @@ class TestDiagnose:
         out = tmp_path / "diag"
         assert self._diagnose(ckpt, roll_csv, out) == want
         err = capsys.readouterr().err
-        assert str(ckpt) in err
+        assert str(ckpt) in err and "Traceback" not in err
         if damage in OLD_FORMATS:
             assert f"format_version {OLD_FORMATS[damage]}" in err
+        if damage == "config_disagrees_with_manifest":
+            assert f"{run / cli.MANIFEST_NAME} record different configs" in err
         assert not out.exists()
 
     def test_missing_checkpoint_exits_1_naming_it(self, tmp_path, roll_csv, capsys):
@@ -743,6 +810,22 @@ class TestDiagnose:
         return run_cli(
             "diagnose", "--checkpoint", str(ckpt), "--data", str(csv), "--out", str(out), *flags
         )
+
+    def test_checkpoint_away_from_its_manifest_keeps_its_split_and_tag(self, tmp_path, roll_csv):
+        # as the benchmark diagnoses a checkpoint moved out of its run directory
+        conf = ("--regularizer", "conf", "--lambda-geo", "0.1")
+        code, run = tiny_train(tmp_path, roll_csv, "run", *conf)
+        assert code == 0
+        moved = tmp_path / "moved" / cli.CHECKPOINT_NAME
+        moved.parent.mkdir()
+        moved.write_bytes((run / cli.CHECKPOINT_NAME).read_bytes())
+        beside, away = tmp_path / "beside", tmp_path / "away"
+        assert self._diagnose(run / cli.CHECKPOINT_NAME, roll_csv, beside) == 0
+        assert self._diagnose(moved, roll_csv, away) == 0
+        summary = json.loads((away / cli.KAPPA_SUMMARY_NAME).read_text())
+        assert summary["regularizer"] == "conf"
+        name = cli.DIAGNOSTICS_NAME
+        assert (away / name).read_bytes() == (beside / name).read_bytes()
 
     def test_refuses_data_the_run_was_not_trained_on(self, tmp_path, capsys):
         trained, other = tmp_path / "trained.csv", tmp_path / "other.csv"
@@ -978,7 +1061,7 @@ class TestCompare:
         assert str(a) in err and str(b) in err and "'conf'" in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("damage", ["missing", "string"])
+    @pytest.mark.parametrize("damage", ["missing", "string", "true", "false", "nan", "infinity"])
     def test_summary_without_a_kappa_entry_exits_2_naming_it(self, tmp_path, capsys, damage):
         a = self._run_dir(tmp_path, "conf", 2.0, 5.0)
         b = self._run_dir(tmp_path, "globiso", 4.0, 19.0)
@@ -987,7 +1070,8 @@ class TestCompare:
         if damage == "missing":
             del summary["kappa_pbm_std"]
         else:
-            summary["kappa_pbm_std"] = "0.2"
+            values = {"string": "0.2", "true": True, "false": False, "nan": np.nan}
+            summary["kappa_pbm_std"] = values.get(damage, np.inf)
         path.write_text(json.dumps(summary))
         assert run_cli("compare", str(a), str(b)) == 2
         err = capsys.readouterr().err
@@ -1003,42 +1087,20 @@ class TestCompare:
 
 class TestExitCodes:
     @pytest.mark.parametrize(
-        "where,value,key",
+        "value,key",
         [
-            ("set", "lr=null", "lr"),
-            ("set", "dims=5", "dims"),
-            ("set", "probes=2.5", "probes"),
-            ("set", "batch_size=[1]", "batch_size"),
-            ("manifest", '"abc"', "seed"),
-            ("manifest", "null", "val_fraction"),
+            ("lr=null", "lr"),
+            ("dims=5", "dims"),
+            ("probes=2.5", "probes"),
+            ("batch_size=[1]", "batch_size"),
         ],
-        ids=[
-            "lr-null",
-            "dims-5",
-            "probes-2.5",
-            "batch_size-list",
-            "manifest-seed-abc",
-            "manifest-val_fraction-null",
-        ],
+        ids=["lr-null", "dims-5", "probes-2.5", "batch_size-list"],
     )
     def test_mistyped_config_value_exits_1_naming_the_key(
-        self, tmp_path, roll_csv, capsys, where, value, key
+        self, tmp_path, roll_csv, capsys, value, key
     ):
         out = tmp_path / "out"
-        if where == "set":
-            code = run_cli("train", "--data", str(roll_csv), "--out", str(out), "--set", value)
-        else:  # a train manifest's split parameter, read by diagnose
-            assert tiny_train(tmp_path, roll_csv)[0] == 0
-            path = tmp_path / "run" / cli.MANIFEST_NAME
-            manifest = json.loads(path.read_text())
-            manifest["config"][key] = json.loads(value)
-            path.write_text(json.dumps(manifest))
-            checkpoint = tmp_path / "run" / cli.CHECKPOINT_NAME
-            capsys.readouterr()
-            code = run_cli(
-                "diagnose", "--checkpoint", str(checkpoint), "--data", str(roll_csv),
-                "--out", str(out),
-            )
+        code = run_cli("train", "--data", str(roll_csv), "--out", str(out), "--set", value)
         err = capsys.readouterr().err
         assert code == 1
         assert "invalid configuration" in err and f"  - {key}: " in err

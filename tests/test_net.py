@@ -560,27 +560,22 @@ def two_layer_net():
     )
 
 
-def fresh_state(enc, dec):
-    """Epoch 0 of ``enc`` and ``dec`` with zero moments."""
-    opt = training.AdamWState.zeros(enc.params.size + dec.params.size)
-    return training.TrainState(0, enc, dec, opt, np.random.default_rng(0))
-
-
-def reloaded(path, state):
-    """``state`` written to the checkpoint ``path`` and read back."""
-    cli._write_checkpoint(path, state)
+def reloaded(path, config, state):
+    """``(config, state)`` written to the checkpoint ``path`` and read back."""
+    cli._write_checkpoint(path, config, state)
     return cli._load_checkpoint(path)
 
 
 class TestParams:
     @pytest.mark.parametrize("how", ["init", "from_dict", "Mlp"])
     def test_layer_arrays_are_views_of_params(self, how, tmp_path):
-        # "from_dict": a network as a checkpoint reads it back
+        def read_back():  # a network as a checkpoint reads it back
+            config, state = drawn_state(4)
+            return reloaded(tmp_path / "ckpt.json", config, state)[1].dec
+
         network = {
             "init": lambda: net.init([3, 5, 4, 2], ["relu", "tanh", "identity"], 0),
-            "from_dict": lambda: reloaded(
-                tmp_path / "ckpt.json", fresh_state(two_layer_net(), two_layer_net())
-            ).dec,
+            "from_dict": read_back,
             "Mlp": two_layer_net,
         }[how]()
         arrays = [a for l in network.layers for a in (l.weight, l.bias)]
@@ -623,72 +618,81 @@ def trained_checkpoint(tmp_path):
     return data, out, out / cli.CHECKPOINT_NAME
 
 
+def drawn_state(seed, dims=(3, 4, 2), activation="tanh", epoch=7, step=3, draws=1):
+    """``(config, state)``: the networks ``config`` builds, with parameters,
+    moments and generator state drawn from ``seed``."""
+    config = training.RunConfig(dims=list(dims), activation=activation, seed=seed)
+    enc, dec = training.init_networks(config)
+    rng = np.random.default_rng(seed)
+    for network in (enc, dec):
+        network.params[:] = rng.normal(size=network.params.size)
+    size = enc.params.size + dec.params.size
+    opt = training.AdamWState(step, rng.normal(size=size), rng.random(size))
+    rng.random(draws)  # the generator's state moves on
+    return config, training.TrainState(epoch, enc, dec, opt, rng)
+
+
 @st.composite
 def drawn_states(draw):
-    """A ``TrainState`` of drawn sizes (latent size 1 among them), activations,
-    parameters, moments, step, epoch and generator state."""
-    dims = draw(st.lists(st.integers(1, 5), min_size=2, max_size=5))
-    layers = len(dims) - 1
-    acts = st.lists(st.sampled_from(net.ACTIVATIONS), min_size=layers, max_size=layers)
-    seed = draw(st.integers(0, 2**32 - 1))
-    enc = net.init(dims, draw(acts), seed)
-    dec = net.init(dims[::-1], draw(acts), seed + 1)
-    rng = np.random.default_rng(seed)
-    size = enc.params.size + dec.params.size
-    opt = training.AdamWState(draw(st.integers(0, 10**6)), rng.normal(size=size), rng.random(size))
-    rng.random(draw(st.integers(0, 3)))  # the generator's state moves on
-    return training.TrainState(draw(st.integers(0, 10**6)), enc, dec, opt, rng)
+    """``(config, state)`` of drawn sizes (latent size 1 among them), hidden
+    activation, seed, step, epoch and generator state."""
+    return drawn_state(
+        draw(st.integers(0, 2**32 - 1)),
+        dims=draw(st.lists(st.integers(1, 5), min_size=2, max_size=5)),
+        activation=draw(st.sampled_from(net.ACTIVATIONS)),
+        epoch=draw(st.integers(0, 10**6)),
+        step=draw(st.integers(0, 10**6)),
+        draws=draw(st.integers(0, 3)),
+    )
+
+
+def assert_same_state(back, state):
+    assert back.epoch == state.epoch
+    for a, b in ((state.enc, back.enc), (state.dec, back.dec)):
+        assert [l.weight.shape for l in b.layers] == [l.weight.shape for l in a.layers]
+        assert [l.activation for l in b.layers] == [l.activation for l in a.layers]
+        assert np.array_equal(b.params, a.params)
+    assert back.opt.step == state.opt.step
+    assert np.array_equal(back.opt.m, state.opt.m)
+    assert np.array_equal(back.opt.v, state.opt.v)
+    assert back.rng.bit_generator.state == state.rng.bit_generator.state
 
 
 class TestCheckpointFormat:
     """The CLI's run snapshot, the one file format networks are saved in."""
 
     def test_round_trip(self, tmp_path):
-        enc = net.init([3, 5, 2], ["relu", "identity"], 33)
-        dec = net.init([2, 5, 3], ["leaky_relu", "identity"], 34)
-        rng = np.random.default_rng(35)
-        size = enc.params.size + dec.params.size
-        opt = training.AdamWState(3, rng.normal(size=size), rng.random(size))
-        back = reloaded(tmp_path / "ckpt.json", training.TrainState(7, enc, dec, opt, rng))
-        assert back.epoch == 7
-        assert back.rng.bit_generator.state == rng.bit_generator.state
-        for a, b in ((enc, back.enc), (dec, back.dec)):
-            assert np.array_equal(a.params, b.params)
-            assert [l.activation for l in a.layers] == [l.activation for l in b.layers]
-        assert back.opt.step == 3
-        assert np.array_equal(back.opt.m, opt.m) and np.array_equal(back.opt.v, opt.v)
+        config, state = drawn_state(33, dims=[3, 5, 2], activation="leaky_relu")
+        back_config, back = reloaded(tmp_path / "ckpt.json", config, state)
+        assert back_config == config
+        assert [l.activation for l in back.dec.layers] == ["leaky_relu", "identity"]
+        assert_same_state(back, state)
 
     @settings(max_examples=60, deadline=None)
-    @given(state=drawn_states())
-    def test_drawn_states_round_trip(self, tmp_path_factory, state):
-        back = reloaded(tmp_path_factory.mktemp("ckpt") / "ckpt.json", state)
-        assert back.epoch == state.epoch
-        for a, b in ((state.enc, back.enc), (state.dec, back.dec)):
-            assert b.dims == a.dims
-            assert [l.activation for l in b.layers] == [l.activation for l in a.layers]
-            assert np.array_equal(b.params, a.params)
-        assert back.opt.step == state.opt.step
-        assert np.array_equal(back.opt.m, state.opt.m)
-        assert np.array_equal(back.opt.v, state.opt.v)
-        assert back.rng.bit_generator.state == state.rng.bit_generator.state
+    @given(drawn=drawn_states())
+    def test_drawn_states_round_trip(self, tmp_path_factory, drawn):
+        config, state = drawn
+        back_config, back = reloaded(tmp_path_factory.mktemp("ckpt") / "ckpt.json", config, state)
+        assert back_config == config
+        assert_same_state(back, state)
 
     def test_file_carries_format_version_and_tags(self, tmp_path):
-        _, _, ckpt = trained_checkpoint(tmp_path)
+        _, run, ckpt = trained_checkpoint(tmp_path)
         obj = json.loads(ckpt.read_text())
-        assert obj["format_version"] == 4
-        assert set(obj) == {
-            "format_version", "epoch", "encoder", "decoder", "params", "adamw", "rng_state"
-        }
-        assert set(obj["decoder"]) == {"dims", "activations"}
+        assert obj["format_version"] == 5
+        assert set(obj) == {"format_version", "epoch", "config", "params", "adamw", "rng_state"}
         assert set(obj["adamw"]) == {"step", "m", "v"}
         assert obj["epoch"] == 2
         assert obj["adamw"]["step"] == 12  # 2 epochs of 96 codes in batches of 16
-        assert obj["encoder"]["dims"] == [3, 8, 2]
-        assert obj["decoder"]["dims"] == [2, 8, 3]
-        assert obj["decoder"]["activations"] == ["relu", "identity"]
+        # the run's whole config, as its manifest records it
+        assert obj["config"] == json.loads((run / cli.MANIFEST_NAME).read_text())["config"]
+        assert obj["config"]["dims"] == [3, 8, 2]
+        assert obj["config"]["activation"] == "relu"
         # every float vector reads back as the README says: one np.frombuffer
         # each, laid out like the encoder's Mlp.params and then the decoder's
-        state = cli._load_checkpoint(ckpt)
+        _, state = cli._load_checkpoint(ckpt)
+        assert [l.activation for l in state.dec.layers] == ["relu", "identity"]
+        assert [l.weight.shape for l in state.dec.layers] == [(8, 2), (3, 8)]
         vectors = {
             "params": np.concatenate((state.enc.params, state.dec.params)),
             "m": state.opt.m,

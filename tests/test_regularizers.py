@@ -69,7 +69,7 @@ def loss_and_grads(loss, dec, codes, *rest, want_grad=True):
     if not want_grad:
         assert all(a is None for a in adjoints)
         return value, None, None
-    tan_grad = None if g_rows is None else g_rows.reshape(-1, dec.dims[-1])
+    tan_grad = None if g_rows is None else g_rows.reshape(-1, dec.layers[-1].bias.size)
     dec_grads, g_in = net.backward(dec, tape, out_grad=g_y, tan_grad=tan_grad)
     return value, dec_grads, g_in + g_z
 
