@@ -55,8 +55,8 @@ KAPPA_SUMMARY_NAME = "kappa_summary.json"
 # The entries of a kappa summary that ``compare`` tabulates.
 KAPPA_KEYS = ("kappa_jac_mean", "kappa_jac_std", "kappa_pbm_mean", "kappa_pbm_std")
 
-# Codes per block of diagnose's Jacobian stage: only one block's Jacobian
-# stack is held at a time.
+# Codes per block of diagnose's Jacobian stage: only one block's JVP tape is
+# held at a time.
 JACOBIAN_BLOCK = 512
 # Bytes per read when a file is hashed.
 HASH_BLOCK = 2**16
@@ -233,7 +233,9 @@ def _read_json(path: Path, kind: str) -> dict:
 
 def _load_checkpoint(path: Path) -> tuple[training.RunConfig, training.TrainState]:
     """The run config and snapshot at ``path``, for ``diagnose`` and ``--resume``
-    alike; the config builds the networks, which take the saved parameters."""
+    alike; the config builds the networks, which take the saved parameters.
+    Each vector's length is checked before the networks are built, so a
+    config that names larger networks than the file holds allocates none."""
     if not path.exists():
         raise _validation(f"checkpoint not found: {path}")
     obj = _read_json(path, "checkpoint")
@@ -253,9 +255,11 @@ def _load_checkpoint(path: Path) -> tuple[training.RunConfig, training.TrainStat
         for key, count in (("epoch", epoch), ("adamw.step", adamw["step"])):
             if not training._integer(count) or count < 0:
                 raise ValueError(f"{key} must be a nonnegative integer, got {count!r}")
+        dims = training._architectures(config)[0]
+        # a weight and a bias per layer of the encoder and of the decoder
+        size = sum(2 * a * b + a + b for a, b in zip(dims, dims[1:]))
+        params, m, v = (_decode(text, size) for text in (obj["params"], adamw["m"], adamw["v"]))
         enc, dec = training.init_networks(config)
-        texts = obj["params"], adamw["m"], adamw["v"]
-        params, m, v = (_decode(text, enc.params.size + dec.params.size) for text in texts)
         enc.params[:], dec.params[:] = np.split(params, [enc.params.size])
         rng = np.random.default_rng()
         rng.bit_generator.state = obj["rng_state"]  # rejects a bad state
@@ -300,8 +304,9 @@ def _config_differences(a: dict, b: dict) -> list[str]:
     return sorted(k for k in (set(a) | set(b)) - {"epochs"} if a.get(k) != b.get(k))
 
 
-def _check_same_run(run_dir: Path, config: dict, data_sha256: str) -> None:
-    """Refuse to resume ``run_dir`` under another config (``epochs`` aside) or dataset."""
+def _check_same_run(run_dir: Path, config: dict, data_sha256: str) -> dict:
+    """The config the manifest of ``run_dir`` records; exit 1 if it differs
+    from ``config`` (``epochs`` aside) or records another dataset."""
     path = run_dir / MANIFEST_NAME
     if not path.exists():
         raise _validation(f"cannot resume: {path} missing")
@@ -311,6 +316,17 @@ def _check_same_run(run_dir: Path, config: dict, data_sha256: str) -> None:
         differ.append("data.sha256")
     if differ:
         raise _validation(f"cannot resume {run_dir}: this run differs in {', '.join(differ)}")
+    return recorded
+
+
+def _check_manifest_config(checkpoint: Path, recorded: dict, config: training.RunConfig) -> None:
+    """Exit 2 naming both files if the config ``recorded`` by the manifest
+    beside ``checkpoint`` is not the checkpoint's ``config`` (``epochs`` aside)."""
+    if differ := _config_differences(recorded, config.to_dict()):
+        raise _runtime(
+            f"checkpoint {checkpoint} and manifest {checkpoint.parent / MANIFEST_NAME} record "
+            f"different configs (they differ in {', '.join(differ)})"
+        )
 
 
 def _manifest_beside(checkpoint: Path, config: training.RunConfig) -> str | None:
@@ -320,11 +336,7 @@ def _manifest_beside(checkpoint: Path, config: training.RunConfig) -> str | None
     if not manifest.exists():
         return None
     recorded, data_sha256 = _read_manifest(manifest)
-    if differ := _config_differences(recorded, config.to_dict()):
-        raise _runtime(
-            f"checkpoint {checkpoint} and manifest {manifest} record different configs "
-            f"(they differ in {', '.join(differ)})"
-        )
+    _check_manifest_config(checkpoint, recorded, config)
     return data_sha256
 
 
@@ -360,10 +372,10 @@ def cmd_train(args) -> int:
     resume, metrics = None, ""
     if args.resume:
         run_dir = Path(args.resume)
-        _check_same_run(run_dir, config, data_sha256)
+        recorded = _check_same_run(run_dir, config, data_sha256)
         stored, resume = _load_checkpoint(run_dir / CHECKPOINT_NAME)
         # the new config is the manifest's, so this also compares it with the checkpoint's
-        _manifest_beside(run_dir / CHECKPOINT_NAME, stored)
+        _check_manifest_config(run_dir / CHECKPOINT_NAME, recorded, stored)
         if resume.epoch > cfg.epochs:
             raise _validation(f"cannot resume: {run_dir} is past epoch {cfg.epochs} already")
         metrics = _resumed_metrics(run_dir / METRICS_NAME, resume.epoch)
@@ -447,20 +459,21 @@ def _validation_split(args):
 def _conformal_and_kappa(dec: net.Mlp, codes: np.ndarray, lap):
     """The decoder's stretch field and (kappa_jac, kappa_pbm) rows at ``codes``.
 
-    The Jacobians are taken ``JACOBIAN_BLOCK`` codes at a time and each
-    block's stack is reduced to its c and kappas before the next one, so
-    memory does not grow with the codes beyond those three numbers each.
-    ``lap`` is called after each block's ``jacobians`` and
-    ``conformal_kappa`` stages.
+    The Jacobians are taken ``JACOBIAN_BLOCK`` codes at a time, as the
+    tangent rows of one ``net.jvp``, and each block's rows are reduced to its
+    c and kappas before the next one, so memory does not grow with the codes
+    beyond those three numbers each. ``lap`` is called after each block's
+    ``jacobians`` and ``conformal_kappa`` stages.
     """
     n = codes.shape[0]
     values, kappas = np.empty(n), np.empty((n, 2))
     for start in range(0, n, JACOBIAN_BLOCK):
         block = slice(start, start + JACOBIAN_BLOCK)
-        jacobians = net.jacobians(dec, codes[block])
+        z = codes[block]
+        rows = net.jvp(dec, z).jv.reshape(*z.shape, -1)
         lap("jacobians")
-        values[block] = geometry.conformal_factor(jacobians)
-        kappas[block] = geometry.kappa_field(jacobians)
+        values[block] = geometry.conformal_factor(rows)
+        kappas[block] = geometry.kappa_field(rows)
         lap("conformal_kappa")
     return geometry.ConformalField(codes, values), kappas
 

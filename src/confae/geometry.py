@@ -98,23 +98,20 @@ class CurvatureField:
     calibration: float
 
 
-def pullback_metrics(jacobians: np.ndarray) -> np.ndarray:
-    """(n, m, m) stack of pullback metrics J^T J from a ``net.jacobians`` stack."""
-    return net.gram(jacobians.transpose(0, 2, 1))  # row k of block p = J_p e_k
+def conformal_factor(rows: np.ndarray) -> np.ndarray:
+    """Stretch factor trace(J^T J) / m at each code, from a (B, m, out) stack
+    of tangent rows of ``net.jvp``.
 
-
-def conformal_factor(jacobians: np.ndarray) -> np.ndarray:
-    """Stretch factor trace(J^T J) / m of each Jacobian of a ``net.jacobians`` stack.
-
-    Each entry depends on its own Jacobian only, so a stack may be reduced
-    block by block.
+    Row k of block p is ``J_p e_k``, so the block's Gram matrix is the
+    pullback metric ``J_p^T J_p``. Each entry depends on its own block only,
+    so a stack may be reduced block by block.
     """
-    return np.einsum("pkk->p", pullback_metrics(jacobians)) / jacobians.shape[2]
+    return np.einsum("pkk->p", net.gram(rows)) / rows.shape[1]
 
 
-def conformal_field(codes: np.ndarray, jacobians: np.ndarray) -> ConformalField:
-    """Stretch factor at every code from the decoder's ``net.jacobians`` stack there."""
-    return ConformalField(codes=codes, values=conformal_factor(jacobians))
+def conformal_field(codes: np.ndarray, rows: np.ndarray) -> ConformalField:
+    """Stretch factor at every code from the decoder's tangent rows of ``net.jvp`` there."""
+    return ConformalField(codes=codes, values=conformal_factor(rows))
 
 
 def _sq_dists(queries: np.ndarray, codes: np.ndarray) -> np.ndarray:
@@ -329,21 +326,22 @@ def scalar_curvature(field: ConformalField, graph: LatentGraph) -> CurvatureFiel
     )
 
 
-def kappa_field(jacobians: np.ndarray) -> np.ndarray:
+def kappa_field(rows: np.ndarray) -> np.ndarray:
     """(n, 2) array of (kappa of the Jacobian, kappa of the pullback metric).
 
-    Takes a ``net.jacobians`` stack. kappa_jac comes from one batched SVD and
-    kappa_pbm = kappa_jac^2 is the exact condition number of J^T J.
+    Takes a (B, m, out) stack of tangent rows of ``net.jvp``; each block's
+    transpose is its (out, m) Jacobian. kappa_jac comes from one batched SVD
+    and kappa_pbm = kappa_jac^2 is the exact condition number of J^T J.
     Numerically rank-deficient Jacobians, the zero Jacobian included, yield
     infinite sentinels rather than errors.
     """
-    kjac = linalg.condition_numbers(jacobians)
+    kjac = linalg.condition_numbers(rows.transpose(0, 2, 1))
     return np.column_stack([kjac, kjac**2])
 
 
 def condition_numbers(dec: net.Mlp, z: np.ndarray) -> tuple[float, float]:
     """(kappa of the Jacobian, kappa of the pullback metric) at one code."""
-    kjac, kpbm = kappa_field(net.jacobian(dec, z)[None])[0]
+    kjac, kpbm = kappa_field(net.jacobian(dec, z).T[None])[0]
     return float(kjac), float(kpbm)
 
 

@@ -10,13 +10,12 @@ Both are recorded as nodes of one tape (:class:`DualTrace`), so a single
 standard reverse sweep (:func:`backward`) yields exact parameter gradients of
 any scalar built from the primal output or the Jacobian's columns, such as a
 function of the pullback metric ``J^T J``, without nested autodiff machinery.
-Per layer the tape holds the activation's output and derivative and, after a
-tangent pass, the derivative repeated onto the tangent rows and the tangent
-outputs; the tangent pre-activation is kept for tanh layers only. It keeps no
-primal pre-activation: the reverse sweep forms tanh'' from tanh and tanh'.
-Where no reverse sweep follows, :func:`jacobians` pushes the basis through
-the same operations without a tape: it holds the states of one layer at a
-time.
+Per layer the tape holds the activation's output and derivative, one row per
+input, and, after a tangent pass, the tangent outputs; the tangent
+pre-activation is kept for tanh layers only. It keeps no primal
+pre-activation: the reverse sweep forms tanh'' from tanh and tanh'. The
+tangent pass is the only one: training records it for a reverse sweep, and
+the diagnostics read the Jacobians from its tangent outputs.
 
 An identity layer forms no derivative (its tape entry is ``None``), so no
 sweep multiplies by its all-ones derivative: the primal and tangent outputs
@@ -33,10 +32,11 @@ holds numerics only: the checkpoint format lives in :mod:`confae.cli`.
 Inputs are (B, d) batches, one row per input; only :func:`jacobian` takes a
 single point. The m basis tangents of a code share one primal row
 (pre-activations, outputs and activation derivatives are computed on B rows),
-while tangent states live on B*m rows. The reverse sweep sums the tangents'
-second-derivative terms per code before the primal adjoint products, and
-skips the primal adjoint chain where nothing reaches it (a piecewise-linear
-activation and no primal-output adjoint).
+while tangent states live on B*m rows; each code's m tangent rows are scaled
+by its one derivative row, in both sweeps. The reverse sweep sums the
+tangents' second-derivative terms per code before the primal adjoint
+products, and skips the primal adjoint chain where nothing reaches it (a
+piecewise-linear activation and no primal-output adjoint).
 """
 
 from __future__ import annotations
@@ -172,11 +172,10 @@ class DualTrace:
     derivative of layer k, one row per input (``dact[k]`` is ``None`` for
     an identity layer); tangent lists are present only when the tangent
     sweep ran and hold m rows per input, one per latent basis vector,
-    input-major (row ``b * m + k`` is ``J e_k`` at input b). ``tan_dact[k]``
-    is ``dact[k]`` repeated onto those rows (``None`` at an identity layer),
-    and ``tan_pre[k]``, the tangent pre-activation, is kept only where the
-    activation's second derivative, which the reverse sweep reads, is not
-    zero (tanh).
+    input-major (row ``b * m + k`` is ``J e_k`` at input b). Those rows read
+    the derivative of their input's row of ``dact[k]``; ``tan_pre[k]``, the
+    tangent pre-activation, is kept only where the activation's second
+    derivative, which the reverse sweep reads, is not zero (tanh).
     """
 
     x0: np.ndarray
@@ -184,7 +183,6 @@ class DualTrace:
     dact: list[np.ndarray | None]
     v0: np.ndarray | None = None
     tan_pre: list[np.ndarray | None] | None = None
-    tan_dact: list[np.ndarray | None] | None = None
     tan_out: list[np.ndarray] | None = None
 
     @property
@@ -275,51 +273,30 @@ def jvp(net: Mlp, z: np.ndarray) -> JvpResult:
     """Primal output and the Jacobian's columns ``J e_k`` at a (B, m) batch of codes.
 
     The latent basis is the block of m tangents per code; the primal runs
-    once per code and ``jv`` holds the B * m tangent rows, code-major.
+    once per code and ``jv`` holds the B * m tangent rows, code-major, so
+    ``jv.reshape(B, m, -1)`` is the (B, m, out) stack whose block p has the
+    rows ``J_p e_k``.
     """
     zb = _as_batch(z, net.in_dim)
     b, m = zb.shape
     vb = _basis(b, m)
     out, dacts = _primal(net, zb)
-    tan_pre, tan_dact, tan_out = [], [], []
+    tan_pre, tan_out = [], []
     tan = vb
     for layer, d in zip(net.layers, dacts):
         t = tan @ layer.weight.T
-        rep = None if d is None else np.repeat(d, m, axis=0)
         # only a second derivative reads the tangent pre-activation
         smooth = layer.activation not in PIECEWISE_LINEAR
-        if rep is None:
-            tan = t
-        else:
-            tan = t * rep if smooth else np.multiply(t, rep, out=t)
-        tan_pre.append(t if smooth else None)
-        tan_dact.append(rep)
-        tan_out.append(tan)
-    trace = DualTrace(zb, out, dacts, vb, tan_pre, tan_dact, tan_out)
-    return JvpResult(out[-1], tan, None, trace)
-
-
-def jacobians(net: Mlp, z: np.ndarray) -> np.ndarray:
-    """(B, out_dim, in_dim) Jacobian stack of a batch, one tape-free sweep of the basis block.
-
-    Each layer applies :func:`jvp`'s operations to the latent basis in the
-    same order, so the stack is bit-identical to its ``jv``, but no tape is
-    recorded: only the current layer's primal and tangent states are held. The result is a transposed view of the
-    contiguous (B, in_dim, out_dim) block whose row k of entry p is
-    ``J_p e_k``.
-    """
-    x = _as_batch(z, net.in_dim)
-    b, m = x.shape
-    tan = np.tile(np.eye(m), (b, 1))  # the basis block's B * m rows
-    for layer in net.layers:
-        x = x @ layer.weight.T
-        x += layer.bias
-        # rebinding x frees the pre-activation before the tangent product
-        x, d = _act_dact(layer.activation, x)
-        tan = tan @ layer.weight.T
+        tan = t
         if d is not None:
-            np.multiply(d[:, None, :], tan.reshape(b, m, -1), out=tan.reshape(b, m, -1))
-    return tan.reshape(b, m, -1).transpose(0, 2, 1)
+            # each code's m rows take its one derivative row
+            tan = np.empty_like(t) if smooth else t
+            shape = (b, m, t.shape[1])
+            np.multiply(t.reshape(shape), d[:, None, :], out=tan.reshape(shape))
+        tan_pre.append(t if smooth else None)
+        tan_out.append(tan)
+    trace = DualTrace(zb, out, dacts, vb, tan_pre, tan_out)
+    return JvpResult(out[-1], tan, None, trace)
 
 
 def gram(rows: np.ndarray) -> np.ndarray:
@@ -332,11 +309,11 @@ def gram(rows: np.ndarray) -> np.ndarray:
 
 
 def jacobian(net: Mlp, z: np.ndarray) -> np.ndarray:
-    """Full (out_dim, in_dim) Jacobian at a single point, column by column."""
+    """Full (out_dim, in_dim) Jacobian at a single point: :func:`jvp`'s rows, transposed."""
     zv = np.asarray(z, dtype=np.float64)
     if zv.ndim != 1 or zv.shape[0] != net.in_dim:
         raise ValueError(f"expected a single input of length {net.in_dim}")
-    return jacobians(net, zv[None, :])[0].copy()
+    return jvp(net, zv[None, :]).jv.T
 
 
 def _adjoint(g: np.ndarray, shape: tuple[int, int], what: str) -> np.ndarray:
@@ -389,18 +366,17 @@ def backward(
         own = k < last
         if tangent:
             # s_k = dact(a_k) * t_k ; t_k = s_{k-1} @ W_k^T
+            shape = (b, n, layer.weight.shape[0])
             ddact = _ddact(layer.activation, trace.out[k], d)
             if ddact is not None:
                 # second-derivative term of every tangent row, summed per input
-                width = d.shape[1]
                 g_a = (
-                    ddact[:, None, :]
-                    * trace.tan_pre[k].reshape(b, n, width)
-                    * g_s.reshape(b, n, width)
+                    ddact[:, None, :] * trace.tan_pre[k].reshape(shape) * g_s.reshape(shape)
                 ).sum(axis=1)
             g_t = g_s
             if d is not None:
-                g_t = np.multiply(trace.tan_dact[k], g_s, out=g_s if own else None)
+                rows = g_s.reshape(shape)  # each code's rows take its derivative row
+                g_t = np.multiply(rows, d[:, None, :], out=rows if own else None).reshape(g_s.shape)
             s_in = trace.v0 if k == 0 else trace.tan_out[k - 1]
             np.matmul(g_t.T, s_in, out=g_w)
             if k > 0:

@@ -79,10 +79,9 @@ def _probe_block(b: int, m: int, probes: np.ndarray) -> tuple[np.ndarray, np.nda
 def trace_moments(rows: np.ndarray, probes: np.ndarray | None = None):
     """Per-code moments ``(t1, t2)`` of the pullback metric, plus the tape.
 
-    ``rows`` is the (B, m, out) stack of the decoder's tangent rows along
-    the latent basis (one :func:`net.jvp`; the same rows as
-    :func:`net.jacobians`): the Jacobian's columns, whose Gram matrix is
-    ``G = J^T J``. ``probes`` is ``None`` for the exact moments or a
+    ``rows`` is the (B, m, out) stack of the decoder's tangent rows of
+    :func:`net.jvp` along the latent basis: the Jacobian's columns, whose
+    Gram matrix is ``G = J^T J``. ``probes`` is ``None`` for the exact moments or a
     (B, N, m) Rademacher block for the Monte-Carlo estimate. The probes
     enter only through the per-code matrix ``P = sum_i w_i v_i v_i^T``, so
     ``t1 = tr(G P) = sum_i w_i v_i^T G v_i`` and

@@ -7,6 +7,7 @@ per-criterion lines as they happen (pytest captures them otherwise).
 
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -20,7 +21,7 @@ from confae import data, geometry, linalg, net
 from confae import regularizers as reg
 
 from oracles import disc_grid, swiss_roll_jacobian
-from test_net import fd_input_jacobian, fd_param_grad, forward_point, rel_err, vjp
+from test_net import fd_input_jacobian, fd_param_grad, forward_point, jvp_rows, rel_err, vjp
 from test_regularizers import hutch_moments, value_of
 
 SEED = 42
@@ -218,11 +219,11 @@ def test_criterion_4_swiss_roll_oracle():
     for _ in range(100):
         z = np.array([rng.uniform(*data.XI_RANGE), rng.uniform(*data.ETA_RANGE)])
         dec = _linear_dec(swiss_roll_jacobian(z))
-        jacobians = net.jacobians(dec, z[None])
-        metric = geometry.pullback_metrics(jacobians)[0]
+        rows = jvp_rows(dec, z)
+        metric = net.gram(rows)[0]
         want = np.diag([1.0 + z[0] ** 2, 1.0])
         worst_metric = max(worst_metric, float(np.max(np.abs(metric - want))))
-        kjac, kpbm = geometry.kappa_field(jacobians)[0]
+        kjac, kpbm = geometry.kappa_field(rows)[0]
         worst_kappa = max(
             worst_kappa,
             abs(kjac - math.sqrt(1.0 + z[0] ** 2)) / math.sqrt(1.0 + z[0] ** 2),
@@ -270,7 +271,10 @@ def test_criterion_5_curvature_pipeline():
 
 def _cli(*argv):
     cmd = [sys.executable, "-m", "confae.cli", *argv]
-    proc = subprocess.run(cmd, capture_output=True, text=True)
+    # the child imports the package from this checkout, installed or not
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
     if proc.returncode != 0:
         raise AssertionError(
             f"CLI failed ({proc.returncode}): {' '.join(argv)}\n{proc.stdout}\n{proc.stderr}"

@@ -16,6 +16,8 @@ from hypothesis import strategies as st
 
 from confae import cli, geometry, net, training
 
+from test_net import jvp_rows
+
 
 def run_cli(*argv):
     return cli.main(list(argv))
@@ -109,6 +111,8 @@ CHECKPOINT_EDITS = {
     "config_not_object": ("config", [1]),
     "config_disagrees_with_manifest": ("config.activation", "tanh"),
     "architecture": ("config.dims", [3, 9, 2]),
+    # layers of 64 MB that the file's parameters cannot fill
+    "large_architecture": ("config.dims", [3, 2000, 2000, 2]),
     "bad_config": ("config.dims", "abc"),
     "unknown_config_key": ("config.detach_codes", False),
     "epoch_fraction": ("epoch", 1.9),
@@ -639,6 +643,21 @@ class TestTrain:
         assert f"{out / cli.CHECKPOINT_NAME} and manifest {path}" in err
         assert "differ in detach_codes" in err
 
+    def test_resume_reads_the_manifest_once(self, tmp_path, roll_csv, monkeypatch):
+        code, out = tiny_train(tmp_path, roll_csv)
+        assert code == 0
+        read = cli._read_manifest
+        paths = []
+
+        def counted(path):
+            paths.append(path)
+            return read(path)
+
+        monkeypatch.setattr(cli, "_read_manifest", counted)
+        code, _ = tiny_train(tmp_path, roll_csv, "run", "--epochs", "3", "--resume", str(out))
+        assert code == 0
+        assert paths == [out / cli.MANIFEST_NAME]
+
     def test_resume_refuses_other_data_before_parsing_it(self, tmp_path, roll_csv, capsys):
         code, out = tiny_train(tmp_path, roll_csv)
         assert code == 0
@@ -779,6 +798,25 @@ class TestDiagnose:
         if damage == "config_disagrees_with_manifest":
             assert f"{run / cli.MANIFEST_NAME} record different configs" in err
         assert not out.exists()
+
+    def test_large_architecture_is_refused_before_its_layers_are_built(
+        self, tmp_path, roll_csv, capsys
+    ):
+        code, run = tiny_train(tmp_path, roll_csv)
+        assert code == 0
+        ckpt = run / cli.CHECKPOINT_NAME
+        damage_checkpoint(ckpt, "large_architecture")
+        capsys.readouterr()
+        tracemalloc.start()
+        try:
+            code = self._diagnose(ckpt, roll_csv, tmp_path / "diag")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert f"malformed checkpoint {ckpt}" in capsys.readouterr().err
+        # the config's layers alone would take 64 MB
+        assert peak < 2**20, peak
 
     def test_missing_checkpoint_exits_1_naming_it(self, tmp_path, roll_csv, capsys):
         ckpt, out = tmp_path / "run" / cli.CHECKPOINT_NAME, tmp_path / "diag"
@@ -922,15 +960,15 @@ class TestJacobianBlocks:
         laps = []
         field, kappas = cli._conformal_and_kappa(dec, codes, laps.append)
         assert laps == ["jacobians", "conformal_kappa"] * 3
-        jacobians = net.jacobians(dec, codes)
-        want = geometry.conformal_field(codes, jacobians)
+        rows = jvp_rows(dec, codes)
+        want = geometry.conformal_field(codes, rows)
         np.testing.assert_allclose(field.values, want.values, rtol=1e-12, atol=0)
-        np.testing.assert_allclose(kappas, geometry.kappa_field(jacobians), rtol=1e-12, atol=0)
+        np.testing.assert_allclose(kappas, geometry.kappa_field(rows), rtol=1e-12, atol=0)
         assert np.array_equal(field.codes, codes)
 
     def test_memory_is_bounded(self):
-        # the whole stack of these codes, with its Gram and SVD transients,
-        # peaks near 9 MiB
+        # one block's JVP tape and its reductions peak at 2.55 MiB here; one
+        # tape of all these codes would peak near 18.7 MiB
         dec = net.init([2, 50, 50, 50, 3], ["relu"] * 3 + ["identity"], 29)
         codes = np.random.default_rng(30).normal(size=(4000, 2))
         tracemalloc.start()

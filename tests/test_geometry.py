@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from confae import data, geometry, net
 
 from oracles import disc_grid, swiss_roll_jacobian
+from test_net import jvp_rows
 
 
 def linear_dec(w):
@@ -21,14 +22,14 @@ def swiss_tangent_dec(xi=1.0):
 
 
 def metric_at(dec, z):
-    """Pullback metric at one code, from a one-row ``net.jacobians`` stack."""
-    return geometry.pullback_metrics(net.jacobians(dec, np.atleast_2d(z)))[0]
+    """Pullback metric at one code, the Gram matrix of its ``net.jvp`` tangent rows."""
+    return net.gram(jvp_rows(dec, z))[0]
 
 
 def factor_at(dec, z):
-    """Conformal factor at one code, from a one-row ``net.jacobians`` stack."""
+    """Conformal factor at one code, from its ``net.jvp`` tangent rows."""
     codes = np.atleast_2d(z)
-    return geometry.conformal_field(codes, net.jacobians(dec, codes)).values[0]
+    return geometry.conformal_field(codes, jvp_rows(dec, codes)).values[0]
 
 
 class TestPullbackMetric:
@@ -45,13 +46,13 @@ class TestPullbackMetric:
     def test_gram_is_psd(self, seed):
         dec = net.init([2, 6, 4], ["tanh", "identity"], seed)
         codes = np.random.default_rng(seed).normal(size=(3, 2))
-        vals = np.linalg.eigvalsh(geometry.pullback_metrics(net.jacobians(dec, codes)))
+        vals = np.linalg.eigvalsh(net.gram(jvp_rows(dec, codes)))
         assert np.all(vals >= -1e-10)
 
     def test_batch_matches_pointwise(self):
         dec = net.init([2, 5, 3], ["relu", "identity"], 1)
         codes = np.random.default_rng(2).normal(size=(6, 2))
-        stack = geometry.pullback_metrics(net.jacobians(dec, codes))
+        stack = net.gram(jvp_rows(dec, codes))
         for i, z in enumerate(codes):
             assert np.max(np.abs(stack[i] - metric_at(dec, z))) < 1e-12
 
@@ -365,7 +366,7 @@ class TestConditionNumbers:
         dec = linear_dec(np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]]))
         codes = np.random.default_rng(12).normal(size=(4, 2))
         assert geometry.condition_numbers(dec, codes[0]) == (math.inf, math.inf)
-        assert np.all(np.isposinf(geometry.kappa_field(net.jacobians(dec, codes))))
+        assert np.all(np.isposinf(geometry.kappa_field(jvp_rows(dec, codes))))
 
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     @example(599)  # J differs in its last bits at kappa_jac 7.7e3; the kappas by 1.2e-12
@@ -374,13 +375,13 @@ class TestConditionNumbers:
         rng = np.random.default_rng(seed)
         dec = net.init([2, 7, 5, 3], ["tanh", "leaky_relu", "identity"], seed)
         codes = rng.normal(size=(9, 2))
-        jacobians = net.jacobians(dec, codes)
-        batch = geometry.kappa_field(jacobians)
+        rows = jvp_rows(dec, codes)
+        batch = geometry.kappa_field(rows)
         eps = np.finfo(np.float64).eps
         for i, z in enumerate(codes):
             point = np.array(geometry.condition_numbers(dec, z))
             jac = net.jacobian(dec, z)
-            if np.array_equal(jacobians[i], jac):
+            if np.array_equal(rows[i].T, jac):
                 assert np.array_equal(batch[i], point)
                 continue
             # A one-row block may round J differently (another GEMM kernel).
@@ -388,7 +389,7 @@ class TestConditionNumbers:
             # (kappa_jac + 1) |E| / |J|, and kappa_pbm = kappa_jac^2 by twice
             # that; the SVD itself adds a relative kappa_jac * eps.
             sigma = np.linalg.svd(jac, compute_uv=False)
-            change = np.linalg.norm(jacobians[i] - jac, 2) / sigma[0]
+            change = np.linalg.norm(rows[i].T - jac, 2) / sigma[0]
             tol = 4 * (point[0] + 1) * (change + eps)
             gap = np.abs(batch[i] - point) / point
             assert gap[0] <= tol and gap[1] <= 2 * tol, (i, gap, tol)

@@ -34,6 +34,13 @@ def point_jvp(network, z):
     return res, res.jv.T
 
 
+def jvp_rows(network, codes):
+    """The (B, m, out) tangent rows of the basis JVP at ``codes`` (one code
+    may be given as a vector): row k of block p is ``J_p e_k``."""
+    codes = np.atleast_2d(codes)
+    return net.jvp(network, codes).jv.reshape(*codes.shape, -1)
+
+
 def forward_point(network, x):
     """The network's output at the single point ``x``."""
     return net.forward(network, x[None, :])[0]
@@ -113,7 +120,7 @@ class TestForward:
         with pytest.raises(ValueError):
             net.forward(n, np.zeros((1, 4)))
 
-    @pytest.mark.parametrize("entry", ["forward", "forward_tape", "jvp", "jacobians"])
+    @pytest.mark.parametrize("entry", ["forward", "forward_tape", "jvp"])
     def test_single_vector_is_refused(self, entry):
         n = seeded_net((3, 4, 2), ("tanh", "identity"), 0)
         with pytest.raises(ValueError, match=r"\(batch, 3\).*\(3,\)"):
@@ -267,18 +274,36 @@ class TestBlockTangents:
         trace = res.trace
         assert all(a.shape[0] == 5 for a in trace.out)
         assert all(a.shape[0] == 10 for a in trace.tan_out)
-        for layer, d, rep, t_pre, t_out in zip(
-            network.layers, trace.dact, trace.tan_dact, trace.tan_pre, trace.tan_out
+        for layer, d, t_pre, t_out in zip(
+            network.layers, trace.dact, trace.tan_pre, trace.tan_out
         ):
             # an identity layer forms no all-ones derivative
-            assert (d is None) == (rep is None) == (layer.activation == "identity")
+            assert (d is None) == (layer.activation == "identity")
             if d is not None:
                 assert d.shape == (5, t_out.shape[1])
-                assert np.array_equal(rep, np.repeat(d, 2, axis=0))
             # only tanh's second derivative reads the tangent pre-activation
             assert (t_pre is None) == (layer.activation != "tanh")
             if t_pre is not None:
-                assert np.array_equal(t_out, t_pre * rep)
+                assert np.array_equal(t_out, t_pre * np.repeat(d, 2, axis=0))
+
+    @pytest.mark.parametrize("act", BLOCK_ACTS)
+    def test_tape_holds_each_derivative_once_per_code(self, act):
+        # the tape is the inputs, the primal outputs, one derivative row per
+        # code and the tangent outputs, plus tanh's tangent pre-activations:
+        # no derivative is copied onto the tangent rows
+        network = seeded_net((2, 50, 50, 50, 3), (act,) * 3 + ("identity",), 29)
+        b, m = 40, 2
+        trace = net.jvp(network, np.random.default_rng(30).normal(size=(b, m))).trace
+        arrays = []
+        for value in vars(trace).values():
+            arrays += value if isinstance(value, list) else [value]
+        held = sum(a.nbytes for a in arrays if a is not None)
+        hidden = 150  # the identity output layer forms no derivative
+        inputs = b * m + b * m * m
+        primal = b * (hidden + 3)
+        derivatives = 0 if act == "identity" else b * hidden
+        tangents = b * m * (hidden + 3) + (b * m * hidden if act == "tanh" else 0)
+        assert held == 8 * (inputs + primal + derivatives + tangents)
 
     @pytest.mark.parametrize("adjoints", ["tan", "out+tan"])
     @pytest.mark.parametrize("act", BLOCK_ACTS)
@@ -366,37 +391,46 @@ class TestBlockTangents:
         net.backward(network, res.trace, out_grad=out_grad, tan_grad=tan_grad)
         assert np.array_equal(out_grad, kept[0]) and np.array_equal(tan_grad, kept[1])
 
+    @pytest.mark.parametrize("b,dims", [(6, (3, 10, 6, 4)), (4000, (2, 50, 50, 50, 3))])
+    @pytest.mark.parametrize("act", BLOCK_ACTS)
+    def test_tangent_bits_match_the_repeated_derivative(self, act, b, dims):
+        # scaling each code's rows by its one derivative row gives the bits
+        # of the out-of-place product with the derivative repeated per row
+        network = seeded_net(dims, (act,) * (len(dims) - 2) + ("identity",), 27)
+        z = np.random.default_rng(28).normal(size=(b, dims[0]))
+        m = dims[0]
+        x, want = z, np.tile(np.eye(m), (b, 1))
+        for layer in network.layers:
+            x, d = net._act_dact(layer.activation, x @ layer.weight.T + layer.bias)
+            want = want @ layer.weight.T
+            if d is not None:
+                want = want * np.repeat(d, m, axis=0)
+        res = net.jvp(network, z)
+        assert np.array_equal(res.y, x) and np.array_equal(res.jv, want)
+
     @pytest.mark.parametrize("act", BLOCK_ACTS)
     def test_jacobians_match_finite_differences(self, act):
         network = seeded_net((3, 10, 6, 4), (act, act, "identity"), 23)
         z = np.random.default_rng(24).normal(size=(6, 3)) + 0.05
-        stack = net.jacobians(network, z)
-        assert stack.shape == (6, 4, 3)
-        for zp, jp in zip(z, stack):
+        stack = jvp_rows(network, z)
+        assert stack.shape == (6, 3, 4)
+        for zp, rows in zip(z, stack):
             want = fd_input_jacobian(lambda x: forward_point(network, x), zp)
-            assert rel_err(jp, want) < 1e-5
-
-    @pytest.mark.parametrize("b,dims", [(6, (3, 10, 6, 4)), (4000, (2, 50, 50, 50, 3))])
-    @pytest.mark.parametrize("act", BLOCK_ACTS)
-    def test_jacobians_equal_the_basis_block_jvp(self, act, b, dims):
-        # the tape-free sweep and the recorded one give the same bits
-        network = seeded_net(dims, (act,) * (len(dims) - 2) + ("identity",), 27)
-        z = np.random.default_rng(28).normal(size=(b, dims[0]))
-        m = dims[0]
-        want = net.jvp(network, z).jv.reshape(b, m, -1).transpose(0, 2, 1)
-        assert np.array_equal(net.jacobians(network, z), want)
+            assert rel_err(rows.T, want) < 1e-5
 
     def test_jacobians_memory_is_bounded(self):
-        # a tape of this batch (the jvp of its basis block) peaks near 33 MB
+        # the Jacobians of this batch, read from one jvp, peak at 18.7 MiB; a
+        # tape that repeats each derivative onto the m tangent rows peaks
+        # near 27.9 MiB
         network = seeded_net((2, 50, 50, 50, 3), ("relu",) * 3 + ("identity",), 29)
         z = np.random.default_rng(30).normal(size=(4000, 2))
         tracemalloc.start()
         try:
-            net.jacobians(network, z)
+            net.jvp(network, z)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 12 * 2**20, peak
+        assert peak < 20 * 2**20, peak
 
 
 def _separate_act_dact(name, a):
@@ -437,7 +471,7 @@ def test_one_activation_pass_matches_the_separate_formulas(monkeypatch, act):
         res = net.jvp(network, z)
         g, g_x = net.backward(network, res.trace, out_grad=out_grad, tan_grad=tan_grad)
         states = tape.out + tape.dact + res.trace.tan_out
-        return [y, res.y, res.jv, net.jacobians(network, z), g.flat, g_x, *states]
+        return [y, res.y, res.jv, g.flat, g_x, *states]
 
     got = sweeps()
     monkeypatch.setattr(net, "_act_dact", _separate_act_dact)
