@@ -55,8 +55,8 @@ KAPPA_SUMMARY_NAME = "kappa_summary.json"
 # The entries of a kappa summary that ``compare`` tabulates.
 KAPPA_KEYS = ("kappa_jac_mean", "kappa_jac_std", "kappa_pbm_mean", "kappa_pbm_std")
 
-# Codes per block of diagnose's Jacobian stage: only one block's JVP tape is
-# held at a time.
+# Samples per block of diagnose's encode and Jacobian stage: only one block's
+# encoder outputs and JVP tape are held at a time.
 JACOBIAN_BLOCK = 512
 # Bytes per read when a file is hashed.
 HASH_BLOCK = 2**16
@@ -456,21 +456,27 @@ def _validation_split(args):
     return snapshot.enc, snapshot.dec, val.samples, args.regularizer or config.regularizer
 
 
-def _conformal_and_kappa(dec: net.Mlp, codes: np.ndarray, lap):
-    """The decoder's stretch field and (kappa_jac, kappa_pbm) rows at ``codes``.
+def _conformal_and_kappa(enc: net.Mlp, dec: net.Mlp, samples: np.ndarray, lap):
+    """The codes of ``samples``, the decoder's stretch field there and its
+    (kappa_jac, kappa_pbm) rows.
 
-    The Jacobians are taken ``JACOBIAN_BLOCK`` codes at a time, as the
-    tangent rows of one ``net.jvp``, and each block's rows are reduced to its
-    c and kappas before the next one, so memory does not grow with the codes
-    beyond those three numbers each. ``lap`` is called after each block's
-    ``jacobians`` and ``conformal_kappa`` stages.
+    The samples are taken ``JACOBIAN_BLOCK`` at a time: each block is encoded,
+    its Jacobians are the tangent rows of one ``net.jvp`` at its codes, and
+    they are reduced to its c and kappas before the next block. The encoder
+    and the JVP write into one set of block buffers that every block reuses,
+    so memory does not grow with the samples beyond each code, its c and its
+    kappas. ``lap`` is called after each block's ``encode``, ``jacobians``
+    and ``conformal_kappa`` stages.
     """
-    n = codes.shape[0]
-    values, kappas = np.empty(n), np.empty((n, 2))
+    n = samples.shape[0]
+    codes, values, kappas = np.empty((n, dec.in_dim)), np.empty(n), np.empty((n, 2))
+    buffers = {}
     for start in range(0, n, JACOBIAN_BLOCK):
         block = slice(start, start + JACOBIAN_BLOCK)
         z = codes[block]
-        rows = net.jvp(dec, z).jv.reshape(*z.shape, -1)
+        z[:] = net.forward(enc, samples[block], buffers)
+        lap("encode")
+        rows = net.jvp(dec, z, buffers).jv.reshape(*z.shape, -1)
         lap("jacobians")
         values[block] = geometry.conformal_factor(rows)
         kappas[block] = geometry.kappa_field(rows)
@@ -496,12 +502,11 @@ def cmd_diagnose(args) -> int:
     enc, dec, samples, regularizer = _validation_split(args)
     out = _out_dir(args.out)
     lap("read")
-    codes = net.forward(enc, samples)
-    lap("encode")
     try:
-        field, kappas = _conformal_and_kappa(dec, codes, lap)
+        field, kappas = _conformal_and_kappa(enc, dec, samples, lap)
     except ValueError as exc:
         raise _runtime(str(exc))
+    codes = field.codes
 
     curv = None
     if codes.shape[1] == 2:

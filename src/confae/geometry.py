@@ -8,9 +8,9 @@ The kNN search is exact and tiled: each code is searched among the codes
 near its tile of a grid, and only rows that check cannot prove exact are
 searched against all codes. It returns the neighbors a full distance row
 would, ties included, and the graph is an edge list, so memory is O(n k)
-plus distance blocks of at most ``_GRAPH_CHUNK`` = 2^16 entries (512 KiB).
-Each row is searched on its own, so the block size does not change the
-graph.
+plus a distance block of at most ``_GRAPH_CHUNK`` = 2^16 entries (512 KiB)
+and one coordinate's terms, two arrays that every block is built in. Each
+row is searched on its own, so the block size does not change the graph.
 
 The raw graph Laplacian ``L = D - W`` only approximates the continuous
 Laplacian up to a node-dependent negative scale, so curvature comes in three
@@ -114,15 +114,20 @@ def conformal_field(codes: np.ndarray, rows: np.ndarray) -> ConformalField:
     return ConformalField(codes=codes, values=conformal_factor(rows))
 
 
-def _sq_dists(queries: np.ndarray, codes: np.ndarray) -> np.ndarray:
+def _sq_dists(queries: np.ndarray, codes: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """Squared distances, summed coordinate by coordinate.
 
     That is the order numpy's ``sum(axis=-1)`` uses for fewer than 8
     coordinates, so the values match a dense ``((a - b) ** 2).sum(-1)``.
+    The block is built in place in the leading entries of ``scratch[0]``,
+    with ``scratch[1]`` holding one coordinate's terms, and returned as a
+    view there.
     """
-    d2 = (queries[:, 0, None] - codes[None, :, 0]) ** 2
+    shape = (queries.shape[0], codes.shape[0])
+    d2, term = (row[: shape[0] * shape[1]].reshape(shape) for row in scratch)
+    np.square(np.subtract(queries[:, 0, None], codes[None, :, 0], out=d2), out=d2)
     for col in range(1, codes.shape[1]):
-        d2 += (queries[:, col, None] - codes[None, :, col]) ** 2
+        d2 += np.square(np.subtract(queries[:, col, None], codes[None, :, col], out=term), out=term)
     return d2
 
 
@@ -160,9 +165,11 @@ def _nearest(codes: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     rounding is monotone, so every code outside that face then computes to a
     strictly larger distance, and none can be nearer or tie. The other rows
     are searched against all codes. No distance block holds more than
-    ``_GRAPH_CHUNK`` entries.
+    ``_GRAPH_CHUNK`` entries, or one row when there are more codes, and
+    every block is built in the same two arrays.
     """
     n, m = codes.shape
+    scratch = np.empty((2, max(_GRAPH_CHUNK, n)))
     nbr_idx = np.empty((n, k), dtype=np.int64)
     nbr_d2 = np.empty((n, k))
     grid = codes[:, : min(m, 2)]
@@ -187,7 +194,7 @@ def _nearest(codes: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         step = max(1, _GRAPH_CHUNK // cand.size)
         for s in range(0, members.size, step):
             queries = members[s : s + step]
-            d2 = _sq_dists(codes[queries], codes[cand])
+            d2 = _sq_dists(codes[queries], codes[cand], scratch)
             d2[np.arange(queries.size), np.searchsorted(cand, queries)] = np.inf
             idx, near = _smallest(d2, cand, k)
             nbr_idx[queries] = idx
@@ -205,7 +212,7 @@ def _nearest(codes: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     chunk = max(1, _GRAPH_CHUNK // n)
     for s in range(0, redo.size, chunk):
         queries = redo[s : s + chunk]
-        d2 = _sq_dists(codes[queries], codes)
+        d2 = _sq_dists(codes[queries], codes, scratch)
         d2[np.arange(queries.size), queries] = np.inf  # no self loops
         nbr_idx[queries], nbr_d2[queries] = _smallest(d2, everyone, k)
     return nbr_idx, nbr_d2

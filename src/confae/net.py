@@ -37,6 +37,12 @@ by its one derivative row, in both sweeps. The reverse sweep sums the
 tangents' second-derivative terms per code before the primal adjoint
 products, and skips the primal adjoint chain where nothing reaches it (a
 piecewise-linear activation and no primal-output adjoint).
+
+:func:`forward` and :func:`jvp` take an optional ``buffers`` dict. A loop
+over blocks of inputs that passes the same dict to every call gets each
+array written into the leading rows of an array held there, with the bits
+of a call without it, so the blocks after the first allocate no layer
+arrays. Without it each call allocates its own, as training's calls do.
 """
 
 from __future__ import annotations
@@ -81,6 +87,32 @@ def _act_dact(name: str, a: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     if name == "tanh":
         return out, 1.0 - out * out
     return out, None  # identity
+
+
+def _act_inplace(
+    name: str, a: np.ndarray, dact: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """The activation written over ``a`` and, given ``dact``, an array shaped
+    like ``a``, its derivative written there; the bits of :func:`_act` and
+    :func:`_act_dact`. Returns ``a`` and ``dact`` (None for identity)."""
+    if name == "relu":
+        if dact is not None:
+            np.greater(a, 0.0, out=dact)
+        np.maximum(a, 0.0, out=a)
+    elif name == "leaky_relu":
+        if dact is not None:
+            dact.fill(LEAKY_SLOPE)
+            np.copyto(dact, 1.0, where=a > 0.0)
+        np.multiply(a, LEAKY_SLOPE, out=a, where=a <= 0.0)
+    elif name == "tanh":
+        np.tanh(a, out=a)
+        if dact is not None:
+            np.subtract(1.0, np.multiply(a, a, out=dact), out=dact)
+    elif name == "identity":
+        dact = None
+    else:
+        raise ValueError(f"unknown activation {name!r}")
+    return a, dact
 
 
 def _ddact(name: str, out: np.ndarray, dact: np.ndarray | None) -> np.ndarray | None:
@@ -228,23 +260,51 @@ def _as_batch(x: np.ndarray, dim: int) -> np.ndarray:
     return a
 
 
-def forward(net: Mlp, x: np.ndarray) -> np.ndarray:
-    """Evaluate the network on a (B, in_dim) batch."""
+def _slot(buffers: dict | None, key: tuple, rows: int, cols: int) -> np.ndarray | None:
+    """The leading ``rows`` of the reused (capacity, cols) array ``buffers[key]``,
+    replaced by a larger one when it has fewer rows; None without ``buffers``.
+
+    Keys hold the width, so a network of other widths takes arrays of its own.
+    """
+    if buffers is None:
+        return None
+    key += (cols,)
+    buf = buffers.get(key)
+    if buf is None or buf.shape[0] < rows:
+        buf = buffers[key] = np.empty((rows, cols))
+    return buf[:rows]
+
+
+def forward(net: Mlp, x: np.ndarray, buffers: dict | None = None) -> np.ndarray:
+    """Evaluate the network on a (B, in_dim) batch.
+
+    With ``buffers`` (see :func:`jvp`) each layer's output is written into
+    the leading rows of an array held there, so the result is a view that
+    the next call with the same ``buffers`` overwrites.
+    """
     a = _as_batch(x, net.in_dim)
-    for layer in net.layers:
-        a = a @ layer.weight.T
+    for k, layer in enumerate(net.layers):
+        out = _slot(buffers, ("out", k), a.shape[0], layer.weight.shape[0])
+        a = a @ layer.weight.T if out is None else np.matmul(a, layer.weight.T, out=out)
         a += layer.bias
-        a = _act(layer.activation, a)
+        a = _act(layer.activation, a) if out is None else _act_inplace(layer.activation, a)[0]
     return a
 
 
-def _primal(net: Mlp, xb: np.ndarray):
+def _primal(net: Mlp, xb: np.ndarray, buffers: dict | None = None):
     out, dact = [], []
     cur = xb
-    for layer in net.layers:
-        a = cur @ layer.weight.T
+    b = xb.shape[0]
+    for k, layer in enumerate(net.layers):
+        width = layer.weight.shape[0]
+        out_k = _slot(buffers, ("out", k), b, width)
+        a = cur @ layer.weight.T if out_k is None else np.matmul(cur, layer.weight.T, out=out_k)
         a += layer.bias
-        cur, d = _act_dact(layer.activation, a)
+        if out_k is None:
+            cur, d = _act_dact(layer.activation, a)
+        else:
+            d = None if layer.activation == "identity" else _slot(buffers, ("dact", k), b, width)
+            cur, d = _act_inplace(layer.activation, a, d)
         out.append(cur)
         dact.append(d)
     return out, dact
@@ -269,28 +329,42 @@ def _basis(b: int, m: int) -> np.ndarray:
     return vb
 
 
-def jvp(net: Mlp, z: np.ndarray) -> JvpResult:
+def jvp(net: Mlp, z: np.ndarray, buffers: dict | None = None) -> JvpResult:
     """Primal output and the Jacobian's columns ``J e_k`` at a (B, m) batch of codes.
 
     The latent basis is the block of m tangents per code; the primal runs
     once per code and ``jv`` holds the B * m tangent rows, code-major, so
     ``jv.reshape(B, m, -1)`` is the (B, m, out) stack whose block p has the
     rows ``J_p e_k``.
+
+    ``buffers``, a dict that starts empty, lets a loop over blocks of codes
+    reuse one set of arrays: every array of the result and its tape is then
+    the leading rows of an array held there, with the bits of a call
+    without ``buffers``, and the next call with the same ``buffers``
+    overwrites it. :func:`forward` may share them; ``z`` must not be a view
+    of them.
     """
     zb = _as_batch(z, net.in_dim)
     b, m = zb.shape
     vb = _basis(b, m)
-    out, dacts = _primal(net, zb)
+    out, dacts = _primal(net, zb, buffers)
     tan_pre, tan_out = [], []
     tan = vb
-    for layer, d in zip(net.layers, dacts):
-        t = tan @ layer.weight.T
+    for k, (layer, d) in enumerate(zip(net.layers, dacts)):
+        width = layer.weight.shape[0]
+        t_pre = _slot(buffers, ("tan_pre", k), b * m, width)
+        t = tan @ layer.weight.T if t_pre is None else np.matmul(tan, layer.weight.T, out=t_pre)
         # only a second derivative reads the tangent pre-activation
         smooth = layer.activation not in PIECEWISE_LINEAR
         tan = t
         if d is not None:
             # each code's m rows take its one derivative row
-            tan = np.empty_like(t) if smooth else t
+            if smooth:
+                tan = (
+                    np.empty_like(t)
+                    if buffers is None
+                    else _slot(buffers, ("tan_out", k), b * m, width)
+                )
             shape = (b, m, t.shape[1])
             np.multiply(t.reshape(shape), d[:, None, :], out=tan.reshape(shape))
         tan_pre.append(t if smooth else None)

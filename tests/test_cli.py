@@ -954,30 +954,55 @@ class TestDiagnose:
 class TestJacobianBlocks:
     @pytest.mark.parametrize("act", ["relu", "leaky_relu", "tanh", "identity"])
     def test_blocks_match_the_whole_stack(self, act):
-        dec = net.init([2, 50, 50, 50, 3], [act] * 3 + ["identity"], 31)
+        acts = [act] * 3 + ["identity"]
+        enc = net.init([3, 50, 50, 50, 2], acts, 33)
+        dec = net.init([2, 50, 50, 50, 3], acts, 31)
         # two whole blocks and a short last one
-        codes = np.random.default_rng(32).normal(size=(2 * cli.JACOBIAN_BLOCK + 37, 2))
+        samples = np.random.default_rng(32).normal(size=(2 * cli.JACOBIAN_BLOCK + 37, 3))
         laps = []
-        field, kappas = cli._conformal_and_kappa(dec, codes, laps.append)
-        assert laps == ["jacobians", "conformal_kappa"] * 3
-        rows = jvp_rows(dec, codes)
-        want = geometry.conformal_field(codes, rows)
+        field, kappas = cli._conformal_and_kappa(enc, dec, samples, laps.append)
+        assert laps == ["encode", "jacobians", "conformal_kappa"] * 3
+        # each block's codes are its own encode's bits; a whole-batch encode
+        # rounds its products differently, by a few ulps
+        for start in range(0, len(samples), cli.JACOBIAN_BLOCK):
+            block = slice(start, start + cli.JACOBIAN_BLOCK)
+            assert np.array_equal(field.codes[block], net.forward(enc, samples[block]))
+        np.testing.assert_allclose(field.codes, net.forward(enc, samples), rtol=1e-12, atol=1e-14)
+        rows = jvp_rows(dec, field.codes)
+        want = geometry.conformal_field(field.codes, rows)
         np.testing.assert_allclose(field.values, want.values, rtol=1e-12, atol=0)
         np.testing.assert_allclose(kappas, geometry.kappa_field(rows), rtol=1e-12, atol=0)
-        assert np.array_equal(field.codes, codes)
 
     def test_memory_is_bounded(self):
-        # one block's JVP tape and its reductions peak at 2.55 MiB here; one
-        # tape of all these codes would peak near 18.7 MiB
-        dec = net.init([2, 50, 50, 50, 3], ["relu"] * 3 + ["identity"], 29)
-        codes = np.random.default_rng(30).normal(size=(4000, 2))
+        # one block's encoder outputs and JVP tape, in buffers every block
+        # reuses, and their reductions peak at 2.64 MiB here; one tape of all
+        # these codes would peak near 18.7 MiB
+        acts = ["relu"] * 3 + ["identity"]
+        enc = net.init([3, 50, 50, 50, 2], acts, 28)
+        dec = net.init([2, 50, 50, 50, 3], acts, 29)
+        samples = np.random.default_rng(30).normal(size=(4000, 3))
         tracemalloc.start()
         try:
-            cli._conformal_and_kappa(dec, codes, lambda stage: None)
+            cli._conformal_and_kappa(enc, dec, samples, lambda stage: None)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 3 * 2**20, peak
+
+    @pytest.mark.parametrize("n", [4000, 16000])
+    def test_encode_and_jacobians_do_not_grow_with_the_samples(self, n):
+        # the default networks peak at 2.61 MiB for 4000 samples and 3.25 MiB
+        # for 16000, of which 56 bytes per sample are its code, c, kappas and
+        # normalized c; encoding all samples at once peaks at 3.05 and 12.2 MiB
+        enc, dec = training.init_networks(training.RunConfig())
+        samples = np.random.default_rng(35).normal(size=(n, 3))
+        tracemalloc.start()
+        try:
+            cli._conformal_and_kappa(enc, dec, samples, lambda stage: None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, peak
 
 
 class TestPlot:

@@ -433,6 +433,47 @@ class TestBlockTangents:
         assert peak < 20 * 2**20, peak
 
 
+def _tape_arrays(res):
+    """Every array of a JVP result and its tape, in a fixed order (None kept)."""
+    t = res.trace
+    return [res.y, res.jv, t.x0, t.v0, *t.out, *t.dact, *t.tan_pre, *t.tan_out]
+
+
+@pytest.mark.parametrize("act", BLOCK_ACTS)
+def test_buffers_give_the_bits_of_the_buffer_free_calls(act):
+    # diagnose's loop: encode a block, then the decoder's JVP at its codes,
+    # over two whole blocks and a short last one, all on one set of buffers
+    acts = (act,) * 3 + ("identity",)
+    enc = seeded_net((3, 50, 50, 50, 2), acts, 40)
+    dec = seeded_net((2, 50, 50, 50, 3), acts, 41)
+    block = cli.JACOBIAN_BLOCK
+    x = np.random.default_rng(42).normal(size=(2 * block + 37, 3))
+    buffers, held = {}, None
+    for start in range(0, len(x), block):
+        if held is not None:
+            # a stale entry would show up as NaN in the next block's results
+            for buf in buffers.values():
+                buf.fill(np.nan)
+        xb = x[start : start + block]
+        codes = net.forward(enc, xb, buffers)
+        assert np.array_equal(codes, net.forward(enc, xb))
+        assert any(np.shares_memory(codes, buf) for buf in buffers.values())
+        z = codes.copy()
+        got = net.jvp(dec, z, buffers)
+        want = net.jvp(dec, z)
+        got_arrays, want_arrays = _tape_arrays(got), _tape_arrays(want)
+        assert [a is None for a in got_arrays] == [a is None for a in want_arrays]
+        for g, w in zip(got_arrays, want_arrays):
+            assert g is None or (g.shape == w.shape and np.array_equal(g, w))
+        # every array the sweep forms is the leading rows of a held buffer
+        formed = [a for a in got_arrays[:2] + got_arrays[4:] if a is not None]
+        assert all(any(np.shares_memory(a, buf) for buf in buffers.values()) for a in formed)
+        # and the blocks after the first allocate none
+        ids = {key: id(buf) for key, buf in buffers.items()}
+        assert held is None or ids == held
+        held = ids
+
+
 def _separate_act_dact(name, a):
     """The activation and its derivative from separate formulas, tanh evaluated twice."""
     if name == "relu":
