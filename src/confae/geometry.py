@@ -165,11 +165,12 @@ def _nearest(codes: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     rounding is monotone, so every code outside that face then computes to a
     strictly larger distance, and none can be nearer or tie. The other rows
     are searched against all codes. No distance block holds more than
-    ``_GRAPH_CHUNK`` entries, or one row when there are more codes, and
-    every block is built in the same two arrays.
+    ``_GRAPH_CHUNK`` entries, or one row when there are more candidates, and
+    every block is built in the same two arrays. They hold ``_GRAPH_CHUNK``
+    entries (fewer for fewer than 256 codes) and grow only for such a row.
     """
     n, m = codes.shape
-    scratch = np.empty((2, max(_GRAPH_CHUNK, n)))
+    scratch = np.empty((2, min(_GRAPH_CHUNK, n * n)))
     nbr_idx = np.empty((n, k), dtype=np.int64)
     nbr_d2 = np.empty((n, k))
     grid = codes[:, : min(m, 2)]
@@ -191,6 +192,8 @@ def _nearest(codes: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         if cand.size <= k:
             redo.append(members)
             continue
+        if cand.size > scratch.shape[1]:
+            scratch = np.empty((2, cand.size))
         step = max(1, _GRAPH_CHUNK // cand.size)
         for s in range(0, members.size, step):
             queries = members[s : s + step]
@@ -209,6 +212,8 @@ def _nearest(codes: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
 
     redo = np.concatenate(redo) if redo else np.empty(0, dtype=np.int64)
     everyone = np.arange(n)
+    if redo.size and n > scratch.shape[1]:
+        scratch = np.empty((2, n))
     chunk = max(1, _GRAPH_CHUNK // n)
     for s in range(0, redo.size, chunk):
         queries = redo[s : s + chunk]

@@ -42,7 +42,9 @@ piecewise-linear activation and no primal-output adjoint).
 over blocks of inputs that passes the same dict to every call gets each
 array written into the leading rows of an array held there, with the bits
 of a call without it, so the blocks after the first allocate no layer
-arrays. Without it each call allocates its own, as training's calls do.
+arrays. Without it each call allocates its own arrays, as training's
+calls do. Every layer writes its product into its output array and applies
+its activation there, so the pre-activation is not kept.
 """
 
 from __future__ import annotations
@@ -59,42 +61,16 @@ PIECEWISE_LINEAR = ("relu", "leaky_relu", "identity")
 LEAKY_SLOPE = 0.01
 
 
-def _act(name: str, a: np.ndarray) -> np.ndarray:
-    if name == "relu":
-        return np.maximum(a, 0.0)
-    if name == "leaky_relu":
-        return np.where(a > 0.0, a, LEAKY_SLOPE * a)
-    if name == "tanh":
-        return np.tanh(a)
-    if name == "identity":
-        return a
-    raise ValueError(f"unknown activation {name!r}")
-
-
-def _act_dact(name: str, a: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """The activation at ``a`` and its derivative w.r.t. ``a``; tanh is evaluated once.
-
-    The ReLU kink at 0 uses the zero-side subgradient, and ReLU overwrites
-    ``a`` with its output once the mask is taken. An identity layer returns
-    ``a`` itself and ``None`` for its all-ones derivative.
-    """
-    if name == "relu":
-        mask = (a > 0.0).astype(np.float64)
-        return np.maximum(a, 0.0, out=a), mask
-    out = _act(name, a)
-    if name == "leaky_relu":
-        return out, np.where(a > 0.0, 1.0, LEAKY_SLOPE)
-    if name == "tanh":
-        return out, 1.0 - out * out
-    return out, None  # identity
-
-
 def _act_inplace(
     name: str, a: np.ndarray, dact: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """The activation written over ``a`` and, given ``dact``, an array shaped
-    like ``a``, its derivative written there; the bits of :func:`_act` and
-    :func:`_act_dact`. Returns ``a`` and ``dact`` (None for identity)."""
+    """The activation written over the pre-activation ``a`` and, given
+    ``dact``, an array shaped like ``a``, its derivative written there.
+
+    tanh is evaluated once, and the ReLU kink at 0 uses the zero-side
+    subgradient. Returns ``a`` and ``dact``; an identity layer leaves ``a``
+    as it is and returns ``None`` for its all-ones derivative.
+    """
     if name == "relu":
         if dact is not None:
             np.greater(a, 0.0, out=dact)
@@ -260,14 +236,15 @@ def _as_batch(x: np.ndarray, dim: int) -> np.ndarray:
     return a
 
 
-def _slot(buffers: dict | None, key: tuple, rows: int, cols: int) -> np.ndarray | None:
+def _slot(buffers: dict | None, key: tuple, rows: int, cols: int) -> np.ndarray:
     """The leading ``rows`` of the reused (capacity, cols) array ``buffers[key]``,
-    replaced by a larger one when it has fewer rows; None without ``buffers``.
+    replaced by a larger one when it has fewer rows; a new array without
+    ``buffers``.
 
     Keys hold the width, so a network of other widths takes arrays of its own.
     """
     if buffers is None:
-        return None
+        return np.empty((rows, cols))
     key += (cols,)
     buf = buffers.get(key)
     if buf is None or buf.shape[0] < rows:
@@ -283,11 +260,11 @@ def forward(net: Mlp, x: np.ndarray, buffers: dict | None = None) -> np.ndarray:
     the next call with the same ``buffers`` overwrites.
     """
     a = _as_batch(x, net.in_dim)
+    b = a.shape[0]
     for k, layer in enumerate(net.layers):
-        out = _slot(buffers, ("out", k), a.shape[0], layer.weight.shape[0])
-        a = a @ layer.weight.T if out is None else np.matmul(a, layer.weight.T, out=out)
+        a = np.matmul(a, layer.weight.T, out=_slot(buffers, ("out", k), b, layer.weight.shape[0]))
         a += layer.bias
-        a = _act(layer.activation, a) if out is None else _act_inplace(layer.activation, a)[0]
+        _act_inplace(layer.activation, a)
     return a
 
 
@@ -297,14 +274,10 @@ def _primal(net: Mlp, xb: np.ndarray, buffers: dict | None = None):
     b = xb.shape[0]
     for k, layer in enumerate(net.layers):
         width = layer.weight.shape[0]
-        out_k = _slot(buffers, ("out", k), b, width)
-        a = cur @ layer.weight.T if out_k is None else np.matmul(cur, layer.weight.T, out=out_k)
+        a = np.matmul(cur, layer.weight.T, out=_slot(buffers, ("out", k), b, width))
         a += layer.bias
-        if out_k is None:
-            cur, d = _act_dact(layer.activation, a)
-        else:
-            d = None if layer.activation == "identity" else _slot(buffers, ("dact", k), b, width)
-            cur, d = _act_inplace(layer.activation, a, d)
+        d = None if layer.activation == "identity" else _slot(buffers, ("dact", k), b, width)
+        cur, d = _act_inplace(layer.activation, a, d)
         out.append(cur)
         dact.append(d)
     return out, dact
@@ -352,19 +325,14 @@ def jvp(net: Mlp, z: np.ndarray, buffers: dict | None = None) -> JvpResult:
     tan = vb
     for k, (layer, d) in enumerate(zip(net.layers, dacts)):
         width = layer.weight.shape[0]
-        t_pre = _slot(buffers, ("tan_pre", k), b * m, width)
-        t = tan @ layer.weight.T if t_pre is None else np.matmul(tan, layer.weight.T, out=t_pre)
+        t = np.matmul(tan, layer.weight.T, out=_slot(buffers, ("tan_pre", k), b * m, width))
         # only a second derivative reads the tangent pre-activation
         smooth = layer.activation not in PIECEWISE_LINEAR
         tan = t
         if d is not None:
             # each code's m rows take its one derivative row
             if smooth:
-                tan = (
-                    np.empty_like(t)
-                    if buffers is None
-                    else _slot(buffers, ("tan_out", k), b * m, width)
-                )
+                tan = _slot(buffers, ("tan_out", k), b * m, width)
             shape = (b, m, t.shape[1])
             np.multiply(t.reshape(shape), d[:, None, :], out=tan.reshape(shape))
         tan_pre.append(t if smooth else None)

@@ -991,7 +991,7 @@ class TestJacobianBlocks:
 
     @pytest.mark.parametrize("n", [4000, 16000])
     def test_encode_and_jacobians_do_not_grow_with_the_samples(self, n):
-        # the default networks peak at 2.61 MiB for 4000 samples and 3.25 MiB
+        # the default networks peak at 2.64 MiB for 4000 samples and 3.25 MiB
         # for 16000, of which 56 bytes per sample are its code, c, kappas and
         # normalized c; encoding all samples at once peaks at 3.05 and 12.2 MiB
         enc, dec = training.init_networks(training.RunConfig())

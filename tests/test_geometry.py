@@ -251,6 +251,40 @@ class TestBuildGraph:
             tracemalloc.stop()
         assert peak < 64 * 2**20, peak
 
+    @pytest.mark.parametrize("outlier", [False, True])
+    def test_distance_blocks_share_one_scratch(self, monkeypatch, outlier):
+        # With blocks capped below n, well-spread codes form no block of a
+        # whole row, so the two arrays every block is built in keep the
+        # cap's size and do not grow with n. A lone outlier is searched
+        # against all codes, and only then do they grow, to one row.
+        codes = np.random.default_rng(23).uniform(size=(3000, 2))
+        if outlier:
+            codes = np.vstack([codes, [[1.5, 1.5]]])
+        want = geometry.build_graph(codes, k=10)
+        chunk = 2**10
+        monkeypatch.setattr(geometry, "_GRAPH_CHUNK", chunk)
+        sizes, held = [], []
+        real = geometry._sq_dists
+
+        def spy(queries, cand, scratch):
+            d2 = real(queries, cand, scratch)
+            assert np.shares_memory(d2, scratch)
+            sizes.append(d2.size)
+            if not held or held[-1] is not scratch:
+                held.append(scratch)
+            return d2
+
+        monkeypatch.setattr(geometry, "_sq_dists", spy)
+        got = geometry.build_graph(codes, k=10)
+        if outlier:
+            assert [a.shape[1] for a in held] == [chunk, len(codes)]
+            assert max(sizes) == len(codes)
+        else:
+            assert [a.shape[1] for a in held] == [chunk]
+            assert max(sizes) <= chunk
+        for name in ("edge_rows", "edge_cols", "edge_weights"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+
     def test_edge_merge_memory_is_bounded(self):
         # the search peaks at about 8 words per directed edge; the merge of
         # both orientations must stay below 10 (it took 13 while it held

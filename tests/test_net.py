@@ -17,6 +17,31 @@ def rel_err(a, b):
     return np.linalg.norm(a - b) / denom
 
 
+def _act(name, a):
+    """The reference activation, out of place."""
+    if name == "relu":
+        return np.maximum(a, 0.0)
+    if name == "leaky_relu":
+        return np.where(a > 0.0, a, net.LEAKY_SLOPE * a)
+    if name == "tanh":
+        return np.tanh(a)
+    return a  # identity
+
+
+def _separate_act_dact(name, a):
+    """The activation and its derivative from separate formulas, tanh evaluated twice."""
+    if name == "relu":
+        d = (a > 0.0).astype(np.float64)
+    elif name == "leaky_relu":
+        d = np.where(a > 0.0, 1.0, net.LEAKY_SLOPE)
+    elif name == "tanh":
+        t = np.tanh(a)
+        d = 1.0 - t * t
+    else:
+        d = None  # identity: no all-ones derivative is formed
+    return _act(name, a), d
+
+
 def seeded_net(dims, activations, seed):
     return net.init(list(dims), list(activations), seed)
 
@@ -141,7 +166,7 @@ class TestForward:
         x = np.random.default_rng(37).normal(size=(11, 3))
         want = x
         for layer in n.layers:
-            want = net._act(layer.activation, want @ layer.weight.T + layer.bias)
+            want = _act(layer.activation, want @ layer.weight.T + layer.bias)
         assert np.array_equal(net.forward(n, x), want)
 
     @given(
@@ -401,7 +426,7 @@ class TestBlockTangents:
         m = dims[0]
         x, want = z, np.tile(np.eye(m), (b, 1))
         for layer in network.layers:
-            x, d = net._act_dact(layer.activation, x @ layer.weight.T + layer.bias)
+            x, d = _separate_act_dact(layer.activation, x @ layer.weight.T + layer.bias)
             want = want @ layer.weight.T
             if d is not None:
                 want = want * np.repeat(d, m, axis=0)
@@ -474,24 +499,21 @@ def test_buffers_give_the_bits_of_the_buffer_free_calls(act):
         held = ids
 
 
-def _separate_act_dact(name, a):
-    """The activation and its derivative from separate formulas, tanh evaluated twice."""
-    if name == "relu":
-        d = (a > 0.0).astype(np.float64)
-    elif name == "leaky_relu":
-        d = np.where(a > 0.0, 1.0, net.LEAKY_SLOPE)
-    elif name == "tanh":
-        t = np.tanh(a)
-        d = 1.0 - t * t
-    else:
-        d = None  # identity: no all-ones derivative is formed
-    return net._act(name, a), d
+def _separate_act_inplace(name, a, dact=None):
+    """:func:`net._act_inplace` from the separate out-of-place formulas."""
+    out, d = _separate_act_dact(name, a)
+    if d is None:
+        return a, None
+    if dact is not None:
+        dact[...] = d
+    a[...] = out
+    return a, dact
 
 
 @pytest.mark.parametrize("act", BLOCK_ACTS)
 def test_second_derivative_bits_match_the_pre_activation_formula(act):
     a = np.random.default_rng(38).normal(scale=2.0, size=(7, 5))
-    out, dact = net._act_dact(act, a)
+    out, dact = net._act_inplace(act, a.copy(), np.empty_like(a))
     got = net._ddact(act, out, dact)
     if act == "tanh":
         t = np.tanh(a)
@@ -512,10 +534,10 @@ def test_one_activation_pass_matches_the_separate_formulas(monkeypatch, act):
         res = net.jvp(network, z)
         g, g_x = net.backward(network, res.trace, out_grad=out_grad, tan_grad=tan_grad)
         states = tape.out + tape.dact + res.trace.tan_out
-        return [y, res.y, res.jv, g.flat, g_x, *states]
+        return [net.forward(network, z), y, res.y, res.jv, g.flat, g_x, *states]
 
     got = sweeps()
-    monkeypatch.setattr(net, "_act_dact", _separate_act_dact)
+    monkeypatch.setattr(net, "_act_inplace", _separate_act_inplace)
     want = sweeps()
     assert len(got) == len(want)
     assert all(
