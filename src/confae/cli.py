@@ -113,8 +113,8 @@ def _out_dir(path: str) -> Path:
     return out
 
 
-def _load_dataset(path: Path) -> data.Dataset:
-    """The standardized dataset parsed from ``path``; exit 2 if it is malformed."""
+def _load_dataset(path: Path) -> np.ndarray:
+    """The standardized (n, 3) samples parsed from ``path``; exit 2 if it is malformed."""
     try:
         return data.standardize(data.from_csv(path))
     except ValueError as exc:
@@ -172,18 +172,18 @@ def cmd_generate(args) -> int:
         raise _validation(f"--n must be at least 2, got {args.n}")
     if args.seed < 0:
         raise _validation(f"--seed must be nonnegative, got {args.seed}")
-    ds = data.swiss_roll(args.n, seed=args.seed)
+    samples, params = data.swiss_roll(args.n, seed=args.seed)
     if args.standardize:
-        ds = data.standardize(ds)
+        samples = data.standardize(samples)
     out = Path(args.out)
     try:
         out.parent.mkdir(parents=True, exist_ok=True)
-        data.to_csv(ds, out)
+        data.to_csv((samples, params), out)
     except OSError as exc:
         raise _runtime(f"cannot write {out}: {exc}")
-    means = ds.samples.mean(axis=0)
-    stds = ds.samples.std(axis=0)
-    print(f"wrote {len(ds)} samples to {out}")
+    means = samples.mean(axis=0)
+    stds = samples.std(axis=0)
+    print(f"wrote {len(samples)} samples to {out}")
     print(f"feature means: {means.tolist()}")
     print(f"feature stds:  {stds.tolist()}")
     return 0
@@ -380,9 +380,9 @@ def cmd_train(args) -> int:
             raise _validation(f"cannot resume: {run_dir} is past epoch {cfg.epochs} already")
         metrics = _resumed_metrics(run_dir / METRICS_NAME, resume.epoch)
     # parsed only once the hash check above has accepted the file
-    ds = _load_dataset(data_path)
+    samples = _load_dataset(data_path)
     # a run that train would refuse leaves --out as it found it
-    training.training_intensity(cfg, ds)
+    training.training_intensity(cfg, samples)
 
     out = _out_dir(args.out)
 
@@ -415,7 +415,7 @@ def cmd_train(args) -> int:
             _write_checkpoint(out / CHECKPOINT_NAME, cfg, state)
 
     try:
-        result = training.train(cfg, ds, resume=resume, on_epoch=on_epoch)
+        result = training.train(cfg, samples, resume=resume, on_epoch=on_epoch)
     except training.TrainingDivergedError as exc:
         raise _runtime(str(exc))
     finally:
@@ -453,7 +453,7 @@ def _validation_split(args):
             f"{data_sha256} ({checkpoint.parent / MANIFEST_NAME})"
         )
     _, val = training.split_dataset(split_cfg, _load_dataset(data_path))
-    return snapshot.enc, snapshot.dec, val.samples, args.regularizer or config.regularizer
+    return snapshot.enc, snapshot.dec, val, args.regularizer or config.regularizer
 
 
 def _conformal_and_kappa(enc: net.Mlp, dec: net.Mlp, samples: np.ndarray, lap):
@@ -476,7 +476,7 @@ def _conformal_and_kappa(enc: net.Mlp, dec: net.Mlp, samples: np.ndarray, lap):
         z = codes[block]
         z[:] = net.forward(enc, samples[block], buffers)
         lap("encode")
-        rows = net.jvp(dec, z, buffers).jv.reshape(*z.shape, -1)
+        rows = net.jvp(dec, z, buffers).jv
         lap("jacobians")
         values[block] = geometry.conformal_factor(rows)
         kappas[block] = geometry.kappa_field(rows)

@@ -6,6 +6,10 @@ read line by line, so neither direction holds the whole text.
 The roll is sampled on the rectangle [3*pi/2, 9*pi/2] x [0, 21] with the
 scikit-learn parametrization (xi*cos(xi), eta, xi*sin(xi)), without
 observation noise. All randomness is seeded and reproducible.
+
+Samples are plain (n, 3) float arrays. :func:`swiss_roll` returns them with
+their (n, 2) latents (xi, eta), which only the CSV file keeps: no consumer of
+the samples reads them.
 """
 
 from __future__ import annotations
@@ -13,7 +17,6 @@ from __future__ import annotations
 import itertools
 import os
 from collections.abc import Iterable
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -24,66 +27,50 @@ ETA_RANGE = (0.0, 21.0)
 CSV_HEADER = "x,y,z,xi,eta"
 # Rows per block that a CSV writer renders and writes at once.
 CSV_BLOCK = 512
+# Largest |mean| and |std - 1| of a feature that :func:`is_standardized` accepts.
+STANDARDIZED_TOL = 1e-6
 
 
-@dataclass
-class Dataset:
-    samples: np.ndarray  # (n, 3)
-    true_params: np.ndarray  # (n, 2) ground-truth (xi, eta)
-
-    def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=np.float64)
-        self.true_params = np.asarray(self.true_params, dtype=np.float64)
-        if len(self.samples) != len(self.true_params):
-            raise ValueError("samples and true_params disagree in length")
-
-    def __len__(self) -> int:
-        return len(self.samples)
-
-
-def swiss_roll(n: int, seed: int) -> Dataset:
-    """Sample n points uniformly over the latent rectangle, noise-free."""
+def swiss_roll(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(samples, params)``: n points sampled uniformly over the latent
+    rectangle, noise-free, as the (n, 3) samples and their (n, 2) latents
+    (xi, eta)."""
     if n < 1:
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)
     xi = rng.uniform(*XI_RANGE, size=n)
     eta = rng.uniform(*ETA_RANGE, size=n)
     samples = np.column_stack([xi * np.cos(xi), eta, xi * np.sin(xi)])
-    return Dataset(samples=samples, true_params=np.column_stack([xi, eta]))
+    return samples, np.column_stack([xi, eta])
 
 
-def standardize(ds: Dataset) -> Dataset:
+def standardize(samples: np.ndarray) -> np.ndarray:
     """Per-feature (x - mean) / std with the population (1/N) deviation."""
-    if len(ds) < 2:
+    if len(samples) < 2:
         raise ValueError("standardization needs at least two samples")
-    mean = ds.samples.mean(axis=0)
-    std = ds.samples.std(axis=0)
+    mean = samples.mean(axis=0)
+    std = samples.std(axis=0)
     for i, s in enumerate(std):
         if s <= 0.0:
             raise ValueError(f"feature {i} has zero variance")
-    return Dataset(samples=(ds.samples - mean) / std, true_params=ds.true_params.copy())
+    return (samples - mean) / std
 
 
-def is_standardized(ds: Dataset, tol: float = 1e-6) -> bool:
-    mean = np.abs(ds.samples.mean(axis=0)).max()
-    std = np.abs(ds.samples.std(axis=0) - 1.0).max()
-    return mean < tol and std < tol
+def is_standardized(samples: np.ndarray) -> bool:
+    mean = np.abs(samples.mean(axis=0)).max()
+    std = np.abs(samples.std(axis=0) - 1.0).max()
+    return mean < STANDARDIZED_TOL and std < STANDARDIZED_TOL
 
 
-def split(ds: Dataset, val_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
-    """Seeded shuffle, then a disjoint exhaustive train/validation partition."""
+def split(rows: np.ndarray, val_fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Seeded shuffle of the rows, then a disjoint exhaustive train/validation partition."""
     if not 0.0 < val_fraction < 1.0:
         raise ValueError("val_fraction must lie strictly between 0 and 1")
-    n = len(ds)
+    n = len(rows)
     n_val = int(round(n * val_fraction))
     n_val = min(max(n_val, 1), n - 1)
     perm = np.random.default_rng(seed).permutation(n)
-    val_idx, train_idx = perm[:n_val], perm[n_val:]
-
-    def take(idx):
-        return Dataset(samples=ds.samples[idx], true_params=ds.true_params[idx])
-
-    return take(train_idx), take(val_idx)
+    return rows[perm[n_val:]], rows[perm[:n_val]]
 
 
 def write_atomic(path: str | Path, text: str | Iterable[str]) -> None:
@@ -123,8 +110,9 @@ def write_csv(path: str | Path, header: str, columns: list[np.ndarray]) -> None:
     write_atomic(path, blocks())
 
 
-def to_csv(ds: Dataset, path: str | Path) -> None:
-    write_csv(path, CSV_HEADER, [ds.samples, ds.true_params])
+def to_csv(roll: tuple[np.ndarray, np.ndarray], path: str | Path) -> None:
+    """Write :func:`swiss_roll`'s ``(samples, params)`` pair, one row per sample."""
+    write_csv(path, CSV_HEADER, list(roll))
 
 
 class _Body:
@@ -207,7 +195,8 @@ def read_csv(path: str | Path, header: str | None = None) -> tuple[list[str], np
     return names, table
 
 
-def from_csv(path: str | Path) -> Dataset:
+def from_csv(path: str | Path) -> np.ndarray:
+    """The (n, 3) samples of a roll CSV file; its latent columns are checked, not kept."""
     _, arr = read_csv(path, CSV_HEADER)
     if not len(arr):
         raise ValueError(f"{path}: no data rows")
@@ -216,4 +205,4 @@ def from_csv(path: str | Path) -> Dataset:
         row, col = bad[0]
         value = float(arr[row, col])
         raise ValueError(f"{path}:{row + 2}: non-finite value {value} in column {col + 1}")
-    return Dataset(samples=arr[:, :3], true_params=arr[:, 3:])
+    return arr[:, :3]

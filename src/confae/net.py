@@ -33,10 +33,13 @@ Inputs are (B, d) batches, one row per input; only :func:`jacobian` takes a
 single point. The m basis tangents of a code share one primal row
 (pre-activations, outputs and activation derivatives are computed on B rows),
 while tangent states live on B*m rows; each code's m tangent rows are scaled
-by its one derivative row, in both sweeps. The reverse sweep sums the
-tangents' second-derivative terms per code before the primal adjoint
-products, and skips the primal adjoint chain where nothing reaches it (a
-piecewise-linear activation and no primal-output adjoint).
+by its one derivative row, in both sweeps. Callers see the tangents as the
+(B, m, out) stack: :func:`jvp`'s ``jv`` is a view of the tape's last tangent
+array in that shape, and :func:`backward` takes its tangent adjoint in it.
+The reverse sweep sums the tangents' second-derivative terms per code
+before the primal adjoint products, and skips the primal adjoint chain where
+nothing reaches it (a piecewise-linear activation and no primal-output
+adjoint).
 
 :func:`forward` and :func:`jvp` take an optional ``buffers`` dict. A loop
 over blocks of inputs that passes the same dict to every call gets each
@@ -183,13 +186,13 @@ class DualTrace:
     input-major (row ``b * m + k`` is ``J e_k`` at input b). Those rows read
     the derivative of their input's row of ``dact[k]``; ``tan_pre[k]``, the
     tangent pre-activation, is kept only where the activation's second
-    derivative, which the reverse sweep reads, is not zero (tanh).
+    derivative, which the reverse sweep reads, is not zero (tanh). The
+    tangent input, the latent basis, is not held: it is ``_basis(B, m)``.
     """
 
     x0: np.ndarray
     out: list[np.ndarray]
     dact: list[np.ndarray | None]
-    v0: np.ndarray | None = None
     tan_pre: list[np.ndarray | None] | None = None
     tan_out: list[np.ndarray] | None = None
 
@@ -201,7 +204,7 @@ class DualTrace:
 @dataclass
 class JvpResult:
     y: np.ndarray
-    jv: np.ndarray
+    jv: np.ndarray  # (B, m, out): block p holds the rows J_p e_k
     pullback: None  # always None; the benchmark's JVP counter still reads it
     trace: DualTrace
 
@@ -306,9 +309,8 @@ def jvp(net: Mlp, z: np.ndarray, buffers: dict | None = None) -> JvpResult:
     """Primal output and the Jacobian's columns ``J e_k`` at a (B, m) batch of codes.
 
     The latent basis is the block of m tangents per code; the primal runs
-    once per code and ``jv`` holds the B * m tangent rows, code-major, so
-    ``jv.reshape(B, m, -1)`` is the (B, m, out) stack whose block p has the
-    rows ``J_p e_k``.
+    once per code and ``jv`` is the (B, m, out) stack whose block p has the
+    rows ``J_p e_k``, a view of the tape's last tangent array.
 
     ``buffers``, a dict that starts empty, lets a loop over blocks of codes
     reuse one set of arrays: every array of the result and its tape is then
@@ -319,10 +321,9 @@ def jvp(net: Mlp, z: np.ndarray, buffers: dict | None = None) -> JvpResult:
     """
     zb = _as_batch(z, net.in_dim)
     b, m = zb.shape
-    vb = _basis(b, m)
     out, dacts = _primal(net, zb, buffers)
     tan_pre, tan_out = [], []
-    tan = vb
+    tan = _basis(b, m)
     for k, (layer, d) in enumerate(zip(net.layers, dacts)):
         width = layer.weight.shape[0]
         t = np.matmul(tan, layer.weight.T, out=_slot(buffers, ("tan_pre", k), b * m, width))
@@ -337,8 +338,8 @@ def jvp(net: Mlp, z: np.ndarray, buffers: dict | None = None) -> JvpResult:
             np.multiply(t.reshape(shape), d[:, None, :], out=tan.reshape(shape))
         tan_pre.append(t if smooth else None)
         tan_out.append(tan)
-    trace = DualTrace(zb, out, dacts, vb, tan_pre, tan_out)
-    return JvpResult(out[-1], tan, None, trace)
+    trace = DualTrace(zb, out, dacts, tan_pre, tan_out)
+    return JvpResult(out[-1], tan.reshape(b, m, tan.shape[1]), None, trace)
 
 
 def gram(rows: np.ndarray) -> np.ndarray:
@@ -351,11 +352,11 @@ def gram(rows: np.ndarray) -> np.ndarray:
 
 
 def jacobian(net: Mlp, z: np.ndarray) -> np.ndarray:
-    """Full (out_dim, in_dim) Jacobian at a single point: :func:`jvp`'s rows, transposed."""
+    """Full (out_dim, in_dim) Jacobian at a single point: :func:`jvp`'s one block, transposed."""
     zv = np.asarray(z, dtype=np.float64)
     if zv.ndim != 1 or zv.shape[0] != net.in_dim:
         raise ValueError(f"expected a single input of length {net.in_dim}")
-    return jvp(net, zv[None, :]).jv.T
+    return jvp(net, zv[None, :]).jv[0].T
 
 
 def _adjoint(g: np.ndarray, shape: tuple[int, int], what: str) -> np.ndarray:
@@ -377,7 +378,8 @@ def backward(
     """One reverse sweep over a recorded tape.
 
     The adjoints seed the scalar's derivative w.r.t. the primal output
-    (B, out_dim) and the tangent output (B * m, out_dim). Returns parameter
+    (B, out_dim) and the tangent output, the (B, m, out_dim) stack of
+    :func:`jvp`'s ``jv``. Returns parameter
     gradients, written into ``grads`` when it is given (every entry is
     overwritten), and the gradient w.r.t. the primal input (one row per
     input), which ``input_grad=False`` skips and returns as ``None``. No
@@ -392,7 +394,7 @@ def backward(
     b, n = trace.x0.shape  # a tangent sweep has n = m rows per input
     dacts = trace.dact
     out_dim = net.layers[-1].weight.shape[0]
-    g_s = None if tan_grad is None else _adjoint(tan_grad, (b * n, out_dim), "tangent")
+    g_s = None if tan_grad is None else _adjoint(tan_grad, (b, n, out_dim), "tangent")
     g_x = None if out_grad is None else _adjoint(out_grad, (b, out_dim), "output")
 
     # a tangent adjoint reaches every layer, and so does a primal one once it starts
@@ -407,22 +409,19 @@ def backward(
         # are this sweep's own, scaled in place
         own = k < last
         if tangent:
-            # s_k = dact(a_k) * t_k ; t_k = s_{k-1} @ W_k^T
-            shape = (b, n, layer.weight.shape[0])
+            # s_k = dact(a_k) * t_k ; t_k = s_{k-1} @ W_k^T, with g_s the (B, m, width) stack
             ddact = _ddact(layer.activation, trace.out[k], d)
             if ddact is not None:
                 # second-derivative term of every tangent row, summed per input
-                g_a = (
-                    ddact[:, None, :] * trace.tan_pre[k].reshape(shape) * g_s.reshape(shape)
-                ).sum(axis=1)
+                g_a = (ddact[:, None, :] * trace.tan_pre[k].reshape(g_s.shape) * g_s).sum(axis=1)
             g_t = g_s
-            if d is not None:
-                rows = g_s.reshape(shape)  # each code's rows take its derivative row
-                g_t = np.multiply(rows, d[:, None, :], out=rows if own else None).reshape(g_s.shape)
-            s_in = trace.v0 if k == 0 else trace.tan_out[k - 1]
+            if d is not None:  # each code's rows take its derivative row
+                g_t = np.multiply(g_s, d[:, None, :], out=g_s if own else None)
+            g_t = g_t.reshape(b * n, g_s.shape[2])  # the tape's tangent rows
+            s_in = _basis(b, n) if k == 0 else trace.tan_out[k - 1]
             np.matmul(g_t.T, s_in, out=g_w)
             if k > 0:
-                g_s = g_t @ layer.weight
+                g_s = (g_t @ layer.weight).reshape(b, n, layer.weight.shape[1])
         if g_x is not None:
             term = g_x
             if d is not None:

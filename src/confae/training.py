@@ -18,7 +18,7 @@ A run's state is one :class:`TrainState`: ``train`` advances it in place,
 epoch by epoch (networks, AdamW state and the loop's generator), and
 hands that same object to the epoch callback and the result. The learning
 rate and the weight decay are constant, and AdamW's other constants are
-those of :func:`adamw_step`.
+``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPS``.
 
 A training step records the decoder's tape once and sweeps it backward once:
 the losses are functions of the decoder's outputs (:mod:`confae.regularizers`),
@@ -38,6 +38,9 @@ from . import net
 from . import regularizers as reg
 
 REGULARIZERS = ("none", "globiso", "lociso", "conf", "constconf")
+
+# AdamW's moment decay rates and its denominator's offset
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class ConfigError(ValueError):
@@ -176,9 +179,6 @@ def adamw_step(
     state: AdamWState,
     *,
     lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
     weight_decay: float = 0.0,
 ) -> None:
     """One decoupled-weight-decay Adam step on the parameter vector ``theta``, in place.
@@ -188,7 +188,8 @@ def adamw_step(
     Each update is evaluated in the order of
     ``theta -= lr * weight_decay * theta``, ``m = beta1 m + (1 - beta1) g``,
     ``v = beta2 v + (1 - beta2) g g`` and
-    ``theta -= lr * (m / bc1) / (sqrt(v / bc2) + eps)``, through one scratch
+    ``theta -= lr * (m / bc1) / (sqrt(v / bc2) + eps)``, with ``beta1``,
+    ``beta2`` and ``eps`` the module's ``ADAM_*`` constants, through one scratch
     vector and the step vector instead of a temporary per operation. The
     decay is skipped when ``weight_decay`` is 0, where it changes no bits
     (but the sign of a -0.0).
@@ -197,19 +198,19 @@ def adamw_step(
     if not theta.shape == g.shape == m.shape == v.shape:
         raise ValueError("gradient shape does not match parameters")
     state.step += 1
-    bc1 = 1.0 - beta1**state.step
-    bc2 = 1.0 - beta2**state.step
+    bc1 = 1.0 - ADAM_BETA1**state.step
+    bc2 = 1.0 - ADAM_BETA2**state.step
     scratch = np.empty_like(theta)
     if weight_decay != 0.0:  # decay decoupled from the moments
         theta -= np.multiply(lr * weight_decay, theta, out=scratch)
-    m *= beta1
-    m += np.multiply(1.0 - beta1, g, out=scratch)
-    v *= beta2
-    np.multiply(1.0 - beta2, g, out=scratch)
+    m *= ADAM_BETA1
+    m += np.multiply(1.0 - ADAM_BETA1, g, out=scratch)
+    v *= ADAM_BETA2
+    np.multiply(1.0 - ADAM_BETA2, g, out=scratch)
     v += np.multiply(scratch, g, out=scratch)
     np.divide(v, bc2, out=scratch)
     np.sqrt(scratch, out=scratch)
-    scratch += eps
+    scratch += ADAM_EPS
     step = m / bc1
     step *= lr
     step /= scratch
@@ -260,8 +261,9 @@ def init_networks(config: RunConfig) -> tuple[net.Mlp, net.Mlp]:
     return enc, dec
 
 
-def split_dataset(config: RunConfig, ds: data_mod.Dataset):
-    return data_mod.split(ds, config.val_fraction, _derived_seeds(config.seed)["split"])
+def split_dataset(config: RunConfig, samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The run's (train, validation) partition of the (n, d) ``samples``."""
+    return data_mod.split(samples, config.val_fraction, _derived_seeds(config.seed)["split"])
 
 
 def _initial_state(config: RunConfig) -> TrainState:
@@ -286,7 +288,7 @@ def _decoder_tape(config, dec, codes):
         y, tape = net.forward_tape(dec, codes)
         return y, None, tape
     res = net.jvp(dec, codes)
-    return res.y, res.jv.reshape(*codes.shape, -1), res.trace
+    return res.y, res.jv, res.trace
 
 
 def _geo_value_and_grads(config, codes, y, rows, probes, want_grad):
@@ -338,7 +340,7 @@ def _batch_losses_and_grads(config, lam, enc, dec, x, rng, epoch, batch_no, grad
         if not np.isfinite(geo_val):
             raise TrainingDivergedError(epoch, batch_no, config.regularizer, geo_val)
     out_grad = g_rec if g_y is None else g_rec + lam * g_y
-    tan_grad = None if g_rows is None else lam * g_rows.reshape(-1, y.shape[1])
+    tan_grad = None if g_rows is None else lam * g_rows
     enc_grads, dec_grads = grads
     dec_grads, g_codes = net.backward(
         dec, dec_tape, out_grad=out_grad, tan_grad=tan_grad, grads=dec_grads
@@ -349,11 +351,11 @@ def _batch_losses_and_grads(config, lam, enc, dec, x, rng, epoch, batch_no, grad
     return rec, geo_val, enc_grads, dec_grads
 
 
-def _check_data(config: RunConfig, ds: data_mod.Dataset, use: str) -> None:
-    """Refuse data that is not standardized or does not fit ``config.dims``."""
-    if not data_mod.is_standardized(ds):
+def _check_data(config: RunConfig, samples: np.ndarray, use: str) -> None:
+    """Refuse samples that are not standardized or do not fit ``config.dims``."""
+    if not data_mod.is_standardized(samples):
         raise ValueError(f"dataset must be standardized before {use}")
-    n, size = ds.samples.shape[1], config.dims[0]
+    n, size = samples.shape[1], config.dims[0]
     if n != size:
         raise ConfigError([f"dims: input size {size} does not match the data's {n} columns"])
 
@@ -382,8 +384,8 @@ def _autoencoder_vectors(state: TrainState):
     return params, flat, tuple(grads)
 
 
-def training_intensity(config: RunConfig, ds: data_mod.Dataset) -> float:
-    """The weight of the geometric term when ``config`` trains on ``ds``.
+def training_intensity(config: RunConfig, samples: np.ndarray) -> float:
+    """The weight of the geometric term when ``config`` trains on the (n, d) ``samples``.
 
     A :class:`ConfigError` refuses an invalid config, an enabled regularizer
     without ``lambda_geo`` and data whose width is not ``dims[0]``;
@@ -397,30 +399,28 @@ def training_intensity(config: RunConfig, ds: data_mod.Dataset) -> float:
                 ["lambda_geo: required when a regularizer is enabled (run intensity calibration)"]
             )
         lam = config.lambda_geo
-    _check_data(config, ds, "training")
+    _check_data(config, samples, "training")
     return lam
 
 
 def train(
     config: RunConfig,
-    ds: data_mod.Dataset,
+    samples: np.ndarray,
     *,
     resume: TrainState | None = None,
     on_epoch=None,
 ) -> TrainResult:
-    """Minimize reconstruction + intensity * geometric term over minibatches.
+    """Minimize reconstruction + intensity * geometric term over minibatches of ``samples``.
 
     The geometric term is evaluated on the codes of the current batch; its
     gradient reaches both networks. With intensity zero the enabled regularizer is still evaluated and
     logged (monitored mode). ``resume`` continues a run toward the same total
     epoch count, bit-exactly, and is itself the state advanced in place.
     """
-    lam = training_intensity(config, ds)
-    train_ds, val_ds = split_dataset(config, ds)
+    lam = training_intensity(config, samples)
+    x_train, x_val = split_dataset(config, samples)
     state = _initial_state(config) if resume is None else resume
     params, flat, grads = _autoencoder_vectors(state)
-    x_train = train_ds.samples
-    x_val = val_ds.samples
     n_train = x_train.shape[0]
     opts = dict(lr=config.lr, weight_decay=config.weight_decay)
     records = []
@@ -471,12 +471,13 @@ CALIBRATION_SAMPLE = 512
 CALIBRATION_BALANCE = 0.004
 
 
-def calibrate_intensity(config: RunConfig, ds: data_mod.Dataset):
+def calibrate_intensity(config: RunConfig, samples: np.ndarray):
     """Propose an intensity balancing the two loss terms over a whole run.
 
     Evaluates reconstruction and the enabled geometric term on the untrained
-    networks over a fixed training subsample (moment losses on exact moments,
-    with no probe draw) and returns
+    networks over a fixed training subsample, one encoding and one decoder
+    tape read by both terms (moment losses on exact moments, with no probe
+    draw), and returns
     ``(proposed_intensity, recon_value, geo_value)`` with
     ``proposed_intensity = CALIBRATION_BALANCE * recon_value / geo_value``.
     A :class:`ConfigError` refuses a sample on which the term is not
@@ -485,16 +486,16 @@ def calibrate_intensity(config: RunConfig, ds: data_mod.Dataset):
     config.validate()
     if config.regularizer == "none":
         raise ConfigError(["regularizer: nothing to calibrate for tag 'none'"])
-    _check_data(config, ds, "calibration")
-    train_ds, _ = split_dataset(config, ds)
-    sample = train_ds.samples[: min(CALIBRATION_SAMPLE, len(train_ds))]
+    _check_data(config, samples, "calibration")
+    x_train, _ = split_dataset(config, samples)
+    sample = x_train[:CALIBRATION_SAMPLE]
     if not _evaluates_geo(config, len(sample)):
         problem = f"compares pairs of codes, but the training split holds {len(sample)}"
         raise ConfigError([f"regularizer: {config.regularizer} {problem}"])
     enc, dec = init_networks(config)
-    recon0 = reg.recon_loss(enc, dec, sample)
     codes = net.forward(enc, sample)
     y, rows, _ = _decoder_tape(config, dec, codes)
+    recon0 = reg.recon_loss_and_grad(y, sample, want_grad=False)[0]
     geo0 = _geo_value_and_grads(config, codes, y, rows, None, want_grad=False)[0]
     if geo0 <= 1e-12:
         raise ConfigError(

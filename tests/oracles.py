@@ -81,7 +81,7 @@ def _two_network_grads(config, lam, enc, dec, x, rng):
         y, dec_tape = net.forward_tape(dec, codes)
     else:
         res = net.jvp(dec, codes)
-        y, dec_tape, rows = res.y, res.trace, res.jv.reshape(*codes.shape, -1)
+        y, dec_tape, rows = res.y, res.trace, res.jv
     _, g_rec = reg.recon_loss_and_grad(y, x)
     g_y = g_rows = g_z = None
     if moment is not None:
@@ -92,7 +92,7 @@ def _two_network_grads(config, lam, enc, dec, x, rng):
     elif config.regularizer == "globiso" and x.shape[0] >= 2:
         _, g_y, g_z = global_iso_add_at(codes, y)
     out_grad = g_rec if g_y is None else g_rec + lam * g_y
-    tan_grad = None if g_rows is None else lam * g_rows.reshape(-1, y.shape[1])
+    tan_grad = None if g_rows is None else lam * g_rows
     dec_grads, g_codes = net.backward(dec, dec_tape, out_grad=out_grad, tan_grad=tan_grad)
     if g_z is not None:
         g_codes = g_codes + lam * g_z
@@ -100,7 +100,7 @@ def _two_network_grads(config, lam, enc, dec, x, rng):
     return enc_grads, dec_grads
 
 
-def two_vector_train(config, ds):
+def two_vector_train(config, samples):
     """The training loop over two networks with AdamW vectors of their own.
 
     Each batch takes two ``adamw_step`` calls, one per network, and a
@@ -109,7 +109,7 @@ def two_vector_train(config, ds):
     trained ``(enc, dec, enc_opt, dec_opt, rng)``.
     """
     lam = 0.0 if config.regularizer == "none" else config.lambda_geo
-    x_train = training.split_dataset(config, ds)[0].samples
+    x_train = training.split_dataset(config, samples)[0]
     enc, dec = training.init_networks(config)
     enc_opt, dec_opt = (training.AdamWState.zeros(n.params.size) for n in (enc, dec))
     rng = np.random.default_rng(training._derived_seeds(config.seed)["loop"])

@@ -74,7 +74,7 @@ def test_criterion_1_autodiff_fidelity():
 
         # the basis rows J e_k combine into Jv = sum_k v_k J e_k
         res = net.jvp(network, z[None, :])
-        jv = v @ res.jv
+        jv = v @ res.jv[0]
         worst_first_order = max(worst_first_order, rel_err(jv, fd_jac @ v))
 
         jtu = vjp(network, z, u)
@@ -84,7 +84,7 @@ def test_criterion_1_autodiff_fidelity():
             return float(np.sum((v @ net.jvp(n_, z[None, :]).jv) ** 2))
 
         # the adjoint of ||Jv||^2 at basis row k is 2 v_k Jv
-        grads, _ = net.backward(network, res.trace, tan_grad=2.0 * np.outer(v, jv))
+        grads, _ = net.backward(network, res.trace, tan_grad=2.0 * np.outer(v, jv)[None])
         fd_w, fd_b = fd_param_grad(tangent_norm_sq, network)
         flat_ad = np.concatenate(
             [g.ravel() for g in grads.weights] + [g.ravel() for g in grads.biases]

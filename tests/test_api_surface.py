@@ -2,7 +2,9 @@
 
 ``benchmarks/spans.py`` resolves its ``LAYERS`` when a tracer is built, so a
 renamed or deleted function would only surface in a traced benchmark run.
-The same holds for its per-call counters, which read fields of the results.
+The same holds for its per-call counters, which read fields of the results,
+and for the workloads' set-up (``benchmarks/workloads.py``), which calls the
+data API and the CLI before any operation is timed.
 Conversely, every public name of the package must have a caller other than
 the tests: package or script code, or the tracer.
 """
@@ -26,6 +28,30 @@ def _spans():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _workloads(monkeypatch):
+    """``benchmarks/workloads.py``, with its sibling modules importable."""
+    monkeypatch.syspath_prepend(str(SPANS.parent))
+    path = SPANS.parent / "workloads.py"
+    spec = importlib.util.spec_from_file_location("benchmark_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name", ["train-conf-mc", "train-conf-exact", "diagnose-roll"])
+def test_benchmark_workload_sets_up(monkeypatch, tmp_path, name):
+    workloads = _workloads(monkeypatch)
+    workload = workloads.make_workload(name, 0, tmp_path)
+    workload.setup()
+    if name == "diagnose-roll":
+        assert workload.checkpoint.is_file() and workload.roll_csv.is_file()
+        assert np.isfinite(workload.checks["val_recon"])
+    else:
+        n_train = workloads.N_TRAIN_ROLL - round(workloads.N_TRAIN_ROLL * workloads.VAL_FRACTION)
+        assert workload.samples_per_op == n_train
+        assert set(workload.checks) == {"init_params_sha256"}
 
 
 def _layers():
@@ -53,14 +79,14 @@ def test_optimizer_steps_reach_the_traced_attribute():
     # looked up through the module attribute the tracer replaces
     tracer = _spans().Tracer()
     cfg = training.RunConfig(epochs=1, batch_size=16, dims=[3, 6, 2], seed=1)
-    ds = data.standardize(data.swiss_roll(100, seed=0))
+    samples = data.standardize(data.swiss_roll(100, seed=0)[0])
     tracer.install(["training.adamw_step"])
     try:
-        training.train(cfg, ds)
+        training.train(cfg, samples)
     finally:
         tracer.uninstall(["training.adamw_step"])
-    train_ds, _ = training.split_dataset(cfg, ds)
-    batches = -(-len(train_ds) // cfg.batch_size)
+    x_train, _ = training.split_dataset(cfg, samples)
+    batches = -(-len(x_train) // cfg.batch_size)
     assert [s.name for s in tracer.spans] == ["training.adamw_step"] * batches
 
 
@@ -80,7 +106,7 @@ def test_step_layer_calls_as_the_tracer_sees_them(tag, want):
     tracer = _spans().Tracer()
     cfg = training.RunConfig(regularizer=tag, lambda_geo=0.5, dims=[3, 6, 2], seed=1)
     enc, dec = training.init_networks(cfg)
-    x = data.standardize(data.swiss_roll(16, seed=0)).samples
+    x = data.standardize(data.swiss_roll(16, seed=0)[0])
     tracer.install(STEP_LAYERS)
     try:
         training._batch_losses_and_grads(cfg, 0.5, enc, dec, x, np.random.default_rng(0), 1, 0)

@@ -210,8 +210,8 @@ class TestGenerate:
         run_cli("generate", "--n", "200", "--seed", "2", "--out", str(path), "--standardize")
         from confae import data
 
-        ds = data.from_csv(path)
-        assert np.max(np.abs(ds.samples.mean(axis=0))) < 1e-9
+        samples = data.from_csv(path)
+        assert np.max(np.abs(samples.mean(axis=0))) < 1e-9
 
     def test_unwritable_path_fails_with_io_code(self, tmp_path):
         blocker = tmp_path / "file"

@@ -35,22 +35,30 @@ def roll_at(monkeypatch, xi, eta):
     return data.swiss_roll(1, seed=0)
 
 
+def assert_round_trip(path, roll):
+    """``from_csv`` gives back the samples, and the file's table holds them beside their latents."""
+    assert np.array_equal(data.from_csv(path), roll[0])
+    _, table = data.read_csv(path, data.CSV_HEADER)
+    assert np.array_equal(table, np.column_stack(roll))
+
+
 class TestSwissRoll:
     def test_exact_trig_point_at_start_of_range(self, monkeypatch):
-        ds = roll_at(monkeypatch, 1.5 * np.pi, 0.0)
+        samples, params = roll_at(monkeypatch, 1.5 * np.pi, 0.0)
         want = np.array([[0.0, 0.0, -1.5 * np.pi]])
-        assert np.max(np.abs(ds.samples - want)) < 1e-12
-        assert np.max(np.abs(swiss_roll_point(ds.true_params) - want)) < 1e-12
+        assert np.max(np.abs(samples - want)) < 1e-12
+        assert np.max(np.abs(swiss_roll_point(params) - want)) < 1e-12
 
     def test_exact_trig_point_at_two_pi(self, monkeypatch):
-        ds = roll_at(monkeypatch, 2 * np.pi, 21.0)
+        samples, params = roll_at(monkeypatch, 2 * np.pi, 21.0)
         want = np.array([[2 * np.pi, 21.0, 0.0]])
-        assert np.max(np.abs(ds.samples - want)) < 1e-12
-        assert np.max(np.abs(swiss_roll_point(ds.true_params) - want)) < 1e-12
+        assert np.max(np.abs(samples - want)) < 1e-12
+        assert np.max(np.abs(swiss_roll_point(params) - want)) < 1e-12
 
     def test_samples_are_the_parametrization_of_their_latents(self):
-        ds = data.swiss_roll(500, seed=1)
-        assert np.max(np.abs(ds.samples - swiss_roll_point(ds.true_params))) < 1e-12
+        samples, params = data.swiss_roll(500, seed=1)
+        assert samples.shape == (500, 3) and params.shape == (500, 2)
+        assert np.max(np.abs(samples - swiss_roll_point(params))) < 1e-12
 
     def test_parametrization_gram_via_finite_differences(self):
         rng = np.random.default_rng(0)
@@ -83,25 +91,24 @@ class TestSwissRoll:
         assert np.max(np.abs(swiss_roll_jacobian(z) - fd)) < 1e-6
 
     def test_cylindrical_radius_identity(self):
-        ds = data.swiss_roll(500, seed=1)
-        r2 = ds.samples[:, 0] ** 2 + ds.samples[:, 2] ** 2
-        assert np.max(np.abs(r2 - ds.true_params[:, 0] ** 2)) < 1e-10
+        samples, params = data.swiss_roll(500, seed=1)
+        r2 = samples[:, 0] ** 2 + samples[:, 2] ** 2
+        assert np.max(np.abs(r2 - params[:, 0] ** 2)) < 1e-10
 
     def test_params_within_ranges(self):
-        ds = data.swiss_roll(1000, seed=2)
-        xi, eta = ds.true_params[:, 0], ds.true_params[:, 1]
+        xi, eta = data.swiss_roll(1000, seed=2)[1].T
         assert xi.min() >= data.XI_RANGE[0] and xi.max() <= data.XI_RANGE[1]
         assert eta.min() >= data.ETA_RANGE[0] and eta.max() <= data.ETA_RANGE[1]
 
     def test_sampling_is_uniform(self):
-        ds = data.swiss_roll(5000, seed=3)
-        assert ks_statistic(ds.true_params[:, 0], *data.XI_RANGE) < 0.05
-        assert ks_statistic(ds.true_params[:, 1], *data.ETA_RANGE) < 0.05
+        xi, eta = data.swiss_roll(5000, seed=3)[1].T
+        assert ks_statistic(xi, *data.XI_RANGE) < 0.05
+        assert ks_statistic(eta, *data.ETA_RANGE) < 0.05
 
     def test_deterministic_per_seed(self):
         a = data.swiss_roll(50, seed=4)
         b = data.swiss_roll(50, seed=4)
-        assert np.array_equal(a.samples, b.samples)
+        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
     def test_zero_samples_rejected(self):
         with pytest.raises(ValueError):
@@ -110,90 +117,81 @@ class TestSwissRoll:
 
 class TestStandardize:
     def test_two_point_example(self):
-        ds = data.Dataset(
-            samples=np.array([[0.0, 0.0, 0.0], [2.0, 2.0, 2.0]]),
-            true_params=np.zeros((2, 2)),
-        )
-        out = data.standardize(ds)
-        assert np.allclose(out.samples, [[-1, -1, -1], [1, 1, 1]], atol=1e-15)
+        out = data.standardize(np.array([[0.0, 0.0, 0.0], [2.0, 2.0, 2.0]]))
+        assert np.allclose(out, [[-1, -1, -1], [1, 1, 1]], atol=1e-15)
 
     def test_moments_after_standardization(self):
-        ds = data.standardize(data.swiss_roll(400, seed=5))
-        assert np.max(np.abs(ds.samples.mean(axis=0))) < 1e-9
-        assert np.max(np.abs(ds.samples.std(axis=0) - 1.0)) < 1e-9
+        samples = data.standardize(data.swiss_roll(400, seed=5)[0])
+        assert np.max(np.abs(samples.mean(axis=0))) < 1e-9
+        assert np.max(np.abs(samples.std(axis=0) - 1.0)) < 1e-9
 
     def test_idempotent(self):
-        once = data.standardize(data.swiss_roll(100, seed=6))
+        once = data.standardize(data.swiss_roll(100, seed=6)[0])
         twice = data.standardize(once)
-        assert np.max(np.abs(once.samples - twice.samples)) < 1e-12
+        assert np.max(np.abs(once - twice)) < 1e-12
 
     def test_round_trip(self):
-        ds = data.swiss_roll(100, seed=7)
-        out = data.standardize(ds)
-        back = out.samples * ds.samples.std(axis=0) + ds.samples.mean(axis=0)
-        assert np.max(np.abs(back - ds.samples)) < 1e-12
-        assert np.array_equal(out.true_params, ds.true_params)
+        samples = data.swiss_roll(100, seed=7)[0]
+        kept = samples.copy()
+        out = data.standardize(samples)
+        back = out * samples.std(axis=0) + samples.mean(axis=0)
+        assert np.max(np.abs(back - samples)) < 1e-12
+        assert np.array_equal(samples, kept)  # the input is left as it was
 
     def test_zero_variance_feature_named(self):
-        ds = data.Dataset(
-            samples=np.array([[0.0, 1.0, 0.0], [1.0, 1.0, 1.0]]),
-            true_params=np.zeros((2, 2)),
-        )
         with pytest.raises(ValueError, match="feature 1"):
-            data.standardize(ds)
+            data.standardize(np.array([[0.0, 1.0, 0.0], [1.0, 1.0, 1.0]]))
 
 
 class TestSplit:
     def test_sizes(self):
-        ds = data.swiss_roll(10, seed=8)
-        train, val = data.split(ds, 0.2, seed=9)
+        train, val = data.split(data.swiss_roll(10, seed=8)[0], 0.2, seed=9)
         assert (len(train), len(val)) == (8, 2)
 
     def test_deterministic(self):
-        ds = data.swiss_roll(30, seed=10)
-        a = data.split(ds, 0.3, seed=11)
-        b = data.split(ds, 0.3, seed=11)
+        # each row is a sample beside its latents
+        rows = np.column_stack(data.swiss_roll(30, seed=10))
+        a = data.split(rows, 0.3, seed=11)
+        b = data.split(rows, 0.3, seed=11)
         for part_a, part_b in zip(a, b):
-            assert np.array_equal(part_a.samples, part_b.samples)
-            assert np.array_equal(part_a.true_params, part_b.true_params)
+            assert np.array_equal(part_a, part_b)
 
     def test_partition_is_disjoint_and_exhaustive(self):
-        ds = data.swiss_roll(25, seed=12)
-        train, val = data.split(ds, 0.2, seed=13)
+        samples, params = data.swiss_roll(25, seed=12)
+        train, val = data.split(np.column_stack([samples, params]), 0.2, seed=13)
         # every source row, sample beside its latents, lands in exactly one part
-        rows = np.unique(np.column_stack([ds.samples, ds.true_params]), axis=0)
-        merged = np.concatenate([np.column_stack([p.samples, p.true_params]) for p in (train, val)])
+        rows = np.unique(np.column_stack([samples, params]), axis=0)
+        merged = np.concatenate([train, val])
         assert len(rows) == len(merged) == 25
         assert np.array_equal(np.unique(merged, axis=0), rows)
+        # the samples alone split by the same rows
+        parts = data.split(samples, 0.2, seed=13)
+        assert all(np.array_equal(p, q[:, :3]) for p, q in zip(parts, (train, val)))
 
     def test_fraction_bounds(self):
-        ds = data.swiss_roll(10, seed=14)
+        samples = data.swiss_roll(10, seed=14)[0]
         for bad in (0.0, 1.0, -0.1, 1.5):
             with pytest.raises(ValueError):
-                data.split(ds, bad, seed=0)
+                data.split(samples, bad, seed=0)
 
 
 class TestCsv:
     def test_round_trip_exact(self, tmp_path):
-        ds = data.swiss_roll(20, seed=15)
+        roll = data.swiss_roll(20, seed=15)
         path = tmp_path / "roll.csv"
-        data.to_csv(ds, path)
-        back = data.from_csv(path)
-        assert np.array_equal(back.samples, ds.samples)
-        assert np.array_equal(back.true_params, ds.true_params)
+        data.to_csv(roll, path)
+        assert_round_trip(path, roll)
 
     def test_bytes_match_per_cell_repr(self, tmp_path):
-        ds = data.swiss_roll(50, seed=17)
+        samples, params = data.swiss_roll(50, seed=17)
         edge = np.array([[-0.0, 1e-300, 1e300], [0.1, -2.5, 3.0]])
-        ds = data.Dataset(
-            np.vstack([ds.samples, edge]), np.vstack([ds.true_params, edge[:, :2]])
-        )
+        samples, params = np.vstack([samples, edge]), np.vstack([params, edge[:, :2]])
         rows = [
             ",".join(repr(float(v)) for v in (*row, xi, eta))
-            for row, (xi, eta) in zip(ds.samples, ds.true_params)
+            for row, (xi, eta) in zip(samples, params)
         ]
         path = tmp_path / "roll.csv"
-        data.to_csv(ds, path)
+        data.to_csv((samples, params), path)
         assert path.read_text() == "\n".join([data.CSV_HEADER, *rows]) + "\n"
 
     def test_header_enforced(self, tmp_path):
@@ -224,13 +222,11 @@ class TestCsv:
             data.from_csv(path)
 
     def test_trailing_blank_lines_are_ignored(self, tmp_path):
-        ds = data.swiss_roll(7, seed=16)
+        roll = data.swiss_roll(7, seed=16)
         path = tmp_path / "roll.csv"
-        data.to_csv(ds, path)
+        data.to_csv(roll, path)
         path.write_text(path.read_text() + "\n\n")
-        back = data.from_csv(path)
-        assert np.array_equal(back.samples, ds.samples)
-        assert np.array_equal(back.true_params, ds.true_params)
+        assert_round_trip(path, roll)
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
     def test_non_finite_cell_reports_its_line(self, tmp_path, cell):
@@ -248,11 +244,11 @@ class TestCsv:
 
     @pytest.mark.parametrize("n", [data.CSV_BLOCK - 1, data.CSV_BLOCK, data.CSV_BLOCK + 1])
     def test_blocks_render_as_one_string(self, tmp_path, n):
-        ds = data.swiss_roll(n, seed=18)
-        table = np.column_stack([ds.samples, ds.true_params]).tolist()
+        roll = data.swiss_roll(n, seed=18)
+        table = np.column_stack(roll).tolist()
         lines = [data.CSV_HEADER] + [",".join(map(repr, row)) for row in table]
         path = tmp_path / "roll.csv"
-        data.to_csv(ds, path)
+        data.to_csv(roll, path)
         assert path.read_text() == "\n".join(lines) + "\n"
 
     @pytest.mark.parametrize(
@@ -289,21 +285,19 @@ class TestCsv:
         assert str(exc.value) == message.format(path=path)
 
     def test_blank_lines_around_the_table_are_ignored(self, tmp_path):
-        ds = data.swiss_roll(7, seed=19)
+        roll = data.swiss_roll(7, seed=19)
         path = tmp_path / "roll.csv"
-        data.to_csv(ds, path)
+        data.to_csv(roll, path)
         path.write_text("\n \n" + path.read_text() + "\n  \n\t\n")
-        back = data.from_csv(path)
-        assert np.array_equal(back.samples, ds.samples)
-        assert np.array_equal(back.true_params, ds.true_params)
+        assert_round_trip(path, roll)
 
     def test_round_trip_does_not_hold_the_text(self, tmp_path):
         # the text of 20000 rows takes about 2 MB, its list of lines twice that
-        ds = data.swiss_roll(20000, seed=20)
+        roll = data.swiss_roll(20000, seed=20)
         path = tmp_path / "roll.csv"
         tracemalloc.start()
         try:
-            data.to_csv(ds, path)
+            data.to_csv(roll, path)
             written = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
             data.from_csv(path)

@@ -56,14 +56,14 @@ def vjp(network, z, u):
 def point_jvp(network, z):
     """The basis JVP at the point ``z`` and its (out_dim, m) Jacobian ``J``."""
     res = net.jvp(network, z[None, :])
-    return res, res.jv.T
+    return res, res.jv[0].T
 
 
 def jvp_rows(network, codes):
     """The (B, m, out) tangent rows of the basis JVP at ``codes`` (one code
     may be given as a vector): row k of block p is ``J_p e_k``."""
     codes = np.atleast_2d(codes)
-    return net.jvp(network, codes).jv.reshape(*codes.shape, -1)
+    return net.jvp(network, codes).jv
 
 
 def forward_point(network, x):
@@ -190,15 +190,35 @@ class TestJvp:
         w = rng.normal(size=(3, 2))
         n = net.Mlp([net.Layer(w, np.zeros(3), "identity")])
         res = net.jvp(n, rng.normal(size=(4, 2)))
-        assert np.allclose(res.jv.reshape(4, 2, 3), w.T, atol=0)
+        assert np.allclose(res.jv, w.T, atol=0)
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_tangents_are_the_latent_basis(self, m):
-        n = seeded_net((m, 4, 2), ("tanh", "identity"), 3)
-        trace = net.jvp(n, np.ones((5, m))).trace
-        assert np.array_equal(trace.v0.reshape(5, m, m), np.broadcast_to(np.eye(m), (5, m, m)))
+        basis = net._basis(5, m)
+        assert np.array_equal(basis.reshape(5, m, m), np.broadcast_to(np.eye(m), (5, m, m)))
         # a broadcast view: at m = 1 its rows share one stride-0 element
-        assert trace.v0.strides[0] == (0 if m == 1 else 8 * m)
+        assert basis.strides[0] == (0 if m == 1 else 8 * m)
+        assert not basis.flags.writeable
+
+    @pytest.mark.parametrize("buffered", [False, True], ids=["fresh", "buffers"])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_jv_is_the_tangent_stack(self, m, buffered):
+        # jv is the (B, m, out) stack, a view of the tape's last tangent array
+        n = seeded_net((m, 4, 2), ("tanh", "identity"), 3)
+        z = np.random.default_rng(m).normal(size=(5, m))
+        buffers = {} if buffered else None
+        res = net.jvp(n, z, buffers)
+        assert res.jv.shape == (5, m, 2)
+        assert np.shares_memory(res.jv, res.trace.tan_out[-1])
+        if buffered:
+            assert any(np.shares_memory(res.jv, buf) for buf in buffers.values())
+        assert np.array_equal(res.jv, res.trace.tan_out[-1].reshape(5, m, 2))
+
+    def test_flat_tangent_adjoint_is_refused(self):
+        n = seeded_net((2, 4, 3), ("tanh", "identity"), 3)
+        res = net.jvp(n, np.ones((5, 2)))
+        with pytest.raises(ValueError, match=r"tangent adjoint must have shape \(5, 2, 3\)"):
+            net.backward(n, res.trace, tan_grad=np.ones((10, 3)))
 
     @pytest.mark.parametrize("acts", [("relu", "relu", "identity"), ("tanh", "tanh", "tanh"), ("leaky_relu", "tanh", "identity")])
     def test_matches_finite_differences(self, acts):
@@ -293,7 +313,7 @@ class TestBlockTangents:
     def test_primal_runs_once_per_code(self, act):
         network, z, res = basis_jvp(act)
         assert np.array_equal(res.y, net.forward(network, z))
-        assert res.jv.shape == (10, 3)
+        assert res.jv.shape == (5, 2, 3)
         assert res.pullback is None
         assert res.trace.batch == 5
         trace = res.trace
@@ -324,7 +344,7 @@ class TestBlockTangents:
             arrays += value if isinstance(value, list) else [value]
         held = sum(a.nbytes for a in arrays if a is not None)
         hidden = 150  # the identity output layer forms no derivative
-        inputs = b * m + b * m * m
+        inputs = b * m  # the codes; the latent basis is not held
         primal = b * (hidden + 3)
         derivatives = 0 if act == "identity" else b * hidden
         tangents = b * m * (hidden + 3) + (b * m * hidden if act == "tanh" else 0)
@@ -338,7 +358,7 @@ class TestBlockTangents:
         b = 5
         network, z, res = basis_jvp(act, b=b)
         rng = np.random.default_rng(22)
-        tan_grad = rng.normal(size=(b * 2, 3))
+        tan_grad = rng.normal(size=(b, 2, 3))
         out_grad = rng.normal(size=(b, 3)) if "out" in adjoints else None
 
         def scalar(nw, zz=z):
@@ -363,7 +383,7 @@ class TestBlockTangents:
         # the caller's vector, and no input adjoint
         network, _, res = basis_jvp(act)
         rng = np.random.default_rng(25)
-        out_grad, tan_grad = rng.normal(size=(5, 3)), rng.normal(size=(10, 3))
+        out_grad, tan_grad = rng.normal(size=(5, 3)), rng.normal(size=(5, 2, 3))
         want, _ = net.backward(network, res.trace, out_grad=out_grad, tan_grad=tan_grad)
         into = net.ParamGradient.from_flat(network, np.full_like(network.params, np.nan))
         got, g_x = net.backward(
@@ -375,7 +395,7 @@ class TestBlockTangents:
     def test_piecewise_linear_primal_adjoint_is_skipped(self):
         # nothing reaches the primal chain: the input gradient is exact zeros
         network, _, res = basis_jvp("relu")
-        _, g_in = net.backward(network, res.trace, tan_grad=np.ones((10, 3)))
+        _, g_in = net.backward(network, res.trace, tan_grad=np.ones((5, 2, 3)))
         assert np.array_equal(g_in, np.zeros((5, 2)))
 
     @pytest.mark.parametrize("adjoints,calls", [("out", 0), ("tan", 3), ("out+tan", 3)])
@@ -383,11 +403,11 @@ class TestBlockTangents:
         network, _, res = basis_jvp("tanh")
         rng = np.random.default_rng(26)
         out_grad = rng.normal(size=(5, 3)) if "out" in adjoints else None
-        tan_grad = rng.normal(size=(10, 3)) if "tan" in adjoints else None
+        tan_grad = rng.normal(size=(5, 2, 3)) if "tan" in adjoints else None
         want = net.backward(network, res.trace, out_grad=out_grad, tan_grad=tan_grad)
         if tan_grad is None:
             # the reference: a zero tangent adjoint adds only zero terms
-            zeros = np.zeros((10, 3))
+            zeros = np.zeros((5, 2, 3))
             want = net.backward(network, res.trace, out_grad=out_grad, tan_grad=zeros)[:2]
         seen = []
         ddact = net._ddact
@@ -411,7 +431,7 @@ class TestBlockTangents:
         z = np.random.default_rng(40).normal(size=(5, 2))
         res = net.jvp(network, z)
         rng = np.random.default_rng(41)
-        out_grad, tan_grad = rng.normal(size=(5, 3)), rng.normal(size=(10, 3))
+        out_grad, tan_grad = rng.normal(size=(5, 3)), rng.normal(size=(5, 2, 3))
         kept = out_grad.copy(), tan_grad.copy()
         net.backward(network, res.trace, out_grad=out_grad, tan_grad=tan_grad)
         assert np.array_equal(out_grad, kept[0]) and np.array_equal(tan_grad, kept[1])
@@ -431,7 +451,7 @@ class TestBlockTangents:
             if d is not None:
                 want = want * np.repeat(d, m, axis=0)
         res = net.jvp(network, z)
-        assert np.array_equal(res.y, x) and np.array_equal(res.jv, want)
+        assert np.array_equal(res.y, x) and np.array_equal(res.jv, want.reshape(b, m, -1))
 
     @pytest.mark.parametrize("act", BLOCK_ACTS)
     def test_jacobians_match_finite_differences(self, act):
@@ -461,7 +481,7 @@ class TestBlockTangents:
 def _tape_arrays(res):
     """Every array of a JVP result and its tape, in a fixed order (None kept)."""
     t = res.trace
-    return [res.y, res.jv, t.x0, t.v0, *t.out, *t.dact, *t.tan_pre, *t.tan_out]
+    return [res.y, res.jv, t.x0, *t.out, *t.dact, *t.tan_pre, *t.tan_out]
 
 
 @pytest.mark.parametrize("act", BLOCK_ACTS)
@@ -491,7 +511,7 @@ def test_buffers_give_the_bits_of_the_buffer_free_calls(act):
         for g, w in zip(got_arrays, want_arrays):
             assert g is None or (g.shape == w.shape and np.array_equal(g, w))
         # every array the sweep forms is the leading rows of a held buffer
-        formed = [a for a in got_arrays[:2] + got_arrays[4:] if a is not None]
+        formed = [a for a in got_arrays[:2] + got_arrays[3:] if a is not None]
         assert all(any(np.shares_memory(a, buf) for buf in buffers.values()) for a in formed)
         # and the blocks after the first allocate none
         ids = {key: id(buf) for key, buf in buffers.items()}
@@ -527,7 +547,7 @@ def test_one_activation_pass_matches_the_separate_formulas(monkeypatch, act):
     network = seeded_net((2, 9, 7, 3), (act, act, "identity"), 33)
     rng = np.random.default_rng(34)
     z = rng.normal(size=(6, 2))
-    out_grad, tan_grad = rng.normal(size=(6, 3)), rng.normal(size=(12, 3))
+    out_grad, tan_grad = rng.normal(size=(6, 3)), rng.normal(size=(6, 2, 3))
 
     def sweeps():
         y, tape = net.forward_tape(network, z)
@@ -590,7 +610,7 @@ class TestGradScalar:
 
         res = net.jvp(n, z)
         # Jv = sum_k v_k J e_k: basis row k's adjoint is 2 v_k Jv
-        grads, _ = net.backward(n, res.trace, tan_grad=2.0 * np.outer(v, v @ res.jv))
+        grads, _ = net.backward(n, res.trace, tan_grad=2.0 * np.outer(v, v @ res.jv[0])[None])
         fd_w, fd_b = fd_param_grad(scalar, n)
         for gw, fw in zip(grads.weights, fd_w):
             assert rel_err(gw, fw) < 1e-4

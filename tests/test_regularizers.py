@@ -39,7 +39,7 @@ def basis_rows(dec, codes):
     """The latent-basis JVP of ``codes`` and its (B, m, out) tangent rows."""
     z = np.atleast_2d(np.asarray(codes, dtype=np.float64))
     res = net.jvp(dec, z)
-    return res, res.jv.reshape(*z.shape, -1)
+    return res, res.jv
 
 
 def loss_and_grads(loss, dec, codes, *rest, want_grad=True):
@@ -69,8 +69,7 @@ def loss_and_grads(loss, dec, codes, *rest, want_grad=True):
     if not want_grad:
         assert all(a is None for a in adjoints)
         return value, None, None
-    tan_grad = None if g_rows is None else g_rows.reshape(-1, dec.layers[-1].bias.size)
-    dec_grads, g_in = net.backward(dec, tape, out_grad=g_y, tan_grad=tan_grad)
+    dec_grads, g_in = net.backward(dec, tape, out_grad=g_y, tan_grad=g_rows)
     return value, dec_grads, g_in + g_z
 
 

@@ -28,7 +28,7 @@ def small_config(**overrides):
 
 
 def standardized_roll(n=200, seed=0):
-    return data.standardize(data.swiss_roll(n, seed=seed))
+    return data.standardize(data.swiss_roll(n, seed=seed)[0])
 
 
 def untimed(record):
@@ -76,7 +76,7 @@ class TestAdamW:
         grads = weight_grad(network, g)
         state = tr.AdamWState.zeros(network.params.size)
         lr, eps = 1e-3, 1e-8
-        tr.adamw_step(network.params, grads.flat, state, lr=lr, eps=eps)
+        tr.adamw_step(network.params, grads.flat, state, lr=lr)
         # first step: m_hat = g, v_hat = g^2  ->  delta = lr * g / (|g| + eps)
         want = theta0 - lr * g / (np.abs(g) + eps)
         assert np.max(np.abs(network.layers[0].weight - want)) < 1e-15
@@ -103,8 +103,7 @@ class TestAdamW:
         for step in range(1, 51):
             g = rng.normal(size=theta.shape)
             grads = weight_grad(network, g)
-            opts = dict(lr=lr, beta1=b1, beta2=b2, eps=eps, weight_decay=0.0)
-            tr.adamw_step(network.params, grads.flat, state, **opts)
+            tr.adamw_step(network.params, grads.flat, state, lr=lr, weight_decay=0.0)
             m = b1 * m + (1 - b1) * g
             v = b2 * v + (1 - b2) * g * g
             theta = theta - lr * (m / (1 - b1**step)) / (np.sqrt(v / (1 - b2**step)) + eps)
@@ -120,19 +119,22 @@ class TestAdamW:
         assert network.layers[0].weight[0, 0] == pytest.approx(want, abs=1e-12)
 
     @pytest.mark.parametrize("weight_decay", [1e-2, 0.0])
-    def test_vector_step_equals_per_array_update(self, weight_decay):
+    def test_vector_step_equals_per_array_update(self, monkeypatch, weight_decay):
         rng = np.random.default_rng(4)
+        constants = dict(beta1=0.8, beta2=0.99, eps=1e-7)
+        for name, value in constants.items():
+            monkeypatch.setattr(tr, f"ADAM_{name.upper()}", value)
         network = net.init([3, 6, 5, 2], ["tanh", "relu", "identity"], 8)
         reference = net.Mlp(network.layers)
         state = tr.AdamWState.zeros(network.params.size)
         arrays = [a for l in reference.layers for a in (l.weight, l.bias)]
         moments = [(np.zeros_like(a), np.zeros_like(a)) for a in arrays]
-        opts = dict(lr=1e-2, beta1=0.8, beta2=0.99, eps=1e-7, weight_decay=weight_decay)
+        opts = dict(lr=1e-2, weight_decay=weight_decay)
         for step in range(1, 21):
             grads = net.ParamGradient.from_flat(network, np.zeros_like(network.params))
             grads.flat[:] = rng.normal(size=grads.flat.size)
             tr.adamw_step(network.params, grads.flat, state, **opts)
-            per_array_adamw(reference, grads, moments, step, **opts)
+            per_array_adamw(reference, grads, moments, step, **opts, **constants)
         assert state.step == 20
         assert np.array_equal(network.params, reference.params)
         for la, lb in zip(network.layers, reference.layers):
@@ -223,17 +225,17 @@ class TestTrain:
 
     def test_bookkeeping_two_steps_one_record(self):
         cfg = small_config(epochs=1, batch_size=5, val_fraction=0.5)
-        ds = standardized_roll(n=20)
-        result = tr.train(cfg, ds)
+        samples = standardized_roll(n=20)
+        result = tr.train(cfg, samples)
         # 20 samples, half for validation -> 10 train samples -> 2 batches
         assert result.state.opt.step == 2
         assert len(result.records) == 1
 
     def test_deterministic_repeat(self):
         cfg = small_config(regularizer="conf", lambda_geo=0.3, epochs=2)
-        ds = standardized_roll()
-        a = tr.train(cfg, ds)
-        b = tr.train(cfg, ds)
+        samples = standardized_roll()
+        a = tr.train(cfg, samples)
+        b = tr.train(cfg, samples)
         for la, lb in zip(a.state.dec.layers, b.state.dec.layers):
             assert np.array_equal(la.weight, lb.weight)
             assert np.array_equal(la.bias, lb.bias)
@@ -249,13 +251,13 @@ class TestTrain:
 
     def test_monitored_regularizer_with_zero_intensity(self):
         cfg = small_config(regularizer="conf", lambda_geo=0.0, epochs=1, seed=3)
-        ds = standardized_roll()
-        result = tr.train(cfg, ds)
+        samples = standardized_roll()
+        result = tr.train(cfg, samples)
         assert result.records[0].geo > 0.0
         # Monitored MC values are unbiased estimates of the exact-path loss:
         # evaluate both on the trained model over the validation codes.
-        _, val_ds = tr.split_dataset(cfg, ds)
-        codes = net.forward(result.state.enc, val_ds.samples)
+        _, x_val = tr.split_dataset(cfg, samples)
+        codes = net.forward(result.state.enc, x_val)
         exact = value_of(reg.nonlinear_conformal_loss_and_grad, result.state.dec, codes)
         rng = np.random.default_rng(11)
         draws = np.array(
@@ -285,13 +287,13 @@ class TestTrain:
         assert last < first
 
     def test_resume_reproduces_uninterrupted_run(self):
-        ds = standardized_roll()
+        samples = standardized_roll()
         full_cfg = small_config(regularizer="conf", lambda_geo=0.2, epochs=4)
-        straight = tr.train(full_cfg, ds)
+        straight = tr.train(full_cfg, samples)
 
         half_cfg = small_config(regularizer="conf", lambda_geo=0.2, epochs=2)
-        first = tr.train(half_cfg, ds)
-        resumed = tr.train(full_cfg, ds, resume=first.state)
+        first = tr.train(half_cfg, samples)
+        resumed = tr.train(full_cfg, samples, resume=first.state)
         assert resumed.records[0].epoch == 3  # numbering continues
         for la, lb in zip(straight.state.dec.layers, resumed.state.dec.layers):
             assert np.array_equal(la.weight, lb.weight)
@@ -306,7 +308,7 @@ class TestTrain:
     def test_rejects_unstandardized_data(self):
         cfg = small_config()
         with pytest.raises(ValueError, match="standardized"):
-            tr.train(cfg, data.swiss_roll(100, seed=0))
+            tr.train(cfg, data.swiss_roll(100, seed=0)[0])
 
     def test_exact_trace_training_path(self):
         cfg = small_config(regularizer="conf", lambda_geo=0.5, epochs=2, exact_trace=True)
@@ -321,8 +323,8 @@ class TestTrain:
         # 0.05 is a per-feature mean squared error, i.e. recon/3 here since
         # the loss sums squared residuals over the three features
         cfg = tr.RunConfig(regularizer="none", epochs=200, seed=42)
-        ds = data.standardize(data.swiss_roll(5000, seed=100))
-        result = tr.train(cfg, ds)
+        samples = data.standardize(data.swiss_roll(5000, seed=100)[0])
+        result = tr.train(cfg, samples)
         assert result.records[-1].val_recon / 3.0 < 0.05
 
 
@@ -386,7 +388,7 @@ class TestTrainingStepGradients:
             raise AssertionError("geometric term evaluated on a diverged batch")
 
         monkeypatch.setattr(reg, "nonlinear_conformal_loss_and_grad", unreachable)
-        x = standardized_roll(n=8).samples
+        x = standardized_roll(n=8)
         with np.errstate(invalid="ignore", over="ignore"):
             with pytest.raises(tr.TrainingDivergedError, match="recon") as err:
                 tr._batch_losses_and_grads(cfg, 0.5, enc, dec, x, np.random.default_rng(0), 3, 4)
@@ -398,7 +400,7 @@ class TestTrainingStepGradients:
         enc, dec = tr.init_networks(cfg)
         for layer in dec.layers:
             layer.weight[:] = 0.0
-        x = standardized_roll(n=8).samples
+        x = standardized_roll(n=8)
         with pytest.raises(reg.DegenerateJacobianError, match="epoch 3, batch 4") as err:
             tr._batch_losses_and_grads(cfg, 0.5, enc, dec, x, np.random.default_rng(0), 3, 4)
         assert (err.value.epoch, err.value.batch) == (3, 4)
@@ -441,10 +443,10 @@ class TestTwoVectorOracle:
     """``train`` keeps the bits of two networks stepped one vector at a time."""
 
     @staticmethod
-    def oracle(monkeypatch, cfg, ds):
+    def oracle(monkeypatch, cfg, samples):
         with monkeypatch.context() as patch:
             patch.setattr(reg, "trace_moments", einsum_trace_moments)
-            return two_vector_train(cfg, ds)
+            return two_vector_train(cfg, samples)
 
     @staticmethod
     def assert_same_run(state, oracle):
@@ -467,17 +469,17 @@ class TestTwoVectorOracle:
     )
     def test_trained_bits_equal_the_oracle(self, monkeypatch, tag, act, probes, batch_size):
         cfg = oracle_config(tag, act, probes, batch_size)
-        ds = standardized_roll(n=250)
-        state = tr.train(cfg, ds).state
+        samples = standardized_roll(n=250)
+        state = tr.train(cfg, samples).state
         assert state.epoch == 3
-        self.assert_same_run(state, self.oracle(monkeypatch, cfg, ds))
+        self.assert_same_run(state, self.oracle(monkeypatch, cfg, samples))
 
     def test_resumed_bits_equal_the_oracle(self, monkeypatch):
-        ds = standardized_roll(n=250)
+        samples = standardized_roll(n=250)
         cfg = oracle_config("conf", "relu", 8, 16)
-        first = tr.train(oracle_config("conf", "relu", 8, 16, epochs=1), ds).state
-        state = tr.train(cfg, ds, resume=first).state
-        self.assert_same_run(state, self.oracle(monkeypatch, cfg, ds))
+        first = tr.train(oracle_config("conf", "relu", 8, 16, epochs=1), samples).state
+        state = tr.train(cfg, samples, resume=first).state
+        self.assert_same_run(state, self.oracle(monkeypatch, cfg, samples))
 
 
 def test_training_memory_peak_is_bounded():
@@ -486,10 +488,10 @@ def test_training_memory_peak_is_bounded():
     # epoch's (4000, 8, 2) probe block in one call instead of per batch
     # reproduces the stream but peaks at 2.13 MiB
     cfg = tr.RunConfig(regularizer="conf", lambda_geo=0.24, epochs=2)
-    ds = data.standardize(data.swiss_roll(5000, seed=42))
+    samples = data.standardize(data.swiss_roll(5000, seed=42)[0])
     tracemalloc.start()
     try:
-        tr.train(cfg, ds)
+        tr.train(cfg, samples)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -499,8 +501,8 @@ def test_training_memory_peak_is_bounded():
 class TestCalibrateIntensity:
     def test_balances_the_two_terms(self):
         cfg = small_config(regularizer="conf")
-        ds = standardized_roll()
-        lam, recon0, geo0 = tr.calibrate_intensity(cfg, ds)
+        samples = standardized_roll()
+        lam, recon0, geo0 = tr.calibrate_intensity(cfg, samples)
         assert recon0 > 0 and geo0 > 0
         # the weighted geometric term sits a fixed fraction below the
         # reconstruction scale, anticipating the decay of the latter
@@ -508,8 +510,8 @@ class TestCalibrateIntensity:
 
     def test_deterministic(self):
         cfg = small_config(regularizer="globiso")
-        ds = standardized_roll()
-        assert tr.calibrate_intensity(cfg, ds) == tr.calibrate_intensity(cfg, ds)
+        samples = standardized_roll()
+        assert tr.calibrate_intensity(cfg, samples) == tr.calibrate_intensity(cfg, samples)
 
     def test_nothing_to_calibrate_without_regularizer(self):
         with pytest.raises(tr.ConfigError):
