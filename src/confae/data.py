@@ -1,7 +1,8 @@
 """Swiss-roll generation, standardization, splits, CSV round trips, atomic writes.
 
 CSV files are streamed both ways: written ``CSV_BLOCK`` rows at a time and
-read line by line, so neither direction holds the whole text.
+read in chunks of about ``CSV_READ_CHUNK`` characters of whole lines, so
+neither direction holds the whole text.
 
 The roll is sampled on the rectangle [3*pi/2, 9*pi/2] x [0, 21] with the
 scikit-learn parametrization (xi*cos(xi), eta, xi*sin(xi)), without
@@ -27,6 +28,8 @@ ETA_RANGE = (0.0, 21.0)
 CSV_HEADER = "x,y,z,xi,eta"
 # Rows per block that a CSV writer renders and writes at once.
 CSV_BLOCK = 512
+# Characters of lines per chunk that a CSV reader takes from the file at once.
+CSV_READ_CHUNK = 2**16
 # Largest |mean| and |std - 1| of a feature that :func:`is_standardized` accepts.
 STANDARDIZED_TOL = 1e-6
 
@@ -116,12 +119,18 @@ def to_csv(roll: tuple[np.ndarray, np.ndarray], path: str | Path) -> None:
 
 
 class _Body:
-    """The lines of an open CSV file after its header, streamed.
+    """The lines of an open CSV file after its header, streamed in chunks.
 
     Blank lines before the header and after the last row are skipped, as if
     the file's text were stripped; ``header`` is the first other line,
     stripped, and ``count``, once the lines are exhausted, the number of
     body lines yielded.
+
+    Lines come from ``readlines`` chunks of about ``CSV_READ_CHUNK``
+    characters, chained, so no Python step runs per line. A chunk is tested
+    for whitespace-only lines at C level; only a chunk that holds one is
+    scanned line by line, for the blank lines at its end, which are held
+    until a later row shows they are inside the body.
     """
 
     def __init__(self, f):
@@ -130,17 +139,22 @@ class _Body:
         self.count = 0
 
     def __iter__(self):
-        blank = []  # held until a later row shows they are inside the body
-        last = 0
-        for last, line in enumerate(self._f, start=1):
-            if line.isspace():
-                blank.append(line)
-                continue
-            if blank:
-                yield from blank
-                blank.clear()
-            yield line
-        self.count = last - len(blank)
+        return itertools.chain.from_iterable(self._chunks())
+
+    def _chunks(self):
+        blank, count = [], 0
+        while lines := self._f.readlines(CSV_READ_CHUNK):
+            count += len(lines)
+            end = len(lines)
+            if any(map(str.isspace, lines)):
+                while end and lines[end - 1].isspace():
+                    end -= 1
+            if end:
+                yield blank
+                yield lines[:end]
+                blank = []
+            blank += lines[end:]
+        self.count = count - len(blank)
 
 
 def _name_bad_line(path: Path, n: int) -> None:
@@ -164,7 +178,8 @@ def read_csv(path: str | Path, header: str | None = None) -> tuple[list[str], np
     """Column names and (rows, columns) float table of a CSV file with one header line.
 
     ``header``, when given, is the header line the file must have. The body
-    streams from the open file into ``np.loadtxt``; a malformed line is
+    streams from the open file into ``np.loadtxt`` in ``readlines`` chunks
+    (see :class:`_Body`), with no Python step per line; a malformed line is
     named by a second, line-by-line pass. A file without rows gives a table
     of zero rows and, without a header either, no names.
     """
@@ -200,9 +215,8 @@ def from_csv(path: str | Path) -> np.ndarray:
     _, arr = read_csv(path, CSV_HEADER)
     if not len(arr):
         raise ValueError(f"{path}: no data rows")
-    bad = np.argwhere(~np.isfinite(arr))
-    if bad.size:
-        row, col = bad[0]
+    if not np.isfinite(arr).all():
+        row, col = np.argwhere(~np.isfinite(arr))[0]
         value = float(arr[row, col])
         raise ValueError(f"{path}:{row + 2}: non-finite value {value} in column {col + 1}")
     return arr[:, :3]

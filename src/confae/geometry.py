@@ -5,7 +5,8 @@ Pipeline: pullback metric of the decoder -> pointwise stretch factor
 scalar curvature of the stretch field -> condition-number maps.
 
 The kNN search is exact and tiled: each code is searched among the codes
-near its tile of a grid, and only rows that check cannot prove exact are
+near its tile of a grid, taken from the neighboring tiles as runs of the
+tile-sorted codes, and only rows that check cannot prove exact are
 searched against all codes. It returns the neighbors a full distance row
 would, ties included, and the graph is an edge list, so memory is O(n k)
 plus a distance block of at most ``_GRAPH_CHUNK`` = 2^16 entries (512 KiB)
@@ -33,7 +34,9 @@ from . import data, linalg, net
 # (512 KiB of float64).
 _GRAPH_CHUNK = 2**16
 # Codes per tile of the kNN search's grid, on average over the bounding box.
-_TILE = 64
+_TILE = 128
+# Tile widths by which the kNN search grows a tile's bounding box.
+_MARGIN = 0.25
 
 
 @dataclass
@@ -158,9 +161,15 @@ def _nearest(codes: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
 
     Exact, with ties broken by index as a stable sort of each full distance
     row would. The codes are bucketed on a grid over their first two
-    coordinates, about ``_TILE`` codes per tile. A tile's codes are searched
-    among the candidates in its bounding box grown by half a tile width. A
-    row is kept only if its k-th squared distance is below the squared
+    coordinates, about ``_TILE`` codes per tile, and sorted by tile. A tile's
+    codes are searched among the candidates in its bounding box grown by
+    ``_MARGIN`` tile widths. Those lie in the tiles that the box's corners
+    fall in and the tiles between them (the 3 x 3 tiles around it, unless
+    rounding says otherwise): a code's tile is monotone in its coordinates,
+    so no code of the box lies outside that range. Each row of that range is
+    a contiguous run of the tile-sorted codes, found by ``searchsorted``.
+
+    A row is kept only if its k-th squared distance is below the squared
     distance to the nearest face of the grown box that has codes beyond it:
     rounding is monotone, so every code outside that face then computes to a
     strictly larger distance, and none can be nearer or tie. The other rows
@@ -177,18 +186,32 @@ def _nearest(codes: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     lo, hi = grid.min(axis=0), grid.max(axis=0)
     cells = max(1, round((n / _TILE) ** (1 / grid.shape[1])))
     width = (hi - lo) / cells
-    cell = np.divide(grid - lo, width, out=np.zeros_like(grid), where=width > 0)
-    cell = np.minimum(cell.astype(np.int64), cells - 1)
-    key = np.ravel_multi_index(tuple(cell.T), (cells,) * grid.shape[1])
+
+    def tile(points: np.ndarray) -> np.ndarray:
+        """(row, column) tile of each point; a 1-D grid is one row of tiles."""
+        cell = np.divide(points - lo, width, out=np.zeros_like(points), where=width > 0)
+        cell = np.clip(cell.astype(np.int64), 0, cells - 1)
+        return cell if cell.shape[1] == 2 else np.column_stack([np.zeros_like(cell), cell])
+
+    cell = tile(grid)
+    key = cell[:, 0] * cells + cell[:, 1]
     order = np.argsort(key, kind="stable")  # index order within each tile
-    bounds = np.r_[0, np.flatnonzero(np.diff(key[order])) + 1, n]
+    key = key[order]
+    bounds = np.r_[0, np.flatnonzero(np.diff(key)) + 1, n]
+    box_lo = np.minimum.reduceat(grid[order], bounds[:-1], axis=0) - _MARGIN * width
+    box_hi = np.maximum.reduceat(grid[order], bounds[:-1], axis=0) + _MARGIN * width
+    first, last = tile(box_lo), tile(box_hi)
 
     redo = []
-    for a, b in zip(bounds[:-1], bounds[1:]):
+    for t, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
         members = order[a:b]
-        box_lo = grid[members].min(axis=0) - width / 2
-        box_hi = grid[members].max(axis=0) + width / 2
-        cand = np.flatnonzero(np.all((grid >= box_lo) & (grid <= box_hi), axis=1))
+        # One run of the tile-sorted codes per row of tiles that the box spans.
+        rows = np.arange(first[t, 0], last[t, 0] + 1) * cells
+        starts = np.searchsorted(key, rows + first[t, 1], side="left")
+        ends = np.searchsorted(key, rows + last[t, 1], side="right")
+        pool = np.concatenate([order[i:j] for i, j in zip(starts, ends)])
+        inside = np.all((grid[pool] >= box_lo[t]) & (grid[pool] <= box_hi[t]), axis=1)
+        cand = np.sort(pool[inside])
         if cand.size <= k:
             redo.append(members)
             continue
@@ -205,8 +228,8 @@ def _nearest(codes: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
             if cand.size < n:
                 q = grid[queries]
                 gap = np.minimum(
-                    np.where(box_lo > lo, q - box_lo, np.inf),
-                    np.where(box_hi < hi, box_hi - q, np.inf),
+                    np.where(box_lo[t] > lo, q - box_lo[t], np.inf),
+                    np.where(box_hi[t] < hi, box_hi[t] - q, np.inf),
                 ).min(axis=1)
                 redo.append(queries[near.max(axis=1) >= gap**2])
 

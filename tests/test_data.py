@@ -265,6 +265,16 @@ class TestCsv:
                 "{path}:3: could not convert string to float: 'x'",
             ),
             ("x,y,z,xi,eta\n1,2,3,4,5\n1,2,3,nan,5\n", "{path}:3: non-finite value nan in column 4"),
+            ("x,y,z,xi,eta\n \t\n1,2,3,4,5\n", "{path}:2: expected 5 columns, got 1"),
+            (
+                "x,y,z,xi,eta\n1,x,3,4,5\n1,2,3,4,5\n",
+                "{path}:2: could not convert string to float: 'x'",
+            ),
+            (
+                "x,y,z,xi,eta\n1,2,3,4,5\n1,2,3,4,5\n1,2,3,4,z\n\n",
+                "{path}:4: could not convert string to float: 'z'",
+            ),
+            ("x,y,z,xi,eta\n1,2,3,4,5\n1,2,3,4", "{path}:3: expected 5 columns, got 4"),
         ],
         ids=[
             "empty",
@@ -275,6 +285,10 @@ class TestCsv:
             "whitespace-line",
             "non-numeric",
             "non-finite",
+            "whitespace-first-line",
+            "non-numeric-first-line",
+            "non-numeric-last-line",
+            "short-last-line-without-newline",
         ],
     )
     def test_error_messages(self, tmp_path, text, message):
@@ -283,6 +297,33 @@ class TestCsv:
         with pytest.raises(ValueError) as exc:
             data.from_csv(path)
         assert str(exc.value) == message.format(path=path)
+
+    @pytest.mark.parametrize("chunk", [1, 25, data.CSV_READ_CHUNK], ids=lambda c: f"chunk{c}")
+    @pytest.mark.parametrize("at", [0, 2, 3, 4, 7], ids=lambda i: f"row{i}")
+    @pytest.mark.parametrize(
+        "defect", ["", " \t", "\n\n", "1,2,x,4,5"], ids=["blank", "whitespace", "three-blank", "non-numeric"]
+    )
+    def test_defects_across_read_chunks(self, monkeypatch, tmp_path, chunk, at, defect):
+        # Row `at` of eight 10-character rows is replaced by the defect. With
+        # chunks of 25 characters the first chunk ends after row 2, or after
+        # row 3 when a blank line shortens it; with 1 every row ends one, and
+        # a blank line shares a chunk with the line after it. A blank defect
+        # in the last row is trailing and ignored.
+        monkeypatch.setattr(data, "CSV_READ_CHUNK", chunk)
+        rows = [f"{i},2,3,4,5" for i in range(8)]
+        rows[at] = defect
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join([data.CSV_HEADER, *rows]) + "\n")
+        if not defect.strip():
+            if at == len(rows) - 1:
+                assert np.array_equal(data.from_csv(path)[:, 0], np.arange(7.0))
+                return
+            message = f"{path}:{at + 2}: expected 5 columns, got 1"
+        else:
+            message = f"{path}:{at + 2}: could not convert string to float: 'x'"
+        with pytest.raises(ValueError) as exc:
+            data.from_csv(path)
+        assert str(exc.value) == message
 
     def test_blank_lines_around_the_table_are_ignored(self, tmp_path):
         roll = data.swiss_roll(7, seed=19)

@@ -140,6 +140,15 @@ def clusters_with_outliers(rng):
     )
 
 
+def sparse_border(rng, n=1500):
+    """A dense core and a few codes along the edges and at the corners of its
+    bounding box, whose border tiles have few or no codes near them."""
+    t = np.linspace(-3.0, 3.0, 7)
+    edges = [np.column_stack([t, np.full(7, side)]) for side in (-3.0, 3.0)]
+    edges += [np.column_stack([np.full(5, side), t[1:-1]]) for side in (-3.0, 3.0)]
+    return np.vstack([rng.normal(scale=0.4, size=(n, 2)), *edges])
+
+
 class TestBuildGraph:
     def test_three_collinear_points(self):
         d = 0.7
@@ -215,6 +224,11 @@ class TestBuildGraph:
             (np.random.default_rng(17).normal(size=(700, 1)), 6),
             (np.random.default_rng(18).normal(size=(900, 4)), 7),
             (np.vstack([np.zeros((300, 2)), np.random.default_rng(19).normal(size=(200, 2))]), 10),
+            (sparse_border(np.random.default_rng(24)), 10),
+            # a constant first coordinate puts every code in one row of tiles
+            (np.column_stack([np.full(600, -1.0), np.random.default_rng(25).normal(size=600)]), 8),
+            (np.random.default_rng(26).normal(size=(3 * geometry._TILE, 2)), 10),
+            (np.random.default_rng(27).standard_cauchy(size=(4000, 2)), 10),
         ],
         ids=[
             "disc-grid",
@@ -229,9 +243,42 @@ class TestBuildGraph:
             "1d",
             "4d",
             "coincident-tile",
+            "sparse-border-and-corners",
+            "one-tile-wide",
+            "between-one-and-four-tiles",
+            "cauchy-4000",
         ],
     )
     def test_edge_list_matches_dense_oracle(self, codes, k):
+        g = geometry.build_graph(codes, k=k)
+        h, er, ec, ew = dense_reference_graph(codes, k)
+        assert g.bandwidth == h
+        assert np.array_equal(g.edge_rows, er)
+        assert np.array_equal(g.edge_cols, ec)
+        assert np.array_equal(g.edge_weights, ew)
+
+    @pytest.mark.parametrize(
+        "tile, margin",
+        [(1, 0.0), (1, 0.25), (1, 3.0), (10**9, 0.0), (10**9, 0.25)],
+        ids=["one-code-no-margin", "one-code", "one-code-wide-margin", "one-tile-no-margin", "one-tile"],
+    )
+    @pytest.mark.parametrize(
+        "codes, k",
+        [
+            (np.random.default_rng(28).normal(size=(300, 2)), 10),
+            (integer_grid(12), 6),
+            (np.repeat(np.random.default_rng(29).normal(size=(40, 2)), 3, axis=0), 4),
+            (np.random.default_rng(30).normal(size=(200, 1)), 6),
+            (np.random.default_rng(31).normal(size=(200, 3)), 5),
+            (sparse_border(np.random.default_rng(32), n=300), 10),
+        ],
+        ids=["normal", "integer-grid", "duplicates", "1d", "3d", "sparse-border"],
+    )
+    def test_exact_for_any_tile_size_and_margin(self, monkeypatch, codes, k, tile, margin):
+        # The tile size and margin only move work between the tiled search
+        # and the rows searched against all codes; the graph stays the same.
+        monkeypatch.setattr(geometry, "_TILE", tile)
+        monkeypatch.setattr(geometry, "_MARGIN", margin)
         g = geometry.build_graph(codes, k=k)
         h, er, ec, ew = dense_reference_graph(codes, k)
         assert g.bandwidth == h
