@@ -12,6 +12,10 @@ not all pinned, as when ``main`` is called after numpy was imported.
 A checkpoint (format 5) stores its run's ``RunConfig``, which builds both
 networks and gives ``diagnose`` its split and regularizer tag; a manifest
 beside it must record the same config (``epochs`` aside).
+
+``diagnose`` starts by encoding the validation samples in blocks and
+sweeping the decoder at each block's codes (``geometry.conformal_field``);
+this module only times its stages and writes what they return.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, data, figures, geometry, net, training
+from . import __version__, data, figures, geometry, training
 from .regularizers import DegenerateJacobianError
 
 CHECKPOINT_NAME = "checkpoint.json"
@@ -55,9 +59,6 @@ KAPPA_SUMMARY_NAME = "kappa_summary.json"
 # The entries of a kappa summary that ``compare`` tabulates.
 KAPPA_KEYS = ("kappa_jac_mean", "kappa_jac_std", "kappa_pbm_mean", "kappa_pbm_std")
 
-# Samples per block of diagnose's encode and Jacobian stage: only one block's
-# encoder outputs and JVP tape are held at a time.
-JACOBIAN_BLOCK = 512
 # Bytes per read when a file is hashed.
 HASH_BLOCK = 2**16
 
@@ -456,34 +457,6 @@ def _validation_split(args):
     return snapshot.enc, snapshot.dec, val, args.regularizer or config.regularizer
 
 
-def _conformal_and_kappa(enc: net.Mlp, dec: net.Mlp, samples: np.ndarray, lap):
-    """The codes of ``samples``, the decoder's stretch field there and its
-    (kappa_jac, kappa_pbm) rows.
-
-    The samples are taken ``JACOBIAN_BLOCK`` at a time: each block is encoded,
-    its Jacobians are the tangent rows of one ``net.jvp`` at its codes, and
-    they are reduced to its c and kappas before the next block. The encoder
-    and the JVP write into one set of block buffers that every block reuses,
-    so memory does not grow with the samples beyond each code, its c and its
-    kappas. ``lap`` is called after each block's ``encode``, ``jacobians``
-    and ``conformal_kappa`` stages.
-    """
-    n = samples.shape[0]
-    codes, values, kappas = np.empty((n, dec.in_dim)), np.empty(n), np.empty((n, 2))
-    buffers = {}
-    for start in range(0, n, JACOBIAN_BLOCK):
-        block = slice(start, start + JACOBIAN_BLOCK)
-        z = codes[block]
-        z[:] = net.forward(enc, samples[block], buffers)
-        lap("encode")
-        rows = net.jvp(dec, z, buffers).jv
-        lap("jacobians")
-        values[block] = geometry.conformal_factor(rows)
-        kappas[block] = geometry.kappa_field(rows)
-        lap("conformal_kappa")
-    return geometry.ConformalField(codes, values), kappas
-
-
 def cmd_diagnose(args) -> int:
     """Diagnostics of a checkpoint's decoder on the validation split of ``--data``.
 
@@ -503,17 +476,16 @@ def cmd_diagnose(args) -> int:
     out = _out_dir(args.out)
     lap("read")
     try:
-        field, kappas = _conformal_and_kappa(enc, dec, samples, lap)
+        codes, c, kappas = geometry.conformal_field(enc, dec, samples, lap)
     except ValueError as exc:
         raise _runtime(str(exc))
-    codes = field.codes
 
     curv = None
     if codes.shape[1] == 2:
         try:
             graph = geometry.build_graph(codes)
             lap("graph")
-            curv = geometry.scalar_curvature(field, graph)
+            curv = geometry.scalar_curvature(codes, c, graph)
             lap("curvature")
         except ValueError as exc:
             raise _runtime(str(exc))
@@ -523,7 +495,7 @@ def cmd_diagnose(args) -> int:
             file=sys.stderr,
         )
 
-    geometry.write_diagnostics_csv(out / DIAGNOSTICS_NAME, field, curv, kappas)
+    geometry.write_diagnostics_csv(out / DIAGNOSTICS_NAME, codes, c, curv, kappas)
     lap("write_csv")
     try:
         payload = {"regularizer": regularizer, **geometry.summarize_kappa(kappas)}

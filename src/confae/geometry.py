@@ -1,8 +1,9 @@
 """Post-training geometry diagnostics on the latent space.
 
-Pipeline: pullback metric of the decoder -> pointwise stretch factor
-(trace / latent dim) -> kNN graph Laplacian over the codes -> discrete
-scalar curvature of the stretch field -> condition-number maps.
+Pipeline: encode the samples in blocks -> pullback metric of the decoder
+at each block's codes -> pointwise stretch factor (trace / latent dim) and
+condition numbers -> kNN graph Laplacian over the codes -> discrete scalar
+curvature of the stretch field.
 
 The kNN search is exact and tiled: each code is searched among the codes
 near its tile of a grid, taken from the neighboring tiles as runs of the
@@ -23,13 +24,16 @@ evaluated on the same nodes comes out at its known value).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import data, linalg, net
 
+# Samples per block of the decoder sweep: only one block's encoder outputs
+# and JVP tape are held at a time.
+JACOBIAN_BLOCK = 512
 # Entries of the largest squared-distance block the kNN search builds
 # (512 KiB of float64).
 _GRAPH_CHUNK = 2**16
@@ -37,26 +41,6 @@ _GRAPH_CHUNK = 2**16
 _TILE = 128
 # Tile widths by which the kNN search grows a tile's bounding box.
 _MARGIN = 0.25
-
-
-@dataclass
-class ConformalField:
-    """Pointwise stretch factor of a decoder over a set of latent codes."""
-
-    codes: np.ndarray  # (n, m)
-    values: np.ndarray  # (n,), finite and strictly positive
-    normalized: np.ndarray = field(init=False)  # min-max rescaled copy
-
-    def __post_init__(self):
-        self.codes = np.asarray(self.codes, dtype=np.float64)
-        self.values = np.asarray(self.values, dtype=np.float64)
-        bad = np.flatnonzero(~(np.isfinite(self.values) & (self.values > 0.0)))
-        if bad.size:
-            raise ValueError(
-                "conformal factor must be finite and strictly positive; value "
-                f"{self.values[bad[0]]:.3e} at index {bad[0]}"
-            )
-        self.normalized = _minmax(self.values)
 
 
 def _minmax(values: np.ndarray) -> np.ndarray:
@@ -93,7 +77,6 @@ class LatentGraph:
 
 @dataclass
 class CurvatureField:
-    codes: np.ndarray
     raw: np.ndarray
     normalized: np.ndarray  # raw / max |raw|
     interior: np.ndarray  # bool mask, nodes away from the bounding box
@@ -112,9 +95,39 @@ def conformal_factor(rows: np.ndarray) -> np.ndarray:
     return np.einsum("pkk->p", net.gram(rows)) / rows.shape[1]
 
 
-def conformal_field(codes: np.ndarray, rows: np.ndarray) -> ConformalField:
-    """Stretch factor at every code from the decoder's tangent rows of ``net.jvp`` there."""
-    return ConformalField(codes=codes, values=conformal_factor(rows))
+def conformal_field(enc: net.Mlp, dec: net.Mlp, samples: np.ndarray, lap):
+    """The codes of ``samples``, the decoder's stretch factor c there and its
+    (kappa_jac, kappa_pbm) rows: (n, m), (n,) and (n, 2) arrays.
+
+    The samples are taken ``JACOBIAN_BLOCK`` at a time: each block is encoded,
+    its Jacobians are the tangent rows of one ``net.jvp`` at its codes, and
+    they are reduced to its c and kappas before the next block. The encoder
+    and the JVP write into one set of block buffers that every block reuses,
+    so memory does not grow with the samples beyond each code, its c and its
+    kappas. ``lap`` is called after each block's ``encode``, ``jacobians``
+    and ``conformal_kappa`` stages. A c that is not finite and strictly
+    positive is a ``ValueError`` naming the first such code.
+    """
+    n = samples.shape[0]
+    codes, values, kappas = np.empty((n, dec.in_dim)), np.empty(n), np.empty((n, 2))
+    buffers = {}
+    for start in range(0, n, JACOBIAN_BLOCK):
+        block = slice(start, start + JACOBIAN_BLOCK)
+        z = codes[block]
+        z[:] = net.forward(enc, samples[block], buffers)
+        lap("encode")
+        rows = net.jvp(dec, z, buffers).jv
+        lap("jacobians")
+        c = values[block] = conformal_factor(rows)
+        bad = np.flatnonzero(~(np.isfinite(c) & (c > 0.0)))
+        if bad.size:
+            raise ValueError(
+                "conformal factor must be finite and strictly positive; value "
+                f"{c[bad[0]]:.3e} at index {start + bad[0]}"
+            )
+        kappas[block] = kappa_field(rows)
+        lap("conformal_kappa")
+    return codes, values, kappas
 
 
 def _sq_dists(queries: np.ndarray, codes: np.ndarray, scratch: np.ndarray) -> np.ndarray:
@@ -338,21 +351,21 @@ def calibration_scale(graph: LatentGraph, codes: np.ndarray, interior: np.ndarra
     return target / med
 
 
-def scalar_curvature(field: ConformalField, graph: LatentGraph) -> CurvatureField:
-    """Discrete scalar curvature -(1/c) L log c of a 2-D conformal field."""
-    if field.codes.shape[1] != 2:
+def scalar_curvature(codes: np.ndarray, c: np.ndarray, graph: LatentGraph) -> CurvatureField:
+    """Discrete scalar curvature -(1/c) L log c of the stretch factor ``c``
+    at 2-D ``codes``, the nodes of ``graph``."""
+    if codes.shape[1] != 2:
         raise ValueError(
-            f"curvature is computed for 2-D latent spaces, got dimension {field.codes.shape[1]}"
+            f"curvature is computed for 2-D latent spaces, got dimension {codes.shape[1]}"
         )
-    if field.codes.shape[0] != graph.n:
+    if codes.shape[0] != graph.n:
         raise ValueError("field and graph disagree on the number of nodes")
-    raw = _raw_curvature(field.values, graph)
+    raw = _raw_curvature(c, graph)
     peak = np.abs(raw).max()
     normalized = raw / peak if peak > 0.0 else np.zeros_like(raw)
-    interior = interior_mask(field.codes, graph.bandwidth)
-    gamma = calibration_scale(graph, field.codes, interior)
+    interior = interior_mask(codes, graph.bandwidth)
+    gamma = calibration_scale(graph, codes, interior)
     return CurvatureField(
-        codes=field.codes,
         raw=raw,
         normalized=normalized,
         interior=interior,
@@ -406,9 +419,8 @@ def summarize_kappa(samples) -> dict:
     }
 
 
+# The columns after the latent coordinates z1..zm, in file order.
 DIAGNOSTIC_COLUMNS = (
-    "z1",
-    "z2",
     "c",
     "c_normalized",
     "s_raw",
@@ -422,17 +434,19 @@ DIAGNOSTIC_COLUMNS = (
 
 def write_diagnostics_csv(
     path: str | Path,
-    field: ConformalField,
+    codes: np.ndarray,
+    c: np.ndarray,
     curvature: CurvatureField | None,
     kappas: np.ndarray,
 ) -> None:
-    """One row per code; the curvature columns are omitted when ``curvature`` is None."""
+    """One row per code: its m latent coordinates z1..zm, then ``c``, its
+    min-max rescaled copy and the other ``DIAGNOSTIC_COLUMNS``; the curvature
+    columns are omitted when ``curvature`` is None."""
     kappas = np.asarray(kappas, dtype=np.float64)
+    latent = {f"z{i + 1}": codes[:, i] for i in range(codes.shape[1])}
     columns: dict[str, np.ndarray] = {
-        "z1": field.codes[:, 0],
-        "z2": field.codes[:, 1],
-        "c": field.values,
-        "c_normalized": field.normalized,
+        "c": c,
+        "c_normalized": _minmax(c),
         "kappa_jac": kappas[:, 0],
         "kappa_pbm": kappas[:, 1],
     }
@@ -441,8 +455,8 @@ def write_diagnostics_csv(
         columns["s_normalized"] = curvature.normalized
         columns["s_calibrated"] = curvature.calibrated
         columns["interior"] = curvature.interior.astype(np.float64)
-    names = [c for c in DIAGNOSTIC_COLUMNS if c in columns]
-    data.write_csv(path, ",".join(names), [columns[c] for c in names])
+    columns = latent | {name: columns[name] for name in DIAGNOSTIC_COLUMNS if name in columns}
+    data.write_csv(path, ",".join(columns), list(columns.values()))
 
 
 def read_diagnostics_csv(path: str | Path) -> dict[str, np.ndarray]:

@@ -246,14 +246,12 @@ def test_criterion_5_curvature_pipeline():
     t0 = time.perf_counter()
     codes = np.random.default_rng(7).normal(size=(200, 2))
     graph = geometry.build_graph(codes, k=8)
-    const_field = geometry.ConformalField(codes, np.full(200, 2.5))
-    const_curv = geometry.scalar_curvature(const_field, graph)
+    const_curv = geometry.scalar_curvature(codes, np.full(200, 2.5), graph)
     constant_ok = bool(np.all(const_curv.raw == 0.0))
 
     grid = disc_grid(40, 2.0)
     grid_graph = geometry.build_graph(grid, k=10)
-    sphere = geometry.ConformalField(grid, geometry.stereographic_factor(grid))
-    curv = geometry.scalar_curvature(sphere, grid_graph)
+    curv = geometry.scalar_curvature(grid, geometry.stereographic_factor(grid), grid_graph)
     median = float(np.median(curv.calibrated[curv.interior]))
     sphere_ok = abs(median - 2.0) < 0.4
     elapsed = time.perf_counter() - t0

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from confae import data, net, training
+from confae import cli, data, net, training
 
 ROOT = Path(__file__).resolve().parents[1]
 SPANS = ROOT / "benchmarks" / "spans.py"
@@ -52,6 +52,29 @@ def test_benchmark_workload_sets_up(monkeypatch, tmp_path, name):
         n_train = workloads.N_TRAIN_ROLL - round(workloads.N_TRAIN_ROLL * workloads.VAL_FRACTION)
         assert workload.samples_per_op == n_train
         assert set(workload.checks) == {"init_params_sha256"}
+
+
+SWEEP_LAYERS = ("geometry.conformal_field", "net.forward", "net.jvp")
+
+
+def test_diagnose_workload_call_passes_its_check_and_traces_the_sweep(monkeypatch, tmp_path):
+    # one traced operation of diagnose-roll: its output check passes, and the
+    # decoder sweep is one conformal_field span holding each block's encode
+    # and JVP (4000 codes, JACOBIAN_BLOCK 512)
+    workloads = _workloads(monkeypatch)
+    workload = workloads.make_workload("diagnose-roll", 0, tmp_path)
+    workload.setup()
+    tracer = _spans().Tracer()
+    tracer.install(SWEEP_LAYERS)
+    try:
+        code = cli.main(workload._argv())
+    finally:
+        tracer.uninstall(SWEEP_LAYERS)
+    assert code == 0
+    assert workload._check() is None
+    (sweep,) = [s for s in tracer.spans if s.name == "geometry.conformal_field"]
+    children = [s.name for s in tracer.spans if s.parent == sweep.sid]
+    assert sorted(children) == ["net.forward"] * 8 + ["net.jvp"] * 8
 
 
 def _layers():

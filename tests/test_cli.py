@@ -725,6 +725,37 @@ class TestDiagnose:
         summary = json.loads((out / cli.KAPPA_SUMMARY_NAME).read_text())
         assert summary["kappa_jac_mean"] == pytest.approx(1.0, abs=1e-9)
 
+    def test_collapsed_decoder_exits_2_naming_the_first_code(self, tmp_path, roll_csv, capsys):
+        ckpt = tmp_path / "ckpt.json"
+        config = training.RunConfig(dims=[3, 2])
+        enc, dec = training.init_networks(config)
+        dec.params[:] = 0.0
+        opt = training.AdamWState.zeros(enc.params.size + dec.params.size)
+        state = training.TrainState(1, enc, dec, opt, np.random.default_rng(0))
+        cli._write_checkpoint(ckpt, config, state)
+        out = tmp_path / "diag"
+        assert self._diagnose(ckpt, roll_csv, out) == 2
+        err = capsys.readouterr().err
+        msg = "conformal factor must be finite and strictly positive; value 0.000e+00 at index 0"
+        assert msg in err and "Traceback" not in err
+        assert not (out / cli.DIAGNOSTICS_NAME).exists()
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_latent_dimension_other_than_two_writes_every_coordinate(
+        self, tmp_path, roll_csv, capsys, m
+    ):
+        code, run = tiny_train(tmp_path, roll_csv, "run", "--set", f"dims=[3,8,{m}]")
+        assert code == 0
+        capsys.readouterr()
+        out = tmp_path / "diag"
+        assert self._diagnose(run / cli.CHECKPOINT_NAME, roll_csv, out) == 0
+        err = capsys.readouterr().err
+        assert f"warning: latent dimension {m} != 2, curvature columns omitted" in err
+        assert "Traceback" not in err
+        header = (out / cli.DIAGNOSTICS_NAME).read_text().split("\n", 1)[0]
+        latent = ",".join(f"z{i + 1}" for i in range(m))
+        assert header == f"{latent},c,c_normalized,kappa_jac,kappa_pbm"
+
     @pytest.mark.parametrize(
         "text",
         [
@@ -958,19 +989,18 @@ class TestJacobianBlocks:
         enc = net.init([3, 50, 50, 50, 2], acts, 33)
         dec = net.init([2, 50, 50, 50, 3], acts, 31)
         # two whole blocks and a short last one
-        samples = np.random.default_rng(32).normal(size=(2 * cli.JACOBIAN_BLOCK + 37, 3))
+        samples = np.random.default_rng(32).normal(size=(2 * geometry.JACOBIAN_BLOCK + 37, 3))
         laps = []
-        field, kappas = cli._conformal_and_kappa(enc, dec, samples, laps.append)
+        codes, c, kappas = geometry.conformal_field(enc, dec, samples, laps.append)
         assert laps == ["encode", "jacobians", "conformal_kappa"] * 3
         # each block's codes are its own encode's bits; a whole-batch encode
         # rounds its products differently, by a few ulps
-        for start in range(0, len(samples), cli.JACOBIAN_BLOCK):
-            block = slice(start, start + cli.JACOBIAN_BLOCK)
-            assert np.array_equal(field.codes[block], net.forward(enc, samples[block]))
-        np.testing.assert_allclose(field.codes, net.forward(enc, samples), rtol=1e-12, atol=1e-14)
-        rows = jvp_rows(dec, field.codes)
-        want = geometry.conformal_field(field.codes, rows)
-        np.testing.assert_allclose(field.values, want.values, rtol=1e-12, atol=0)
+        for start in range(0, len(samples), geometry.JACOBIAN_BLOCK):
+            block = slice(start, start + geometry.JACOBIAN_BLOCK)
+            assert np.array_equal(codes[block], net.forward(enc, samples[block]))
+        np.testing.assert_allclose(codes, net.forward(enc, samples), rtol=1e-12, atol=1e-14)
+        rows = jvp_rows(dec, codes)
+        np.testing.assert_allclose(c, geometry.conformal_factor(rows), rtol=1e-12, atol=0)
         np.testing.assert_allclose(kappas, geometry.kappa_field(rows), rtol=1e-12, atol=0)
 
     def test_memory_is_bounded(self):
@@ -983,7 +1013,7 @@ class TestJacobianBlocks:
         samples = np.random.default_rng(30).normal(size=(4000, 3))
         tracemalloc.start()
         try:
-            cli._conformal_and_kappa(enc, dec, samples, lambda stage: None)
+            geometry.conformal_field(enc, dec, samples, lambda stage: None)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -991,14 +1021,14 @@ class TestJacobianBlocks:
 
     @pytest.mark.parametrize("n", [4000, 16000])
     def test_encode_and_jacobians_do_not_grow_with_the_samples(self, n):
-        # the default networks peak at 2.64 MiB for 4000 samples and 3.25 MiB
-        # for 16000, of which 56 bytes per sample are its code, c, kappas and
-        # normalized c; encoding all samples at once peaks at 3.05 and 12.2 MiB
+        # the default networks peak at 2.64 MiB for 4000 samples and 3.07 MiB
+        # for 16000, of which 40 bytes per sample are its code, c and kappas;
+        # encoding all samples at once peaks at 3.05 and 12.2 MiB
         enc, dec = training.init_networks(training.RunConfig())
         samples = np.random.default_rng(35).normal(size=(n, 3))
         tracemalloc.start()
         try:
-            cli._conformal_and_kappa(enc, dec, samples, lambda stage: None)
+            geometry.conformal_field(enc, dec, samples, lambda stage: None)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1009,9 +1039,9 @@ class TestPlot:
     def _diag_csv(self, path, n=1):
         rng = np.random.default_rng(0)
         codes = rng.normal(size=(n, 2))
-        field = geometry.ConformalField(codes, np.abs(rng.normal(size=n)) + 0.5)
+        c = np.abs(rng.normal(size=n)) + 0.5
         kappas = np.column_stack([np.full(n, 2.0), np.full(n, 4.0)])
-        geometry.write_diagnostics_csv(path, field, None, kappas)
+        geometry.write_diagnostics_csv(path, codes, c, None, kappas)
 
     def test_single_point_file_gets_one_marker(self, tmp_path):
         diag = tmp_path / "d.csv"

@@ -26,10 +26,34 @@ def metric_at(dec, z):
     return net.gram(jvp_rows(dec, z))[0]
 
 
+def factors_at(dec, codes):
+    """Conformal factor at each code, through ``geometry.conformal_field`` with
+    an identity encoder, so the samples are the codes."""
+    enc = linear_dec(np.eye(codes.shape[1]))
+    return geometry.conformal_field(enc, dec, codes, lambda stage: None)[1]
+
+
 def factor_at(dec, z):
-    """Conformal factor at one code, from its ``net.jvp`` tangent rows."""
-    codes = np.atleast_2d(z)
-    return geometry.conformal_field(codes, jvp_rows(dec, codes)).values[0]
+    """Conformal factor at one code."""
+    return factors_at(dec, np.atleast_2d(z))[0]
+
+
+def gated_dec():
+    """A tanh decoder whose stretch factor is 0.5 at codes (1000, 0), where
+    its first unit saturates, 0 at (1000, 1000), where both do, inf at (0, 0),
+    where the first unit's 1e200 output weight squares to an overflow, and
+    NaN at (nan, 0)."""
+    hidden = net.Layer(np.eye(2), np.zeros(2), "tanh")
+    out = net.Layer(np.array([[1e200, 0.0], [0.0, 1.0], [0.0, 0.0]]), np.zeros(3), "identity")
+    return net.Mlp([hidden, out])
+
+
+def codes_with(bad, index):
+    """Two blocks and a few codes of ``gated_dec``'s (1000, 0), with ``bad``
+    at ``index`` and at the code after it."""
+    codes = np.tile([1000.0, 0.0], (geometry.JACOBIAN_BLOCK + 3, 1))
+    codes[index : index + 2] = bad
+    return codes
 
 
 class TestPullbackMetric:
@@ -72,21 +96,32 @@ class TestConformalFactor:
         scaled = factor_at(linear_dec(alpha * np.eye(2)), np.zeros(2))
         assert scaled == pytest.approx(alpha**2 * base, rel=1e-10)
 
+    # the first bad code is named by its index among all samples, in the
+    # first block and in the second
     def test_field_rejects_collapsed_values(self):
-        codes = np.zeros((2, 2))
-        with pytest.raises(ValueError, match="strictly positive"):
-            geometry.ConformalField(codes, np.array([1.0, 0.0]))
+        for index in (1, geometry.JACOBIAN_BLOCK + 1):
+            with pytest.raises(
+                ValueError, match=f"strictly positive; value 0.000e.00 at index {index}$"
+            ):
+                factors_at(gated_dec(), codes_with([1000.0, 1000.0], index))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
     def test_field_rejects_non_finite_values(self, bad):
-        codes = np.zeros((3, 2))
-        with pytest.raises(ValueError, match="finite and strictly positive.* at index 1"):
-            geometry.ConformalField(codes, np.array([1.0, bad, 2.0]))
+        code = [np.nan, 0.0] if np.isnan(bad) else [0.0, 0.0]
+        for index in (1, geometry.JACOBIAN_BLOCK + 1):
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(
+                    ValueError, match=f"finite and strictly positive; value {bad} at index {index}$"
+                ):
+                    factors_at(gated_dec(), codes_with(code, index))
 
-    def test_field_normalization_attains_bounds(self):
+    def test_field_normalization_attains_bounds(self, tmp_path):
         codes = np.zeros((3, 2))
-        field = geometry.ConformalField(codes, np.array([2.0, 5.0, 3.0]))
-        assert field.normalized.min() == 0.0 and field.normalized.max() == 1.0
+        kappas = np.ones((3, 2))
+        path = tmp_path / "diag.csv"
+        geometry.write_diagnostics_csv(path, codes, np.array([2.0, 5.0, 3.0]), None, kappas)
+        normalized = geometry.read_diagnostics_csv(path)["c_normalized"]
+        assert normalized.min() == 0.0 and normalized.max() == 1.0
 
 
 def dense_weights(g):
@@ -363,8 +398,7 @@ class TestScalarCurvature:
     def test_constant_field_is_exactly_zero(self):
         codes = np.random.default_rng(8).normal(size=(60, 2))
         g = geometry.build_graph(codes, k=6)
-        field = geometry.ConformalField(codes, np.full(60, 3.7))
-        curv = geometry.scalar_curvature(field, g)
+        curv = geometry.scalar_curvature(codes, np.full(60, 3.7), g)
         assert np.all(curv.raw == 0.0)
         assert np.all(curv.normalized == 0.0)
         assert np.all(curv.calibrated == 0.0)
@@ -372,8 +406,7 @@ class TestScalarCurvature:
     def test_sphere_field_recovers_curvature_two(self):
         codes = disc_grid(40, 2.0)
         g = geometry.build_graph(codes, k=10)
-        field = geometry.ConformalField(codes, geometry.stereographic_factor(codes))
-        curv = geometry.scalar_curvature(field, g)
+        curv = geometry.scalar_curvature(codes, geometry.stereographic_factor(codes), g)
         med = np.median(curv.calibrated[curv.interior])
         assert abs(med - 2.0) < 0.4
 
@@ -383,10 +416,7 @@ class TestScalarCurvature:
         codes = disc_grid(40, 2.0)
         g = geometry.build_graph(codes, k=10)
         a = math.sqrt(2.0)
-        field = geometry.ConformalField(
-            codes, geometry.stereographic_factor(codes, radius=a)
-        )
-        curv = geometry.scalar_curvature(field, g)
+        curv = geometry.scalar_curvature(codes, geometry.stereographic_factor(codes, radius=a), g)
         med = np.median(curv.calibrated[curv.interior])
         assert abs(med - 1.0) < 0.25
 
@@ -397,17 +427,15 @@ class TestScalarCurvature:
         # far below the sphere target of 2.
         codes = disc_grid(30, 2.0)
         g = geometry.build_graph(codes, k=10)
-        field = geometry.ConformalField(codes, np.exp(2.0 * codes[:, 0]))
-        curv = geometry.scalar_curvature(field, g)
+        curv = geometry.scalar_curvature(codes, np.exp(2.0 * codes[:, 0]), g)
         med = np.median(np.abs(curv.calibrated[curv.interior]))
         assert med < 1.0
 
     def test_rejects_non_2d_latents(self):
         codes = np.random.default_rng(9).normal(size=(30, 3))
         g = geometry.build_graph(codes, k=4)
-        field = geometry.ConformalField(codes, np.ones(30))
         with pytest.raises(ValueError, match="2-D"):
-            geometry.scalar_curvature(field, g)
+            geometry.scalar_curvature(codes, np.ones(30), g)
 
     def test_interior_mask_excludes_margin(self):
         codes = np.array([[0.0, 0.0], [10.0, 10.0], [5.0, 5.0]])
@@ -504,37 +532,37 @@ class TestDiagnosticsCsv:
     def test_round_trip_with_all_columns(self, tmp_path):
         codes = disc_grid(8, 2.0)
         g = geometry.build_graph(codes, k=4)
-        field = geometry.ConformalField(codes, geometry.stereographic_factor(codes))
-        curv = geometry.scalar_curvature(field, g)
+        c = geometry.stereographic_factor(codes)
+        curv = geometry.scalar_curvature(codes, c, g)
         kappas = np.column_stack([np.ones(len(codes)), np.ones(len(codes))])
         path = tmp_path / "diag.csv"
-        geometry.write_diagnostics_csv(path, field, curv, kappas)
+        geometry.write_diagnostics_csv(path, codes, c, curv, kappas)
         cols = geometry.read_diagnostics_csv(path)
-        assert set(cols) == set(geometry.DIAGNOSTIC_COLUMNS)
-        assert np.array_equal(cols["c"], field.values)
+        assert set(cols) == {"z1", "z2", *geometry.DIAGNOSTIC_COLUMNS}
+        assert np.array_equal(cols["c"], c)
         assert np.array_equal(cols["s_raw"], curv.raw)
 
     @pytest.mark.parametrize("with_curvature", [True, False], ids=["inf-kappa", "no-curvature"])
     def test_bytes_match_per_cell_repr(self, tmp_path, with_curvature):
         codes = disc_grid(8, 2.0)
-        field = geometry.ConformalField(codes, geometry.stereographic_factor(codes))
+        c = geometry.stereographic_factor(codes)
         kappas = 1.0 + np.random.default_rng(11).random((len(codes), 2))
         kappas[3] = math.inf  # rank-deficient sentinel
-        columns = {"z1": codes[:, 0], "z2": codes[:, 1], "c": field.values}
-        columns["c_normalized"] = field.normalized
+        columns = {"z1": codes[:, 0], "z2": codes[:, 1], "c": c}
+        columns["c_normalized"] = (c - c.min()) / (c.max() - c.min())
         curv = None
         if with_curvature:
-            curv = geometry.scalar_curvature(field, geometry.build_graph(codes, k=4))
+            curv = geometry.scalar_curvature(codes, c, geometry.build_graph(codes, k=4))
             columns.update(s_raw=curv.raw, s_normalized=curv.normalized)
             columns["s_calibrated"] = curv.calibrated
             columns["interior"] = curv.interior
         columns.update(kappa_jac=kappas[:, 0], kappa_pbm=kappas[:, 1])
-        names = [c for c in geometry.DIAGNOSTIC_COLUMNS if c in columns]
+        names = [c for c in ("z1", "z2", *geometry.DIAGNOSTIC_COLUMNS) if c in columns]
         rows = [
             ",".join(repr(float(columns[c][i])) for c in names) for i in range(len(codes))
         ]
         path = tmp_path / "diag.csv"
-        geometry.write_diagnostics_csv(path, field, curv, kappas)
+        geometry.write_diagnostics_csv(path, codes, c, curv, kappas)
         assert path.read_text() == "\n".join([",".join(names), *rows]) + "\n"
         assert "inf" in path.read_text().splitlines()[4]
 
@@ -567,16 +595,18 @@ class TestDiagnosticsCsv:
         n = data.CSV_BLOCK + extra
         rng = np.random.default_rng(12)
         codes = rng.normal(size=(n, 2))
-        field = geometry.ConformalField(codes, np.exp(rng.normal(size=n)))
+        c = np.exp(rng.normal(size=n))
         kappas = 1.0 + rng.random((n, 2))
         kappas[n // 2] = math.inf
-        curv = geometry.scalar_curvature(field, geometry.build_graph(codes))
-        columns = [codes[:, 0], codes[:, 1], field.values, field.normalized, curv.raw]
+        curv = geometry.scalar_curvature(codes, c, geometry.build_graph(codes))
+        normalized = (c - c.min()) / (c.max() - c.min())
+        columns = [codes[:, 0], codes[:, 1], c, normalized, curv.raw]
         columns += [curv.normalized, curv.calibrated, curv.interior, kappas[:, 0], kappas[:, 1]]
         table = np.column_stack(columns).tolist()
-        lines = [",".join(geometry.DIAGNOSTIC_COLUMNS)] + [",".join(map(repr, r)) for r in table]
+        header = ",".join(("z1", "z2", *geometry.DIAGNOSTIC_COLUMNS))
+        lines = [header] + [",".join(map(repr, r)) for r in table]
         path = tmp_path / "diag.csv"
-        geometry.write_diagnostics_csv(path, field, curv, kappas)
+        geometry.write_diagnostics_csv(path, codes, c, curv, kappas)
         assert path.read_text() == "\n".join(lines) + "\n"
 
     @pytest.mark.parametrize(

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from confae import cli, net, training
+from confae import cli, geometry, net, training
 
 
 def rel_err(a, b):
@@ -491,7 +491,7 @@ def test_buffers_give_the_bits_of_the_buffer_free_calls(act):
     acts = (act,) * 3 + ("identity",)
     enc = seeded_net((3, 50, 50, 50, 2), acts, 40)
     dec = seeded_net((2, 50, 50, 50, 3), acts, 41)
-    block = cli.JACOBIAN_BLOCK
+    block = geometry.JACOBIAN_BLOCK
     x = np.random.default_rng(42).normal(size=(2 * block + 37, 3))
     buffers, held = {}, None
     for start in range(0, len(x), block):
