@@ -476,7 +476,7 @@ def cmd_diagnose(args) -> int:
     out = _out_dir(args.out)
     lap("read")
     try:
-        codes, c, kappas = geometry.conformal_field(enc, dec, samples, lap)
+        codes, c, kappa = geometry.conformal_field(enc, dec, samples, lap)
     except ValueError as exc:
         raise _runtime(str(exc))
 
@@ -495,20 +495,21 @@ def cmd_diagnose(args) -> int:
             file=sys.stderr,
         )
 
-    geometry.write_diagnostics_csv(out / DIAGNOSTICS_NAME, codes, c, curv, kappas)
+    geometry.write_diagnostics_csv(out / DIAGNOSTICS_NAME, codes, c, curv, kappa)
     lap("write_csv")
     try:
-        payload = {"regularizer": regularizer, **geometry.summarize_kappa(kappas)}
+        payload = {"regularizer": regularizer, **geometry.summarize_kappa(kappa)}
     except ValueError as exc:
         raise _runtime(str(exc))
     if curv is not None:
         interior = curv.interior
+        peak = np.abs(curv.raw).max()
+        median = None
+        if interior.any():
+            # |raw| over its largest magnitude, 0 on a flat field
+            median = float(np.median(np.abs(curv.raw[interior] / peak))) if peak > 0.0 else 0.0
         payload["curvature"] = {
-            "median_interior_abs_normalized": float(
-                np.median(np.abs(curv.normalized[interior]))
-            )
-            if interior.any()
-            else None,
+            "median_interior_abs_normalized": median,
             "calibration": curv.calibration,
             "interior_nodes": int(interior.sum()),
             "edges": int(graph.edge_rows.size),
@@ -527,27 +528,32 @@ def cmd_plot(args) -> int:
         cols = geometry.read_diagnostics_csv(path)
     except ValueError as exc:
         raise _runtime(str(exc))
-    if "z1" not in cols or "z2" not in cols or "c_normalized" not in cols:
+    if "z1" not in cols or "c" not in cols:
         raise _runtime(f"{path}: missing latent/conformal columns")
-    # the kappa columns may hold inf sentinels; these may not
-    for name in ("z1", "z2", "c_normalized", "s_normalized"):
+    # the kappa column may hold inf sentinels; these may not
+    for name in ("z1", "z2", "c", "s_raw"):
         if name in cols and not np.all(np.isfinite(cols[name])):
             raise _runtime(f"{path}: column {name} holds a non-finite value")
     out = _out_dir(args.out)
-    codes = np.column_stack([cols["z1"], cols["z2"]])
     written = []
-    svg = figures.scatter_svg(codes, cols["c_normalized"], "normalized conformal factor")
-    data.write_atomic(out / "conformal_factor.svg", svg)
-    written.append("conformal_factor.svg")
-    if "s_normalized" in cols:
-        svg = figures.scatter_svg(
-            codes, cols["s_normalized"], "normalized scalar curvature", diverging=True
+    latent = [name for name in cols if name.startswith("z")]
+    if latent == ["z1", "z2"]:
+        codes = np.column_stack([cols["z1"], cols["z2"]])
+        svg = figures.scatter_svg(codes, cols["c"], "conformal factor")
+        data.write_atomic(out / "conformal_factor.svg", svg)
+        written.append("conformal_factor.svg")
+        if "s_raw" in cols:
+            svg = figures.scatter_svg(codes, cols["s_raw"], "raw scalar curvature", diverging=True)
+            data.write_atomic(out / "scalar_curvature.svg", svg)
+            written.append("scalar_curvature.svg")
+    else:
+        print(
+            f"warning: latent dimension {len(latent)} != 2, scatter figures omitted",
+            file=sys.stderr,
         )
-        data.write_atomic(out / "scalar_curvature.svg", svg)
-        written.append("scalar_curvature.svg")
-    if "kappa_jac" in cols and "kappa_pbm" in cols:
+    if "kappa_jac" in cols:
         try:
-            svg = figures.kappa_strip_svg(cols["kappa_jac"], cols["kappa_pbm"])
+            svg = figures.kappa_strip_svg(cols["kappa_jac"])
         except ValueError as exc:
             raise _runtime(str(exc))
         data.write_atomic(out / "kappa_strip.svg", svg)

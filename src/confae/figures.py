@@ -89,10 +89,11 @@ def scatter_svg(
     return _document(body, {"title": title, "vmin": vmin, "vmax": vmax})
 
 
-def kappa_strip_svg(kjac: np.ndarray, kpbm: np.ndarray) -> str:
-    """Two log-scale strips of condition numbers with mean markers."""
+def kappa_strip_svg(kjac: np.ndarray) -> str:
+    """Two log-scale strips of condition numbers with mean markers: kappa_jac
+    and the pullback metric's kappa_jac^2."""
     kjac = np.asarray(kjac, dtype=np.float64)
-    kpbm = np.asarray(kpbm, dtype=np.float64)
+    kpbm = kjac**2
     finite_j = kjac[np.isfinite(kjac)]
     finite_p = kpbm[np.isfinite(kpbm)]
     all_vals = np.concatenate([finite_j, finite_p])

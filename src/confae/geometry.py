@@ -15,11 +15,10 @@ and one coordinate's terms, two arrays that every block is built in. Each
 row is searched on its own, so the block size does not change the graph.
 
 The raw graph Laplacian ``L = D - W`` only approximates the continuous
-Laplacian up to a node-dependent negative scale, so curvature comes in three
-flavors: ``raw`` (the bare array ``-(1/c) L log c``), ``normalized`` (raw
-rescaled by its max magnitude, for plots), and ``calibrated`` (raw times a
-single global constant chosen so that an analytic constant-curvature field
-evaluated on the same nodes comes out at its known value).
+Laplacian up to a node-dependent negative scale, so curvature comes raw (the
+bare array ``-(1/c) L log c``) and calibrated: raw times a single global
+constant chosen so that an analytic constant-curvature field evaluated on the
+same nodes comes out at its known value.
 """
 
 from __future__ import annotations
@@ -41,13 +40,6 @@ _GRAPH_CHUNK = 2**16
 _TILE = 128
 # Tile widths by which the kNN search grows a tile's bounding box.
 _MARGIN = 0.25
-
-
-def _minmax(values: np.ndarray) -> np.ndarray:
-    lo, hi = values.min(), values.max()
-    if hi == lo:
-        return np.zeros_like(values)
-    return (values - lo) / (hi - lo)
 
 
 @dataclass
@@ -78,10 +70,8 @@ class LatentGraph:
 @dataclass
 class CurvatureField:
     raw: np.ndarray
-    normalized: np.ndarray  # raw / max |raw|
     interior: np.ndarray  # bool mask, nodes away from the bounding box
-    calibrated: np.ndarray  # calibration * raw
-    calibration: float
+    calibration: float  # calibrated curvature is calibration * raw
 
 
 def conformal_factor(rows: np.ndarray) -> np.ndarray:
@@ -96,20 +86,20 @@ def conformal_factor(rows: np.ndarray) -> np.ndarray:
 
 
 def conformal_field(enc: net.Mlp, dec: net.Mlp, samples: np.ndarray, lap):
-    """The codes of ``samples``, the decoder's stretch factor c there and its
-    (kappa_jac, kappa_pbm) rows: (n, m), (n,) and (n, 2) arrays.
+    """The codes of ``samples``, the decoder's stretch factor c there and the
+    condition number kappa_jac of its Jacobian: (n, m), (n,) and (n,) arrays.
 
     The samples are taken ``JACOBIAN_BLOCK`` at a time: each block is encoded,
     its Jacobians are the tangent rows of one ``net.jvp`` at its codes, and
-    they are reduced to its c and kappas before the next block. The encoder
+    they are reduced to its c and kappa before the next block. The encoder
     and the JVP write into one set of block buffers that every block reuses,
     so memory does not grow with the samples beyond each code, its c and its
-    kappas. ``lap`` is called after each block's ``encode``, ``jacobians``
+    kappa. ``lap`` is called after each block's ``encode``, ``jacobians``
     and ``conformal_kappa`` stages. A c that is not finite and strictly
     positive is a ``ValueError`` naming the first such code.
     """
     n = samples.shape[0]
-    codes, values, kappas = np.empty((n, dec.in_dim)), np.empty(n), np.empty((n, 2))
+    codes, values, kappa = np.empty((n, dec.in_dim)), np.empty(n), np.empty(n)
     buffers = {}
     for start in range(0, n, JACOBIAN_BLOCK):
         block = slice(start, start + JACOBIAN_BLOCK)
@@ -125,9 +115,9 @@ def conformal_field(enc: net.Mlp, dec: net.Mlp, samples: np.ndarray, lap):
                 "conformal factor must be finite and strictly positive; value "
                 f"{c[bad[0]]:.3e} at index {start + bad[0]}"
             )
-        kappas[block] = kappa_field(rows)
+        kappa[block] = kappa_field(rows)
         lap("conformal_kappa")
-    return codes, values, kappas
+    return codes, values, kappa
 
 
 def _sq_dists(queries: np.ndarray, codes: np.ndarray, scratch: np.ndarray) -> np.ndarray:
@@ -361,75 +351,59 @@ def scalar_curvature(codes: np.ndarray, c: np.ndarray, graph: LatentGraph) -> Cu
     if codes.shape[0] != graph.n:
         raise ValueError("field and graph disagree on the number of nodes")
     raw = _raw_curvature(c, graph)
-    peak = np.abs(raw).max()
-    normalized = raw / peak if peak > 0.0 else np.zeros_like(raw)
     interior = interior_mask(codes, graph.bandwidth)
-    gamma = calibration_scale(graph, codes, interior)
-    return CurvatureField(
-        raw=raw,
-        normalized=normalized,
-        interior=interior,
-        calibrated=gamma * raw,
-        calibration=gamma,
-    )
+    return CurvatureField(raw, interior, calibration_scale(graph, codes, interior))
 
 
 def kappa_field(rows: np.ndarray) -> np.ndarray:
-    """(n, 2) array of (kappa of the Jacobian, kappa of the pullback metric).
+    """(n,) condition numbers kappa_jac of the Jacobians.
 
     Takes a (B, m, out) stack of tangent rows of ``net.jvp``; each block's
-    transpose is its (out, m) Jacobian. kappa_jac comes from one batched SVD
-    and kappa_pbm = kappa_jac^2 is the exact condition number of J^T J.
-    Numerically rank-deficient Jacobians, the zero Jacobian included, yield
-    infinite sentinels rather than errors.
+    transpose is its (out, m) Jacobian, and one batched SVD gives them all.
+    The pullback metric J^T J has the exact condition number kappa_jac^2, so
+    readers square it where they need it. Numerically rank-deficient
+    Jacobians, the zero Jacobian included, yield infinite sentinels rather
+    than errors.
     """
-    kjac = linalg.condition_numbers(rows.transpose(0, 2, 1))
-    return np.column_stack([kjac, kjac**2])
+    return linalg.condition_numbers(rows.transpose(0, 2, 1))
 
 
 def condition_numbers(dec: net.Mlp, z: np.ndarray) -> tuple[float, float]:
     """(kappa of the Jacobian, kappa of the pullback metric) at one code."""
-    kjac, kpbm = kappa_field(net.jacobian(dec, z).T[None])[0]
-    return float(kjac), float(kpbm)
+    kjac = float(kappa_field(net.jacobian(dec, z).T[None])[0])
+    # x * x, as an array's kjac**2 computes it; a scalar power can round differently
+    return kjac, kjac * kjac
 
 
-def summarize_kappa(samples) -> dict:
-    """Mean and population standard deviation per condition number.
+def summarize_kappa(kappa) -> dict:
+    """Mean and population standard deviation of kappa_jac and of the pullback
+    metric's kappa_pbm = kappa_jac^2.
 
     Returns the ``kappa_jac_mean``, ``kappa_jac_std``, ``kappa_pbm_mean``,
     ``kappa_pbm_std``, ``count`` and ``excluded`` entries of
     ``kappa_summary.json``. Infinite sentinels are excluded and counted; an
     all-sentinel input is an error.
     """
-    arr = np.asarray(samples, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] == 0:
-        raise ValueError("expected a nonempty list of (kappa_jac, kappa_pbm) pairs")
-    finite = np.all(np.isfinite(arr), axis=1)
-    excluded = int((~finite).sum())
+    arr = np.asarray(kappa, dtype=np.float64)
+    if arr.ndim != 1 or arr.size == 0:
+        raise ValueError("expected a nonempty vector of kappa_jac values")
+    finite = np.isfinite(arr)
     kept = arr[finite]
-    if kept.shape[0] == 0:
+    if kept.size == 0:
         raise ValueError("all condition numbers are infinite sentinels")
+    pbm = kept**2
     return {
-        "kappa_jac_mean": float(kept[:, 0].mean()),
-        "kappa_jac_std": float(kept[:, 0].std()),
-        "kappa_pbm_mean": float(kept[:, 1].mean()),
-        "kappa_pbm_std": float(kept[:, 1].std()),
-        "count": int(kept.shape[0]),
-        "excluded": excluded,
+        "kappa_jac_mean": float(kept.mean()),
+        "kappa_jac_std": float(kept.std()),
+        "kappa_pbm_mean": float(pbm.mean()),
+        "kappa_pbm_std": float(pbm.std()),
+        "count": int(kept.size),
+        "excluded": int((~finite).sum()),
     }
 
 
 # The columns after the latent coordinates z1..zm, in file order.
-DIAGNOSTIC_COLUMNS = (
-    "c",
-    "c_normalized",
-    "s_raw",
-    "s_normalized",
-    "s_calibrated",
-    "interior",
-    "kappa_jac",
-    "kappa_pbm",
-)
+DIAGNOSTIC_COLUMNS = ("c", "s_raw", "s_calibrated", "interior", "kappa_jac")
 
 
 def write_diagnostics_csv(
@@ -437,23 +411,16 @@ def write_diagnostics_csv(
     codes: np.ndarray,
     c: np.ndarray,
     curvature: CurvatureField | None,
-    kappas: np.ndarray,
+    kappa: np.ndarray,
 ) -> None:
-    """One row per code: its m latent coordinates z1..zm, then ``c``, its
-    min-max rescaled copy and the other ``DIAGNOSTIC_COLUMNS``; the curvature
-    columns are omitted when ``curvature`` is None."""
-    kappas = np.asarray(kappas, dtype=np.float64)
+    """One row per code: its m latent coordinates z1..zm, then the
+    ``DIAGNOSTIC_COLUMNS``; the curvature columns are omitted when
+    ``curvature`` is None."""
     latent = {f"z{i + 1}": codes[:, i] for i in range(codes.shape[1])}
-    columns: dict[str, np.ndarray] = {
-        "c": c,
-        "c_normalized": _minmax(c),
-        "kappa_jac": kappas[:, 0],
-        "kappa_pbm": kappas[:, 1],
-    }
+    columns: dict[str, np.ndarray] = {"c": c, "kappa_jac": kappa}
     if curvature is not None:
         columns["s_raw"] = curvature.raw
-        columns["s_normalized"] = curvature.normalized
-        columns["s_calibrated"] = curvature.calibrated
+        columns["s_calibrated"] = curvature.calibration * curvature.raw
         columns["interior"] = curvature.interior.astype(np.float64)
     columns = latent | {name: columns[name] for name in DIAGNOSTIC_COLUMNS if name in columns}
     data.write_csv(path, ",".join(columns), list(columns.values()))

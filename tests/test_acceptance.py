@@ -223,7 +223,8 @@ def test_criterion_4_swiss_roll_oracle():
         metric = net.gram(rows)[0]
         want = np.diag([1.0 + z[0] ** 2, 1.0])
         worst_metric = max(worst_metric, float(np.max(np.abs(metric - want))))
-        kjac, kpbm = geometry.kappa_field(rows)[0]
+        kjac = geometry.kappa_field(rows)[0]
+        kpbm = kjac**2  # the pullback metric's condition number
         worst_kappa = max(
             worst_kappa,
             abs(kjac - math.sqrt(1.0 + z[0] ** 2)) / math.sqrt(1.0 + z[0] ** 2),
@@ -252,7 +253,7 @@ def test_criterion_5_curvature_pipeline():
     grid = disc_grid(40, 2.0)
     grid_graph = geometry.build_graph(grid, k=10)
     curv = geometry.scalar_curvature(grid, geometry.stereographic_factor(grid), grid_graph)
-    median = float(np.median(curv.calibrated[curv.interior]))
+    median = float(np.median((curv.calibration * curv.raw)[curv.interior]))
     sphere_ok = abs(median - 2.0) < 0.4
     elapsed = time.perf_counter() - t0
     report(
@@ -336,7 +337,8 @@ def test_criterion_6_end_to_end(e2e):
 
     cols = geometry.read_diagnostics_csv(conf_dir / "diagnostics.csv")
     interior = cols["interior"] > 0.5
-    median_s = float(np.median(np.abs(cols["s_normalized"][interior])))
+    s_raw = cols["s_raw"]
+    median_s = float(np.median(np.abs(s_raw[interior] / np.abs(s_raw).max())))
     curvature_ok = median_s < 0.1
 
     runtime_ok = conf_seconds < 1800 and glob_seconds < 1800

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from confae import cli, geometry, net, training
+from confae import cli, data, geometry, net, training
 
 from test_net import jvp_rows
 
@@ -721,7 +721,7 @@ class TestDiagnose:
         assert np.allclose(cols["c"], 1.0, atol=1e-12)
         assert np.all(cols["s_raw"] == 0.0)
         assert np.allclose(cols["kappa_jac"], 1.0, atol=1e-9)
-        assert np.allclose(cols["kappa_pbm"], 1.0, atol=1e-9)
+        assert np.allclose(cols["kappa_jac"] ** 2, 1.0, atol=1e-9)  # kappa_pbm
         summary = json.loads((out / cli.KAPPA_SUMMARY_NAME).read_text())
         assert summary["kappa_jac_mean"] == pytest.approx(1.0, abs=1e-9)
 
@@ -754,7 +754,7 @@ class TestDiagnose:
         assert "Traceback" not in err
         header = (out / cli.DIAGNOSTICS_NAME).read_text().split("\n", 1)[0]
         latent = ",".join(f"z{i + 1}" for i in range(m))
-        assert header == f"{latent},c,c_normalized,kappa_jac,kappa_pbm"
+        assert header == f"{latent},c,kappa_jac"
 
     @pytest.mark.parametrize(
         "text",
@@ -991,7 +991,7 @@ class TestJacobianBlocks:
         # two whole blocks and a short last one
         samples = np.random.default_rng(32).normal(size=(2 * geometry.JACOBIAN_BLOCK + 37, 3))
         laps = []
-        codes, c, kappas = geometry.conformal_field(enc, dec, samples, laps.append)
+        codes, c, kappa = geometry.conformal_field(enc, dec, samples, laps.append)
         assert laps == ["encode", "jacobians", "conformal_kappa"] * 3
         # each block's codes are its own encode's bits; a whole-batch encode
         # rounds its products differently, by a few ulps
@@ -1001,11 +1001,11 @@ class TestJacobianBlocks:
         np.testing.assert_allclose(codes, net.forward(enc, samples), rtol=1e-12, atol=1e-14)
         rows = jvp_rows(dec, codes)
         np.testing.assert_allclose(c, geometry.conformal_factor(rows), rtol=1e-12, atol=0)
-        np.testing.assert_allclose(kappas, geometry.kappa_field(rows), rtol=1e-12, atol=0)
+        np.testing.assert_allclose(kappa, geometry.kappa_field(rows), rtol=1e-12, atol=0)
 
     def test_memory_is_bounded(self):
         # one block's encoder outputs and JVP tape, in buffers every block
-        # reuses, and their reductions peak at 2.64 MiB here; one tape of all
+        # reuses, and their reductions peak at 2.61 MiB here; one tape of all
         # these codes would peak near 18.7 MiB
         acts = ["relu"] * 3 + ["identity"]
         enc = net.init([3, 50, 50, 50, 2], acts, 28)
@@ -1021,8 +1021,8 @@ class TestJacobianBlocks:
 
     @pytest.mark.parametrize("n", [4000, 16000])
     def test_encode_and_jacobians_do_not_grow_with_the_samples(self, n):
-        # the default networks peak at 2.64 MiB for 4000 samples and 3.07 MiB
-        # for 16000, of which 40 bytes per sample are its code, c and kappas;
+        # the default networks peak at 2.58 MiB for 4000 samples and 2.95 MiB
+        # for 16000, of which 32 bytes per sample are its code, c and kappa;
         # encoding all samples at once peaks at 3.05 and 12.2 MiB
         enc, dec = training.init_networks(training.RunConfig())
         samples = np.random.default_rng(35).normal(size=(n, 3))
@@ -1040,8 +1040,7 @@ class TestPlot:
         rng = np.random.default_rng(0)
         codes = rng.normal(size=(n, 2))
         c = np.abs(rng.normal(size=n)) + 0.5
-        kappas = np.column_stack([np.full(n, 2.0), np.full(n, 4.0)])
-        geometry.write_diagnostics_csv(path, codes, c, None, kappas)
+        geometry.write_diagnostics_csv(path, codes, c, None, np.full(n, 2.0))
 
     def test_single_point_file_gets_one_marker(self, tmp_path):
         diag = tmp_path / "d.csv"
@@ -1068,8 +1067,8 @@ class TestPlot:
         run_cli("plot", "--diagnostics", str(diag), "--out", str(out))
         svg = (out / "conformal_factor.svg").read_text()
         meta = json.loads(svg.split("<metadata>")[1].split("</metadata>")[0])
-        assert meta["vmin"] == cols["c_normalized"].min()
-        assert meta["vmax"] == cols["c_normalized"].max()
+        assert meta["vmin"] == cols["c"].min()
+        assert meta["vmax"] == cols["c"].max()
 
     def test_malformed_csv_reports_line(self, tmp_path, capsys):
         diag = tmp_path / "d.csv"
@@ -1078,12 +1077,17 @@ class TestPlot:
         assert ":2" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-    @pytest.mark.parametrize("column", ["z1", "z2", "c_normalized", "s_normalized", "kappa_jac"])
+    @pytest.mark.parametrize(
+        "column", ["z1", "z2", "c", "c_normalized", "s_raw", "s_normalized", "kappa_jac"]
+    )
     def test_non_finite_cell_is_refused_naming_file_and_column(
         self, tmp_path, capsys, column, value
     ):
-        names = ["z1", "z2", "c_normalized", "s_normalized", "kappa_jac", "kappa_pbm"]
-        rows = [[0.1, 0.2, 0.5, -0.3, 2.0, 4.0], [0.4, -0.1, 1.0, 0.7, 3.0, 9.0]]
+        # the earlier file format, with the derived c_normalized, s_normalized
+        # and kappa_pbm columns
+        names = ["z1", "z2", "c", "c_normalized", "s_raw", "s_normalized", "kappa_jac", "kappa_pbm"]
+        rows = [[0.1, 0.2, 0.5, 0.0, -0.3, -0.3 / 0.7, 2.0, 4.0]]
+        rows += [[0.4, -0.1, 1.0, 1.0, 0.7, 1.0, 3.0, 9.0]]
         rows[1][names.index(column)] = value
         diag = tmp_path / "d.csv"
         diag.write_text("".join(",".join(map(str, r)) + "\n" for r in [names, *rows]))
@@ -1093,10 +1097,68 @@ class TestPlot:
         assert "Traceback" not in err
         if column == "kappa_jac":  # inf is the condition number's sentinel, so it is plotted
             assert code == 0 and (out / "kappa_strip.svg").exists()
+        elif column.endswith("_normalized"):  # not read: the scatters draw c and s_raw
+            assert code == 0 and (out / "scalar_curvature.svg").exists()
         else:
             assert code == 2
             assert f"{diag}: column {column} holds a non-finite value" in err
             assert not out.exists()
+
+    def test_file_of_the_ten_column_format_draws_the_same_circles(self, tmp_path):
+        # diagnostics.csv used to hold c_normalized, s_normalized and kappa_pbm
+        # as well; the figures are drawn from c, s_raw and kappa_jac, and the
+        # scatters min-max scale their colours, so both files draw alike
+        rng = np.random.default_rng(3)
+        codes = rng.normal(size=(300, 2))
+        c = geometry.stereographic_factor(codes) * np.exp(0.1 * rng.normal(size=300))
+        curv = geometry.scalar_curvature(codes, c, geometry.build_graph(codes))
+        kappa = 1.0 + rng.random(300)
+        kappa[7] = np.inf
+        new = tmp_path / "new.csv"
+        geometry.write_diagnostics_csv(new, codes, c, curv, kappa)
+        cols = geometry.read_diagnostics_csv(new)
+        c, s = cols["c"], cols["s_raw"]
+        cols["c_normalized"] = (c - c.min()) / (c.max() - c.min())
+        cols["s_normalized"] = s / np.abs(s).max()
+        cols["kappa_pbm"] = cols["kappa_jac"] ** 2
+        names = ["z1", "z2", "c", "c_normalized", "s_raw", "s_normalized", "s_calibrated"]
+        names += ["interior", "kappa_jac", "kappa_pbm"]
+        old = tmp_path / "old.csv"
+        data.write_csv(old, ",".join(names), [cols[name] for name in names])
+        for diag in (new, old):
+            out = str(diag.with_suffix(""))
+            assert run_cli("plot", "--diagnostics", str(diag), "--out", out) == 0
+        figs = {"conformal_factor.svg", "scalar_curvature.svg", "kappa_strip.svg"}
+        assert {p.name for p in (tmp_path / "old").iterdir()} == figs
+
+        def circles(tag, name):
+            lines = (tmp_path / tag / name).read_text().splitlines()
+            return [line for line in lines if line.startswith("<circle")]
+
+        for name in ("conformal_factor.svg", "scalar_curvature.svg"):
+            assert len(circles("new", name)) == 300
+            assert circles("new", name) == circles("old", name), name
+        strips = [(tmp_path / tag / "kappa_strip.svg").read_bytes() for tag in ("new", "old")]
+        assert strips[0] == strips[1]
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_latent_dimension_other_than_two_plots_only_the_kappa_strip(
+        self, tmp_path, roll_csv, capsys, m
+    ):
+        code, run = tiny_train(tmp_path, roll_csv, "run", "--set", f"dims=[3,8,{m}]")
+        assert code == 0
+        diag = tmp_path / "diag"
+        argv = ["--checkpoint", str(run / cli.CHECKPOINT_NAME), "--data", str(roll_csv)]
+        assert run_cli("diagnose", *argv, "--out", str(diag)) == 0
+        capsys.readouterr()
+        out = tmp_path / "figs"
+        diag_csv = str(diag / cli.DIAGNOSTICS_NAME)
+        code = run_cli("plot", "--diagnostics", diag_csv, "--out", str(out))
+        err = capsys.readouterr().err
+        assert code == 0, err
+        assert f"warning: latent dimension {m} != 2, scatter figures omitted" in err
+        assert "Traceback" not in err
+        assert [p.name for p in out.iterdir()] == ["kappa_strip.svg"]
 
 
 class TestCompare:

@@ -115,14 +115,6 @@ class TestConformalFactor:
                 ):
                     factors_at(gated_dec(), codes_with(code, index))
 
-    def test_field_normalization_attains_bounds(self, tmp_path):
-        codes = np.zeros((3, 2))
-        kappas = np.ones((3, 2))
-        path = tmp_path / "diag.csv"
-        geometry.write_diagnostics_csv(path, codes, np.array([2.0, 5.0, 3.0]), None, kappas)
-        normalized = geometry.read_diagnostics_csv(path)["c_normalized"]
-        assert normalized.min() == 0.0 and normalized.max() == 1.0
-
 
 def dense_weights(g):
     """Scatter a graph's edge list into its dense symmetric weight matrix."""
@@ -400,14 +392,13 @@ class TestScalarCurvature:
         g = geometry.build_graph(codes, k=6)
         curv = geometry.scalar_curvature(codes, np.full(60, 3.7), g)
         assert np.all(curv.raw == 0.0)
-        assert np.all(curv.normalized == 0.0)
-        assert np.all(curv.calibrated == 0.0)
+        assert np.all(curv.calibration * curv.raw == 0.0)
 
     def test_sphere_field_recovers_curvature_two(self):
         codes = disc_grid(40, 2.0)
         g = geometry.build_graph(codes, k=10)
         curv = geometry.scalar_curvature(codes, geometry.stereographic_factor(codes), g)
-        med = np.median(curv.calibrated[curv.interior])
+        med = np.median((curv.calibration * curv.raw)[curv.interior])
         assert abs(med - 2.0) < 0.4
 
     def test_calibration_transfers_to_other_curvatures(self):
@@ -417,7 +408,7 @@ class TestScalarCurvature:
         g = geometry.build_graph(codes, k=10)
         a = math.sqrt(2.0)
         curv = geometry.scalar_curvature(codes, geometry.stereographic_factor(codes, radius=a), g)
-        med = np.median(curv.calibrated[curv.interior])
+        med = np.median((curv.calibration * curv.raw)[curv.interior])
         assert abs(med - 1.0) < 0.25
 
     def test_flat_field_sits_well_below_curved_field(self):
@@ -428,7 +419,7 @@ class TestScalarCurvature:
         codes = disc_grid(30, 2.0)
         g = geometry.build_graph(codes, k=10)
         curv = geometry.scalar_curvature(codes, np.exp(2.0 * codes[:, 0]), g)
-        med = np.median(np.abs(curv.calibrated[curv.interior]))
+        med = np.median(np.abs((curv.calibration * curv.raw)[curv.interior]))
         assert med < 1.0
 
     def test_rejects_non_2d_latents(self):
@@ -485,7 +476,8 @@ class TestConditionNumbers:
         dec = net.init([2, 7, 5, 3], ["tanh", "leaky_relu", "identity"], seed)
         codes = rng.normal(size=(9, 2))
         rows = jvp_rows(dec, codes)
-        batch = geometry.kappa_field(rows)
+        kjac = geometry.kappa_field(rows)
+        batch = np.column_stack([kjac, kjac**2])
         eps = np.finfo(np.float64).eps
         for i, z in enumerate(codes):
             point = np.array(geometry.condition_numbers(dec, z))
@@ -506,26 +498,28 @@ class TestConditionNumbers:
 
 class TestSummarizeKappa:
     def test_constant_samples(self):
-        s = geometry.summarize_kappa([(2.0, 4.0)] * 10)
+        s = geometry.summarize_kappa([2.0] * 10)
         stats = ("kappa_jac_mean", "kappa_jac_std", "kappa_pbm_mean", "kappa_pbm_std")
         assert tuple(s[key] for key in stats) == (2.0, 0.0, 4.0, 0.0)
 
     def test_population_std(self):
-        s = geometry.summarize_kappa([(1.0, 1.0), (3.0, 3.0)])
+        s = geometry.summarize_kappa([1.0, 3.0])
         assert s["kappa_jac_mean"] == 2.0 and s["kappa_jac_std"] == 1.0
+        # kappa_pbm = kappa_jac^2 = 1 and 9
+        assert s["kappa_pbm_mean"] == 5.0 and s["kappa_pbm_std"] == 4.0
 
     def test_sentinels_excluded_and_counted(self):
-        s = geometry.summarize_kappa([(1.0, 1.0), (math.inf, math.inf), (3.0, 3.0)])
+        s = geometry.summarize_kappa([1.0, math.inf, 3.0])
         assert s["count"] == 2 and s["excluded"] == 1
         assert s["kappa_jac_mean"] == 2.0
 
     def test_all_sentinels_rejected(self):
         with pytest.raises(ValueError):
-            geometry.summarize_kappa([(math.inf, math.inf)])
+            geometry.summarize_kappa([math.inf])
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            geometry.summarize_kappa(np.zeros((0, 2)))
+            geometry.summarize_kappa(np.zeros(0))
 
 
 class TestDiagnosticsCsv:
@@ -534,11 +528,10 @@ class TestDiagnosticsCsv:
         g = geometry.build_graph(codes, k=4)
         c = geometry.stereographic_factor(codes)
         curv = geometry.scalar_curvature(codes, c, g)
-        kappas = np.column_stack([np.ones(len(codes)), np.ones(len(codes))])
         path = tmp_path / "diag.csv"
-        geometry.write_diagnostics_csv(path, codes, c, curv, kappas)
+        geometry.write_diagnostics_csv(path, codes, c, curv, np.ones(len(codes)))
         cols = geometry.read_diagnostics_csv(path)
-        assert set(cols) == {"z1", "z2", *geometry.DIAGNOSTIC_COLUMNS}
+        assert list(cols) == ["z1", "z2", "c", "s_raw", "s_calibrated", "interior", "kappa_jac"]
         assert np.array_equal(cols["c"], c)
         assert np.array_equal(cols["s_raw"], curv.raw)
 
@@ -546,23 +539,22 @@ class TestDiagnosticsCsv:
     def test_bytes_match_per_cell_repr(self, tmp_path, with_curvature):
         codes = disc_grid(8, 2.0)
         c = geometry.stereographic_factor(codes)
-        kappas = 1.0 + np.random.default_rng(11).random((len(codes), 2))
-        kappas[3] = math.inf  # rank-deficient sentinel
+        kappa = 1.0 + np.random.default_rng(11).random(len(codes))
+        kappa[3] = math.inf  # rank-deficient sentinel
         columns = {"z1": codes[:, 0], "z2": codes[:, 1], "c": c}
-        columns["c_normalized"] = (c - c.min()) / (c.max() - c.min())
         curv = None
         if with_curvature:
             curv = geometry.scalar_curvature(codes, c, geometry.build_graph(codes, k=4))
-            columns.update(s_raw=curv.raw, s_normalized=curv.normalized)
-            columns["s_calibrated"] = curv.calibrated
+            columns["s_raw"] = curv.raw
+            columns["s_calibrated"] = curv.calibration * curv.raw
             columns["interior"] = curv.interior
-        columns.update(kappa_jac=kappas[:, 0], kappa_pbm=kappas[:, 1])
+        columns["kappa_jac"] = kappa
         names = [c for c in ("z1", "z2", *geometry.DIAGNOSTIC_COLUMNS) if c in columns]
         rows = [
             ",".join(repr(float(columns[c][i])) for c in names) for i in range(len(codes))
         ]
         path = tmp_path / "diag.csv"
-        geometry.write_diagnostics_csv(path, codes, c, curv, kappas)
+        geometry.write_diagnostics_csv(path, codes, c, curv, kappa)
         assert path.read_text() == "\n".join([",".join(names), *rows]) + "\n"
         assert "inf" in path.read_text().splitlines()[4]
 
@@ -596,17 +588,16 @@ class TestDiagnosticsCsv:
         rng = np.random.default_rng(12)
         codes = rng.normal(size=(n, 2))
         c = np.exp(rng.normal(size=n))
-        kappas = 1.0 + rng.random((n, 2))
-        kappas[n // 2] = math.inf
+        kappa = 1.0 + rng.random(n)
+        kappa[n // 2] = math.inf
         curv = geometry.scalar_curvature(codes, c, geometry.build_graph(codes))
-        normalized = (c - c.min()) / (c.max() - c.min())
-        columns = [codes[:, 0], codes[:, 1], c, normalized, curv.raw]
-        columns += [curv.normalized, curv.calibrated, curv.interior, kappas[:, 0], kappas[:, 1]]
+        columns = [codes[:, 0], codes[:, 1], c, curv.raw]
+        columns += [curv.calibration * curv.raw, curv.interior, kappa]
         table = np.column_stack(columns).tolist()
         header = ",".join(("z1", "z2", *geometry.DIAGNOSTIC_COLUMNS))
         lines = [header] + [",".join(map(repr, r)) for r in table]
         path = tmp_path / "diag.csv"
-        geometry.write_diagnostics_csv(path, codes, c, curv, kappas)
+        geometry.write_diagnostics_csv(path, codes, c, curv, kappa)
         assert path.read_text() == "\n".join(lines) + "\n"
 
     @pytest.mark.parametrize(

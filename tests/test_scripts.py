@@ -24,5 +24,9 @@ def test_reproduce_swissroll_writes_every_artifact(tmp_path):
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert (out / "comparison.json").exists()
+    figs = ("conformal_factor.svg", "scalar_curvature.svg", "kappa_strip.svg")
     for tag in ("none", "globiso", "lociso", "conf"):
         assert (out / f"run_{tag}" / "diagnostics.csv").exists()
+        # the curvature scatter is drawn from a real diagnose's s_raw
+        for name in figs:
+            assert (out / f"run_{tag}" / "figures" / name).is_file(), (tag, name)
