@@ -122,18 +122,34 @@ def _load_dataset(path: Path) -> np.ndarray:
         raise _runtime(str(exc))
 
 
-def _override_value(raw: str):
-    """A ``--set`` value: ``inf``, ``-inf`` or ``nan`` as that float, else
-    ``raw`` read as JSON, else the string itself."""
+def _setting(key: str, convert):
+    """The argparse type of an option that sets config key ``key``: one
+    ``(key, value)`` entry of the run's settings list. It takes ``convert``'s
+    name, which argparse prints in ``invalid int value: 'x'``."""
+
+    def parse(raw: str):
+        return key, convert(raw)
+
+    parse.__name__ = convert.__name__
+    return parse
+
+
+def _override(text: str):
+    """A ``--set key=value`` entry: ``inf``, ``-inf`` or ``nan`` as that float,
+    else the value read as JSON, else the string itself."""
+    key, eq, raw = text.partition("=")
+    if not eq:
+        raise argparse.ArgumentTypeError(f"expects key=value, got {text!r}")
     if raw.lower() in ("inf", "-inf", "nan"):
-        return float(raw)
+        return key, float(raw)
     try:
-        return json.loads(raw)
+        return key, json.loads(raw)
     except json.JSONDecodeError:
-        return raw
+        return key, raw
 
 
 def _resolve_config(args) -> training.RunConfig:
+    """``--config``, then each setting in command-line order: the last one wins."""
     obj: dict = {}
     if args.config:
         path = Path(args.config)
@@ -145,26 +161,7 @@ def _resolve_config(args) -> training.RunConfig:
             raise _validation(f"config file {path} is not valid JSON: {exc}")
         if not isinstance(obj, dict):
             raise _validation(f"config file {path} must hold a JSON object")
-    for override in args.set or []:
-        if "=" not in override:
-            raise _validation(f"--set expects key=value, got {override!r}")
-        key, raw = override.split("=", 1)
-        obj[key] = _override_value(raw)
-    flag_map = {
-        "seed": args.seed,
-        "regularizer": args.regularizer,
-        "lambda_geo": args.lambda_geo,
-        "probes": args.probes,
-        "epochs": args.epochs,
-        "batch_size": args.batch_size,
-        "lr": args.lr,
-        "weight_decay": args.weight_decay,
-    }
-    for key, value in flag_map.items():
-        if value is not None:
-            obj[key] = value
-    if args.exact_trace:
-        obj["exact_trace"] = True
+    obj.update(args.settings or ())
     return training.RunConfig.from_dict(obj)
 
 
@@ -174,8 +171,6 @@ def cmd_generate(args) -> int:
     if args.seed < 0:
         raise _validation(f"--seed must be nonnegative, got {args.seed}")
     samples, params = data.swiss_roll(args.n, seed=args.seed)
-    if args.standardize:
-        samples = data.standardize(samples)
     out = Path(args.out)
     try:
         out.parent.mkdir(parents=True, exist_ok=True)
@@ -528,8 +523,8 @@ def cmd_plot(args) -> int:
         cols = geometry.read_diagnostics_csv(path)
     except ValueError as exc:
         raise _runtime(str(exc))
-    if "z1" not in cols or "c" not in cols:
-        raise _runtime(f"{path}: missing latent/conformal columns")
+    if missing := [name for name in ("z1", "c", "kappa_jac") if name not in cols]:
+        raise _runtime(f"{path}: missing column {', '.join(missing)}")
     # the kappa column may hold inf sentinels; these may not
     for name in ("z1", "z2", "c", "s_raw"):
         if name in cols and not np.all(np.isfinite(cols[name])):
@@ -551,13 +546,12 @@ def cmd_plot(args) -> int:
             f"warning: latent dimension {len(latent)} != 2, scatter figures omitted",
             file=sys.stderr,
         )
-    if "kappa_jac" in cols:
-        try:
-            svg = figures.kappa_strip_svg(cols["kappa_jac"])
-        except ValueError as exc:
-            raise _runtime(str(exc))
-        data.write_atomic(out / "kappa_strip.svg", svg)
-        written.append("kappa_strip.svg")
+    try:
+        svg = figures.kappa_strip_svg(cols["kappa_jac"])
+    except ValueError as exc:
+        raise _runtime(str(exc))
+    data.write_atomic(out / "kappa_strip.svg", svg)
+    written.append("kappa_strip.svg")
     print(f"wrote {', '.join(written)} to {out}")
     return 0
 
@@ -582,6 +576,8 @@ def cmd_compare(args) -> int:
             raise _validation(f"runs '{sources[tag]}' and '{run}' are both tagged {tag!r}")
         runs[tag], sources[tag] = obj, run
 
+    # created before the table is printed, so a refused --out prints nothing
+    out = _out_dir(args.out) if args.out else None
     header = ["metric"] + list(runs)
     rows = []
     for metric, mean_key, std_key in (
@@ -608,8 +604,8 @@ def cmd_compare(args) -> int:
         ]
         ordering = bool(checks) and all(checks)
     result = {"runs": runs, "expected_ordering": ordering}
-    if args.out:
-        _json_dump(result, _out_dir(args.out) / "comparison.json")
+    if out:
+        _json_dump(result, out / "comparison.json")
     else:
         print(json.dumps(result, sort_keys=True))
     return 0
@@ -626,23 +622,23 @@ def build_parser() -> _Parser:
     gen.add_argument("--n", type=int, default=5000)
     gen.add_argument("--seed", type=int, default=42)
     gen.add_argument("--out", required=True)
-    gen.add_argument("--standardize", action="store_true")
     gen.set_defaults(func=cmd_generate)
 
     trn = sub.add_parser("train", parents=[common], help="train an autoencoder run")
     trn.add_argument("--config", default=None, help="JSON run config")
     trn.add_argument("--data", required=True, help="dataset CSV")
     trn.add_argument("--out", required=True, help="run directory")
-    trn.add_argument("--set", action="append", metavar="KEY=VALUE", help="config override")
-    trn.add_argument("--seed", type=int, default=None)
-    trn.add_argument("--regularizer", choices=training.REGULARIZERS, default=None)
-    trn.add_argument("--lambda-geo", dest="lambda_geo", type=float, default=None)
-    trn.add_argument("--probes", type=int, default=None)
-    trn.add_argument("--epochs", type=int, default=None)
-    trn.add_argument("--batch-size", dest="batch_size", type=int, default=None)
-    trn.add_argument("--lr", type=float, default=None)
-    trn.add_argument("--weight-decay", dest="weight_decay", type=float, default=None)
-    trn.add_argument("--exact-trace", dest="exact_trace", action="store_true")
+    # each appends one (key, value) to the settings, applied in order
+    settings = dict(dest="settings", action="append")
+    trn.add_argument("--set", type=_override, metavar="KEY=VALUE", help="config setting", **settings)
+    trn.add_argument("--seed", type=_setting("seed", int), metavar="SEED", **settings)
+    # an unknown tag is refused, exit 1, with the rest of the config
+    tags = "{" + ",".join(training.REGULARIZERS) + "}"
+    trn.add_argument("--regularizer", type=_setting("regularizer", str), metavar=tags, **settings)
+    trn.add_argument(
+        "--lambda-geo", type=_setting("lambda_geo", float), metavar="LAMBDA_GEO", **settings
+    )
+    trn.add_argument("--epochs", type=_setting("epochs", int), metavar="EPOCHS", **settings)
     trn.add_argument("--calibrate-intensity", action="store_true")
     trn.add_argument("--resume", default=None, help="run directory to continue")
     trn.set_defaults(func=cmd_train)

@@ -294,8 +294,8 @@ def e2e(tmp_path_factory):
             "--out", str(out),
             "--seed", str(SEED),
             "--epochs", "200",
-            "--batch-size", "64",
-            "--lr", "0.001",
+            "--set", "batch_size=64",
+            "--set", "lr=0.001",
             "--regularizer", tag,
             "--single-thread",
         ]

@@ -3,6 +3,7 @@ import base64
 import errno
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -41,8 +42,8 @@ def tiny_train_argv(roll_csv, out, *extra):
         "3",
         "--epochs",
         "2",
-        "--batch-size",
-        "16",
+        "--set",
+        "batch_size=16",
         "--set",
         "dims=[3,8,2]",
         *extra,
@@ -205,14 +206,6 @@ class TestGenerate:
         run_cli("generate", "--n", "50", "--seed", "9", "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
 
-    def test_standardize_centers_columns(self, tmp_path):
-        path = tmp_path / "d.csv"
-        run_cli("generate", "--n", "200", "--seed", "2", "--out", str(path), "--standardize")
-        from confae import data
-
-        samples = data.from_csv(path)
-        assert np.max(np.abs(samples.mean(axis=0))) < 1e-9
-
     def test_unwritable_path_fails_with_io_code(self, tmp_path):
         blocker = tmp_path / "file"
         blocker.write_text("x")
@@ -284,6 +277,35 @@ class TestTrain:
         manifest = json.loads((out / cli.MANIFEST_NAME).read_text())
         assert manifest["config"]["activation"] == "tanh"
         assert manifest["config"]["epochs"] == 1 and manifest["config"]["seed"] == 4
+
+    @pytest.mark.parametrize(
+        "order,epochs",
+        [(("--epochs", "3", "--set", "epochs=2"), 2), (("--set", "epochs=2", "--epochs", "3"), 3)],
+        ids=["set-last", "flag-last"],
+    )
+    def test_the_last_setting_on_the_command_line_wins(self, tmp_path, roll_csv, order, epochs):
+        code, out = tiny_train(tmp_path, roll_csv, "run", *order)
+        assert code == 0
+        assert json.loads((out / cli.MANIFEST_NAME).read_text())["config"]["epochs"] == epochs
+        assert [r["epoch"] for r in records(out)] == list(range(1, epochs + 1))
+
+    # What the same run wrote when five flags set these keys:
+    # --batch-size 16 --lr 0.05 --weight-decay 0.1 --probes 4 --exact-trace.
+    FLAG_RUN_CONFIG = {
+        "activation": "relu", "batch_size": 16, "checkpoint_every": 0, "dims": [3, 8, 2],
+        "epochs": 2, "exact_trace": True, "lambda_geo": 0.1, "lr": 0.05, "probes": 4,
+        "regularizer": "conf", "seed": 3, "val_fraction": 0.2, "weight_decay": 0.1,
+    }
+    FLAG_RUN_CHECKPOINT_SHA256 = "b0d7c457220c463ce8a5ca6e156833a556fa43ac9d5924ebabba319d54a21965"
+
+    def test_settings_write_the_run_the_removed_flags_wrote(self, tmp_path, roll_csv):
+        extra = ["--regularizer", "conf", "--lambda-geo", "0.1"]
+        for pair in ("batch_size=16", "lr=0.05", "weight_decay=0.1", "probes=4", "exact_trace=true"):
+            extra += ["--set", pair]
+        code, out = tiny_train(tmp_path, roll_csv, "run", *extra)
+        assert code == 0
+        assert json.loads((out / cli.MANIFEST_NAME).read_text())["config"] == self.FLAG_RUN_CONFIG
+        assert cli._sha256(out / cli.CHECKPOINT_NAME) == self.FLAG_RUN_CHECKPOINT_SHA256
 
     @pytest.mark.parametrize("how", ["config", "set"])
     @pytest.mark.parametrize(
@@ -459,8 +481,8 @@ class TestTrain:
             "3",
             "--epochs",
             "4",
-            "--batch-size",
-            "16",
+            "--set",
+            "batch_size=16",
             "--set",
             "dims=[3,8,2]",
             "--resume",
@@ -585,7 +607,7 @@ class TestTrain:
         "extra,differ",
         [
             (("--set", "dims=[3,8,4]"), "dims"),
-            (("--seed", "9", "--lr", "0.5"), "lr, seed"),
+            (("--seed", "9", "--set", "lr=0.5"), "lr, seed"),
             (("--data", "other"), "data.sha256"),
         ],
         ids=["dims", "seed-lr", "data"],
@@ -1070,6 +1092,15 @@ class TestPlot:
         assert meta["vmin"] == cols["c"].min()
         assert meta["vmax"] == cols["c"].max()
 
+    def test_file_without_kappa_column_exits_2_naming_it(self, tmp_path, capsys):
+        diag = tmp_path / "d.csv"
+        diag.write_text("z1,c\n0.1,0.5\n0.4,1.0\n")
+        out = tmp_path / "figs_m1"
+        assert run_cli("plot", "--diagnostics", str(diag), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert f"{diag}: missing column kappa_jac" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_malformed_csv_reports_line(self, tmp_path, capsys):
         diag = tmp_path / "d.csv"
         diag.write_text("z1,z2,c_normalized\n0.1,0.2\n")
@@ -1267,16 +1298,15 @@ class TestExitCodes:
         [
             (["--lambda-geo", "inf"], "lambda_geo", "inf"),
             (["--lambda-geo", "nan"], "lambda_geo", "nan"),
-            (["--lr", "inf"], "lr", "inf"),
-            (["--weight-decay", "inf"], "weight_decay", "inf"),
             (["--set", "lr=inf"], "lr", "inf"),
+            (["--set", "weight_decay=inf"], "weight_decay", "inf"),
             (["--set", "lambda_geo=nan"], "lambda_geo", "nan"),
             (["--set", "weight_decay=-inf"], "weight_decay", "-inf"),
             (["--set", "val_fraction=NaN"], "val_fraction", "nan"),
             (["--set", "lambda_geo=Infinity"], "lambda_geo", "inf"),
         ],
         ids=[
-            "lambda_geo-inf", "lambda_geo-nan", "lr-inf", "weight_decay-inf", "set-lr-inf",
+            "lambda_geo-inf", "lambda_geo-nan", "set-lr-inf", "set-weight_decay-inf",
             "set-lambda_geo-nan", "set-weight_decay--inf", "set-val_fraction-NaN",
             "set-lambda_geo-Infinity",
         ],
@@ -1322,8 +1352,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "argv,flag",
-        [(["--n", "0"], "--n"), (["--n", "1", "--standardize"], "--n"), (["--seed", "-1"], "--seed")],
-        ids=["n-0", "n-1-standardize", "seed-negative"],
+        [(["--n", "0"], "--n"), (["--n", "1"], "--n"), (["--seed", "-1"], "--seed")],
+        ids=["n-0", "n-1", "seed-negative"],
     )
     def test_generate_out_of_range_exits_1_naming_the_flag(self, tmp_path, capsys, argv, flag):
         out = tmp_path / "roll.csv"
@@ -1349,7 +1379,9 @@ class TestExitCodes:
         ):
             capsys.readouterr()
             assert run_cli(*argv) == 2, argv[0]
-            assert f"cannot create output directory {out}" in capsys.readouterr().err
+            captured = capsys.readouterr()
+            assert f"cannot create output directory {out}" in captured.err
+            assert captured.out == "", argv[0]  # nothing printed before the refusal
 
     def test_unknown_argument_exits_one(self):
         with pytest.raises(SystemExit) as exc:
@@ -1362,8 +1394,17 @@ class TestExitCodes:
             ("train", ["--data", "d.csv", "--out", "o"], ["--detach-codes"]),
             ("diagnose", ["--checkpoint", "c.json", "--data", "d.csv", "--out", "o"],
              ["--oracle", "sphere"]),
+            ("train", ["--data", "d.csv", "--out", "o"], ["--probes", "4"]),
+            ("train", ["--data", "d.csv", "--out", "o"], ["--batch-size", "16"]),
+            ("train", ["--data", "d.csv", "--out", "o"], ["--lr", "0.5"]),
+            ("train", ["--data", "d.csv", "--out", "o"], ["--weight-decay", "0.1"]),
+            ("train", ["--data", "d.csv", "--out", "o"], ["--exact-trace"]),
+            ("generate", ["--out", "d.csv"], ["--standardize"]),
         ],
-        ids=["detach-codes", "oracle"],
+        ids=[
+            "detach-codes", "oracle", "probes", "batch-size", "lr", "weight-decay",
+            "exact-trace", "standardize",
+        ],
     )
     def test_removed_options_are_refused(self, capsys, command, argv, removed):
         with pytest.raises(SystemExit) as exc:
@@ -1394,15 +1435,41 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
 
 
+def _parser_options():
+    """Every ``--`` option of the parser and its subcommands."""
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        option
+        for p in (parser, *sub.choices.values())
+        for action in p._actions
+        for option in action.option_strings
+        if option.startswith("--")
+    }
+
+
+def test_readme_names_exactly_the_parser_options():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", readme))
+    named.discard("--no-build-isolation")  # pip's, in the install line
+    options = _parser_options() - {"--help", "--version"}
+    assert sorted(named - options) == [], "README names options the parser lacks"
+    assert sorted(options - named) == [], "parser options README does not name"
+
+
 def _numeric_flags():
-    """``(subcommand, flag)`` for every option the parser converts to an int or a float."""
+    """``(subcommand, flag)`` for every option the parser converts to an int or
+    a float, by the name argparse gives the type in its errors, then
+    ``("train", "--set=key")`` for the numeric settings that no flag sets."""
     sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    return [
+    flags = [
         (name, action.option_strings[0])
         for name, parser in sub.choices.items()
         for action in parser._actions
-        if action.type in (int, float)
+        if getattr(action.type, "__name__", None) in ("int", "float")
     ]
+    keys = ("probes", "batch_size", "lr", "weight_decay")
+    return flags + [("train", f"--set={key}") for key in keys]
 
 
 @pytest.fixture(scope="module")
@@ -1426,9 +1493,10 @@ def test_numeric_flag_boundaries_exit_cleanly(tmp_path, boundary_run, command, f
         "train": tiny_train_argv(csv, out, "--regularizer", "conf", "--lambda-geo", "0.1")[1:],
         "diagnose": ["--checkpoint", str(checkpoint), "--data", str(csv), "--out", out],
     }[command]
-    # the flag under test comes last, so it overrides the base argv's value
+    # the option under test comes last, so it overrides the base argv's value
+    option, _, key = flag.partition("=")
     try:
-        code = run_cli(command, *base, flag, value)
+        code = run_cli(command, *base, option, f"{key}={value}" if key else value)
     except SystemExit as exc:
         code = exc.code
     assert code in (0, 1, 2)

@@ -730,7 +730,7 @@ def trained_checkpoint(tmp_path):
     assert cli.main(["generate", "--n", "120", "--seed", "5", "--out", str(data)]) == 0
     out = tmp_path / "run"
     argv = ["train", "--data", str(data), "--out", str(out), "--seed", "3", "--epochs", "2"]
-    argv += ["--batch-size", "16", "--set", "dims=[3,8,2]"]
+    argv += ["--set", "batch_size=16", "--set", "dims=[3,8,2]"]
     assert cli.main(argv) == 0
     return data, out, out / cli.CHECKPOINT_NAME
 
