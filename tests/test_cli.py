@@ -1298,6 +1298,7 @@ class TestExitCodes:
         [
             (["--lambda-geo", "inf"], "lambda_geo", "inf"),
             (["--lambda-geo", "nan"], "lambda_geo", "nan"),
+            ({"lr": float("inf")}, "lr", "inf"),
             (["--set", "lr=inf"], "lr", "inf"),
             (["--set", "weight_decay=inf"], "weight_decay", "inf"),
             (["--set", "lambda_geo=nan"], "lambda_geo", "nan"),
@@ -1306,7 +1307,7 @@ class TestExitCodes:
             (["--set", "lambda_geo=Infinity"], "lambda_geo", "inf"),
         ],
         ids=[
-            "lambda_geo-inf", "lambda_geo-nan", "set-lr-inf", "set-weight_decay-inf",
+            "lambda_geo-inf", "lambda_geo-nan", "lr-inf", "set-lr-inf", "set-weight_decay-inf",
             "set-lambda_geo-nan", "set-weight_decay--inf", "set-val_fraction-NaN",
             "set-lambda_geo-Infinity",
         ],
@@ -1314,6 +1315,11 @@ class TestExitCodes:
     def test_non_finite_real_exits_1_naming_key_and_value(
         self, tmp_path, roll_csv, capsys, argv, key, value
     ):
+        if isinstance(argv, dict):
+            # a config file: json writes the non-finite float as Infinity / NaN
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps(argv))
+            argv = ["--config", str(cfg_path)]
         out = tmp_path / "out"
         code = run_cli("train", "--data", str(roll_csv), "--out", str(out), *argv)
         err = capsys.readouterr().err
