@@ -57,7 +57,7 @@ MANIFEST_NAME = "manifest.json"
 DIAGNOSTICS_NAME = "diagnostics.csv"
 KAPPA_SUMMARY_NAME = "kappa_summary.json"
 # The entries of a kappa summary that ``compare`` tabulates.
-KAPPA_KEYS = ("kappa_jac_mean", "kappa_jac_std", "kappa_pbm_mean", "kappa_pbm_std")
+KAPPA_KEYS = ("kappa_jac_mean", "kappa_jac_std")
 
 # Bytes per read when a file is hashed.
 HASH_BLOCK = 2**16
@@ -578,31 +578,18 @@ def cmd_compare(args) -> int:
 
     # created before the table is printed, so a refused --out prints nothing
     out = _out_dir(args.out) if args.out else None
-    header = ["metric"] + list(runs)
-    rows = []
-    for metric, mean_key, std_key in (
-        ("kappa_jac", "kappa_jac_mean", "kappa_jac_std"),
-        ("kappa_pbm", "kappa_pbm_mean", "kappa_pbm_std"),
-    ):
-        row = [metric]
-        for tag in runs:
-            row.append(f"{runs[tag][mean_key]:.2f} +- {runs[tag][std_key]:.2f}")
-        rows.append(row)
+    cells = [f"{o['kappa_jac_mean']:.2f} +- {o['kappa_jac_std']:.2f}" for o in runs.values()]
+    table = [["metric", *runs], ["kappa_jac", *cells]]
+    widths = [max(map(len, column)) for column in zip(*table)]
+    print("\n".join("  ".join(c.ljust(w) for c, w in zip(row, widths)) for row in table))
 
-    widths = [max(len(r[i]) for r in [header] + rows) for i in range(len(header))]
-    lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths))]
-    lines += ["  ".join(c.ljust(w) for c, w in zip(row, widths)) for row in rows]
-    table = "\n".join(lines)
-    print(table)
-
-    ordering = None
-    if "globiso" in runs:
-        checks = [
-            runs[tag]["kappa_pbm_mean"] < runs["globiso"]["kappa_pbm_mean"]
-            for tag in ("conf", "lociso")
-            if tag in runs
-        ]
-        ordering = bool(checks) and all(checks)
+    # null unless globiso and at least one of conf and lociso are compared
+    checks = [
+        runs[tag]["kappa_jac_mean"] < runs["globiso"]["kappa_jac_mean"]
+        for tag in ("conf", "lociso")
+        if tag in runs and "globiso" in runs
+    ]
+    ordering = all(checks) if checks else None
     result = {"runs": runs, "expected_ordering": ordering}
     if out:
         _json_dump(result, out / "comparison.json")

@@ -90,43 +90,34 @@ def scatter_svg(
 
 
 def kappa_strip_svg(kjac: np.ndarray) -> str:
-    """Two log-scale strips of condition numbers with mean markers: kappa_jac
-    and the pullback metric's kappa_jac^2."""
+    """One log-scale strip of the Jacobian's condition numbers kappa_jac with a
+    mean marker; the metadata holds the finite range and the count of infinite
+    sentinels, which are not drawn."""
     kjac = np.asarray(kjac, dtype=np.float64)
-    kpbm = kjac**2
-    finite_j = kjac[np.isfinite(kjac)]
-    finite_p = kpbm[np.isfinite(kpbm)]
-    all_vals = np.concatenate([finite_j, finite_p])
-    if all_vals.size == 0:
+    finite = kjac[np.isfinite(kjac)]
+    if finite.size == 0:
         raise ValueError("no finite condition numbers to plot")
-    logs = np.log10(all_vals)
-    to_x = _axis_map(logs, MARGIN, WIDTH - MARGIN)
+    to_x = _axis_map(np.log10(finite), MARGIN, WIDTH - MARGIN)
+    row_y = HEIGHT / 2
     body = [
         '<text x="60" y="30" font-family="sans-serif" font-size="16">'
-        "condition numbers (log scale)</text>"
+        "kappa_jac (log scale)</text>"
     ]
-    rows = ((finite_j, 220.0, "jacobian"), (finite_p, 420.0, "pullback metric"))
-    for vals, row_y, label in rows:
+    for i, v in enumerate(finite):
+        jitter = (i % 9 - 4) * 4.0
         body.append(
-            f'<text x="{MARGIN}" y="{_fmt(row_y - 50)}" font-family="sans-serif" '
-            f'font-size="12">{label}</text>'
+            f'<circle cx="{_fmt(to_x(math.log10(v)))}" cy="{_fmt(row_y + jitter)}" '
+            f'r="2.5" fill="#335566" fill-opacity="0.5"/>'
         )
-        for i, v in enumerate(vals):
-            jitter = (i % 9 - 4) * 4.0
-            body.append(
-                f'<circle cx="{_fmt(to_x(math.log10(v)))}" cy="{_fmt(row_y + jitter)}" '
-                f'r="2.5" fill="#335566" fill-opacity="0.5"/>'
-            )
-        if vals.size:
-            mx = to_x(math.log10(vals.mean()))
-            body.append(
-                f'<polygon points="{_fmt(mx)},{_fmt(row_y - 28)} {_fmt(mx - 7)},{_fmt(row_y - 40)} '
-                f'{_fmt(mx + 7)},{_fmt(row_y - 40)}" fill="#1a7a1a"/>'
-            )
+    mx = to_x(math.log10(finite.mean()))
+    body.append(
+        f'<polygon points="{_fmt(mx)},{_fmt(row_y - 28)} {_fmt(mx - 7)},{_fmt(row_y - 40)} '
+        f'{_fmt(mx + 7)},{_fmt(row_y - 40)}" fill="#1a7a1a"/>'
+    )
     meta = {
-        "title": "condition numbers",
-        "vmin": float(all_vals.min()),
-        "vmax": float(all_vals.max()),
-        "excluded_infinite": int((~np.isfinite(kjac)).sum() + (~np.isfinite(kpbm)).sum()),
+        "title": "kappa_jac",
+        "vmin": float(finite.min()),
+        "vmax": float(finite.max()),
+        "excluded_infinite": int(kjac.size - finite.size),
     }
     return _document(body, meta)

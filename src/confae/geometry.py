@@ -376,12 +376,11 @@ def condition_numbers(dec: net.Mlp, z: np.ndarray) -> tuple[float, float]:
 
 
 def summarize_kappa(kappa) -> dict:
-    """Mean and population standard deviation of kappa_jac and of the pullback
-    metric's kappa_pbm = kappa_jac^2.
+    """Mean and population standard deviation of kappa_jac.
 
-    Returns the ``kappa_jac_mean``, ``kappa_jac_std``, ``kappa_pbm_mean``,
-    ``kappa_pbm_std``, ``count`` and ``excluded`` entries of
-    ``kappa_summary.json``. Infinite sentinels are excluded and counted; an
+    Returns the ``kappa_jac_mean``, ``kappa_jac_std``, ``count`` and
+    ``excluded`` entries of ``kappa_summary.json``; the pullback metric's
+    kappa_jac^2 is not stored. Infinite sentinels are excluded and counted; an
     all-sentinel input is an error.
     """
     arr = np.asarray(kappa, dtype=np.float64)
@@ -391,12 +390,9 @@ def summarize_kappa(kappa) -> dict:
     kept = arr[finite]
     if kept.size == 0:
         raise ValueError("all condition numbers are infinite sentinels")
-    pbm = kept**2
     return {
         "kappa_jac_mean": float(kept.mean()),
         "kappa_jac_std": float(kept.std()),
-        "kappa_pbm_mean": float(pbm.mean()),
-        "kappa_pbm_std": float(pbm.std()),
         "count": int(kept.size),
         "excluded": int((~finite).sum()),
     }

@@ -6,18 +6,21 @@ The same holds for its per-call counters, which read fields of the results,
 and for the workloads' set-up (``benchmarks/workloads.py``), which calls the
 data API and the CLI before any operation is timed.
 Conversely, every public name of the package must have a caller other than
-the tests: package or script code, or the tracer.
+the tests: package or script code, or the tracer. Likewise, the kappa summary
+entries that ``compare`` reads and README names must be ones that ``diagnose``
+writes.
 """
 
 import ast
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from confae import cli, data, net, training
+from confae import cli, data, geometry, net, training
 
 ROOT = Path(__file__).resolve().parents[1]
 SPANS = ROOT / "benchmarks" / "spans.py"
@@ -223,3 +226,12 @@ def test_only_thread_settings_are_read_from_the_environment():
         for key in _environment_reads(path)
     }
     assert reads == {("cli.py", "THREAD_VARS")}
+
+
+def test_kappa_keys_compare_reads_and_readme_names_are_stored():
+    # compare reads, and README names, only entries that diagnose writes
+    stored = set(geometry.summarize_kappa([1.0, 3.0]))
+    assert set(cli.KAPPA_KEYS) <= stored
+    readme = (ROOT / "README.md").read_text()
+    named = set(re.findall(r"kappa_(?:jac|pbm)_(?:mean|std)", readme))
+    assert named and sorted(named - stored) == []

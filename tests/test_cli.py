@@ -1092,6 +1092,18 @@ class TestPlot:
         assert meta["vmin"] == cols["c"].min()
         assert meta["vmax"] == cols["c"].max()
 
+    def test_strip_draws_the_finite_kappa_jac_and_counts_each_sentinel_once(self, tmp_path):
+        diag = tmp_path / "d.csv"
+        codes = np.arange(6.0).reshape(3, 2)
+        geometry.write_diagnostics_csv(diag, codes, np.ones(3), None, [1.5, 2.0, np.inf])
+        out = tmp_path / "figs"
+        assert run_cli("plot", "--diagnostics", str(diag), "--out", str(out)) == 0
+        svg = (out / "kappa_strip.svg").read_text()
+        meta = json.loads(svg.split("<metadata>")[1].split("</metadata>")[0])
+        assert (meta["vmin"], meta["vmax"], meta["excluded_infinite"]) == (1.5, 2.0, 1)
+        # one strip: a circle per finite kappa_jac and one mean marker
+        assert svg.count("<circle") == 2 and svg.count("<polygon") == 1
+
     def test_file_without_kappa_column_exits_2_naming_it(self, tmp_path, capsys):
         diag = tmp_path / "d.csv"
         diag.write_text("z1,c\n0.1,0.5\n0.4,1.0\n")
@@ -1193,27 +1205,17 @@ class TestPlot:
 
 
 class TestCompare:
-    def _run_dir(self, tmp_path, tag, kjac, kpbm):
+    def _run_dir(self, tmp_path, tag, kjac, **entries):
         d = tmp_path / tag
-        d.mkdir()
-        (d / cli.KAPPA_SUMMARY_NAME).write_text(
-            json.dumps(
-                {
-                    "regularizer": tag,
-                    "kappa_jac_mean": kjac,
-                    "kappa_jac_std": 0.1,
-                    "kappa_pbm_mean": kpbm,
-                    "kappa_pbm_std": 0.2,
-                    "count": 10,
-                    "excluded": 0,
-                }
-            )
-        )
+        d.mkdir(parents=True)
+        summary = {"regularizer": tag, "kappa_jac_mean": kjac, "kappa_jac_std": 0.1}
+        summary |= {"count": 10, "excluded": 0, **entries}
+        (d / cli.KAPPA_SUMMARY_NAME).write_text(json.dumps(summary))
         return d
 
     def test_table_and_ordering_flag(self, tmp_path, capsys):
-        a = self._run_dir(tmp_path, "conf", 2.0, 5.0)
-        b = self._run_dir(tmp_path, "globiso", 4.0, 19.0)
+        a = self._run_dir(tmp_path, "conf", 2.0)
+        b = self._run_dir(tmp_path, "globiso", 4.0)
         out = tmp_path / "cmp"
         assert run_cli("compare", str(a), str(b), "--out", str(out)) == 0
         table = capsys.readouterr().out
@@ -1222,22 +1224,22 @@ class TestCompare:
         assert result["expected_ordering"] is True
 
     def test_ordering_flag_false_when_reversed(self, tmp_path, capsys):
-        a = self._run_dir(tmp_path, "conf", 5.0, 30.0)
-        b = self._run_dir(tmp_path, "globiso", 4.0, 19.0)
+        a = self._run_dir(tmp_path, "conf", 5.0)
+        b = self._run_dir(tmp_path, "globiso", 4.0)
         assert run_cli("compare", str(a), str(b)) == 0
         out = capsys.readouterr().out
         result = json.loads(out.strip().splitlines()[-1])
         assert result["expected_ordering"] is False
 
     def test_identical_runs_identical_columns(self, tmp_path, capsys):
-        a = self._run_dir(tmp_path, "runA", 2.0, 5.0)
-        b = self._run_dir(tmp_path, "runB", 2.0, 5.0)
+        a = self._run_dir(tmp_path, "runA", 2.0)
+        b = self._run_dir(tmp_path, "runB", 2.0)
         assert run_cli("compare", str(a), str(b)) == 0
         table_line = capsys.readouterr().out.splitlines()[1]
         assert table_line.count("2.00 +- 0.10") == 2
 
     def test_runs_with_one_tag_exit_1_naming_both(self, tmp_path, capsys):
-        a = self._run_dir(tmp_path, "conf", 2.0, 5.0)
+        a = self._run_dir(tmp_path, "conf", 2.0)
         b = tmp_path / "copy"
         b.mkdir()
         (b / cli.KAPPA_SUMMARY_NAME).write_bytes((a / cli.KAPPA_SUMMARY_NAME).read_bytes())
@@ -1249,22 +1251,57 @@ class TestCompare:
 
     @pytest.mark.parametrize("damage", ["missing", "string", "true", "false", "nan", "infinity"])
     def test_summary_without_a_kappa_entry_exits_2_naming_it(self, tmp_path, capsys, damage):
-        a = self._run_dir(tmp_path, "conf", 2.0, 5.0)
-        b = self._run_dir(tmp_path, "globiso", 4.0, 19.0)
+        a = self._run_dir(tmp_path, "conf", 2.0)
+        b = self._run_dir(tmp_path, "globiso", 4.0)
         path = b / cli.KAPPA_SUMMARY_NAME
         summary = json.loads(path.read_text())
         if damage == "missing":
-            del summary["kappa_pbm_std"]
+            del summary["kappa_jac_std"]
         else:
             values = {"string": "0.2", "true": True, "false": False, "nan": np.nan}
-            summary["kappa_pbm_std"] = values.get(damage, np.inf)
+            summary["kappa_jac_std"] = values.get(damage, np.inf)
         path.write_text(json.dumps(summary))
         assert run_cli("compare", str(a), str(b)) == 2
         err = capsys.readouterr().err
-        assert str(path) in err and "kappa_pbm_std" in err and "Traceback" not in err
+        assert str(path) in err and "kappa_jac_std" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "tags",
+        [("globiso", "none"), ("conf", "lociso"), ("globiso",)],
+        ids=["globiso-none", "conf-lociso", "globiso-alone"],
+    )
+    def test_no_verdict_without_globiso_and_a_run_to_order_below_it(self, tmp_path, tags):
+        dirs = [str(self._run_dir(tmp_path, tag, 2.0 + i)) for i, tag in enumerate(tags)]
+        out = tmp_path / "cmp"
+        assert run_cli("compare", *dirs, "--out", str(out)) == 0
+        result = json.loads((out / "comparison.json").read_text())
+        assert result["expected_ordering"] is None
+
+    def test_summary_of_the_earlier_format_compares_alike(self, tmp_path, capsys):
+        # kappa_summary.json used to hold kappa_pbm_mean and kappa_pbm_std as
+        # well. These means order lociso above globiso although its kappa_jac
+        # mean is lower (a few codes far in the tail): the verdict reads
+        # kappa_jac only, and the table has the one kappa_jac row.
+        kjac = {"conf": 1.9, "lociso": 2.4, "globiso": 5.7}
+        kpbm = {"conf": 4.1, "lociso": 143.0, "globiso": 61.0}
+        results = {}
+        for fmt in ("current", "earlier"):
+            dirs = []
+            for tag, mean in kjac.items():
+                entries = {}
+                if fmt == "earlier":
+                    entries = {"kappa_pbm_mean": kpbm[tag], "kappa_pbm_std": 2488.0}
+                dirs.append(str(self._run_dir(tmp_path / fmt, tag, mean, **entries)))
+            assert run_cli("compare", *dirs) == 0
+            *table, verdict = capsys.readouterr().out.strip().splitlines()
+            results[fmt] = table, json.loads(verdict)["expected_ordering"]
+        assert results["earlier"] == results["current"]
+        table, ordering = results["current"]
+        assert [line.split()[0] for line in table] == ["metric", "kappa_jac"]
+        assert ordering is True
 
     def test_missing_summary_names_the_run(self, tmp_path, capsys):
-        a = self._run_dir(tmp_path, "conf", 2.0, 5.0)
+        a = self._run_dir(tmp_path, "conf", 2.0)
         empty = tmp_path / "empty"
         empty.mkdir()
         assert run_cli("compare", str(a), str(empty)) == 1

@@ -499,19 +499,18 @@ class TestConditionNumbers:
 class TestSummarizeKappa:
     def test_constant_samples(self):
         s = geometry.summarize_kappa([2.0] * 10)
-        stats = ("kappa_jac_mean", "kappa_jac_std", "kappa_pbm_mean", "kappa_pbm_std")
-        assert tuple(s[key] for key in stats) == (2.0, 0.0, 4.0, 0.0)
+        assert (s["kappa_jac_mean"], s["kappa_jac_std"]) == (2.0, 0.0)
 
     def test_population_std(self):
         s = geometry.summarize_kappa([1.0, 3.0])
         assert s["kappa_jac_mean"] == 2.0 and s["kappa_jac_std"] == 1.0
-        # kappa_pbm = kappa_jac^2 = 1 and 9
-        assert s["kappa_pbm_mean"] == 5.0 and s["kappa_pbm_std"] == 4.0
 
     def test_sentinels_excluded_and_counted(self):
         s = geometry.summarize_kappa([1.0, math.inf, 3.0])
         assert s["count"] == 2 and s["excluded"] == 1
         assert s["kappa_jac_mean"] == 2.0
+        # kappa_pbm = kappa_jac^2 is derived by a reader, not stored
+        assert list(s) == ["kappa_jac_mean", "kappa_jac_std", "count", "excluded"]
 
     def test_all_sentinels_rejected(self):
         with pytest.raises(ValueError):
