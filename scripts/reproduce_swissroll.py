@@ -6,11 +6,10 @@ computes diagnostics, renders figures, and prints the side-by-side condition
 number table. Everything goes through the CLI so the artifacts match what a
 user would produce by hand.
 
-Usage: python scripts/reproduce_swissroll.py [--out DIR] [--seed N] [--epochs N]
+Usage: python scripts/reproduce_swissroll.py [--out DIR] [--seed N] [--epochs N] [--n N]
 """
 
 import argparse
-import json
 import subprocess
 import sys
 from pathlib import Path
@@ -23,7 +22,6 @@ def sh(*argv):
     sys.stderr.write(proc.stderr)
     if proc.returncode != 0:
         raise SystemExit(f"command failed with exit code {proc.returncode}")
-    return proc.stdout
 
 
 def main():
@@ -52,18 +50,8 @@ def main():
             "--epochs", str(args.epochs),
             "--single-thread",
         ]
-        if tag == "none":
-            sh(*confae, "train", *common)
-        else:
-            proposal = sh(
-                *confae, "train", *common, "--regularizer", tag, "--calibrate-intensity"
-            )
-            lam = json.loads(proposal.strip().splitlines()[-1])["proposed_lambda_geo"]
-            sh(
-                *confae, "train", *common,
-                "--regularizer", tag,
-                "--lambda-geo", repr(lam),
-            )
+        # without --lambda-geo, train calibrates the intensity itself
+        sh(*confae, "train", *common, "--regularizer", tag)
         sh(
             *confae, "diagnose",
             "--checkpoint", str(run_dir / "checkpoint.json"),

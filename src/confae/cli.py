@@ -295,19 +295,19 @@ def _read_manifest(path: Path) -> tuple[dict, str]:
     return config, data_sha256
 
 
-def _config_differences(a: dict, b: dict) -> list[str]:
-    """The keys whose values differ between two run configs, ``epochs`` aside."""
-    return sorted(k for k in (set(a) | set(b)) - {"epochs"} if a.get(k) != b.get(k))
+def _config_differences(a: dict, b: dict, skip=()) -> list[str]:
+    """The keys whose values differ between two run configs, ``epochs`` and ``skip`` aside."""
+    return sorted(k for k in (set(a) | set(b)) - {"epochs", *skip} if a.get(k) != b.get(k))
 
 
-def _check_same_run(run_dir: Path, config: dict, data_sha256: str) -> dict:
+def _check_same_run(run_dir: Path, config: dict, data_sha256: str, skip=()) -> dict:
     """The config the manifest of ``run_dir`` records; exit 1 if it differs
-    from ``config`` (``epochs`` aside) or records another dataset."""
+    from ``config`` (``epochs`` and ``skip`` aside) or records another dataset."""
     path = run_dir / MANIFEST_NAME
     if not path.exists():
         raise _validation(f"cannot resume: {path} missing")
     recorded, old_sha256 = _read_manifest(path)
-    differ = _config_differences(recorded, config)
+    differ = _config_differences(recorded, config, skip)
     if old_sha256 != data_sha256:
         differ.append("data.sha256")
     if differ:
@@ -337,24 +337,10 @@ def _manifest_beside(checkpoint: Path, config: training.RunConfig) -> str | None
 
 
 def cmd_train(args) -> int:
-    if args.calibrate_intensity and args.resume:
-        raise _validation("--calibrate-intensity is a dry run and cannot --resume a run")
     cfg = _resolve_config(args)
     data_path = _data_file(args.data)
-
-    if args.calibrate_intensity:
-        lam, recon0, geo0 = training.calibrate_intensity(cfg, _load_dataset(data_path))
-        print(
-            json.dumps(
-                {
-                    "proposed_lambda_geo": lam,
-                    "initial_recon": recon0,
-                    "initial_geo": geo0,
-                },
-                sort_keys=True,
-            )
-        )
-        return 0
+    # an enabled regularizer without lambda_geo is calibrated on the parsed data
+    calibrate = cfg.regularizer != "none" and cfg.lambda_geo is None
 
     if cfg.regularizer != "none" and cfg.lambda_geo == 0.0:
         print(
@@ -363,12 +349,13 @@ def cmd_train(args) -> int:
             file=sys.stderr,
         )
 
-    config = cfg.to_dict()
     data_sha256 = _sha256(data_path)
     resume, metrics = None, ""
     if args.resume:
         run_dir = Path(args.resume)
-        recorded = _check_same_run(run_dir, config, data_sha256)
+        # lambda_geo is compared below, once calibration has set it
+        skip = ("lambda_geo",) if calibrate else ()
+        recorded = _check_same_run(run_dir, cfg.to_dict(), data_sha256, skip)
         stored, resume = _load_checkpoint(run_dir / CHECKPOINT_NAME)
         # the new config is the manifest's, so this also compares it with the checkpoint's
         _check_manifest_config(run_dir / CHECKPOINT_NAME, recorded, stored)
@@ -377,8 +364,16 @@ def cmd_train(args) -> int:
         metrics = _resumed_metrics(run_dir / METRICS_NAME, resume.epoch)
     # parsed only once the hash check above has accepted the file
     samples = _load_dataset(data_path)
+    calibration = None
+    if calibrate:
+        lam, recon0, geo0 = training.calibrate_intensity(cfg, samples)
+        calibration = {"proposed_lambda_geo": lam, "initial_recon": recon0, "initial_geo": geo0}
+        cfg = dataclasses.replace(cfg, lambda_geo=lam)
+        if args.resume and recorded.get("lambda_geo") != lam:
+            raise _validation(f"cannot resume {run_dir}: this run differs in lambda_geo")
     # a run that train would refuse leaves --out as it found it
     training.training_intensity(cfg, samples)
+    config = cfg.to_dict()
 
     out = _out_dir(args.out)
 
@@ -410,6 +405,8 @@ def cmd_train(args) -> int:
         if every > 0 and state.epoch % every == 0 and state.epoch < cfg.epochs:
             _write_checkpoint(out / CHECKPOINT_NAME, cfg, state)
 
+    if calibration is not None:
+        print(json.dumps(calibration, sort_keys=True), flush=True)
     try:
         result = training.train(cfg, samples, resume=resume, on_epoch=on_epoch)
     except training.TrainingDivergedError as exc:
@@ -529,6 +526,9 @@ def cmd_plot(args) -> int:
     for name in ("z1", "z2", "c", "s_raw"):
         if name in cols and not np.all(np.isfinite(cols[name])):
             raise _runtime(f"{path}: column {name} holds a non-finite value")
+    # a condition number is at least 1, and NaN is no sentinel
+    if not np.all(cols["kappa_jac"] >= 1.0):
+        raise _runtime(f"{path}: column kappa_jac holds NaN, -inf or a value below 1")
     out = _out_dir(args.out)
     written = []
     latent = [name for name in cols if name.startswith("z")]
@@ -626,7 +626,6 @@ def build_parser() -> _Parser:
         "--lambda-geo", type=_setting("lambda_geo", float), metavar="LAMBDA_GEO", **settings
     )
     trn.add_argument("--epochs", type=_setting("epochs", int), metavar="EPOCHS", **settings)
-    trn.add_argument("--calibrate-intensity", action="store_true")
     trn.add_argument("--resume", default=None, help="run directory to continue")
     trn.set_defaults(func=cmd_train)
 

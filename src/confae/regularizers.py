@@ -66,14 +66,14 @@ def rademacher_block(rng: np.random.Generator, batch: int, count: int, dim: int)
     return rng.integers(0, 2, size=(batch, count, dim)) * 2.0 - 1.0
 
 
-def _probe_block(b: int, m: int, probes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The checked (B, N, m) probe block plus its moment weights."""
+def _probe_block(b: int, m: int, probes: np.ndarray) -> np.ndarray:
+    """The checked (B, N, m) probe block."""
     block = np.asarray(probes, dtype=np.float64)
     if block.ndim != 3 or block.shape[0] != b or block.shape[2] != m:
         raise ValueError(f"probe block must be (batch, count, {m})")
     if block.shape[1] == 0:
         raise ValueError("probe set is empty")
-    return block, np.full(block.shape[1], 1.0 / block.shape[1])
+    return block
 
 
 def trace_moments(rows: np.ndarray, probes: np.ndarray | None = None):
@@ -83,9 +83,9 @@ def trace_moments(rows: np.ndarray, probes: np.ndarray | None = None):
     :func:`net.jvp` along the latent basis: the Jacobian's columns, whose
     Gram matrix is ``G = J^T J``. ``probes`` is ``None`` for the exact moments or a
     (B, N, m) Rademacher block for the Monte-Carlo estimate. The probes
-    enter only through the per-code matrix ``P = sum_i w_i v_i v_i^T``, so
-    ``t1 = tr(G P) = sum_i w_i v_i^T G v_i`` and
-    ``t2 = tr(G G P) = sum_i w_i v_i^T G^2 v_i``. The exact moments
+    enter only through the per-code matrix ``P = (1/N) sum_i v_i v_i^T``, so
+    ``t1 = tr(G P) = (1/N) sum_i v_i^T G v_i`` and
+    ``t2 = tr(G G P) = (1/N) sum_i v_i^T G^2 v_i``. The exact moments
     ``t1 = tr G`` and ``t2 = tr G^2`` form no ``P`` (it would be ``I``, and
     the bits are the same without it). The third element feeds
     :func:`_moments_backward`; its ``P`` is ``None`` on the exact path.
@@ -96,9 +96,9 @@ def trace_moments(rows: np.ndarray, probes: np.ndarray | None = None):
     g = net.gram(rows)
     p, gp = None, g
     if probes is not None:
-        block, weights = _probe_block(*rows.shape[:2], probes)
-        # one batched product: each term is exactly +-w_i, summed in probe order
-        p = (block * weights[:, None]).transpose(0, 2, 1) @ block
+        block = _probe_block(*rows.shape[:2], probes)
+        # one batched product: each term is exactly +-1/N, summed in probe order
+        p = (block / block.shape[1]).transpose(0, 2, 1) @ block
         gp = g @ p
     t1 = np.einsum("bii->b", gp)
     t2 = np.einsum("bij,bji->b", g, gp)

@@ -387,20 +387,16 @@ def _autoencoder_vectors(state: TrainState):
 def training_intensity(config: RunConfig, samples: np.ndarray) -> float:
     """The weight of the geometric term when ``config`` trains on the (n, d) ``samples``.
 
-    A :class:`ConfigError` refuses an invalid config, an enabled regularizer
-    without ``lambda_geo`` and data whose width is not ``dims[0]``;
-    ``ValueError`` refuses data that is not standardized.
+    An enabled regularizer without ``lambda_geo`` takes the intensity
+    :func:`calibrate_intensity` proposes, and refuses as it does. A
+    :class:`ConfigError` refuses an invalid config and data whose width is not
+    ``dims[0]``; ``ValueError`` refuses data that is not standardized.
     """
     config.validate()
-    lam = 0.0
-    if config.regularizer != "none":
-        if config.lambda_geo is None:
-            raise ConfigError(
-                ["lambda_geo: required when a regularizer is enabled (run intensity calibration)"]
-            )
-        lam = config.lambda_geo
+    if config.regularizer != "none" and config.lambda_geo is None:
+        return calibrate_intensity(config, samples)[0]
     _check_data(config, samples, "training")
-    return lam
+    return 0.0 if config.regularizer == "none" else config.lambda_geo
 
 
 def train(

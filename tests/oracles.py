@@ -39,7 +39,8 @@ def einsum_trace_moments(rows, probes=None):
     g = net.gram(rows)
     p, gp = None, g
     if probes is not None:
-        block, weights = reg._probe_block(*rows.shape[:2], probes)
+        block = reg._probe_block(*rows.shape[:2], probes)
+        weights = np.full(block.shape[1], 1.0 / block.shape[1])
         p = np.einsum("bni,bnj,n->bij", block, block, weights)
         gp = g @ p
     return np.einsum("bii->b", gp), np.einsum("bij,bji->b", g, gp), (rows, p, gp)

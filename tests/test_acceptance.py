@@ -299,13 +299,11 @@ def e2e(tmp_path_factory):
             "--regularizer", tag,
             "--single-thread",
         ]
-        proposal = json.loads(
-            _cli("train", *common, "--calibrate-intensity").strip().splitlines()[-1]
-        )
-        lam = proposal["proposed_lambda_geo"]
+        # without --lambda-geo, train calibrates the intensity and records it
         t0 = time.perf_counter()
-        _cli("train", *common, "--lambda-geo", repr(lam))
+        _cli("train", *common)
         train_seconds = time.perf_counter() - t0
+        lam = json.loads((out / "manifest.json").read_text())["config"]["lambda_geo"]
         _cli(
             "diagnose",
             "--checkpoint", str(out / "checkpoint.json"),

@@ -388,26 +388,33 @@ class TestTrain:
         assert code == 0
         assert "inert" in capsys.readouterr().err
 
-    def test_calibrate_intensity_is_a_dry_run(self, tmp_path, roll_csv, capsys):
-        out = tmp_path / "dry"
-        code = run_cli(
-            "train",
-            "--data",
-            str(roll_csv),
-            "--out",
-            str(out),
-            "--seed",
-            "3",
-            "--regularizer",
-            "conf",
-            "--set",
-            "dims=[3,8,2]",
-            "--calibrate-intensity",
-        )
-        assert code == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["proposed_lambda_geo"] > 0
-        assert not (out / cli.CHECKPOINT_NAME).exists()
+    # What the two commands wrote while calibration was a dry run of its own:
+    # `train ... --calibrate-intensity`, then `train ... --lambda-geo
+    # 0.1106322071568617`, the proposed intensity.
+    CALIBRATED_SHA256 = {
+        cli.MANIFEST_NAME: "86a1d4b4603678699638584a837b598c2c87074134fb388b0d6cb89d15ce6f6b",
+        cli.CHECKPOINT_NAME: "aadf31a720284eb5b4b8a7b082b3995b7890a43119e2928d4b00067213d7b02b",
+    }
+
+    def test_train_without_lambda_writes_the_calibrated_run(
+        self, tmp_path, roll_csv, capsys, monkeypatch
+    ):
+        # relative paths and pinned thread variables: the manifest records both
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "_THREADS", dict.fromkeys(cli.THREAD_VARS, "1"))
+        argv = tiny_train_argv(roll_csv.name, "run", "--regularizer", "conf", "--single-thread")
+        capsys.readouterr()
+        assert run_cli(*argv) == 0
+        for name, sha256 in self.CALIBRATED_SHA256.items():
+            assert cli._sha256(tmp_path / "run" / name) == sha256, name
+        # the proposal is printed once, before the first epoch's summary
+        lines = capsys.readouterr().out.splitlines()
+        assert json.loads(lines[0]) == {
+            "initial_geo": 0.16604480486221007,
+            "initial_recon": 4.592475812209175,
+            "proposed_lambda_geo": 0.1106322071568617,
+        }
+        assert not any("proposed_lambda_geo" in line for line in lines[1:])
 
     def test_calibrating_globiso_on_a_one_code_split_exits_1(self, tmp_path, capsys):
         two = tmp_path / "two.csv"
@@ -415,25 +422,51 @@ class TestTrain:
         out = tmp_path / "r"
         argv = ["train", "--data", str(two), "--out", str(out), "--regularizer", "globiso"]
         capsys.readouterr()
-        assert run_cli(*argv, "--calibrate-intensity") == 1
+        assert run_cli(*argv) == 1
         captured = capsys.readouterr()
         assert "regularizer: globiso compares pairs of codes" in captured.err
         assert "training split holds 1" in captured.err and captured.out == ""
         assert not out.exists()
 
-    @pytest.mark.parametrize("malformed", [False, True], ids=["data", "malformed-data"])
-    def test_calibrate_intensity_refuses_resume(self, tmp_path, roll_csv, capsys, malformed):
-        # refused before --data is parsed, even when the run to resume is missing
-        csv = malformed_copy(roll_csv, tmp_path / "bad.csv") if malformed else roll_csv
-        missing = tmp_path / "missing"
-        code, out = tiny_train(
-            tmp_path, csv, "dry", "--regularizer", "conf", "--calibrate-intensity",
-            "--resume", str(missing),
-        )
+    def test_calibrated_run_resumes_with_its_command_line(self, tmp_path, roll_csv, monkeypatch):
+        class Stop(Exception):
+            pass
+
+        write = cli._write_checkpoint
+
+        def stop_after_epoch_2(path, config, state):
+            write(path, config, state)
+            if state.epoch == 2:
+                raise Stop
+
+        argv = ("--regularizer", "conf", "--epochs", "4", "--set", "checkpoint_every=1")
+        monkeypatch.setattr(cli, "_write_checkpoint", stop_after_epoch_2)
+        with pytest.raises(Stop):
+            tiny_train(tmp_path, roll_csv, "stopped", *argv)
+        monkeypatch.undo()
+        stopped = tmp_path / "stopped"
+        assert json.loads((stopped / cli.CHECKPOINT_NAME).read_text())["epoch"] == 2
+        code, _ = tiny_train(tmp_path, roll_csv, "stopped", *argv, "--resume", str(stopped))
+        assert code == 0
+        code, straight = tiny_train(tmp_path, roll_csv, "straight", *argv)
+        assert code == 0
+        name = cli.CHECKPOINT_NAME
+        assert (stopped / name).read_bytes() == (straight / name).read_bytes()
+        assert records(stopped, drop={"seconds"}) == records(straight, drop={"seconds"})
+
+    def test_resume_without_the_started_lambda_exits_1(self, tmp_path, roll_csv, capsys):
+        started = ("--regularizer", "conf", "--lambda-geo", "0.1")
+        code, out = tiny_train(tmp_path, roll_csv, "run", *started)
+        assert code == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+        resume = ("--epochs", "3", "--resume", str(out))
+        code, _ = tiny_train(tmp_path, roll_csv, "run", "--regularizer", "conf", *resume)
         assert code == 1
         captured = capsys.readouterr()
-        assert "--calibrate-intensity" in captured.err and captured.out == ""
-        assert not out.exists() and not missing.exists()
+        assert f"cannot resume {out}: this run differs in lambda_geo\n" in captured.err
+        assert captured.out == ""
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     def test_checkpoint_cadence(self, tmp_path, roll_csv):
         # one snapshot file, overwritten every epoch, holds the last epoch
@@ -1138,14 +1171,29 @@ class TestPlot:
         code = run_cli("plot", "--diagnostics", str(diag), "--out", str(out))
         err = capsys.readouterr().err
         assert "Traceback" not in err
-        if column == "kappa_jac":  # inf is the condition number's sentinel, so it is plotted
+        if column == "kappa_jac" and value == "inf":  # the condition number's sentinel
             assert code == 0 and (out / "kappa_strip.svg").exists()
         elif column.endswith("_normalized"):  # not read: the scatters draw c and s_raw
             assert code == 0 and (out / "scalar_curvature.svg").exists()
         else:
             assert code == 2
-            assert f"{diag}: column {column} holds a non-finite value" in err
+            problem = "a non-finite value"
+            if column == "kappa_jac":
+                problem = "NaN, -inf or a value below 1"
+            assert f"{diag}: column {column} holds {problem}" in err
             assert not out.exists()
+
+    @pytest.mark.parametrize("value,code", [("1.0", 0), ("0.999", 2), ("0.0", 2), ("-2.0", 2)])
+    def test_kappa_below_1_is_refused_naming_file_and_column(self, tmp_path, capsys, value, code):
+        # a condition number is at least 1: a smaller one is refused before --out is made
+        diag = tmp_path / "d.csv"
+        diag.write_text(f"z1,z2,c,kappa_jac\n0.1,0.2,0.5,2.0\n0.4,-0.1,1.0,{value}\n")
+        out = tmp_path / "figs"
+        assert run_cli("plot", "--diagnostics", str(diag), "--out", str(out)) == code
+        err = capsys.readouterr().err
+        problem = f"{diag}: column kappa_jac holds NaN, -inf or a value below 1"
+        assert (problem in err) == (code == 2) and "Traceback" not in err
+        assert out.exists() == (code == 0)
 
     def test_file_of_the_ten_column_format_draws_the_same_circles(self, tmp_path):
         # diagnostics.csv used to hold c_normalized, s_normalized and kappa_pbm
@@ -1365,9 +1413,9 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("extra", [[], ["--calibrate-intensity"]], ids=["train", "calibrate"])
+    @pytest.mark.parametrize("extra", [["--lambda-geo", "0.1"], []], ids=["train", "calibrate"])
     def test_dims_that_do_not_fit_the_data_exit_1(self, tmp_path, roll_csv, capsys, extra):
-        argv = ["--set", "dims=[5,4,2]", "--regularizer", "conf", "--lambda-geo", "0.1", *extra]
+        argv = ["--set", "dims=[5,4,2]", "--regularizer", "conf", *extra]
         code = run_cli("train", "--data", str(roll_csv), "--out", str(tmp_path / "out"), *argv)
         err = capsys.readouterr().err
         assert code == 1
@@ -1375,21 +1423,24 @@ class TestExitCodes:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
-        "argv,problem",
+        "n,argv,problem",
         [
-            (["--regularizer", "conf"], "  - lambda_geo: required"),
-            (["--set", "dims=[5,4,2]"], "  - dims: input size 5 does not match"),
+            # calibration's refusal, once the data are parsed
+            ("2", ["--regularizer", "globiso"], "  - regularizer: globiso compares pairs"),
+            ("120", ["--set", "dims=[5,4,2]"], "  - dims: input size 5 does not match"),
         ],
-        ids=["conf-without-lambda", "dims-misfit"],
+        ids=["globiso-2-samples", "dims-misfit"],
     )
     def test_refused_train_leaves_the_run_in_out_as_it_was(
-        self, tmp_path, roll_csv, capsys, argv, problem
+        self, tmp_path, roll_csv, capsys, n, argv, problem
     ):
         code, run = tiny_train(tmp_path, roll_csv)
         assert code == 0
         before = {p.name: p.read_bytes() for p in run.iterdir()}
+        data = tmp_path / "data.csv"
+        assert run_cli("generate", "--n", n, "--seed", "5", "--out", str(data)) == 0
         capsys.readouterr()
-        assert run_cli("train", "--data", str(roll_csv), "--out", str(run), *argv) == 1
+        assert run_cli("train", "--data", str(data), "--out", str(run), *argv) == 1
         assert problem in capsys.readouterr().err
         assert {p.name: p.read_bytes() for p in run.iterdir()} == before
 
@@ -1443,10 +1494,11 @@ class TestExitCodes:
             ("train", ["--data", "d.csv", "--out", "o"], ["--weight-decay", "0.1"]),
             ("train", ["--data", "d.csv", "--out", "o"], ["--exact-trace"]),
             ("generate", ["--out", "d.csv"], ["--standardize"]),
+            ("train", ["--data", "d.csv", "--out", "o"], ["--calibrate-intensity"]),
         ],
         ids=[
             "detach-codes", "oracle", "probes", "batch-size", "lr", "weight-decay",
-            "exact-trace", "standardize",
+            "exact-trace", "standardize", "calibrate-intensity",
         ],
     )
     def test_removed_options_are_refused(self, capsys, command, argv, removed):
@@ -1568,9 +1620,9 @@ SET_VALUES = st.one_of(
     )
 )
 def test_calibration_under_drawn_overrides_exits_cleanly(boundary_run, overrides):
+    # no lambda_geo: each accepted draw of an enabled regularizer calibrates, then trains
     csv, checkpoint = boundary_run
-    argv = ["train", "--calibrate-intensity", "--data", str(csv)]
-    argv += ["--out", str(checkpoint.parent / "calibration")]
+    argv = ["train", "--data", str(csv), "--out", str(checkpoint.parent / "calibrated")]
     argv += ["--set", "regularizer=conf", "--set", "dims=[3,8,2]"]
     for key, value in overrides:  # later overrides replace the base values
         argv += ["--set", f"{key}={value}"]

@@ -1,5 +1,5 @@
 import tracemalloc
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -197,11 +197,6 @@ class TestRunConfig:
         cfg = small_config(regularizer="conf", lambda_geo=0.5)
         again = tr.RunConfig.from_dict(cfg.to_dict())
         assert again == cfg
-
-    def test_missing_intensity_detected_at_train_time(self):
-        cfg = small_config(regularizer="conf")
-        with pytest.raises(tr.ConfigError, match="lambda_geo"):
-            tr.train(cfg, standardized_roll())
 
 
 class TestTrain:
@@ -512,6 +507,18 @@ class TestCalibrateIntensity:
         cfg = small_config(regularizer="globiso")
         samples = standardized_roll()
         assert tr.calibrate_intensity(cfg, samples) == tr.calibrate_intensity(cfg, samples)
+
+    @pytest.mark.parametrize("tag", ["conf", "lociso", "globiso"])
+    def test_train_without_intensity_takes_the_calibrated_one(self, tag):
+        cfg = small_config(regularizer=tag)
+        samples = standardized_roll()
+        lam = tr.calibrate_intensity(cfg, samples)[0]
+        assert tr.training_intensity(cfg, samples) == lam
+        got = tr.train(cfg, samples)
+        want = tr.train(replace(cfg, lambda_geo=lam), samples)
+        assert [untimed(r) for r in got.records] == [untimed(r) for r in want.records]
+        for a, b in ((got.state.enc, want.state.enc), (got.state.dec, want.state.dec)):
+            assert np.array_equal(a.params, b.params)
 
     def test_nothing_to_calibrate_without_regularizer(self):
         with pytest.raises(tr.ConfigError):
