@@ -36,10 +36,11 @@ while tangent states live on B*m rows; each code's m tangent rows are scaled
 by its one derivative row, in both sweeps. Callers see the tangents as the
 (B, m, out) stack: :func:`jvp`'s ``jv`` is a view of the tape's last tangent
 array in that shape, and :func:`backward` takes its tangent adjoint in it.
-The reverse sweep sums the tangents' second-derivative terms per code
-before the primal adjoint products, and skips the primal adjoint chain where
-nothing reaches it (a piecewise-linear activation and no primal-output
-adjoint).
+The reverse sweep holds each layer's adjoints in one (B * (1 + n), width)
+array: the B primal rows, then the B * n tangent rows in the tape's order,
+with n = m under a tangent adjoint and n = 0 without one. A missing adjoint
+is a zero block, and the tangents' second-derivative terms are summed per
+code into the primal rows.
 
 :func:`forward` and :func:`jvp` take an optional ``buffers`` dict. A loop
 over blocks of inputs that passes the same dict to every call gets each
@@ -379,7 +380,7 @@ def backward(
 
     The adjoints seed the scalar's derivative w.r.t. the primal output
     (B, out_dim) and the tangent output, the (B, m, out_dim) stack of
-    :func:`jvp`'s ``jv``. Returns parameter
+    :func:`jvp`'s ``jv``; a missing one is zero. Returns parameter
     gradients, written into ``grads`` when it is given (every entry is
     overwritten), and the gradient w.r.t. the primal input (one row per
     input), which ``input_grad=False`` skips and returns as ``None``. No
@@ -391,61 +392,37 @@ def backward(
         # every entry is written below: each layer's first term lands with out=
         grads = ParamGradient.from_flat(net, np.empty_like(net.params))
 
-    b, n = trace.x0.shape  # a tangent sweep has n = m rows per input
-    dacts = trace.dact
-    out_dim = net.layers[-1].weight.shape[0]
-    g_s = None if tan_grad is None else _adjoint(tan_grad, (b, n, out_dim), "tangent")
-    g_x = None if out_grad is None else _adjoint(out_grad, (b, out_dim), "output")
-
-    # a tangent adjoint reaches every layer, and so does a primal one once it starts
-    tangent = g_s is not None
-    last = len(net.layers) - 1
-    for k in range(last, -1, -1):
-        layer, d = net.layers[k], dacts[k]
-        g_w, g_b = grads.weights[k], grads.biases[k]
-        # g_a is the primal pre-activation adjoint; None while nothing reaches it
-        g_a = None
-        # the adjoints reaching the top layer are the caller's; below it they
-        # are this sweep's own, scaled in place
-        own = k < last
-        if tangent:
-            # s_k = dact(a_k) * t_k ; t_k = s_{k-1} @ W_k^T, with g_s the (B, m, width) stack
-            ddact = _ddact(layer.activation, trace.out[k], d)
-            if ddact is not None:
-                # second-derivative term of every tangent row, summed per input
-                g_a = (ddact[:, None, :] * trace.tan_pre[k].reshape(g_s.shape) * g_s).sum(axis=1)
-            g_t = g_s
-            if d is not None:  # each code's rows take its derivative row
-                g_t = np.multiply(g_s, d[:, None, :], out=g_s if own else None)
-            g_t = g_t.reshape(b * n, g_s.shape[2])  # the tape's tangent rows
-            s_in = _basis(b, n) if k == 0 else trace.tan_out[k - 1]
-            np.matmul(g_t.T, s_in, out=g_w)
-            if k > 0:
-                g_s = (g_t @ layer.weight).reshape(b, n, layer.weight.shape[1])
-        if g_x is not None:
-            term = g_x
-            if d is not None:
-                term = np.multiply(d, g_x, out=g_x if own else None)
-            if g_a is None:
-                g_a = term
-            else:
-                g_a += term
-        if g_a is None:
-            if not tangent:
-                g_w.fill(0.0)
-            g_b.fill(0.0)
-            continue
+    b, m = trace.x0.shape
+    n = 0 if tan_grad is None else m
+    width = net.layers[-1].weight.shape[0]
+    # one array per layer: b primal adjoint rows, then b * n tangent ones
+    g = np.zeros((b * (1 + n), width))
+    g_x, g_t = g[:b], g[b:]
+    if out_grad is not None:
+        g_x[:] = _adjoint(out_grad, (b, width), "output")
+    if n:
+        g_t[:] = _adjoint(tan_grad, (b, n, width), "tangent").reshape(b * n, width)
+    for k in range(len(net.layers) - 1, -1, -1):
+        layer, d = net.layers[k], trace.dact[k]
+        g_s = g_t.reshape(b, n, layer.weight.shape[0])
+        # s_k = dact(a_k) * t_k: a tangent row carries the second derivative into a_k
+        ddact = _ddact(layer.activation, trace.out[k], d) if n else None
+        if ddact is not None:
+            # from the unscaled tangent adjoints, summed per input
+            dd = (ddact[:, None, :] * trace.tan_pre[k].reshape(g_s.shape) * g_s).sum(axis=1)
+        if d is not None:  # each input's rows take its derivative row
+            if n:  # an empty half is skipped: a numpy call costs about 1 us even then
+                g_s *= d[:, None, :]
+            g_x *= d
+        if ddact is not None:
+            g_x += dd
         x_in = trace.x0 if k == 0 else trace.out[k - 1]
-        if tangent:
-            g_w += g_a.T @ x_in
-        else:
-            np.matmul(g_a.T, x_in, out=g_w)
-        g_a.sum(axis=0, out=g_b)
-        if k > 0 or input_grad:
-            g_x = g_a @ layer.weight
-    if not input_grad:
-        return grads, None
-    if g_x is None:
-        g_x = np.zeros_like(trace.x0)
-    return grads, g_x
-
+        np.matmul(g_x.T, x_in, out=grads.weights[k])
+        if n:
+            grads.weights[k] += g_t.T @ (_basis(b, n) if k == 0 else trace.tan_out[k - 1])
+        np.add.reduce(g_x, axis=0, out=grads.biases[k])
+        if k > 0:
+            g = np.empty((b * (1 + n), layer.weight.shape[1]))
+            g_t = np.matmul(g_t, layer.weight, out=g[b:]) if n else g[b:]
+            g_x = np.matmul(g_x, layer.weight, out=g[:b])
+    return grads, (g_x @ net.layers[0].weight if input_grad else None)
