@@ -411,7 +411,7 @@ def backward(
             # from the unscaled tangent adjoints, summed per input
             dd = (ddact[:, None, :] * trace.tan_pre[k].reshape(g_s.shape) * g_s).sum(axis=1)
         if d is not None:  # each input's rows take its derivative row
-            if n:  # an empty half is skipped: a numpy call costs about 1 us even then
+            if n:  # skipped when empty: a numpy call on no rows still costs about 1 us
                 g_s *= d[:, None, :]
             g_x *= d
         if ddact is not None:
