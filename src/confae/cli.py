@@ -529,6 +529,11 @@ def cmd_plot(args) -> int:
     # a condition number is at least 1, and NaN is no sentinel
     if not np.all(cols["kappa_jac"] >= 1.0):
         raise _runtime(f"{path}: column kappa_jac holds NaN, -inf or a value below 1")
+    # rendered before --out is made, so a column of inf sentinels alone refuses like the above
+    try:
+        strip = figures.kappa_strip_svg(cols["kappa_jac"])
+    except ValueError as exc:
+        raise _runtime(f"{path}: column kappa_jac: {exc}")
     out = _out_dir(args.out)
     written = []
     latent = [name for name in cols if name.startswith("z")]
@@ -546,11 +551,7 @@ def cmd_plot(args) -> int:
             f"warning: latent dimension {len(latent)} != 2, scatter figures omitted",
             file=sys.stderr,
         )
-    try:
-        svg = figures.kappa_strip_svg(cols["kappa_jac"])
-    except ValueError as exc:
-        raise _runtime(str(exc))
-    data.write_atomic(out / "kappa_strip.svg", svg)
+    data.write_atomic(out / "kappa_strip.svg", strip)
     written.append("kappa_strip.svg")
     print(f"wrote {', '.join(written)} to {out}")
     return 0

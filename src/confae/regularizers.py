@@ -44,19 +44,26 @@ DEGENERATE_TRACE_FLOOR = 1e-12
 class DegenerateJacobianError(ValueError):
     """Raised when a trace estimate collapses (rank-deficient decoder).
 
-    ``epoch`` and ``batch`` locate the failure when it happens in training.
+    ``epoch`` and ``batch`` locate the failure when it happens in training;
+    ``stage``, when given, leads the message and names the step that refused.
     """
 
     def __init__(
-        self, index: int, value: float, epoch: int | None = None, batch: int | None = None
+        self,
+        index: int,
+        value: float,
+        epoch: int | None = None,
+        batch: int | None = None,
+        stage: str | None = None,
     ):
         self.index = index
         self.value = value
         self.epoch = epoch
         self.batch = batch
         where = "" if epoch is None else f" (epoch {epoch}, batch {batch})"
+        lead = "" if stage is None else f"{stage}: "
         super().__init__(
-            f"trace estimate {value:.3e} at code index {index}{where} is not positive; "
+            f"{lead}trace estimate {value:.3e} at code index {index}{where} is not positive; "
             "the decoder Jacobian has collapsed there"
         )
 

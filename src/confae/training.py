@@ -413,47 +413,49 @@ def train(
     logged (monitored mode). ``resume`` continues a run toward the same total
     epoch count, bit-exactly, and is itself the state advanced in place.
     """
-    lam = training_intensity(config, samples)
-    x_train, x_val = split_dataset(config, samples)
-    state = _initial_state(config) if resume is None else resume
-    params, flat, grads = _autoencoder_vectors(state)
-    n_train = x_train.shape[0]
-    opts = dict(lr=config.lr, weight_decay=config.weight_decay)
-    records = []
+    # a diverging run is reported by the finite checks, not by numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        lam = training_intensity(config, samples)
+        x_train, x_val = split_dataset(config, samples)
+        state = _initial_state(config) if resume is None else resume
+        params, flat, grads = _autoencoder_vectors(state)
+        n_train = x_train.shape[0]
+        opts = dict(lr=config.lr, weight_decay=config.weight_decay)
+        records = []
 
-    for epoch in range(state.epoch + 1, config.epochs + 1):
-        tic = time.perf_counter()
-        perm = state.rng.permutation(n_train)
-        recon_sum = 0.0
-        geo_sum = 0.0
-        n_geo = 0  # batches that evaluated the geometric term
-        for batch_no, lo in enumerate(range(0, n_train, config.batch_size)):
-            idx = perm[lo : lo + config.batch_size]
-            x = x_train[idx]
-            rec, geo_val, _, _ = _batch_losses_and_grads(
-                config, lam, state.enc, state.dec, x, state.rng, epoch, batch_no, grads
+        for epoch in range(state.epoch + 1, config.epochs + 1):
+            tic = time.perf_counter()
+            perm = state.rng.permutation(n_train)
+            recon_sum = 0.0
+            geo_sum = 0.0
+            n_geo = 0  # batches that evaluated the geometric term
+            for batch_no, lo in enumerate(range(0, n_train, config.batch_size)):
+                idx = perm[lo : lo + config.batch_size]
+                x = x_train[idx]
+                rec, geo_val, _, _ = _batch_losses_and_grads(
+                    config, lam, state.enc, state.dec, x, state.rng, epoch, batch_no, grads
+                )
+                adamw_step(params, flat, state.opt, **opts)
+                recon_sum += rec * x.shape[0]
+                geo_sum += geo_val
+                n_geo += _evaluates_geo(config, x.shape[0])
+
+            val_recon = reg.recon_loss(state.enc, state.dec, x_val)
+            epoch_recon = recon_sum / n_train
+            epoch_geo = geo_sum / max(n_geo, 1)
+            record = EpochRecord(
+                epoch=epoch,
+                recon=epoch_recon,
+                geo=epoch_geo,
+                val_recon=val_recon,
+                seconds=time.perf_counter() - tic,
+                total=epoch_recon + lam * epoch_geo,
             )
-            adamw_step(params, flat, state.opt, **opts)
-            recon_sum += rec * x.shape[0]
-            geo_sum += geo_val
-            n_geo += _evaluates_geo(config, x.shape[0])
-
-        val_recon = reg.recon_loss(state.enc, state.dec, x_val)
-        epoch_recon = recon_sum / n_train
-        epoch_geo = geo_sum / max(n_geo, 1)
-        record = EpochRecord(
-            epoch=epoch,
-            recon=epoch_recon,
-            geo=epoch_geo,
-            val_recon=val_recon,
-            seconds=time.perf_counter() - tic,
-            total=epoch_recon + lam * epoch_geo,
-        )
-        records.append(record)
-        state.epoch = epoch
-        if on_epoch is not None:
-            on_epoch(state, record)
-    return TrainResult(records=records, state=state)
+            records.append(record)
+            state.epoch = epoch
+            if on_epoch is not None:
+                on_epoch(state, record)
+        return TrainResult(records=records, state=state)
 
 
 CALIBRATION_SAMPLE = 512
@@ -489,10 +491,19 @@ def calibrate_intensity(config: RunConfig, samples: np.ndarray):
         problem = f"compares pairs of codes, but the training split holds {len(sample)}"
         raise ConfigError([f"regularizer: {config.regularizer} {problem}"])
     enc, dec = init_networks(config)
-    codes = net.forward(enc, sample)
-    y, rows, _ = _decoder_tape(config, dec, codes)
-    recon0 = reg.recon_loss_and_grad(y, sample, want_grad=False)[0]
-    geo0 = _geo_value_and_grads(config, codes, y, rows, None, want_grad=False)[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        codes = net.forward(enc, sample)
+        y, rows, _ = _decoder_tape(config, dec, codes)
+        recon0 = reg.recon_loss_and_grad(y, sample, want_grad=False)[0]
+        try:
+            geo0 = _geo_value_and_grads(config, codes, y, rows, None, want_grad=False)[0]
+        except reg.DegenerateJacobianError as exc:
+            # the sample is the training split's leading rows, so the index is a row of it
+            stage = (
+                "calibration of the untrained decoder refused (the code index counts rows of "
+                f"the training split, whose first {CALIBRATION_SAMPLE} rows are the sample)"
+            )
+            raise reg.DegenerateJacobianError(exc.index, exc.value, stage=stage) from None
     if geo0 <= 1e-12:
         raise ConfigError(
             ["lambda_geo: geometric term vanishes on the initial model; calibration is moot"]
