@@ -36,11 +36,10 @@ while tangent states live on B*m rows; each code's m tangent rows are scaled
 by its one derivative row, in both sweeps. Callers see the tangents as the
 (B, m, out) stack: :func:`jvp`'s ``jv`` is a view of the tape's last tangent
 array in that shape, and :func:`backward` takes its tangent adjoint in it.
-The reverse sweep holds each layer's adjoints in one (B * (1 + n), width)
-array: the B primal rows, then the B * n tangent rows in the tape's order,
-with n = m under a tangent adjoint and n = 0 without one. A missing adjoint
-is a zero block, and the tangents' second-derivative terms are summed per
-code into the primal rows.
+The reverse sweep carries each layer's adjoints as B primal rows and B * n
+tangent rows in the tape's order, with n = m under a tangent adjoint and
+n = 0 without one; a missing adjoint is zeros. The tangents'
+second-derivative terms are summed per code into the primal rows.
 
 :func:`forward` and :func:`jvp` take an optional ``buffers`` dict. A loop
 over blocks of inputs that passes the same dict to every call gets each
@@ -395,26 +394,26 @@ def backward(
     b, m = trace.x0.shape
     n = 0 if tan_grad is None else m
     width = net.layers[-1].weight.shape[0]
-    # one array per layer: b primal adjoint rows, then b * n tangent ones
-    g = np.zeros((b * (1 + n), width))
-    g_x, g_t = g[:b], g[b:]
+    # the output adjoints of the layer, b primal and b * n tangent rows, scaled
+    # in place: copies of the caller's, and zeros for a missing one
+    g_x, g_t = np.zeros((b, width)), np.zeros((b * n, width))
     if out_grad is not None:
         g_x[:] = _adjoint(out_grad, (b, width), "output")
     if n:
         g_t[:] = _adjoint(tan_grad, (b, n, width), "tangent").reshape(b * n, width)
     for k in range(len(net.layers) - 1, -1, -1):
         layer, d = net.layers[k], trace.dact[k]
-        g_s = g_t.reshape(b, n, layer.weight.shape[0])
-        # s_k = dact(a_k) * t_k: a tangent row carries the second derivative into a_k
-        ddact = _ddact(layer.activation, trace.out[k], d) if n else None
-        if ddact is not None:
-            # from the unscaled tangent adjoints, summed per input
-            dd = (ddact[:, None, :] * trace.tan_pre[k].reshape(g_s.shape) * g_s).sum(axis=1)
-        if d is not None:  # each input's rows take its derivative row
-            if n:  # skipped when empty: a numpy call on no rows still costs about 1 us
+        dd = None
+        if n:  # s_k = dact(a_k) * t_k, so a tangent row also reaches a_k through dact'
+            g_s = g_t.reshape(b, n, -1)
+            ddact = _ddact(layer.activation, trace.out[k], d)
+            if ddact is not None:  # from the unscaled tangent adjoints, summed per input
+                dd = (ddact[:, None, :] * trace.tan_pre[k].reshape(g_s.shape) * g_s).sum(axis=1)
+            if d is not None:  # each input's rows take its derivative row
                 g_s *= d[:, None, :]
+        if d is not None:
             g_x *= d
-        if ddact is not None:
+        if dd is not None:
             g_x += dd
         x_in = trace.x0 if k == 0 else trace.out[k - 1]
         np.matmul(g_x.T, x_in, out=grads.weights[k])
@@ -422,7 +421,5 @@ def backward(
             grads.weights[k] += g_t.T @ (_basis(b, n) if k == 0 else trace.tan_out[k - 1])
         np.add.reduce(g_x, axis=0, out=grads.biases[k])
         if k > 0:
-            g = np.empty((b * (1 + n), layer.weight.shape[1]))
-            g_t = np.matmul(g_t, layer.weight, out=g[b:]) if n else g[b:]
-            g_x = np.matmul(g_x, layer.weight, out=g[:b])
+            g_x, g_t = g_x @ layer.weight, g_t @ layer.weight if n else g_t
     return grads, (g_x @ net.layers[0].weight if input_grad else None)

@@ -392,8 +392,8 @@ class TestBlockTangents:
         assert got is into and g_x is None
         assert np.array_equal(into.flat, want.flat)
 
-    def test_piecewise_linear_primal_adjoint_is_skipped(self):
-        # nothing reaches the primal chain: the input gradient is exact zeros
+    def test_piecewise_linear_input_gradient_of_a_tangent_adjoint_is_zero(self):
+        # no primal adjoint and no second derivative: the zero block stays zero
         network, _, res = basis_jvp("relu")
         _, g_in = net.backward(network, res.trace, tan_grad=np.ones((5, 2, 3)))
         assert np.array_equal(g_in, np.zeros((5, 2)))
